@@ -225,6 +225,8 @@ def run_backtest(
     on the long_len rows before the anchor and forecast the anchor row's
     return. GMM scenarios are rescaled per asset by short/long volatility
     before VaR extraction; baselines run on the same window unadjusted.
+    Backtests are one-day only: the realized return is one day, so a config
+    with horizon > 1 raises ConfigError.
 
     scenario_writer, when given together with config.dump_scenarios, is
     called as writer(date, model_tag, scenario_matrix) for each Monte Carlo
@@ -233,6 +235,10 @@ def run_backtest(
     (day_index, tag) to (model, FitDiagnostic) and exists for sweeps that
     reuse fits across grid values.
     """
+    if config.horizon != 1:
+        raise ConfigError(
+            f"backtests score one-day forecasts only; got horizon {config.horizon}"
+        )
     returns = _panel_returns(panel)
     n_rows = returns.n_rows
     if config.long_len + config.eval_days > n_rows:

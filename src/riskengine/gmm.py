@@ -1,8 +1,13 @@
 """Gaussian mixture models: density evaluation, EM calibration, sampling.
 
 A mixture is P(x) = sum_j w_j * N(x | mu_j, Sigma_j). All density work goes
-through Cholesky factors (never an explicit inverse): for each component,
-log N(x) = -0.5 * (k ln 2pi + ln det Sigma + z'z) with L z = x - mu.
+through Cholesky factors Sigma_j = L_j L_j', with an inverse of the
+triangular factor only (LAPACK trtri), never of Sigma itself: for each
+component, log N(x) = -0.5 * (k ln 2pi + ln det Sigma + z'z) with
+z = L^-1 (x - mu). This is the precision-Cholesky parameterisation of
+scikit-learn's GaussianMixture.precisions_cholesky_ (Pedregosa et al., JMLR
+2011). Stacking every L_j^-T side by side turns the densities of all samples
+and components into one matrix product, X @ [L_1^-T ... L_n^-T] - b.
 
 EM runs in log space. The E-step shifts each row by its max before
 exponentiating, so responsibilities stay finite even when every component
@@ -24,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 from .errors import (
     DegenerateDataError,
@@ -64,14 +69,65 @@ def _floored(cov: np.ndarray) -> np.ndarray:
     return cov + covariance_floor(cov) * np.eye(cov.shape[-1])
 
 
+def _factorize(covs: np.ndarray):
+    """Cholesky factors L_j, their inverses L_j^-1 and ln det Sigma_j.
+
+    Raises numpy.linalg.LinAlgError when a covariance is not positive
+    definite or a triangular inverse fails, and ValidationError when one is
+    not finite (an overflowed M-step; Cholesky would not notice).
+    """
+    if not np.all(np.isfinite(covs)):
+        raise ValidationError("means/covariances contain non-finite entries")
+    chols = np.linalg.cholesky(covs)
+    prec_chols = np.empty_like(chols)
+    for j, L in enumerate(chols):
+        inv, info = dtrtri(L, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"triangular inverse of component {j} failed (info={info})"
+            )
+        prec_chols[j] = inv
+    logdets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    return chols, prec_chols, logdets
+
+
+def _log_densities(X, means, prec_chols, logdets) -> np.ndarray:
+    """Log N(x_i | mu_j, Sigma_j) for every sample/component pair: (N, n).
+
+    z_ij = L_j^-1 (x_i - mu_j) for all pairs comes out of one GEMM,
+    X @ W - b with W = [L_1^-T ... L_n^-T] and b_j = L_j^-1 mu_j.
+    Rounding error in z is of order eps * |L^-1| * |x| rather than the
+    eps * |L^-1| * |x - mu| of a triangular solve, so data lying many of the
+    narrowest component's standard deviations away from the origin loses
+    digits; daily returns sit well within one standard deviation of 0.
+    """
+    n, k = means.shape
+    W = prec_chols.transpose(2, 0, 1).reshape(k, n * k)
+    b = np.einsum("jca,ja->jc", prec_chols, means).reshape(n * k)
+    Z = (X @ W - b).reshape(X.shape[0], n, k)
+    return -0.5 * (k * _LOG_2PI + logdets + np.einsum("ijc,ijc->ij", Z, Z))
+
+
+def _log_weighted(X, weights, means, prec_chols, logdets) -> np.ndarray:
+    with np.errstate(divide="ignore"):  # log(0) for zero weights is fine
+        logw = np.log(weights)
+    return _log_densities(X, means, prec_chols, logdets) + logw
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianMixtureModel:
-    """Immutable mixture parameters plus cached Cholesky factors."""
+    """Immutable mixture parameters plus cached Cholesky factors.
+
+    _prec_chols holds each L_j^-1 and _logdets each ln det Sigma_j, so
+    density evaluation needs no factorisation or triangular solve.
+    """
 
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
     _chols: np.ndarray = field(init=False, repr=False, compare=False)
+    _prec_chols: np.ndarray = field(init=False, repr=False, compare=False)
+    _logdets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
@@ -99,13 +155,21 @@ class GaussianMixtureModel:
         asym = np.max(np.abs(cov - np.transpose(cov, (0, 2, 1))))
         if asym > 1e-12 * max(1.0, float(np.max(np.abs(cov)))):
             raise ValidationError(f"covariance asymmetry {asym} exceeds tolerance")
-        chols = np.linalg.cholesky(cov)  # LinAlgError if any is not PD
-        for a in (w, mu, cov):
+        chols, prec_chols, logdets = _factorize(cov)  # LinAlgError if not PD
+        for a in (w, mu, cov, chols, prec_chols, logdets):
             a.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covariances", cov)
         object.__setattr__(self, "_chols", chols)
+        object.__setattr__(self, "_prec_chols", prec_chols)
+        object.__setattr__(self, "_logdets", logdets)
+
+    def _log_weighted_densities(self, X: np.ndarray) -> np.ndarray:
+        """ln w_j + ln N(x_i | mu_j, Sigma_j) for every pair: (N, n)."""
+        return _log_weighted(
+            X, self.weights, self.means, self._prec_chols, self._logdets
+        )
 
     @property
     def n_components(self) -> int:
@@ -216,30 +280,8 @@ def component_density(x, mean, cov) -> float:
         raise ShapeError(
             f"point {x.shape}, mean {mean.shape} and cov {cov.shape} disagree"
         )
-    L = np.linalg.cholesky(cov)
-    z = solve_triangular(L, x - mean, lower=True, check_finite=False)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return float(np.exp(-0.5 * (k * _LOG_2PI + logdet + z @ z)))
-
-
-def _log_component_densities(model: GaussianMixtureModel, X: np.ndarray) -> np.ndarray:
-    """Log N(x_i | mu_j, Sigma_j) for every sample/component pair: (N, n)."""
-    N, k = X.shape
-    out = np.empty((N, model.n_components))
-    for j in range(model.n_components):
-        L = model._chols[j]
-        z = solve_triangular(
-            L, (X - model.means[j]).T, lower=True, check_finite=False
-        )
-        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-        out[:, j] = -0.5 * (k * _LOG_2PI + logdet + np.sum(z * z, axis=0))
-    return out
-
-
-def _log_weighted(model: GaussianMixtureModel, X: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):  # log(0) for zero weights is fine
-        logw = np.log(model.weights)
-    return _log_component_densities(model, X) + logw
+    _, prec_chols, logdets = _factorize(cov[None])
+    return float(np.exp(_log_densities(x[None], mean[None], prec_chols, logdets)[0, 0]))
 
 
 def _logsumexp_rows(logj: np.ndarray, context: str) -> np.ndarray:
@@ -276,7 +318,7 @@ def mixture_density(model: GaussianMixtureModel, x):
             scalar = True
     if x.shape[1] != model.dim:
         raise ShapeError(f"points have dim {x.shape[1]}, model has dim {model.dim}")
-    logj = _log_weighted(model, x)
+    logj = model._log_weighted_densities(x)
     shift = logj.max(axis=1)
     dens = np.where(
         np.isfinite(shift),
@@ -291,7 +333,8 @@ def log_likelihood(model: GaussianMixtureModel, data) -> float:
     X = _as_matrix(data)
     if X.shape[1] != model.dim:
         raise ShapeError(f"data has dim {X.shape[1]}, model has dim {model.dim}")
-    return float(np.mean(_logsumexp_rows(_log_weighted(model, X), "log_likelihood")))
+    logj = model._log_weighted_densities(X)
+    return float(np.mean(_logsumexp_rows(logj, "log_likelihood")))
 
 
 def e_step(model: GaussianMixtureModel, data) -> Responsibilities:
@@ -299,7 +342,7 @@ def e_step(model: GaussianMixtureModel, data) -> Responsibilities:
     X = _as_matrix(data)
     if X.shape[1] != model.dim:
         raise ShapeError(f"data has dim {X.shape[1]}, model has dim {model.dim}")
-    logj = _log_weighted(model, X)
+    logj = model._log_weighted_densities(X)
     lse = _logsumexp_rows(logj, "e_step")
     return Responsibilities(r=np.exp(logj - lse[:, None]))
 
@@ -316,10 +359,16 @@ def m_step(data, resp) -> GaussianMixtureModel:
     X = _as_matrix(data)
     if not isinstance(resp, Responsibilities):
         resp = Responsibilities(r=np.asarray(resp, dtype=float))
-    r = resp.r
+    N = X.shape[0]
+    if resp.r.shape[0] != N:
+        raise ShapeError(f"{N} samples but {resp.r.shape[0]} responsibility rows")
+    weights, means, covs = _m_step(X, resp.r)
+    return GaussianMixtureModel(weights=weights, means=means, covariances=covs)
+
+
+def _m_step(X: np.ndarray, r: np.ndarray):
+    """m_step on validated arrays; returns (weights, means, covariances)."""
     N, k = X.shape
-    if r.shape[0] != N:
-        raise ShapeError(f"{N} samples but {r.shape[0]} responsibility rows")
     n_c = r.shape[1]
     col = r.sum(axis=0)
     collapsed = np.flatnonzero(col < 1e-8 * N)
@@ -340,14 +389,12 @@ def m_step(data, resp) -> GaussianMixtureModel:
         weights[j] = col[j] / N
 
     if collapsed.size:
-        ref = GaussianMixtureModel(
-            weights=weights[healthy] / weights[healthy].sum(),
-            means=means[healthy],
-            covariances=covs[healthy],
+        _, prec_chols, logdets = _factorize(covs[healthy])
+        logj = _log_weighted(
+            X, weights[healthy] / weights[healthy].sum(), means[healthy],
+            prec_chols, logdets,
         )
-        order = np.argsort(
-            _logsumexp_rows(_log_weighted(ref, X), "m_step reseed"), kind="stable"
-        )
+        order = np.argsort(_logsumexp_rows(logj, "m_step reseed"), kind="stable")
         dm = X - X.mean(axis=0)
         global_cov = _floored(dm.T @ dm / N)
         for pick, j in enumerate(collapsed):
@@ -356,7 +403,7 @@ def m_step(data, resp) -> GaussianMixtureModel:
             weights[j] = 1.0 / N
 
     weights /= weights.sum()
-    return GaussianMixtureModel(weights=weights, means=means, covariances=covs)
+    return weights, means, covs
 
 
 def kmeans_init(X, n_components: int, rng) -> GaussianMixtureModel:
@@ -467,11 +514,17 @@ def fit(
     else:
         raise ValidationError(f"unknown init {init!r}")
 
+    # The loop runs on plain arrays; the validated model is built once, at
+    # exit. Responsibilities need no validation here: every row has a finite
+    # maximum (checked by _logsumexp_rows), so exp(logj - lse) lies in
+    # [0, 1] with rows summing to one.
+    weights, means, covs = model.weights, model.means, model.covariances
+    prec_chols, logdets = model._prec_chols, model._logdets
     trace: list[float] = []
     converged = False
-    previous = model
+    previous = (weights, means, covs)
     for it in range(1, settings.max_iter + 1):
-        logj = _log_weighted(model, X)
+        logj = _log_weighted(X, weights, means, prec_chols, logdets)
         lse = _logsumexp_rows(logj, f"fit iteration {it}")
         ll = float(np.mean(lse))
         if not np.isfinite(ll):
@@ -481,15 +534,16 @@ def fit(
             # maximiser, so once the true EM increment falls below that
             # perturbation the objective can dip slightly.  Keep the previous,
             # better iterate; a dip below tol is just convergence noise.
-            model = previous
+            weights, means, covs = previous
             converged = trace[-1] - ll < settings.tol
             break
         trace.append(ll)
         if len(trace) >= 2 and trace[-1] - trace[-2] < settings.tol:
             converged = True
             break
-        previous = model
-        model = m_step(X, Responsibilities(r=np.exp(logj - lse[:, None])))
+        previous = (weights, means, covs)
+        weights, means, covs = _m_step(X, np.exp(logj - lse[:, None]))
+        _, prec_chols, logdets = _factorize(covs)
 
     report = FitReport(
         iterations=len(trace),
@@ -498,7 +552,7 @@ def fit(
         loglik_trace=tuple(trace),
         init_mode=init_mode,
     )
-    return model, report
+    return GaussianMixtureModel(weights=weights, means=means, covariances=covs), report
 
 
 def stratified_counts(weights, n_total: int) -> np.ndarray:

@@ -111,6 +111,15 @@ def test_run_config_errors_exit_2(prices_csv, tmp_path):
     assert code == 2
 
 
+def test_run_multi_day_horizon_exits_2(prices_csv, tmp_path, capsys):
+    out = tmp_path / "h10"
+    code = main(["run", "--prices", prices_csv, "--out", str(out), *RUN_FLAGS,
+                 "--horizon", "10"])
+    assert code == 2
+    assert "horizon 10" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_argparse_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run"])  # --prices and --out are required

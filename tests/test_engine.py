@@ -179,6 +179,15 @@ def test_run_backtest_panel_too_short():
         run_backtest(panel, RunConfig(**SMALL))
 
 
+def test_run_backtest_rejects_multi_day_horizon(panel_3assets):
+    # the realized return is one day, so an h-day VaR cannot be scored on it
+    cfg = RunConfig(**{**SMALL, "horizon": 10})
+    with pytest.raises(ConfigError, match="horizon 10"):
+        run_backtest(panel_3assets, cfg)
+    with pytest.raises(ConfigError, match="horizon 10"):
+        sweep_sigma_short(panel_3assets, cfg, [10, 20])
+
+
 def test_run_backtest_portfolio_ticker_mismatch(panel_3assets):
     cfg = RunConfig(**SMALL, portfolio=PortfolioSpec.equal(("AAA", "BBB", "WRONG")))
     with pytest.raises(ConfigError):

@@ -4,7 +4,12 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
+from riskengine import gmm as gmm_module
 from riskengine import (
     EmSettings,
     FitReport,
@@ -177,6 +182,100 @@ def test_log_likelihood_is_mean_log_density():
     x = rng.normal(0, 1.5, (40, 2))
     direct = float(np.mean(np.log(mixture_density(m, x))))
     assert log_likelihood(m, x) == pytest.approx(direct, rel=1e-12)
+
+
+def _reference_log_densities(model, X):
+    """Per-component triangular solves: the density kernel before the GEMM form.
+
+    Returns the (N, n) log-densities and, per entry, the size of the terms
+    each one sums, 0.5 * (k ln 2pi + |ln det Sigma_j| + z'z). A log-density
+    near zero comes from cancelling terms, so that size is the scale its
+    rounding error is relative to.
+    """
+    N, k = X.shape
+    out = np.empty((N, model.n_components))
+    size = np.empty_like(out)
+    for j in range(model.n_components):
+        L = np.linalg.cholesky(model.covariances[j])
+        z = solve_triangular(L, (X - model.means[j]).T, lower=True, check_finite=False)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+        zz = np.sum(z * z, axis=0)
+        out[:, j] = -0.5 * (k * np.log(2.0 * np.pi) + logdet + zz)
+        size[:, j] = 0.5 * (k * np.log(2.0 * np.pi) + abs(logdet) + zz)
+    return out, size
+
+
+@st.composite
+def ill_conditioned_mixtures(draw):
+    """Mixtures with dim 1-15, 1-6 components, condition numbers up to 1e10.
+
+    One overall scale s sets every component's largest variance (within a
+    factor 10 of s^2) and the spread of the means (s * N(0, 3^2)), so the
+    data lie within a few standard deviations of 0, as daily returns do.
+    The kernel's docstring says why data far from the origin would lose
+    digits; scikit-learn's kernel has the same form.
+    """
+    dim = draw(st.integers(1, 15))
+    n = draw(st.integers(1, 6))
+    log_conds = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    s = 10.0 ** draw(st.floats(-3.0, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    covs = np.empty((n, dim, dim))
+    for j, log_cond in enumerate(log_conds):
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        eig = s * s * 10.0 ** rng.uniform(-1.0, 1.0) * np.logspace(0.0, -log_cond, dim)
+        c = (q * eig) @ q.T
+        covs[j] = 0.5 * (c + c.T)
+    model = GaussianMixtureModel(
+        weights=rng.dirichlet(np.ones(n)),
+        means=rng.normal(0.0, 3.0 * s, (n, dim)),
+        covariances=covs,
+    )
+    return model, sample(model, 60, rng)
+
+
+@given(ill_conditioned_mixtures())
+@settings(max_examples=150, deadline=None)
+def test_gemm_kernel_matches_triangular_solves(case):
+    model, X = case
+    ref, size = _reference_log_densities(model, X)
+    new = gmm_module._log_densities(X, model.means, model._prec_chols, model._logdets)
+    assert np.all(np.abs(new - ref) <= 1e-10 * size)
+
+    logj = ref + np.log(model.weights)
+    lse = np.logaddexp.reduce(logj, axis=1)
+    own = size[np.arange(len(X)), np.argmax(logj, axis=1)]
+    assert log_likelihood(model, X) == pytest.approx(
+        np.mean(lse), rel=1e-10, abs=1e-10 * np.mean(own)
+    )
+    # responsibilities lie in [0, 1] and each row sums to 1, the scale here
+    np.testing.assert_allclose(
+        e_step(model, X).r, np.exp(logj - lse[:, None]), rtol=0.0, atol=1e-10
+    )
+
+
+def test_em_path_makes_no_triangular_solve(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("triangular solve (trsm) called in the EM path")
+
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", forbidden)
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrtrs", forbidden)
+    monkeypatch.setattr(gmm_module, "solve_triangular", forbidden, raising=False)
+
+    # a desk-shaped window: 252 days of one-factor returns on 15 assets
+    rng = np.random.default_rng(4)
+    f = rng.normal(size=(253, 1))
+    panel = 0.0002 + 0.011 * (0.5 * f + np.sqrt(0.75) * rng.normal(size=(253, 15)))
+    X, shifted = panel[:252], panel[1:]
+
+    model, cold = fit(X, 3, settings=EmSettings(seed=1))
+    warm_model, warm = fit(shifted, 3, init=model)
+    assert cold.init_mode == "kmeans" and warm.init_mode == "warm_start"
+    resp = e_step(warm_model, shifted)
+    refit = m_step(shifted, resp)
+    assert np.isfinite(log_likelihood(refit, shifted))
+    assert component_density(X[0], model.means[0], model.covariances[0]) > 0.0
+    assert sample(warm_model, 3000, np.random.default_rng(2)).shape == (3000, 15)
 
 
 # ----------------------------------------------------------------- EM steps
@@ -383,6 +482,37 @@ def test_fit_report_validation():
             iterations=3, converged=False, final_loglik=2.0,
             loglik_trace=(1.0, 2.0), init_mode="kmeans",  # wrong count
         )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 4),
+    n_components=st.integers(1, 4),
+    n_samples=st.integers(60, 300),
+)
+@settings(max_examples=40, deadline=None)
+def test_fit_trace_monotone_valid_and_reproducible(seed, dim, n_components, n_samples):
+    rng = np.random.default_rng(seed)
+    x = sample(random_mixture(rng, n_components, dim), n_samples, rng)
+    em = EmSettings(seed=seed)
+    model, report = fit(x, n_components, settings=em)
+
+    trace = np.asarray(report.loglik_trace)
+    assert np.all(np.diff(trace) >= 0.0)
+    assert report.iterations == len(trace) and report.final_loglik == trace[-1]
+    GaussianMixtureModel.from_dict(model.to_dict())  # validates the simplex and PD
+    if report.converged:
+        # the returned model is the iterate the last trace entry measured
+        assert log_likelihood(model, x) == pytest.approx(report.final_loglik, rel=1e-12)
+
+    again, report2 = fit(x, n_components, settings=em)
+    assert report2 == report
+    for a, b in [(model.weights, again.weights), (model.means, again.means),
+                 (model.covariances, again.covariances)]:
+        np.testing.assert_array_equal(a, b)
+
+    _, warm = fit(x[1:], n_components, init=model, settings=em)
+    assert np.all(np.diff(warm.loglik_trace) >= 0.0)
 
 
 def test_fit_near_degenerate_component_stays_monotone():
