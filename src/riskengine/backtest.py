@@ -12,7 +12,11 @@ sequence against a constant violation probability:
              + 2 ln[(1-pi01)^n00 pi01^n01 (1-pi11)^n10 pi11^n11]
 
 with nab the count of transitions a -> b, pi01 = n01/(n00+n01),
-pi11 = n11/(n10+n11) and pi2 = (n01+n11)/(n-1). Terms follow the
+pi11 = n11/(n10+n11) and pi2 = (n01+n11)/(n00+n01+n10+n11). A transition
+pairs two observations on adjacent days only: when days are missing from a
+sequence (invalid days dropped from a backtest), the pairs across each gap
+are not counted, so the four counts sum to n - 1 minus the number of gaps
+(Christoffersen 1998 defines the chain on consecutive days). Terms follow the
 0 * ln 0 = 0 convention, so degenerate sequences (no hits at all) yield
 LR_ind = 0 rather than NaN. LR_cc = LR_uc + LR_ind. Both LR statistics are
 non-negative because each restricted model is nested in its alternative.
@@ -40,10 +44,15 @@ VERDICT_INSUFFICIENT = "insufficient"
 
 @dataclass(frozen=True, eq=False)
 class HitSequence:
-    """Boolean violation indicators, hit_t = (r_t <= VaR_t), plus the level."""
+    """Boolean violation indicators, hit_t = (r_t <= VaR_t), plus the level.
+
+    adjacent[t] says whether observations t and t + 1 fall on adjacent days;
+    None means every consecutive pair does (a sequence without gaps).
+    """
 
     hits: np.ndarray
     alpha: float
+    adjacent: np.ndarray | None = None
 
     def __post_init__(self):
         h = np.asarray(self.hits)
@@ -56,6 +65,15 @@ class HitSequence:
         h = h.copy()
         h.setflags(write=False)
         object.__setattr__(self, "hits", h)
+        if self.adjacent is not None:
+            adj = np.array(self.adjacent)
+            if adj.dtype != bool or adj.shape != (h.size - 1,):
+                raise ShapeError(
+                    f"adjacent must be a boolean array of n - 1 = {h.size - 1} "
+                    f"entries, got dtype {adj.dtype} shape {adj.shape}"
+                )
+            adj.setflags(write=False)
+            object.__setattr__(self, "adjacent", adj)
 
     @property
     def n(self) -> int:
@@ -88,8 +106,11 @@ class ChristoffersenResult:
     verdict: str
 
     def __post_init__(self):
-        if self.n00 + self.n01 + self.n10 + self.n11 != self.n - 1:
-            raise ValidationError("transition counts must sum to n - 1")
+        counts = (self.n00, self.n01, self.n10, self.n11)
+        if min(counts) < 0 or sum(counts) > self.n - 1:
+            raise ValidationError(
+                "transition counts must be non-negative and sum to at most n - 1"
+            )
         for name in ("pi01", "pi11", "pi2"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -142,20 +163,26 @@ class GofResult:
             raise ValidationError(f"rmse must be >= 0, got {self.rmse}")
 
 
-def hits(realized, var_series, alpha: float) -> HitSequence:
-    """Violation indicators for a realized return series against its VaRs."""
+def hits(realized, var_series, alpha: float, adjacent=None) -> HitSequence:
+    """Violation indicators for a realized return series against its VaRs.
+
+    adjacent is passed on to the HitSequence: which consecutive observations
+    fall on adjacent days (None when the series has no gaps).
+    """
     r = np.asarray(realized, dtype=float).ravel()
     v = np.asarray(var_series, dtype=float).ravel()
     if r.shape != v.shape:
         raise ShapeError(f"{r.size} realized returns but {v.size} VaR values")
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
         raise ValidationError("realized/VaR series contain non-finite entries")
-    return HitSequence(hits=r <= v, alpha=alpha)
+    return HitSequence(hits=r <= v, alpha=alpha, adjacent=adjacent)
 
 
-def _transitions(h: np.ndarray) -> tuple[int, int, int, int]:
-    prev = h[:-1]
-    cur = h[1:]
+def _transitions(seq: HitSequence) -> tuple[int, int, int, int]:
+    prev = seq.hits[:-1]
+    cur = seq.hits[1:]
+    if seq.adjacent is not None:
+        prev, cur = prev[seq.adjacent], cur[seq.adjacent]
     n00 = int(np.sum(~prev & ~cur))
     n01 = int(np.sum(~prev & cur))
     n10 = int(np.sum(prev & ~cur))
@@ -174,7 +201,8 @@ def christoffersen(
 
     The verdict is "rejected" when min(p_uc, p_ind) < reject_level; the
     combined statistic is reported but does not join the verdict. Requires
-    at least two observations (one transition).
+    at least two observations; transitions are counted only between
+    adjacent days (seq.adjacent), and with none LR_ind is 0.
     """
     if seq.n < 2:
         raise InsufficientDataError(
@@ -182,7 +210,6 @@ def christoffersen(
         )
     if not 0.0 < reject_level < 1.0:
         raise ValidationError(f"reject_level must be in (0, 1), got {reject_level}")
-    h = seq.hits
     n, x = seq.n, seq.x
     p = seq.alpha
 
@@ -192,10 +219,11 @@ def christoffersen(
     )
     lr_uc = max(float(lr_uc), 0.0)
 
-    n00, n01, n10, n11 = _transitions(h)
+    n00, n01, n10, n11 = _transitions(seq)
+    pairs = n00 + n01 + n10 + n11
     pi01 = n01 / (n00 + n01) if n00 + n01 > 0 else 0.0
     pi11 = n11 / (n10 + n11) if n10 + n11 > 0 else 0.0
-    pi2 = (n01 + n11) / (n - 1)
+    pi2 = (n01 + n11) / pairs if pairs > 0 else 0.0
     log_l0 = xlogy(n00 + n10, 1.0 - pi2) + xlogy(n01 + n11, pi2)
     log_l1 = (
         xlogy(n00, 1.0 - pi01)

@@ -6,9 +6,16 @@ Every stochastic step draws from a Generator seeded by
     SeedSequence(entropy=config.seed, spawn_key=(day_index, model_index, purpose))
 
 with purpose 0 for fit initialization and 1 for simulation, collapsed to a
-uint64. Streams therefore do not depend on the short window length, which
-lets a sigma_short sweep reuse per-day fits and still reproduce a plain run
-byte for byte. Report CSVs format floats with repr() (shortest round-trip),
+uint64. Streams therefore do not depend on the short window length.
+
+One day loop serves plain runs and sigma_short sweeps. Per day it fits,
+simulates and reads every estimate that ignores the short window once; per
+short-window length it scales the gmm asset VaR/ES by the vol ratio
+(positive homogeneity) and re-aggregates the gmm portfolio from the scaled
+holdings. A plain run is a one-value sweep, so each sweep point reproduces
+the plain run with its short_len byte for byte.
+
+Report CSVs format floats with repr() (shortest round-trip),
 so identical runs produce identical bytes; only the manifest's timestamp
 and wall-clock fields differ between repeated runs.
 
@@ -25,17 +32,12 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .backtest import (
-    VERDICT_INSUFFICIENT,
-    BacktestReport,
-    christoffersen,
-    hits,
-    quadratic_loss,
-)
+from .backtest import BacktestReport, christoffersen, hits, quadratic_loss
 from .baselines import calibrate_gbm, historical_var, parametric_var
 from .errors import (
     ConfigError,
@@ -46,8 +48,15 @@ from .errors import (
     ValidationError,
 )
 from .gmm import EmSettings, GaussianMixtureModel, fit
-from .risk import PortfolioSpec, RiskEstimate, portfolio_returns, var_es
-from .scenario import ScenarioMatrix, compound, rescale, simulate_gbm_portfolio, simulate_gmm, vol_ratios
+from .risk import PortfolioSpec, RiskEstimate, adjust, var_es
+from .scenario import (
+    ScenarioMatrix,
+    column_std,
+    compound,
+    rescale,
+    simulate_gbm_portfolio,
+    simulate_gmm,
+)
 from .timeseries import PricePanel, ReturnPanel, RollingWindow, log_returns, slice_window
 
 MODEL_CHOICES = ("gmm", "hs", "param", "gbm_mc")
@@ -187,7 +196,8 @@ class DayRecord:
 
     estimates holds (model_tag, target, RiskEstimate) triples; realized the
     out-of-sample return per target. A non-None error marks the day invalid:
-    its estimates are excluded from backtesting and from the estimates CSV.
+    it has no estimates and is left out of backtesting, while
+    fit_diagnostics keeps the fits made that day before the failure.
     """
 
     date: str
@@ -196,10 +206,6 @@ class DayRecord:
     estimates: tuple[tuple[str, str, RiskEstimate], ...]
     fit_diagnostics: tuple[FitDiagnostic, ...]
     error: str | None = None
-
-
-def _population_std(a: np.ndarray) -> float:
-    return float(np.std(a))
 
 
 def _panel_returns(panel) -> ReturnPanel:
@@ -217,7 +223,6 @@ def run_backtest(
     config: RunConfig,
     scenario_writer=None,
     model_sink: dict | None = None,
-    _fit_cache: dict | None = None,
 ) -> tuple[list[DayRecord], list[BacktestReport]]:
     """Roll a daily out-of-sample backtest across the panel.
 
@@ -230,16 +235,36 @@ def run_backtest(
 
     scenario_writer, when given together with config.dump_scenarios, is
     called as writer(date, model_tag, scenario_matrix) for each Monte Carlo
-    model-day. model_sink, when given, is filled with the final fitted
-    mixture per gmm tag (warm-start checkpoint state). _fit_cache maps
-    (day_index, tag) to (model, FitDiagnostic) and exists for sweeps that
-    reuse fits across grid values.
+    model-day, gmm scenarios already rescaled. model_sink, when given, is
+    filled with the final fitted mixture per gmm tag (warm-start checkpoint
+    state).
+    """
+    writer = scenario_writer if config.dump_scenarios else None
+    results = _run_days(
+        _panel_returns(panel), config, [config.short_len], writer, model_sink
+    )
+    return results[config.short_len]
+
+
+_DAY_ERRORS = (ValidationError, InsufficientDataError, DegenerateDataError,
+               NumericError, np.linalg.LinAlgError)
+
+
+def _run_days(returns, config, short_lens, scenario_writer, model_sink):
+    """The day loop behind run_backtest and sweep_sigma_short.
+
+    Once per day, in _day_parts: the long slice and its volatilities, every
+    fit, one simulation per Monte Carlo tag with per-asset VaR/ES on the
+    unscaled holdings, and the hs, param and gbm_mc rows, none of which
+    depends on the short window. Once per (day, g), in _short_rows: the vol
+    ratios and the gmm rows they scale. An error in the per-day part
+    invalidates the day for every g, one in the per-g part only that
+    (day, g). Returns {g: (records, reports)}.
     """
     if config.horizon != 1:
         raise ConfigError(
             f"backtests score one-day forecasts only; got horizon {config.horizon}"
         )
-    returns = _panel_returns(panel)
     n_rows = returns.n_rows
     if config.long_len + config.eval_days > n_rows:
         raise ConfigError(
@@ -252,13 +277,10 @@ def run_backtest(
             "portfolio tickers must match the panel tickers in order; "
             f"got {config.portfolio.tickers} vs {tickers}"
         )
-    targets = list(tickers) + (
-        [PORTFOLIO_TICKER] if config.portfolio is not None else []
-    )
-    keys = config.model_keys()
-    needs_gmm = any(k.startswith("gmm") for k in keys)
+    targets = list(tickers) + ([PORTFOLIO_TICKER] if config.portfolio is not None else [])
+    needs_gmm = any(k.startswith("gmm") for k in config.model_keys())
     prev_models: dict[str, GaussianMixtureModel] = {}
-    records: list[DayRecord] = []
+    records: dict[int, list[DayRecord]] = {g: [] for g in short_lens}
 
     for i in range(config.eval_days):
         anchor = config.long_len + i
@@ -266,143 +288,110 @@ def run_backtest(
         window = RollingWindow(
             anchor=anchor, long_len=config.long_len, short_len=config.short_len
         )
-        long_s, short_s = slice_window(returns, window)
-        realized_assets = returns.returns[anchor]
-        realized = [(t, float(realized_assets[c])) for c, t in enumerate(tickers)]
+        long_w = slice_window(returns, window)[0].returns
+        day_returns = returns.returns[anchor]
+        realized = tuple((t, float(day_returns[c])) for c, t in enumerate(tickers))
         if config.portfolio is not None:
-            realized.append(
-                (
-                    PORTFOLIO_TICKER,
-                    float(realized_assets @ config.portfolio.weights),
-                )
-            )
+            realized += ((PORTFOLIO_TICKER, float(day_returns @ config.portfolio.weights)),)
 
-        estimates: list[tuple[str, str, RiskEstimate]] = []
+        parts: list[tuple] = []
         diags: list[FitDiagnostic] = []
-        error = None
+        error = long_vols = None
         try:
-            ratios = vol_ratios(long_s, short_s) if needs_gmm else None
-            for mi, key in enumerate(keys):
-                fit_seed = derive_seed(config.seed, i, mi, 0)
-                sim_seed = derive_seed(config.seed, i, mi, 1)
-                if key.startswith("gmm"):
-                    n_comp = int(key[3:])
-                    cached = None if _fit_cache is None else _fit_cache.get((i, key))
-                    if cached is not None:
-                        model, diag = cached
-                    else:
-                        warm = prev_models.get(key) if config.warm_start else None
-                        model, rep = fit(
-                            long_s.returns,
-                            n_comp,
-                            init=warm if warm is not None else "kmeans",
-                            settings=EmSettings(seed=fit_seed),
-                        )
-                        diag = FitDiagnostic(
-                            model_tag=key,
-                            init_mode=rep.init_mode,
-                            iterations=rep.iterations,
-                            converged=rep.converged,
-                            final_loglik=rep.final_loglik,
-                        )
-                        if _fit_cache is not None:
-                            _fit_cache[(i, key)] = (model, diag)
-                    prev_models[key] = model
-                    diags.append(diag)
-                    scen = simulate_gmm(
-                        model, config.paths, config.horizon, sim_seed, tickers=tickers
-                    )
-                    scen = rescale(scen, ratios)
-                    if scenario_writer is not None and config.dump_scenarios:
-                        scenario_writer(date, key, scen)
-                    estimates.extend(
-                        _mc_estimates(scen, config, key, sim_seed, tickers)
-                    )
-                elif key == "hs":
-                    for c, t in enumerate(tickers):
-                        for a in config.alphas:
-                            estimates.append(
-                                (key, t, historical_var(
-                                    long_s.returns[:, c], a, min_len=config.long_len
-                                ))
-                            )
-                    if config.portfolio is not None:
-                        series = long_s.returns @ config.portfolio.weights
-                        for a in config.alphas:
-                            estimates.append(
-                                (key, PORTFOLIO_TICKER,
-                                 historical_var(series, a, min_len=config.long_len))
-                            )
-                elif key == "param":
-                    for c, t in enumerate(tickers):
-                        for a in config.alphas:
-                            estimates.append(
-                                (key, t, parametric_var(long_s.returns[:, c], a))
-                            )
-                    if config.portfolio is not None:
-                        series = long_s.returns @ config.portfolio.weights
-                        for a in config.alphas:
-                            estimates.append(
-                                (key, PORTFOLIO_TICKER, parametric_var(series, a))
-                            )
-                elif key == "gbm_mc":
-                    mus, sigmas, corr = calibrate_gbm(long_s.returns)
-                    scen = simulate_gbm_portfolio(
-                        np.ones(len(tickers)), mus, sigmas, corr,
-                        config.paths, config.horizon, sim_seed, tickers=tickers,
-                    )
-                    if scenario_writer is not None and config.dump_scenarios:
-                        scenario_writer(date, key, scen)
-                    estimates.extend(
-                        _gbm_estimates(scen, config, key, sim_seed, tickers)
-                    )
-        except (
-            ValidationError,
-            InsufficientDataError,
-            DegenerateDataError,
-            NumericError,
-            np.linalg.LinAlgError,
-        ) as exc:
+            if needs_gmm:
+                long_vols = column_std(long_w)
+                if not np.all(np.isfinite(long_vols)):
+                    raise ValidationError("volatilities must be finite")
+                if np.any(long_vols == 0.0):
+                    raise DegenerateDataError("long-window volatility is zero")
+            _day_parts(i, long_w, config, tickers, prev_models, diags, parts)
+        except _DAY_ERRORS as exc:
             error = f"{type(exc).__name__}: {exc}"
 
-        records.append(
-            DayRecord(
-                date=date,
-                anchor=anchor,
-                realized=tuple(realized),
-                estimates=tuple(estimates),
-                fit_diagnostics=tuple(diags),
-                error=error,
+        for g in short_lens:
+            estimates, ratios, day_error = (), None, error
+            if error is None:
+                try:
+                    estimates, ratios = _short_rows(parts, long_w, long_vols, g, config)
+                except _DAY_ERRORS as exc:
+                    day_error = f"{type(exc).__name__}: {exc}"
+            if scenario_writer is not None and day_error is None:
+                for key, _, scen, holding in parts:
+                    if holding is not None:
+                        scen = rescale(scen, ratios)
+                    if scen is not None:
+                        scenario_writer(date, key, scen)
+            records[g].append(
+                DayRecord(date, anchor, realized, estimates, tuple(diags), day_error)
             )
-        )
 
-    invalid = [r for r in records if r.error is not None]
-    if len(invalid) > 0.05 * len(records):
-        raise RunFailureError(
-            f"{len(invalid)} of {len(records)} evaluation days invalid "
-            f"(> 5%); first failure on {invalid[0].date}: {invalid[0].error}"
-        )
+    for g in short_lens:
+        invalid = [r for r in records[g] if r.error is not None]
+        if len(invalid) > 0.05 * len(records[g]):
+            raise RunFailureError(
+                f"{len(invalid)} of {len(records[g])} evaluation days invalid "
+                f"(> 5%); first failure on {invalid[0].date}: {invalid[0].error}"
+            )
     if model_sink is not None:
         model_sink.update(prev_models)
-
-    reports = _build_reports(records, config, targets)
-    return records, reports
+    return {g: (recs, _build_reports(recs, config, targets)) for g, recs in records.items()}
 
 
-def _mc_estimates(scen, config, key, sim_seed, tickers):
-    """Per-target VaR/ES rows from a return-space scenario matrix."""
-    out = []
-    holding = scen.returns.sum(axis=1)
-    for c, t in enumerate(tickers):
-        for a in config.alphas:
-            out.append((key, t, var_es(holding[:, c], a, model_tag=key, seed=sim_seed)))
-    if config.portfolio is not None:
-        pr = portfolio_returns(scen, config.portfolio)
-        for a in config.alphas:
-            out.append(
-                (key, PORTFOLIO_TICKER, var_es(pr, a, model_tag=key, seed=sim_seed))
+def _day_parts(i, long_w, config, tickers, prev_models, diags, parts):
+    """Day i's estimates that ignore the short window, in model-key order.
+
+    Appends (key, rows, scenarios, holdings) to parts: scenarios is what a
+    writer dumps (None for hs/param), and holdings, the per-path asset
+    returns, is set for gmm tags only, whose rows are still unscaled. Fits
+    extend the warm-start chain in prev_models and go to diags as they
+    happen, so a later failure on the same day keeps them.
+    """
+    for mi, key in enumerate(config.model_keys()):
+        sim_seed = derive_seed(config.seed, i, mi, 1)
+        if key in ("hs", "param"):
+            estimate = (
+                partial(historical_var, min_len=config.long_len)
+                if key == "hs" else parametric_var
             )
-    return out
+            rows = [
+                (key, t, estimate(long_w[:, c], a))
+                for c, t in enumerate(tickers)
+                for a in config.alphas
+            ]
+            if config.portfolio is not None:
+                series = long_w @ config.portfolio.weights
+                rows += [(key, PORTFOLIO_TICKER, estimate(series, a)) for a in config.alphas]
+            parts.append((key, rows, None, None))
+        elif key == "gbm_mc":
+            mus, sigmas, corr = calibrate_gbm(long_w)
+            scen = simulate_gbm_portfolio(
+                np.ones(len(tickers)), mus, sigmas, corr,
+                config.paths, config.horizon, sim_seed, tickers=tickers,
+            )
+            rows = _gbm_estimates(scen, config, key, sim_seed, tickers)
+            parts.append((key, rows, scen, None))
+        else:
+            warm = prev_models.get(key) if config.warm_start else None
+            model, rep = fit(
+                long_w,
+                int(key[3:]),
+                init=warm if warm is not None else "kmeans",
+                settings=EmSettings(seed=derive_seed(config.seed, i, mi, 0)),
+            )
+            prev_models[key] = model
+            diags.append(FitDiagnostic(
+                key, rep.init_mode, rep.iterations, rep.converged, rep.final_loglik
+            ))
+            scen = simulate_gmm(
+                model, config.paths, config.horizon, sim_seed, tickers=tickers
+            )
+            holding = scen.returns.sum(axis=1)
+            rows = [
+                (key, t, var_es(holding[:, c], a, model_tag=key, seed=sim_seed))
+                for c, t in enumerate(tickers)
+                for a in config.alphas
+            ]
+            parts.append((key, rows, scen, holding))
 
 
 def _gbm_estimates(scen, config, key, sim_seed, tickers):
@@ -427,8 +416,36 @@ def _gbm_estimates(scen, config, key, sim_seed, tickers):
     return out
 
 
+def _short_rows(parts, long_w, long_vols, g, config):
+    """(rows in model-key order, vol ratios or None) at short length g.
+
+    VaR and ES are positively homogeneous, so adjust() turns the unscaled
+    gmm asset rows into those of the rescaled scenarios, up to rounding.
+    """
+    rows, ratios = [], None
+    for key, fixed, scen, holding in parts:
+        if holding is None:
+            rows.extend(fixed)
+            continue
+        if ratios is None:
+            ratios = column_std(long_w[-g:]) / long_vols
+            if np.any(ratios <= 0.0) or not np.all(np.isfinite(ratios)):
+                raise ValidationError("rescale factors must be positive and finite")
+        scale = np.repeat(ratios, len(config.alphas))
+        rows.extend((k, t, adjust(est, s)) for (k, t, est), s in zip(fixed, scale))
+        if config.portfolio is not None:
+            pr = (holding * ratios) @ config.portfolio.weights
+            rows.extend(
+                (key, PORTFOLIO_TICKER, var_es(pr, a, model_tag=key, seed=scen.seed))
+                for a in config.alphas
+            )
+    return tuple(rows), ratios
+
+
 def _build_reports(records, config, targets) -> list[BacktestReport]:
     valid = [r for r in records if r.error is None]
+    # LR_ind pairs only days with adjacent anchors, never across a dropped day
+    adjacent = np.diff([r.anchor for r in valid]) == 1
     keys = config.model_keys()
     by_slot: dict[tuple[str, str, float], list[float]] = {}
     realized_by_target: dict[str, list[float]] = {t: [] for t in targets}
@@ -448,7 +465,7 @@ def _build_reports(records, config, targets) -> list[BacktestReport]:
                     continue
                 realized = np.asarray(realized_by_target[target])
                 var_arr = np.asarray(vars_)
-                seq = hits(realized, var_arr, a)
+                seq = hits(realized, var_arr, a, adjacent=adjacent)
                 loss = quadratic_loss(realized, var_arr)
                 if seq.n >= 2:
                     result = christoffersen(seq)
@@ -473,11 +490,14 @@ def _build_reports(records, config, targets) -> list[BacktestReport]:
 def sweep_sigma_short(
     panel, config: RunConfig, grid
 ) -> dict[int, tuple[list[DayRecord], list[BacktestReport]]]:
-    """Re-run the backtest across short-window lengths, reusing daily fits.
+    """Backtest every short-window length of a grid in one pass over the days.
 
-    Fits depend only on the long window, so a shared cache makes every grid
-    value see identical mixtures; only the rescaling ratio changes. Grid
-    values must lie in [1, long_len].
+    Fits, simulations and every estimate that ignores the short window are
+    computed once per day and shared by the whole grid; per grid value only
+    the vol ratios, the scaled gmm asset rows and the gmm portfolio row are
+    recomputed. Seeds do not depend on the short window, so each grid value
+    reproduces a plain run with that short_len byte for byte. Grid values
+    must lie in [1, long_len].
     """
     values = sorted(set(int(g) for g in grid))
     if not values:
@@ -487,12 +507,7 @@ def sweep_sigma_short(
             raise ConfigError(
                 f"grid value {g} outside [1, long_len={config.long_len}]"
             )
-    cache: dict = {}
-    results = {}
-    for g in values:
-        cfg = replace(config, short_len=g)
-        results[g] = run_backtest(panel, cfg, _fit_cache=cache)
-    return results
+    return _run_days(_panel_returns(panel), config, values, None, None)
 
 
 def sweep_verdict_rows(results) -> list[list[str]]:
@@ -577,23 +592,13 @@ def report(
     paths: dict[str, str] = {}
     try:
         if records:
-            est_rows = []
-            for rec in records:
-                if rec.error is not None:
-                    continue
-                for key, target, est in rec.estimates:
-                    est_rows.append(
-                        [
-                            rec.date,
-                            target,
-                            key,
-                            repr(est.alpha),
-                            repr(est.var),
-                            repr(est.es),
-                            str(est.n_tail),
-                            str(est.seed),
-                        ]
-                    )
+            est_rows = [
+                [rec.date, target, key, repr(est.alpha), repr(est.var),
+                 repr(est.es), str(est.n_tail), str(est.seed)]
+                for rec in records
+                if rec.error is None
+                for key, target, est in rec.estimates
+            ]
             paths["estimates"] = stage(
                 "estimates.csv",
                 lambda p: _write_rows(p, ESTIMATES_HEADER, est_rows),
@@ -605,19 +610,12 @@ def report(
                 lambda p: _write_rows(p, BacktestReport.CSV_HEADER, bt_rows),
             )
 
-            diag_rows = []
-            for rec in records:
-                for d in rec.fit_diagnostics:
-                    diag_rows.append(
-                        [
-                            rec.date,
-                            d.model_tag,
-                            d.init_mode,
-                            str(d.iterations),
-                            "true" if d.converged else "false",
-                            repr(d.final_loglik),
-                        ]
-                    )
+            diag_rows = [
+                [rec.date, d.model_tag, d.init_mode, str(d.iterations),
+                 "true" if d.converged else "false", repr(d.final_loglik)]
+                for rec in records
+                for d in rec.fit_diagnostics
+            ]
             paths["fit_diagnostics"] = stage(
                 "fit_diagnostics.csv",
                 lambda p: _write_rows(p, DIAGNOSTICS_HEADER, diag_rows),

@@ -157,6 +157,40 @@ def test_christoffersen_matches_direct_formula_random():
         assert res.p_cc == pytest.approx(scipy.stats.chi2.sf(res.lr_cc, 2), rel=1e-9)
 
 
+def test_christoffersen_counts_no_transition_across_a_gap():
+    # days 0..2 and 3..6 with a dropped day between them: the (T, T) pair of
+    # observations 2 and 3 straddles the gap and must not count as n11
+    h = np.array([False, True, True, True, False, False, True])
+    adjacent = np.array([True, True, False, True, True, True])
+    res = christoffersen(HitSequence(hits=h, alpha=0.05, adjacent=adjacent))
+    # pairs: (F,T) (T,T) | (T,F) (F,F) (F,T)
+    assert (res.n00, res.n01, res.n10, res.n11) == (1, 2, 1, 1)
+    assert res.pi01 == 2 / 3
+    assert res.pi11 == 1 / 2
+    assert res.pi2 == 3 / 5  # (n01 + n11) over the 5 counted pairs
+    gapless = christoffersen(HitSequence(hits=h, alpha=0.05))
+    assert (gapless.n00, gapless.n01, gapless.n10, gapless.n11) == (1, 2, 1, 2)
+    assert gapless.pi2 == 4 / 6
+    assert res.lr_uc == gapless.lr_uc  # coverage ignores the gap
+
+
+def test_christoffersen_all_adjacent_mask_matches_no_mask():
+    h = np.random.default_rng(3).random(120) < 0.08
+    plain = christoffersen(HitSequence(hits=h, alpha=0.05))
+    masked = christoffersen(
+        HitSequence(hits=h, alpha=0.05, adjacent=np.ones(119, dtype=bool))
+    )
+    assert plain == masked
+
+
+def test_hit_sequence_rejects_bad_adjacency_mask():
+    h = np.array([False, True, False])
+    with pytest.raises(ShapeError):
+        HitSequence(hits=h, alpha=0.05, adjacent=np.array([True]))
+    with pytest.raises(ShapeError):
+        HitSequence(hits=h, alpha=0.05, adjacent=np.array([1, 1]))
+
+
 def test_christoffersen_result_validates_lr_cc_sum():
     with pytest.raises(ValidationError):
         ChristoffersenResult(

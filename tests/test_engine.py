@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -370,3 +371,48 @@ def test_run_backtest_scenario_writer_called(panel_3assets, tmp_path):
     files = sorted(os.listdir(tmp_path / "scenarios"))
     assert len(files) == 2  # one per evaluation day for the single model
     assert files[0].endswith("_gmm2.csv")
+
+
+def _panel_with_flat_stretch():
+    # three assets; return rows 122..131 are exactly zero in every column, so
+    # only the day anchored at row 132 sees a zero 10-day volatility
+    rng = np.random.default_rng(5)
+    steps = rng.normal(0.0003, 0.011, (144, 3))
+    steps[122:132] = 0.0
+    prices = 100 * np.exp(np.vstack([np.zeros(3), np.cumsum(steps, axis=0)]))
+    import datetime as dt
+
+    d0 = dt.date(2019, 1, 1)
+    dates = tuple((d0 + dt.timedelta(days=i)).isoformat() for i in range(145))
+    return PricePanel(dates=dates, tickers=("A", "B", "C"), prices=prices)
+
+
+def test_sweep_reproduces_plain_runs_byte_for_byte(tmp_path):
+    panel = _panel_with_flat_stretch()
+    cfg = RunConfig(
+        models=("gmm", "hs", "param", "gbm_mc"), n_components=(2, 3),
+        alphas=(0.01, 0.05), long_len=120, short_len=30, paths=200,
+        eval_days=24, seed=4, portfolio=PortfolioSpec.equal(("A", "B", "C")),
+    )
+    grid = [10, 30, 50]
+    results = sweep_sigma_short(panel, cfg, grid)
+    report_sweep(results, cfg, str(tmp_path / "sweep"))
+    flat_day = log_returns(panel).dates[132]
+    for g in grid:
+        records, reports = results[g]
+        invalid = [r.date for r in records if r.error is not None]
+        assert invalid == ([flat_day] if g == 10 else [])
+        # the dropped day leaves a gap that LR_ind must not pair across
+        pairs = {
+            (c.n, c.n00 + c.n01 + c.n10 + c.n11)
+            for c in (rep.christoffersen for rep in reports)
+        }
+        assert pairs == ({(23, 21)} if g == 10 else {(24, 23)})
+
+        plain_cfg = replace(cfg, short_len=g)
+        plain_records, plain_reports = run_backtest(panel, plain_cfg)
+        plain = tmp_path / f"plain_{g}"
+        report(plain_records, plain_reports, plain_cfg, str(plain))
+        for name in ("estimates.csv", "backtest.csv", "fit_diagnostics.csv"):
+            swept = tmp_path / "sweep" / f"short_{g:03d}" / name
+            assert swept.read_bytes() == (plain / name).read_bytes(), (g, name)

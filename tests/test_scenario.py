@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskengine import (
     GaussianMixtureModel,
@@ -22,6 +24,7 @@ from riskengine.errors import (
     ShapeError,
     ValidationError,
 )
+from riskengine.scenario import column_std
 
 
 def _ret_panel(cols, tickers):
@@ -45,6 +48,27 @@ def test_vol_ratios_exact():
     assert [r.ratio for r in ratios] == pytest.approx([3.0, 0.5], rel=1e-12)
     assert ratios[0].short_vol == pytest.approx(0.03, rel=1e-12)
     assert ratios[0].long_vol == pytest.approx(0.01, rel=1e-12)
+
+
+@given(
+    n_rows=st.sampled_from([10, 70, 252]),
+    n_cols=st.integers(1, 15),
+    scale=st.sampled_from([1e-4, 0.01, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_column_std_equals_per_column_std_bit_for_bit(n_rows, n_cols, scale, seed):
+    w = np.random.default_rng(seed).normal(0.0003, scale, (n_rows, n_cols))
+    # a trailing slice, as the engine takes the short window of the long one
+    for block in (w, w[n_rows // 2 :]):
+        got = column_std(block)
+        assert got.tolist() == [float(np.std(block[:, c])) for c in range(n_cols)]
+
+
+def test_vol_ratios_zero_long_vol_raises_degenerate():
+    flat = _ret_panel([np.zeros(6), np.tile([0.01, -0.01], 3)], ("A", "B"))
+    with pytest.raises(DegenerateDataError, match="long-window volatility is zero"):
+        vol_ratios(flat, flat)
 
 
 def test_vol_ratio_zero_long_vol_rejected():
