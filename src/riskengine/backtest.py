@@ -190,19 +190,15 @@ def _transitions(seq: HitSequence) -> tuple[int, int, int, int]:
     return n00, n01, n10, n11
 
 
-def christoffersen(
-    seq: HitSequence,
-    df_uc: int = 1,
-    df_ind: int = 1,
-    df_cc: int = 2,
-    reject_level: float = 0.01,
-) -> ChristoffersenResult:
+def christoffersen(seq: HitSequence, reject_level: float = 0.01) -> ChristoffersenResult:
     """Unconditional-coverage, independence and combined LR tests.
 
-    The verdict is "rejected" when min(p_uc, p_ind) < reject_level; the
-    combined statistic is reported but does not join the verdict. Requires
-    at least two observations; transitions are counted only between
-    adjacent days (seq.adjacent), and with none LR_ind is 0.
+    LR_uc and LR_ind are chi-squared with 1 degree of freedom and LR_cc
+    with 2, by construction (Christoffersen 1998). The verdict is "rejected"
+    when min(p_uc, p_ind) < reject_level; the combined statistic is reported
+    but does not join the verdict. Requires at least two observations;
+    transitions are counted only between adjacent days (seq.adjacent), and
+    with none LR_ind is 0.
     """
     if seq.n < 2:
         raise InsufficientDataError(
@@ -234,9 +230,9 @@ def christoffersen(
     lr_ind = max(float(2.0 * (log_l1 - log_l0)), 0.0)
     lr_cc = lr_uc + lr_ind
 
-    p_uc = chi2_sf(lr_uc, df_uc)
-    p_ind = chi2_sf(lr_ind, df_ind)
-    p_cc = chi2_sf(lr_cc, df_cc)
+    p_uc = chi2_sf(lr_uc, 1)
+    p_ind = chi2_sf(lr_ind, 1)
+    p_cc = chi2_sf(lr_cc, 2)
     verdict = (
         VERDICT_REJECTED
         if min(p_uc, p_ind) < reject_level

@@ -13,7 +13,7 @@ import numpy as np
 from .distributions import normal_pdf, normal_ppf
 from .errors import DegenerateDataError, InsufficientDataError, NumericError, ValidationError
 from .risk import PortfolioSpec, RiskEstimate, var_es
-from .scenario import compound, simulate_gbm_portfolio
+from .scenario import simulate_gbm_portfolio
 from .timeseries import ReturnPanel
 
 
@@ -145,11 +145,23 @@ def gbm_mc_var(
             f"shock correlation matrix is not positive definite ({exc}); "
             f"check the window for collinear or constant assets"
         ) from exc
-    terminal = compound(scen, np.ones(n_assets))
-    value = terminal @ weights
+    return var_es(
+        price_space_returns(scen.returns.sum(axis=1), weights),
+        alpha, model_tag="gbm_mc", seed=seed,
+    )
+
+
+def price_space_returns(holding, weights) -> np.ndarray:
+    """Per-path portfolio log return ln(w . exp(H)) from unit initial prices.
+
+    holding is the (paths, assets) matrix of holding-period log returns H.
+    Raises NumericError when a path's portfolio value is not positive, where
+    the log return is undefined.
+    """
+    value = np.exp(holding) @ weights
     if np.any(value <= 0.0):
         raise NumericError(
             "portfolio value went non-positive in simulation; log return "
             "undefined (short weights with coarse steps?)"
         )
-    return var_es(np.log(value), alpha, model_tag="gbm_mc", seed=seed)
+    return np.log(value)

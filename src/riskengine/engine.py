@@ -31,14 +31,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .backtest import BacktestReport, christoffersen, hits, quadratic_loss
-from .baselines import calibrate_gbm, historical_var, parametric_var
+from .baselines import calibrate_gbm, historical_var, parametric_var, price_space_returns
 from .errors import (
     ConfigError,
     DegenerateDataError,
@@ -49,14 +49,7 @@ from .errors import (
 )
 from .gmm import EmSettings, GaussianMixtureModel, fit
 from .risk import PortfolioSpec, RiskEstimate, adjust, var_es
-from .scenario import (
-    ScenarioMatrix,
-    column_std,
-    compound,
-    rescale,
-    simulate_gbm_portfolio,
-    simulate_gmm,
-)
+from .scenario import ScenarioMatrix, column_std, rescale, simulate_gbm_portfolio, simulate_gmm
 from .timeseries import PricePanel, ReturnPanel, RollingWindow, log_returns, slice_window
 
 MODEL_CHOICES = ("gmm", "hs", "param", "gbm_mc")
@@ -137,20 +130,10 @@ class RunConfig:
         return keys
 
     def to_dict(self) -> dict:
-        d = {
-            "models": list(self.models),
-            "n_components": list(self.n_components),
-            "alphas": list(self.alphas),
-            "long_len": self.long_len,
-            "short_len": self.short_len,
-            "paths": self.paths,
-            "horizon": self.horizon,
-            "eval_days": self.eval_days,
-            "seed": self.seed,
-            "portfolio": None,
-            "warm_start": self.warm_start,
-            "dump_scenarios": self.dump_scenarios,
-        }
+        d = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            d[f.name] = list(value) if isinstance(value, tuple) else value
         if self.portfolio is not None:
             d["portfolio"] = {
                 "tickers": list(self.portfolio.tickers),
@@ -161,7 +144,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         d = dict(d)
-        unknown = set(d) - {f for f in cls.__dataclass_fields__}
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         portfolio = d.pop("portfolio", None)
@@ -228,16 +211,17 @@ def run_backtest(
 
     Day i anchors at row long_len + i of the return panel: models calibrate
     on the long_len rows before the anchor and forecast the anchor row's
-    return. GMM scenarios are rescaled per asset by short/long volatility
-    before VaR extraction; baselines run on the same window unadjusted.
-    Backtests are one-day only: the realized return is one day, so a config
-    with horizon > 1 raises ConfigError.
+    return. GMM asset VaR/ES is read from the unscaled scenarios and scaled
+    by the short/long volatility ratio (positive homogeneity); the GMM
+    portfolio is re-aggregated from the ratio-scaled holdings. Baselines run
+    on the same window unadjusted. Backtests are one-day only: the realized
+    return is one day, so a config with horizon > 1 raises ConfigError.
 
     scenario_writer, when given together with config.dump_scenarios, is
     called as writer(date, model_tag, scenario_matrix) for each Monte Carlo
-    model-day, gmm scenarios already rescaled. model_sink, when given, is
-    filled with the final fitted mixture per gmm tag (warm-start checkpoint
-    state).
+    model-day; only these dumped gmm scenarios are rescaled. model_sink,
+    when given, is filled with the final fitted mixture per gmm tag
+    (warm-start checkpoint state).
     """
     writer = scenario_writer if config.dump_scenarios else None
     results = _run_days(
@@ -277,7 +261,6 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
             "portfolio tickers must match the panel tickers in order; "
             f"got {config.portfolio.tickers} vs {tickers}"
         )
-    targets = list(tickers) + ([PORTFOLIO_TICKER] if config.portfolio is not None else [])
     needs_gmm = any(k.startswith("gmm") for k in config.model_keys())
     prev_models: dict[str, GaussianMixtureModel] = {}
     records: dict[int, list[DayRecord]] = {g: [] for g in short_lens}
@@ -334,18 +317,25 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
             )
     if model_sink is not None:
         model_sink.update(prev_models)
-    return {g: (recs, _build_reports(recs, config, targets)) for g, recs in records.items()}
+    return {g: (recs, _build_reports(recs)) for g, recs in records.items()}
 
 
 def _day_parts(i, long_w, config, tickers, prev_models, diags, parts):
     """Day i's estimates that ignore the short window, in model-key order.
 
+    Each model is an estimator over per-asset sample columns plus a
+    portfolio series, turned into rows by _rows: for hs/param the long
+    window and its weighted sum; for gmm and gbm_mc the simulated holding
+    returns, with gbm_mc's portfolio aggregated in price space. gmm
+    portfolio rows depend on the short window; _short_rows adds them.
+
     Appends (key, rows, scenarios, holdings) to parts: scenarios is what a
-    writer dumps (None for hs/param), and holdings, the per-path asset
-    returns, is set for gmm tags only, whose rows are still unscaled. Fits
-    extend the warm-start chain in prev_models and go to diags as they
-    happen, so a later failure on the same day keeps them.
+    writer dumps (None for hs/param); holdings is set for gmm tags only,
+    whose asset rows are still unscaled. Fits extend the warm-start chain in
+    prev_models and go to diags as they happen, so a later failure on the
+    same day keeps them.
     """
+    weights = None if config.portfolio is None else config.portfolio.weights
     for mi, key in enumerate(config.model_keys()):
         sim_seed = derive_seed(config.seed, i, mi, 1)
         if key in ("hs", "param"):
@@ -353,23 +343,16 @@ def _day_parts(i, long_w, config, tickers, prev_models, diags, parts):
                 partial(historical_var, min_len=config.long_len)
                 if key == "hs" else parametric_var
             )
-            rows = [
-                (key, t, estimate(long_w[:, c], a))
-                for c, t in enumerate(tickers)
-                for a in config.alphas
-            ]
-            if config.portfolio is not None:
-                series = long_w @ config.portfolio.weights
-                rows += [(key, PORTFOLIO_TICKER, estimate(series, a)) for a in config.alphas]
+            series = None if weights is None else long_w @ weights
+            rows = _rows(key, estimate, long_w, series, tickers, config.alphas)
             parts.append((key, rows, None, None))
-        elif key == "gbm_mc":
+            continue
+        if key == "gbm_mc":
             mus, sigmas, corr = calibrate_gbm(long_w)
             scen = simulate_gbm_portfolio(
                 np.ones(len(tickers)), mus, sigmas, corr,
                 config.paths, config.horizon, sim_seed, tickers=tickers,
             )
-            rows = _gbm_estimates(scen, config, key, sim_seed, tickers)
-            parts.append((key, rows, scen, None))
         else:
             warm = prev_models.get(key) if config.warm_start else None
             model, rep = fit(
@@ -385,35 +368,24 @@ def _day_parts(i, long_w, config, tickers, prev_models, diags, parts):
             scen = simulate_gmm(
                 model, config.paths, config.horizon, sim_seed, tickers=tickers
             )
-            holding = scen.returns.sum(axis=1)
-            rows = [
-                (key, t, var_es(holding[:, c], a, model_tag=key, seed=sim_seed))
-                for c, t in enumerate(tickers)
-                for a in config.alphas
-            ]
-            parts.append((key, rows, scen, holding))
+        holding = scen.returns.sum(axis=1)
+        gbm = key == "gbm_mc"
+        series = price_space_returns(holding, weights) if gbm and weights is not None else None
+        estimate = partial(var_es, model_tag=key, seed=sim_seed)
+        rows = _rows(key, estimate, holding, series, tickers, config.alphas)
+        parts.append((key, rows, scen, None if gbm else holding))
 
 
-def _gbm_estimates(scen, config, key, sim_seed, tickers):
-    """Per-target rows from GBM paths; the portfolio aggregates in prices."""
-    out = []
-    holding = scen.returns.sum(axis=1)
-    for c, t in enumerate(tickers):
-        for a in config.alphas:
-            out.append((key, t, var_es(holding[:, c], a, model_tag=key, seed=sim_seed)))
-    if config.portfolio is not None:
-        terminal = compound(scen, np.ones(len(tickers)))
-        value = terminal @ config.portfolio.weights
-        if np.any(value <= 0.0):
-            raise NumericError(
-                "portfolio value went non-positive in GBM simulation"
-            )
-        pr = np.log(value)
-        for a in config.alphas:
-            out.append(
-                (key, PORTFOLIO_TICKER, var_es(pr, a, model_tag=key, seed=sim_seed))
-            )
-    return out
+def _rows(key, estimate, columns, series, tickers, alphas):
+    """(key, target, estimate(sample, alpha)) rows in report order.
+
+    One row per ticker column of columns and alpha, then one per alpha for
+    the portfolio series unless it is None.
+    """
+    rows = [(key, t, estimate(columns[:, c], a)) for c, t in enumerate(tickers) for a in alphas]
+    if series is not None:
+        rows += [(key, PORTFOLIO_TICKER, estimate(series, a)) for a in alphas]
+    return rows
 
 
 def _short_rows(parts, long_w, long_vols, g, config):
@@ -442,48 +414,40 @@ def _short_rows(parts, long_w, long_vols, g, config):
     return tuple(rows), ratios
 
 
-def _build_reports(records, config, targets) -> list[BacktestReport]:
+def _build_reports(records) -> list[BacktestReport]:
+    """One BacktestReport per (model, target, alpha) slot, in row order.
+
+    Every valid day carries the same slots in the same order, so the VaR
+    series of slot s is column s of a valid-day x slot matrix, and its
+    realized series the target's column of a valid-day x target matrix.
+    """
     valid = [r for r in records if r.error is None]
     # LR_ind pairs only days with adjacent anchors, never across a dropped day
     adjacent = np.diff([r.anchor for r in valid]) == 1
-    keys = config.model_keys()
-    by_slot: dict[tuple[str, str, float], list[float]] = {}
-    realized_by_target: dict[str, list[float]] = {t: [] for t in targets}
-    for rec in valid:
-        rmap = dict(rec.realized)
-        for t in targets:
-            realized_by_target[t].append(rmap[t])
-        for key, target, est in rec.estimates:
-            by_slot.setdefault((key, target, est.alpha), []).append(est.var)
+    var = np.array([[est.var for _, _, est in r.estimates] for r in valid])
+    realized = np.array([[x for _, x in r.realized] for r in valid])
+    column = {t: c for c, (t, _) in enumerate(valid[0].realized)}
 
     reports = []
-    for key in keys:
-        for target in targets:
-            for a in config.alphas:
-                vars_ = by_slot.get((key, target, a))
-                if not vars_:
-                    continue
-                realized = np.asarray(realized_by_target[target])
-                var_arr = np.asarray(vars_)
-                seq = hits(realized, var_arr, a, adjacent=adjacent)
-                loss = quadratic_loss(realized, var_arr)
-                if seq.n >= 2:
-                    result = christoffersen(seq)
-                    note = ""
-                else:
-                    result = None
-                    note = "single evaluation day; independence statistics undefined"
-                reports.append(
-                    BacktestReport(
-                        model_tag=key,
-                        ticker=target,
-                        alpha=a,
-                        hit_seq=seq,
-                        christoffersen=result,
-                        loss=loss,
-                        note=note,
-                    )
-                )
+    for s, (key, target, est) in enumerate(valid[0].estimates):
+        r, v = realized[:, column[target]], var[:, s]
+        seq = hits(r, v, est.alpha, adjacent=adjacent)
+        if seq.n >= 2:
+            result, note = christoffersen(seq), ""
+        else:
+            result = None
+            note = "single evaluation day; independence statistics undefined"
+        reports.append(
+            BacktestReport(
+                model_tag=key,
+                ticker=target,
+                alpha=est.alpha,
+                hit_seq=seq,
+                christoffersen=result,
+                loss=quadratic_loss(r, v),
+                note=note,
+            )
+        )
     return reports
 
 
@@ -512,22 +476,12 @@ def sweep_sigma_short(
 
 def sweep_verdict_rows(results) -> list[list[str]]:
     """Flatten sweep results into (sigma_short, model, ticker, alpha) rows."""
-    rows = []
-    for g in sorted(results):
-        _, reports = results[g]
-        for rep in reports:
-            rows.append(
-                [
-                    str(g),
-                    rep.model_tag,
-                    rep.ticker,
-                    repr(rep.alpha),
-                    str(rep.n),
-                    str(rep.x),
-                    rep.verdict,
-                ]
-            )
-    return rows
+    return [
+        [str(g), rep.model_tag, rep.ticker, repr(rep.alpha), str(rep.n),
+         str(rep.x), rep.verdict]
+        for g in sorted(results)
+        for rep in results[g][1]
+    ]
 
 
 def _versions() -> dict:
@@ -582,10 +536,10 @@ def report(
 
     staged: list[tuple[str, str]] = []  # (tmp path, final path)
 
-    def stage(name: str, write_fn) -> str:
+    def stage(name: str, write_fn, *args) -> str:
         final = os.path.join(out_dir, name)
         tmp = os.path.join(out_dir, f".tmp.{name.replace(os.sep, '_')}")
-        write_fn(tmp)
+        write_fn(tmp, *args)
         staged.append((tmp, final))
         return final
 
@@ -599,15 +553,10 @@ def report(
                 if rec.error is None
                 for key, target, est in rec.estimates
             ]
-            paths["estimates"] = stage(
-                "estimates.csv",
-                lambda p: _write_rows(p, ESTIMATES_HEADER, est_rows),
-            )
-
+            paths["estimates"] = stage("estimates.csv", _write_rows, ESTIMATES_HEADER, est_rows)
             bt_rows = [rep.to_csv_row() for rep in reports]
             paths["backtest"] = stage(
-                "backtest.csv",
-                lambda p: _write_rows(p, BacktestReport.CSV_HEADER, bt_rows),
+                "backtest.csv", _write_rows, BacktestReport.CSV_HEADER, bt_rows
             )
 
             diag_rows = [
@@ -617,22 +566,18 @@ def report(
                 for d in rec.fit_diagnostics
             ]
             paths["fit_diagnostics"] = stage(
-                "fit_diagnostics.csv",
-                lambda p: _write_rows(p, DIAGNOSTICS_HEADER, diag_rows),
+                "fit_diagnostics.csv", _write_rows, DIAGNOSTICS_HEADER, diag_rows
             )
 
             if final_models:
                 os.makedirs(os.path.join(out_dir, "models"), exist_ok=True)
                 for tag in sorted(final_models):
-                    model = final_models[tag]
                     paths[f"models/{tag}"] = stage(
                         os.path.join("models", f"{tag}.json"),
-                        lambda p, m=model: _write_json(p, m.to_dict()),
+                        _write_json, final_models[tag].to_dict(),
                     )
 
-        paths["manifest"] = stage(
-            "manifest.json", lambda p: _write_json(p, manifest)
-        )
+        paths["manifest"] = stage("manifest.json", _write_json, manifest)
         for tmp, final in staged:
             os.replace(tmp, final)
     finally:

@@ -566,41 +566,27 @@ def stratified_counts(weights, n_total: int) -> np.ndarray:
     return base
 
 
-def sample(
-    model: GaussianMixtureModel,
-    n_total: int,
-    rng,
-    allocation: str = "stratified",
-) -> np.ndarray:
-    """Draw n_total points from the mixture.
+def sample(model: GaussianMixtureModel, n_total: int, rng) -> np.ndarray:
+    """Draw n_total points from the mixture, stratified by component.
 
-    "stratified" allocates round(w_j * n_total) draws per component by
-    largest remainder, draws each block as mu_j + L_j z, then shuffles the
-    rows; "categorical" samples component labels first. Draw order given one
-    Generator: stratified consumes each component's normals in index order
-    and then one permutation; categorical consumes the labels then all
-    normals.
+    Allocates round(w_j * n_total) draws per component by largest
+    remainder, draws each block as mu_j + L_j z, then shuffles the rows.
+    Draw order given one Generator: each component's normals in index
+    order, then one permutation.
     """
     if n_total < 1:
         raise ValidationError(f"n_total must be >= 1, got {n_total}")
     gen = np.random.default_rng(rng)
     k = model.dim
-    if allocation == "stratified":
-        counts = stratified_counts(model.weights, n_total)
-        blocks = []
-        for j, c in enumerate(counts):
-            if c == 0:
-                continue
-            z = gen.standard_normal((int(c), k))
-            blocks.append(model.means[j] + z @ model._chols[j].T)
-        out = np.concatenate(blocks, axis=0)
-        return out[gen.permutation(n_total)]
-    if allocation == "categorical":
-        labels = gen.choice(model.n_components, size=n_total, p=model.weights)
-        z = gen.standard_normal((n_total, k))
-        scaled = np.einsum("nij,nj->ni", model._chols[labels], z)
-        return model.means[labels] + scaled
-    raise ValidationError(f"unknown allocation {allocation!r}")
+    counts = stratified_counts(model.weights, n_total)
+    blocks = []
+    for j, c in enumerate(counts):
+        if c == 0:
+            continue
+        z = gen.standard_normal((int(c), k))
+        blocks.append(model.means[j] + z @ model._chols[j].T)
+    out = np.concatenate(blocks, axis=0)
+    return out[gen.permutation(n_total)]
 
 
 def mixture_cdf(model: GaussianMixtureModel, x):

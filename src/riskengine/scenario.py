@@ -148,7 +148,7 @@ def simulate_gmm(
     """
     _check_counts(m, horizon)
     gen = np.random.default_rng(seed)
-    steps = [_gmm.sample(model, m, gen, allocation="stratified") for _ in range(horizon)]
+    steps = [_gmm.sample(model, m, gen) for _ in range(horizon)]
     returns = np.stack(steps, axis=1)
     return ScenarioMatrix(returns=returns, rescaled=False, seed=int(seed), tickers=tickers)
 

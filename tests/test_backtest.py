@@ -110,9 +110,6 @@ def test_christoffersen_needs_two_days():
 
 def test_christoffersen_df_and_level_knobs():
     seq = HitSequence(hits=HAND_HITS, alpha=0.05)
-    base = christoffersen(seq)
-    wide = christoffersen(seq, df_uc=2)
-    assert wide.p_uc > base.p_uc  # heavier-tailed null
     relaxed = christoffersen(seq, reject_level=1e-6)
     assert relaxed.verdict == VERDICT_NOT_REJECTED
 

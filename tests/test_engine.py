@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from riskengine import PortfolioSpec, PricePanel, RunConfig, log_returns, run_backtest
-from riskengine.baselines import historical_var
+from riskengine.baselines import gbm_mc_var, historical_var
 from riskengine.engine import (
     PORTFOLIO_TICKER,
     derive_seed,
@@ -82,6 +82,20 @@ def test_run_config_dict_round_trip():
     cfg = RunConfig(
         **SMALL, portfolio=PortfolioSpec(tickers=("A", "B"), weights=np.array([0.3, 0.7]))
     )
+    assert cfg.to_dict() == {
+        "models": ["gmm", "hs", "param", "gbm_mc"],
+        "n_components": [2],
+        "alphas": [0.01, 0.05],
+        "long_len": 120,
+        "short_len": 30,
+        "paths": 150,
+        "horizon": 1,
+        "eval_days": 12,
+        "seed": 11,
+        "portfolio": {"tickers": ["A", "B"], "weights": [0.3, 0.7]},
+        "warm_start": True,
+        "dump_scenarios": False,
+    }
     again = RunConfig.from_dict(cfg.to_dict())
     assert again.models == cfg.models
     assert again.portfolio.tickers == ("A", "B")
@@ -140,6 +154,27 @@ def test_run_backtest_hs_estimates_match_direct_computation(small_run):
         )
         assert est.var == pytest.approx(direct.var, rel=1e-12)
         assert est.es == pytest.approx(direct.es, rel=1e-12)
+
+
+def test_run_backtest_gbm_portfolio_matches_gbm_mc_var(panel_3assets):
+    # the engine's gbm_mc portfolio rows and gbm_mc_var share one price-space
+    # aggregation, so with the same window and seed they agree exactly
+    spec = PortfolioSpec.equal(("AAA", "BBB", "CCC"))
+    cfg = RunConfig(**{**SMALL, "models": ("gbm_mc",)}, portfolio=spec)
+    records, _ = run_backtest(panel_3assets, cfg)
+    rets = log_returns(panel_3assets)
+    for i in (0, 5, 11):
+        rec = records[i]
+        window = RollingWindow(anchor=rec.anchor, long_len=cfg.long_len, short_len=cfg.short_len)
+        long_w = slice_window(rets, window)[0].returns
+        rows = [est for _, target, est in rec.estimates if target == PORTFOLIO_TICKER]
+        assert [est.alpha for est in rows] == list(cfg.alphas)
+        for est in rows:
+            direct = gbm_mc_var(
+                long_w, est.alpha, m=cfg.paths,
+                seed=derive_seed(cfg.seed, i, 0, 1), portfolio=spec,
+            )
+            assert (est.var, est.es, est.n_tail) == (direct.var, direct.es, direct.n_tail)
 
 
 def test_run_backtest_deterministic(small_run):

@@ -564,11 +564,6 @@ def test_sample_deterministic_and_allocation_modes(mix_1d):
     a = sample(mix_1d, 500, np.random.default_rng(9))
     b = sample(mix_1d, 500, np.random.default_rng(9))
     np.testing.assert_array_equal(a, b)
-    c = sample(mix_1d, 500, np.random.default_rng(9), allocation="categorical")
-    assert c.shape == (500, 1)
-    assert not np.array_equal(a, c)
-    with pytest.raises(ValidationError):
-        sample(mix_1d, 500, np.random.default_rng(0), allocation="bogus")
     with pytest.raises(ValidationError):
         sample(mix_1d, 0, np.random.default_rng(0))
 
