@@ -14,7 +14,6 @@ import numpy as np
 from riskengine import (
     EmSettings,
     PricePanel,
-    RollingWindow,
     fit,
     gbm_mc_var,
     historical_var,
@@ -22,9 +21,7 @@ from riskengine import (
     parametric_var,
     rescale,
     simulate_gmm,
-    slice_window,
     var_es,
-    vol_ratios,
 )
 
 
@@ -43,17 +40,15 @@ def build_prices(seed=12):
 def main():
     panel = build_prices()
     rets = log_returns(panel)
-    anchor = rets.n_rows  # estimate VaR for the day after the sample
-    win = RollingWindow(anchor=anchor, long_len=252, short_len=30)
-    long_slice, short_slice = slice_window(rets, win)
-    window = long_slice.returns[:, 0]
+    # the last 252 returns estimate VaR for the day after the sample
+    window = rets.returns[-252:, 0]
 
-    ratio = vol_ratios(long_slice, short_slice)[0]
+    ratio = np.std(window[-30:]) / np.std(window)
     model, rep = fit(window, 2, settings=EmSettings(seed=3))
     scen = simulate_gmm(model, m=20000, horizon=1, seed=17, tickers=("DEMO",))
     scaled = rescale(scen, [ratio])
 
-    print(f"short/long vol ratio: {ratio.ratio:.3f}  (fit {rep.iterations} iters)")
+    print(f"short/long vol ratio: {ratio:.3f}  (fit {rep.iterations} iters)")
     print()
     print(f"{'model':<22} {'VaR 95%':>10} {'ES 95%':>10} {'VaR 99%':>10}")
     for alpha in (0.05,):

@@ -11,7 +11,7 @@ import datetime as dt
 
 import numpy as np
 
-from riskengine import PricePanel, RollingWindow, RunConfig, log_returns, slice_window, vol_ratios
+from riskengine import PricePanel, RunConfig, log_returns
 from riskengine.engine import sweep_sigma_short
 
 
@@ -45,17 +45,17 @@ def main():
     grid = (10, 20, 40, 80, 160, 252)
     results = sweep_sigma_short(panel, config, grid)
 
-    rets = log_returns(panel)
+    x = log_returns(panel).returns[:, 0]
     print("mean 95% VaR over the 30 evaluation days, by short-window length")
     print()
     print(f"{'short_len':>9} {'mean ratio':>11} {'mean VaR':>10}")
     for g in grid:
         records, _ = results[g]
-        ratios = []
-        for rec in records:
-            win = RollingWindow(anchor=rec.anchor, long_len=config.long_len, short_len=g)
-            long_slice, short_slice = slice_window(rets, win)
-            ratios.append(vol_ratios(long_slice, short_slice)[0].ratio)
+        ratios = [
+            np.std(x[rec.anchor - g : rec.anchor])
+            / np.std(x[rec.anchor - config.long_len : rec.anchor])
+            for rec in records
+        ]
         vars_ = [est.var for rec in records for _, _, est in rec.estimates]
         print(f"{g:>9d} {np.mean(ratios):>11.3f} {np.mean(vars_):>10.5f}")
 

@@ -24,11 +24,9 @@ from .timeseries import (  # noqa: E402
     DescriptiveStats,
     PricePanel,
     ReturnPanel,
-    RollingWindow,
     describe,
     load_prices,
     log_returns,
-    slice_window,
 )
 from .gmm import (  # noqa: E402
     EmSettings,
@@ -50,19 +48,15 @@ from .gmm import (  # noqa: E402
 from .scenario import (  # noqa: E402
     GbmParams,
     ScenarioMatrix,
-    VolRatio,
-    compound,
     rescale,
     simulate_gbm_portfolio,
     simulate_gbm_single,
     simulate_gmm,
-    vol_ratios,
 )
 from .risk import (  # noqa: E402
     PortfolioSpec,
     RiskEstimate,
     adjust,
-    portfolio_returns,
     quantile,
     var_es,
 )
@@ -105,20 +99,18 @@ __all__ = [
     "InsufficientDataError", "DegenerateDataError", "NumericError",
     "TailEmptyError", "ConfigError", "RunFailureError",
     # timeseries
-    "PricePanel", "ReturnPanel", "RollingWindow", "DescriptiveStats",
-    "load_prices", "log_returns", "describe", "slice_window",
+    "PricePanel", "ReturnPanel", "DescriptiveStats", "load_prices",
+    "log_returns", "describe",
     # gmm
     "GaussianMixtureModel", "Responsibilities", "EmSettings", "FitReport",
     "component_density", "mixture_density", "mixture_cdf", "log_likelihood",
     "e_step", "m_step", "fit", "kmeans_init", "sample", "stratified_counts",
     "covariance_floor",
     # scenario
-    "ScenarioMatrix", "GbmParams", "VolRatio", "simulate_gmm",
-    "simulate_gbm_single", "simulate_gbm_portfolio", "rescale", "compound",
-    "vol_ratios",
+    "ScenarioMatrix", "GbmParams", "simulate_gmm", "simulate_gbm_single",
+    "simulate_gbm_portfolio", "rescale",
     # risk
     "PortfolioSpec", "RiskEstimate", "quantile", "var_es", "adjust",
-    "portfolio_returns",
     # baselines
     "historical_var", "parametric_var", "gbm_mc_var", "calibrate_gbm",
     # backtest

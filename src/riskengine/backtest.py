@@ -148,19 +148,16 @@ class LossResult:
 
 @dataclass(frozen=True)
 class GofResult:
-    """Distribution-fit summary; rmse is None until a density grid is scored."""
+    """Kolmogorov-Smirnov fit summary; pdf_rmse scores a density separately."""
 
     ks_stat: float
     ks_pvalue: float
-    rmse: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.ks_stat <= 1.0 + 1e-12:
             raise ValidationError(f"ks_stat {self.ks_stat} outside [0, 1]")
         if not 0.0 <= self.ks_pvalue <= 1.0:
             raise ValidationError(f"ks_pvalue {self.ks_pvalue} outside [0, 1]")
-        if self.rmse is not None and self.rmse < 0:
-            raise ValidationError(f"rmse must be >= 0, got {self.rmse}")
 
 
 def hits(realized, var_series, alpha: float, adjacent=None) -> HitSequence:

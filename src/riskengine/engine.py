@@ -50,7 +50,7 @@ from .errors import (
 from .gmm import EmSettings, GaussianMixtureModel, fit
 from .risk import PortfolioSpec, RiskEstimate, adjust, var_es
 from .scenario import ScenarioMatrix, column_std, rescale, simulate_gbm_portfolio, simulate_gmm
-from .timeseries import PricePanel, ReturnPanel, RollingWindow, log_returns, slice_window
+from .timeseries import PricePanel, ReturnPanel, log_returns
 
 MODEL_CHOICES = ("gmm", "hs", "param", "gbm_mc")
 PORTFOLIO_TICKER = "PORTFOLIO"
@@ -268,10 +268,7 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
     for i in range(config.eval_days):
         anchor = config.long_len + i
         date = returns.dates[anchor]
-        window = RollingWindow(
-            anchor=anchor, long_len=config.long_len, short_len=config.short_len
-        )
-        long_w = slice_window(returns, window)[0].returns
+        long_w = returns.returns[anchor - config.long_len : anchor]
         day_returns = returns.returns[anchor]
         realized = tuple((t, float(day_returns[c])) for c, t in enumerate(tickers))
         if config.portfolio is not None:

@@ -18,7 +18,6 @@ from .errors import (
     TailEmptyError,
     ValidationError,
 )
-from .scenario import ScenarioMatrix, VolRatio
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,36 +143,14 @@ def var_es(
     )
 
 
-def adjust(estimate: RiskEstimate, ratio) -> RiskEstimate:
+def adjust(estimate: RiskEstimate, ratio: float) -> RiskEstimate:
     """Scale an estimate's var and es by a volatility ratio.
 
     Equivalent to rescaling the underlying scenarios by the same factor and
     re-estimating, since both quantile and tail mean are positively
-    homogeneous. Accepts a VolRatio or a bare positive float.
+    homogeneous. ratio is a positive float.
     """
-    c = ratio.ratio if isinstance(ratio, VolRatio) else float(ratio)
+    c = float(ratio)
     if not np.isfinite(c) or c <= 0:
         raise ValidationError(f"adjustment ratio must be positive, got {c}")
     return replace(estimate, var=estimate.var * c, es=estimate.es * c)
-
-
-def portfolio_returns(scenarios: ScenarioMatrix, portfolio: PortfolioSpec) -> np.ndarray:
-    """Per-path portfolio log returns, weighting compounded asset returns.
-
-    Asset holding-period returns are the per-step log returns summed over
-    the horizon; the portfolio return is their weighted sum (return-space
-    aggregation). When the scenario matrix carries tickers they must match
-    the portfolio's, in order.
-    """
-    if scenarios.tickers is not None and scenarios.tickers != portfolio.tickers:
-        raise ShapeError(
-            f"scenario tickers {scenarios.tickers} do not match portfolio "
-            f"tickers {portfolio.tickers}"
-        )
-    if scenarios.n_assets != portfolio.weights.shape[0]:
-        raise ShapeError(
-            f"{portfolio.weights.shape[0]} weights for "
-            f"{scenarios.n_assets} scenario assets"
-        )
-    holding = scenarios.returns.sum(axis=1)
-    return holding @ portfolio.weights

@@ -15,18 +15,12 @@ its first T' < T steps with a shorter run under the same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gmm as _gmm
-from .errors import (
-    DegenerateDataError,
-    NumericError,
-    ShapeError,
-    ValidationError,
-)
-from .timeseries import ReturnPanel
+from .errors import NumericError, ShapeError, ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,24 +82,6 @@ class GbmParams:
             raise ValidationError(f"dt must be positive, got {self.dt}")
 
 
-@dataclass(frozen=True)
-class VolRatio:
-    """Short-window to long-window volatility ratio used for rescaling."""
-
-    short_vol: float
-    long_vol: float
-    ratio: float = field(init=False)
-
-    def __post_init__(self):
-        if not (np.isfinite(self.short_vol) and np.isfinite(self.long_vol)):
-            raise ValidationError("volatilities must be finite")
-        if self.short_vol < 0 or self.long_vol < 0:
-            raise ValidationError("volatilities must be non-negative")
-        if self.long_vol == 0.0:
-            raise DegenerateDataError("long-window volatility is zero")
-        object.__setattr__(self, "ratio", self.short_vol / self.long_vol)
-
-
 def column_std(w: np.ndarray) -> np.ndarray:
     """Population std of each column of a 2-D array, in one reduction.
 
@@ -115,16 +91,6 @@ def column_std(w: np.ndarray) -> np.ndarray:
     and can differ in the last bit.
     """
     return np.std(np.ascontiguousarray(w.T), axis=1)
-
-
-def vol_ratios(long_slice: ReturnPanel, short_slice: ReturnPanel) -> list[VolRatio]:
-    """Per-asset VolRatio from two aligned return slices (population std)."""
-    if long_slice.tickers != short_slice.tickers:
-        raise ShapeError("long and short slices cover different tickers")
-    return [
-        VolRatio(short_vol=float(s), long_vol=float(lv))
-        for s, lv in zip(column_std(short_slice.returns), column_std(long_slice.returns))
-    ]
 
 
 def _check_counts(m: int, horizon: int):
@@ -250,17 +216,13 @@ def simulate_gbm_portfolio(
 def rescale(scenarios: ScenarioMatrix, ratios) -> ScenarioMatrix:
     """Multiply each asset's per-step returns by its volatility ratio.
 
-    Applied before any compounding, so for multi-step horizons every step is
-    scaled. Accepts VolRatio objects or bare positive floats, one per asset
-    column. The input matrix is left untouched.
+    Every step of a multi-step horizon is scaled. ratios holds one positive
+    float per asset column. The input matrix is left untouched.
     """
-    factors = np.array(
-        [r.ratio if isinstance(r, VolRatio) else float(r) for r in ratios],
-        dtype=float,
-    )
+    factors = np.asarray(ratios, dtype=float)
     if factors.shape != (scenarios.n_assets,):
         raise ShapeError(
-            f"{factors.shape[0]} ratios for {scenarios.n_assets} asset columns"
+            f"{factors.size} ratios for {scenarios.n_assets} asset columns"
         )
     if np.any(factors <= 0) or not np.all(np.isfinite(factors)):
         raise ValidationError("rescale factors must be positive and finite")
@@ -270,15 +232,3 @@ def rescale(scenarios: ScenarioMatrix, ratios) -> ScenarioMatrix:
         seed=scenarios.seed,
         tickers=scenarios.tickers,
     )
-
-
-def compound(scenarios: ScenarioMatrix, s0) -> np.ndarray:
-    """Terminal prices s0 * exp(sum of step log returns), shape (m, assets)."""
-    s0 = np.atleast_1d(np.asarray(s0, dtype=float))
-    if s0.shape != (scenarios.n_assets,):
-        raise ShapeError(
-            f"s0 has {s0.shape[0]} entries for {scenarios.n_assets} assets"
-        )
-    if np.any(s0 <= 0) or not np.all(np.isfinite(s0)):
-        raise ValidationError("initial prices must be positive and finite")
-    return s0 * np.exp(scenarios.returns.sum(axis=1))

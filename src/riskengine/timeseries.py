@@ -1,4 +1,4 @@
-"""Price panels, log returns, rolling windows and descriptive statistics.
+"""Price panels, log returns and descriptive statistics.
 
 Moment conventions: all sample moments here are population-style (divide by
 n, no bias correction). Skewness and kurtosis are standardized central
@@ -102,32 +102,6 @@ class ReturnPanel:
     @property
     def n_assets(self) -> int:
         return self.returns.shape[1]
-
-
-@dataclass(frozen=True)
-class RollingWindow:
-    """Estimation window ending just before row ``anchor`` of a return panel.
-
-    The long window covers rows [anchor - long_len, anchor), the short one
-    the trailing short_len rows of the same span. Row ``anchor`` itself is
-    the out-of-sample observation the window is used to forecast.
-    """
-
-    anchor: int
-    long_len: int = 252
-    short_len: int = 70
-
-    def __post_init__(self):
-        if not 0 < self.short_len <= self.long_len:
-            raise ValidationError(
-                f"need 0 < short_len <= long_len, got "
-                f"short={self.short_len} long={self.long_len}"
-            )
-        if self.anchor < self.long_len:
-            raise ValidationError(
-                f"anchor {self.anchor} precedes end of first full window "
-                f"(long_len={self.long_len})"
-            )
 
 
 @dataclass(frozen=True)
@@ -256,31 +230,3 @@ def describe(series) -> DescriptiveStats:
         max=float(np.max(x)),
         min=float(np.min(x)),
     )
-
-
-def slice_window(
-    returns: ReturnPanel, window: RollingWindow
-) -> tuple[ReturnPanel, ReturnPanel]:
-    """Extract the (long, short) estimation slices ending before the anchor.
-
-    The short slice is the trailing suffix of the long one, so estimates on
-    the two share their most recent observations by construction.
-    """
-    if window.anchor > returns.n_rows:
-        raise ValidationError(
-            f"anchor {window.anchor} outside return panel "
-            f"({returns.n_rows} rows)"
-        )
-    lo = window.anchor - window.long_len
-    long_slice = ReturnPanel(
-        dates=returns.dates[lo : window.anchor],
-        tickers=returns.tickers,
-        returns=returns.returns[lo : window.anchor],
-    )
-    so = window.anchor - window.short_len
-    short_slice = ReturnPanel(
-        dates=returns.dates[so : window.anchor],
-        tickers=returns.tickers,
-        returns=returns.returns[so : window.anchor],
-    )
-    return long_slice, short_slice

@@ -306,7 +306,6 @@ def test_gof_result_validation():
         GofResult(ks_stat=1.5, ks_pvalue=0.3)
     with pytest.raises(ValidationError):
         GofResult(ks_stat=0.2, ks_pvalue=-0.1)
-    assert GofResult(ks_stat=0.2, ks_pvalue=0.5, rmse=None).rmse is None
 
 
 def test_backtest_report_csv_row():

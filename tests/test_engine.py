@@ -21,7 +21,6 @@ from riskengine.engine import (
 from riskengine.errors import ConfigError, RunFailureError
 from riskengine.gmm import GaussianMixtureModel
 from riskengine.scenario import ScenarioMatrix
-from riskengine.timeseries import RollingWindow, slice_window
 
 from conftest import make_panel
 
@@ -143,14 +142,13 @@ def test_run_backtest_hs_estimates_match_direct_computation(small_run):
     panel, cfg, records, _ = small_run
     rets = log_returns(panel)
     rec = records[4]
-    window = RollingWindow(anchor=rec.anchor, long_len=cfg.long_len, short_len=cfg.short_len)
-    long_slice, _ = slice_window(rets, window)
+    long_w = rets.returns[rec.anchor - cfg.long_len : rec.anchor]
     for key, target, est in rec.estimates:
         if key != "hs" or target == PORTFOLIO_TICKER:
             continue
         col = panel.tickers.index(target)
         direct = historical_var(
-            long_slice.returns[:, col], est.alpha, min_len=cfg.long_len
+            long_w[:, col], est.alpha, min_len=cfg.long_len
         )
         assert est.var == pytest.approx(direct.var, rel=1e-12)
         assert est.es == pytest.approx(direct.es, rel=1e-12)
@@ -165,8 +163,7 @@ def test_run_backtest_gbm_portfolio_matches_gbm_mc_var(panel_3assets):
     rets = log_returns(panel_3assets)
     for i in (0, 5, 11):
         rec = records[i]
-        window = RollingWindow(anchor=rec.anchor, long_len=cfg.long_len, short_len=cfg.short_len)
-        long_w = slice_window(rets, window)[0].returns
+        long_w = rets.returns[rec.anchor - cfg.long_len : rec.anchor]
         rows = [est for _, target, est in rec.estimates if target == PORTFOLIO_TICKER]
         assert [est.alpha for est in rows] == list(cfg.alphas)
         for est in rows:
@@ -256,6 +253,20 @@ def test_run_backtest_tolerates_rare_invalid_days():
     assert all(r.error is None for r in records[1:])
     # reports aggregate only the valid days
     assert reports[0].hit_seq.n == 20
+
+
+def test_run_backtest_zero_long_vol_invalidates_day_before_fitting():
+    panel = _panel_with_flat_head(n_flat=99, n_total=121)
+    cfg = RunConfig(
+        models=("gmm",), n_components=(2,), long_len=99, short_len=30,
+        paths=100, eval_days=21, seed=0,
+    )
+    records, _ = run_backtest(panel, cfg)
+    assert records[0].error == "DegenerateDataError: long-window volatility is zero"
+    # the check runs before any fit, so the failed day starts no warm chain
+    assert records[0].fit_diagnostics == ()
+    assert [d.init_mode for d in records[1].fit_diagnostics] == ["kmeans"]
+    assert all(r.error is None for r in records[1:])
 
 
 def test_run_backtest_fails_when_too_many_days_invalid():

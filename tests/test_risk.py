@@ -1,4 +1,4 @@
-"""Quantile estimation, VaR/ES extraction, volatility adjustment, portfolios."""
+"""Quantile estimation, VaR/ES extraction, volatility adjustment, portfolio specs."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,7 @@ import pytest
 from riskengine import (
     PortfolioSpec,
     RiskEstimate,
-    ScenarioMatrix,
-    VolRatio,
     adjust,
-    portfolio_returns,
     quantile,
     var_es,
 )
@@ -109,8 +106,6 @@ def test_adjust_scales_var_and_es():
     assert out.var == pytest.approx(-0.03, rel=1e-15)
     assert out.es == pytest.approx(-0.045, rel=1e-15)
     assert (out.alpha, out.n_tail, out.model_tag, out.seed) == (0.05, 9, "t", 4)
-    viaratio = adjust(est, VolRatio(short_vol=0.03, long_vol=0.02))
-    assert viaratio.var == pytest.approx(-0.03, rel=1e-12)
 
 
 def test_adjust_rejects_bad_factor():
@@ -148,35 +143,3 @@ def test_portfolio_spec_validation():
         PortfolioSpec(tickers=("A", "A"), weights=np.array([0.5, 0.5]))
     with pytest.raises(ShapeError):
         PortfolioSpec(tickers=("A", "B"), weights=np.array([1.0]))
-
-
-def test_portfolio_returns_oracle():
-    # sum log returns per asset across the horizon, then weight
-    returns = np.array(
-        [
-            [[0.01, 0.02], [0.03, -0.01]],
-            [[0.00, 0.00], [0.02, 0.04]],
-        ]
-    )  # (2 paths, 2 steps, 2 assets)
-    scen = ScenarioMatrix(returns=returns, rescaled=False, seed=0, tickers=("A", "B"))
-    port = PortfolioSpec(tickers=("A", "B"), weights=np.array([0.6, 0.4]))
-    out = portfolio_returns(scen, port)
-    expected = np.array(
-        [0.6 * 0.04 + 0.4 * 0.01, 0.6 * 0.02 + 0.4 * 0.04]
-    )
-    np.testing.assert_allclose(out, expected, rtol=1e-12)
-
-
-def test_portfolio_returns_ticker_mismatch():
-    scen = ScenarioMatrix(
-        returns=np.zeros((2, 1, 2)), rescaled=False, seed=0, tickers=("A", "B")
-    )
-    port = PortfolioSpec(tickers=("B", "A"), weights=np.array([0.5, 0.5]))
-    with pytest.raises(ShapeError):
-        portfolio_returns(scen, port)
-
-
-def test_portfolio_returns_without_tickers_skips_check():
-    scen = ScenarioMatrix(returns=np.zeros((2, 1, 2)), rescaled=False, seed=0)
-    port = PortfolioSpec(tickers=("A", "B"), weights=np.array([0.5, 0.5]))
-    np.testing.assert_array_equal(portfolio_returns(scen, port), [0.0, 0.0])

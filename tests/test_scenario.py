@@ -6,48 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskengine import (
-    GaussianMixtureModel,
     GbmParams,
-    ReturnPanel,
     ScenarioMatrix,
-    VolRatio,
-    compound,
     rescale,
     simulate_gbm_portfolio,
     simulate_gbm_single,
     simulate_gmm,
-    vol_ratios,
 )
-from riskengine.errors import (
-    DegenerateDataError,
-    NumericError,
-    ShapeError,
-    ValidationError,
-)
+from riskengine.errors import NumericError, ShapeError, ValidationError
 from riskengine.scenario import column_std
 
 
-def _ret_panel(cols, tickers):
-    arr = np.column_stack(cols)
-    dates = tuple(f"2021-02-{d:02d}" for d in range(1, arr.shape[0] + 1))
-    return ReturnPanel(dates=dates, tickers=tickers, returns=arr)
-
-
 # ------------------------------------------------------------- vol ratios
-
-
-def test_vol_ratios_exact():
-    # symmetric +/-v series have population std exactly v
-    long_s = _ret_panel(
-        [np.tile([0.01, -0.01], 4), np.tile([0.02, -0.02], 4)], ("A", "B")
-    )
-    short_s = _ret_panel(
-        [np.tile([0.03, -0.03], 2), np.tile([0.01, -0.01], 2)], ("A", "B")
-    )
-    ratios = vol_ratios(long_s, short_s)
-    assert [r.ratio for r in ratios] == pytest.approx([3.0, 0.5], rel=1e-12)
-    assert ratios[0].short_vol == pytest.approx(0.03, rel=1e-12)
-    assert ratios[0].long_vol == pytest.approx(0.01, rel=1e-12)
 
 
 @given(
@@ -63,19 +33,6 @@ def test_column_std_equals_per_column_std_bit_for_bit(n_rows, n_cols, scale, see
     for block in (w, w[n_rows // 2 :]):
         got = column_std(block)
         assert got.tolist() == [float(np.std(block[:, c])) for c in range(n_cols)]
-
-
-def test_vol_ratios_zero_long_vol_raises_degenerate():
-    flat = _ret_panel([np.zeros(6), np.tile([0.01, -0.01], 3)], ("A", "B"))
-    with pytest.raises(DegenerateDataError, match="long-window volatility is zero"):
-        vol_ratios(flat, flat)
-
-
-def test_vol_ratio_zero_long_vol_rejected():
-    with pytest.raises(DegenerateDataError):
-        VolRatio(short_vol=0.01, long_vol=0.0)
-    # zero short vol is legal: the regime can be flat
-    assert VolRatio(short_vol=0.0, long_vol=0.01).ratio == 0.0
 
 
 # ------------------------------------------------------------ mixture MC
@@ -233,39 +190,12 @@ def test_rescale_multiplies_per_asset():
     assert base.rescaled is False
 
 
-def test_rescale_accepts_vol_ratio_objects():
-    base = ScenarioMatrix(
-        returns=np.full((4, 1, 1), 0.01), rescaled=False, seed=0
-    )
-    out = rescale(base, [VolRatio(short_vol=0.02, long_vol=0.01)])
-    np.testing.assert_allclose(out.returns, 0.02, rtol=1e-12)
-
-
 def test_rescale_validation():
     base = ScenarioMatrix(returns=np.zeros((4, 1, 2)), rescaled=False, seed=0)
     with pytest.raises(ShapeError):
         rescale(base, [1.0])  # one factor for two assets
     with pytest.raises(ValidationError):
         rescale(base, [1.0, -1.0])
-
-
-# ------------------------------------------------------------ compounding
-
-
-def test_compound_oracle():
-    returns = np.array([[[0.1], [0.2]], [[0.0], [-0.1]]])  # (2 paths, 2 steps, 1)
-    scen = ScenarioMatrix(returns=returns, rescaled=False, seed=0)
-    terminal = compound(scen, 100.0)
-    np.testing.assert_allclose(
-        terminal[:, 0], [100 * np.exp(0.3), 100 * np.exp(-0.1)], rtol=1e-14
-    )
-
-
-def test_compound_vector_initial_prices():
-    returns = np.zeros((3, 2, 2))
-    scen = ScenarioMatrix(returns=returns, rescaled=False, seed=0)
-    terminal = compound(scen, np.array([10.0, 20.0]))
-    np.testing.assert_allclose(terminal, np.tile([10.0, 20.0], (3, 1)), rtol=1e-15)
 
 
 def test_scenario_matrix_validation():

@@ -1,4 +1,4 @@
-"""Price loading, return computation, rolling windows, moment summaries."""
+"""Price loading, return computation, moment summaries."""
 
 import io
 
@@ -9,11 +9,9 @@ from riskengine import (
     DescriptiveStats,
     PricePanel,
     ReturnPanel,
-    RollingWindow,
     describe,
     load_prices,
     log_returns,
-    slice_window,
 )
 from riskengine.errors import (
     DegenerateDataError,
@@ -145,37 +143,6 @@ def test_log_returns_needs_two_rows():
     panel = PricePanel(dates=("2020-01-01",), tickers=("X",), prices=np.array([[1.0]]))
     with pytest.raises(InsufficientDataError):
         log_returns(panel)
-
-
-def test_rolling_window_defaults_and_validation():
-    w = RollingWindow(anchor=300)
-    assert w.long_len == 252 and w.short_len == 70
-    with pytest.raises(ValidationError):
-        RollingWindow(anchor=100, long_len=120, short_len=30)  # anchor < long_len
-    with pytest.raises(ValidationError):
-        RollingWindow(anchor=300, long_len=100, short_len=200)  # short > long
-    with pytest.raises(ValidationError):
-        RollingWindow(anchor=300, long_len=100, short_len=0)
-
-
-def test_slice_window_rows_and_dates():
-    n = 12
-    dates = tuple(f"2020-01-{d:02d}" for d in range(1, n + 1))
-    vals = np.arange(n, dtype=float)[:, None]
-    rets = ReturnPanel(dates=dates, tickers=("X",), returns=vals)
-    w = RollingWindow(anchor=10, long_len=8, short_len=3)
-    long_s, short_s = slice_window(rets, w)
-    np.testing.assert_array_equal(long_s.returns[:, 0], np.arange(2, 10))
-    np.testing.assert_array_equal(short_s.returns[:, 0], np.arange(7, 10))
-    assert long_s.dates[0] == dates[2] and long_s.dates[-1] == dates[9]
-    assert short_s.dates == dates[7:10]
-
-
-def test_slice_window_anchor_past_end():
-    dates = tuple(f"2020-01-{d:02d}" for d in range(1, 6))
-    rets = ReturnPanel(dates=dates, tickers=("X",), returns=np.zeros((5, 1)))
-    with pytest.raises(ValidationError):
-        slice_window(rets, RollingWindow(anchor=6, long_len=3, short_len=2))
 
 
 def test_describe_oracle():
