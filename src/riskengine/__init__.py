@@ -59,11 +59,13 @@ from .risk import (  # noqa: E402
     adjust,
     quantile,
     var_es,
+    var_es_columns,
 )
 from .baselines import (  # noqa: E402
     calibrate_gbm,
     gbm_mc_var,
     historical_var,
+    parametric_columns,
     parametric_var,
 )
 from .backtest import (  # noqa: E402
@@ -110,9 +112,11 @@ __all__ = [
     "ScenarioMatrix", "GbmParams", "simulate_gmm", "simulate_gbm_single",
     "simulate_gbm_portfolio", "rescale",
     # risk
-    "PortfolioSpec", "RiskEstimate", "quantile", "var_es", "adjust",
+    "PortfolioSpec", "RiskEstimate", "quantile", "var_es", "var_es_columns",
+    "adjust",
     # baselines
-    "historical_var", "parametric_var", "gbm_mc_var", "calibrate_gbm",
+    "historical_var", "parametric_var", "parametric_columns", "gbm_mc_var",
+    "calibrate_gbm",
     # backtest
     "HitSequence", "ChristoffersenResult", "LossResult", "GofResult",
     "BacktestReport", "hits", "christoffersen", "quadratic_loss", "ks_test",

@@ -51,26 +51,50 @@ def parametric_var(window_returns, alpha: float) -> RiskEstimate:
 
     var = mu + sigma z_alpha, es = mu - sigma phi(z_alpha)/alpha, with mu and
     sigma the window's population moments. n_tail is 0: the ES here is
-    analytic, no scenario tail exists.
+    analytic, no scenario tail exists. The one-column case of
+    parametric_columns.
     """
     x = _as_series(window_returns)
-    if x.size < 2:
-        raise InsufficientDataError(
-            f"parametric window needs at least 2 points, got {x.size}"
-        )
-    mu = float(np.mean(x))
-    sigma = float(np.std(x))
-    if sigma == 0.0:
-        raise DegenerateDataError("window has zero variance")
-    z = normal_ppf(alpha)
+    var, es = parametric_columns(x[:, None], (alpha,))
     return RiskEstimate(
         alpha=alpha,
-        var=mu + sigma * z,
-        es=mu - sigma * normal_pdf(z) / alpha,
+        var=float(var[0, 0]),
+        es=float(es[0, 0]),
         n_tail=0,
         model_tag="param",
         seed=-1,
     )
+
+
+def parametric_columns(window, alphas):
+    """parametric_var of every column of a (rows, cols) window at every alpha.
+
+    Returns var and es arrays shaped (cols, len(alphas)). The moments come
+    from one pass over the transposed window, whose rows numpy reduces in
+    the same order as a 1-D column, so every entry equals parametric_var of
+    that column bit for bit.
+    """
+    x = np.asarray(window, dtype=float)
+    if x.ndim != 2:
+        raise ValidationError(f"expected a (rows, cols) window, got ndim={x.ndim}")
+    cols = np.ascontiguousarray(x.T)
+    if not np.all(np.isfinite(cols)):
+        raise ValidationError("window contains non-finite returns")
+    if cols.shape[1] < 2:
+        raise InsufficientDataError(
+            f"parametric window needs at least 2 points, got {cols.shape[1]}"
+        )
+    mu = np.mean(cols, axis=1)
+    sigma = np.std(cols, axis=1)
+    if np.any(sigma == 0.0):
+        raise DegenerateDataError("window has zero variance")
+    shape = (cols.shape[0], len(alphas))
+    var, es = np.empty(shape), np.empty(shape)
+    for a, alpha in enumerate(alphas):
+        z = normal_ppf(alpha)
+        var[:, a] = mu + sigma * z
+        es[:, a] = mu - sigma * normal_pdf(z) / alpha
+    return var, es
 
 
 def calibrate_gbm(window_returns, dt: float = 1.0):

@@ -17,7 +17,6 @@ import numpy as np
 from . import __version__
 from .backtest import ks_test, pdf_rmse
 from .engine import (
-    MODEL_CHOICES,
     RunConfig,
     make_scenario_writer,
     report,

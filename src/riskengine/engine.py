@@ -32,13 +32,12 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
-from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .backtest import BacktestReport, christoffersen, hits, quadratic_loss
-from .baselines import calibrate_gbm, historical_var, parametric_var, price_space_returns
+from .baselines import calibrate_gbm, parametric_columns, price_space_returns
 from .errors import (
     ConfigError,
     DegenerateDataError,
@@ -47,9 +46,9 @@ from .errors import (
     RunFailureError,
     ValidationError,
 )
-from .gmm import EmSettings, GaussianMixtureModel, fit
-from .risk import PortfolioSpec, RiskEstimate, adjust, var_es
-from .scenario import ScenarioMatrix, column_std, rescale, simulate_gbm_portfolio, simulate_gmm
+from .gmm import EmSettings, GaussianMixtureModel, fit, sample
+from .risk import PortfolioSpec, RiskEstimate, var_es_columns
+from .scenario import ScenarioMatrix, column_std, simulate_gbm_portfolio
 from .timeseries import PricePanel, ReturnPanel, log_returns
 
 MODEL_CHOICES = ("gmm", "hs", "param", "gbm_mc")
@@ -238,12 +237,12 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
     """The day loop behind run_backtest and sweep_sigma_short.
 
     Once per day, in _day_parts: the long slice and its volatilities, every
-    fit, one simulation per Monte Carlo tag with per-asset VaR/ES on the
-    unscaled holdings, and the hs, param and gbm_mc rows, none of which
-    depends on the short window. Once per (day, g), in _short_rows: the vol
-    ratios and the gmm rows they scale. An error in the per-day part
-    invalidates the day for every g, one in the per-g part only that
-    (day, g). Returns {g: (records, reports)}.
+    fit, one draw per Monte Carlo tag (horizon is 1, so a gmm holding is one
+    sample() call) and one VaR/ES block per tag, gmm's on the unscaled
+    holdings. Once per (day, g), in _short_rows: the vol ratios, the gmm
+    blocks they scale, the gmm portfolio and the rows. An error in the
+    per-day part invalidates the day for every g, one in the per-g part only
+    that (day, g). Returns {g: (records, reports)}.
     """
     if config.horizon != 1:
         raise ConfigError(
@@ -261,6 +260,7 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
             "portfolio tickers must match the panel tickers in order; "
             f"got {config.portfolio.tickers} vs {tickers}"
         )
+    targets = tickers if config.portfolio is None else tickers + (PORTFOLIO_TICKER,)
     needs_gmm = any(k.startswith("gmm") for k in config.model_keys())
     prev_models: dict[str, GaussianMixtureModel] = {}
     records: dict[int, list[DayRecord]] = {g: [] for g in short_lens}
@@ -292,13 +292,15 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
             estimates, ratios, day_error = (), None, error
             if error is None:
                 try:
-                    estimates, ratios = _short_rows(parts, long_w, long_vols, g, config)
+                    estimates, ratios = _short_rows(parts, long_w, long_vols, g, config, targets)
                 except _DAY_ERRORS as exc:
                     day_error = f"{type(exc).__name__}: {exc}"
             if scenario_writer is not None and day_error is None:
-                for key, _, scen, holding in parts:
+                for key, seed, *_, holding, scen in parts:
                     if holding is not None:
-                        scen = rescale(scen, ratios)
+                        scen = ScenarioMatrix(
+                            (holding * ratios)[:, None, :], rescaled=True, seed=seed, tickers=tickers
+                        )
                     if scen is not None:
                         scenario_writer(date, key, scen)
             records[g].append(
@@ -320,94 +322,85 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
 def _day_parts(i, long_w, config, tickers, prev_models, diags, parts):
     """Day i's estimates that ignore the short window, in model-key order.
 
-    Each model is an estimator over per-asset sample columns plus a
-    portfolio series, turned into rows by _rows: for hs/param the long
-    window and its weighted sum; for gmm and gbm_mc the simulated holding
-    returns, with gbm_mc's portfolio aggregated in price space. gmm
-    portfolio rows depend on the short window; _short_rows adds them.
+    Each model is one sample matrix with a column per target, read by one
+    estimator pass: for hs/param the long window, for gmm and gbm_mc the
+    simulated holding returns. hs, param and gbm_mc append the portfolio as
+    one more column, gbm_mc's aggregated in price space. gmm portfolio rows
+    depend on the short window; _short_rows adds them.
 
-    Appends (key, rows, scenarios, holdings) to parts: scenarios is what a
-    writer dumps (None for hs/param); holdings is set for gmm tags only,
-    whose asset rows are still unscaled. Fits extend the warm-start chain in
-    prev_models and go to diags as they happen, so a later failure on the
-    same day keeps them.
+    Appends (key, seed, var, es, n_tail, holding, scen) to parts, with
+    var/es/n_tail shaped [column, alpha]. holding is set for gmm tags only,
+    whose asset block is still unscaled; scen is the gbm_mc matrix a writer
+    dumps. A seed is derived only where it is read: the fit seed for a cold
+    start, the simulation seed for Monte Carlo tags. Fits extend the
+    warm-start chain in prev_models and go to diags as they happen, so a
+    later failure on the same day keeps them.
     """
     weights = None if config.portfolio is None else config.portfolio.weights
     for mi, key in enumerate(config.model_keys()):
-        sim_seed = derive_seed(config.seed, i, mi, 1)
+        seed, holding, scen, series = -1, None, None, None
         if key in ("hs", "param"):
-            estimate = (
-                partial(historical_var, min_len=config.long_len)
-                if key == "hs" else parametric_var
-            )
-            series = None if weights is None else long_w @ weights
-            rows = _rows(key, estimate, long_w, series, tickers, config.alphas)
-            parts.append((key, rows, None, None))
-            continue
-        if key == "gbm_mc":
+            columns = long_w
+            if weights is not None:
+                series = long_w @ weights
+        elif key == "gbm_mc":
+            seed = derive_seed(config.seed, i, mi, 1)
             mus, sigmas, corr = calibrate_gbm(long_w)
             scen = simulate_gbm_portfolio(
                 np.ones(len(tickers)), mus, sigmas, corr,
-                config.paths, config.horizon, sim_seed, tickers=tickers,
+                config.paths, config.horizon, seed, tickers=tickers,
             )
+            columns = scen.returns[:, 0]
+            if weights is not None:
+                series = price_space_returns(columns, weights)
         else:
             warm = prev_models.get(key) if config.warm_start else None
-            model, rep = fit(
-                long_w,
-                int(key[3:]),
-                init=warm if warm is not None else "kmeans",
-                settings=EmSettings(seed=derive_seed(config.seed, i, mi, 0)),
-            )
+            init, settings = warm, None
+            if warm is None:  # only a k-means start reads the fit seed
+                init, settings = "kmeans", EmSettings(seed=derive_seed(config.seed, i, mi, 0))
+            model, rep = fit(long_w, int(key[3:]), init=init, settings=settings)
             prev_models[key] = model
             diags.append(FitDiagnostic(
                 key, rep.init_mode, rep.iterations, rep.converged, rep.final_loglik
             ))
-            scen = simulate_gmm(
-                model, config.paths, config.horizon, sim_seed, tickers=tickers
-            )
-        holding = scen.returns.sum(axis=1)
-        gbm = key == "gbm_mc"
-        series = price_space_returns(holding, weights) if gbm and weights is not None else None
-        estimate = partial(var_es, model_tag=key, seed=sim_seed)
-        rows = _rows(key, estimate, holding, series, tickers, config.alphas)
-        parts.append((key, rows, scen, None if gbm else holding))
+            seed = derive_seed(config.seed, i, mi, 1)
+            holding = columns = sample(model, config.paths, np.random.default_rng(seed))
+        if series is not None:
+            columns = np.column_stack((columns, series))
+        if key == "param":
+            var, es = parametric_columns(columns, config.alphas)
+            n_tail = np.zeros(var.shape, dtype=int)
+        else:
+            var, es, n_tail = var_es_columns(columns, config.alphas)
+        parts.append((key, seed, var, es, n_tail, holding, scen))
 
 
-def _rows(key, estimate, columns, series, tickers, alphas):
-    """(key, target, estimate(sample, alpha)) rows in report order.
-
-    One row per ticker column of columns and alpha, then one per alpha for
-    the portfolio series unless it is None.
-    """
-    rows = [(key, t, estimate(columns[:, c], a)) for c, t in enumerate(tickers) for a in alphas]
-    if series is not None:
-        rows += [(key, PORTFOLIO_TICKER, estimate(series, a)) for a in alphas]
-    return rows
-
-
-def _short_rows(parts, long_w, long_vols, g, config):
+def _short_rows(parts, long_w, long_vols, g, config, targets):
     """(rows in model-key order, vol ratios or None) at short length g.
 
-    VaR and ES are positively homogeneous, so adjust() turns the unscaled
-    gmm asset rows into those of the rescaled scenarios, up to rounding.
+    VaR and ES are positively homogeneous, so scaling the unscaled gmm
+    asset block by the vol ratios gives the estimates of the rescaled
+    scenarios, up to rounding. The gmm portfolio is read from the scaled
+    holdings.
     """
     rows, ratios = [], None
-    for key, fixed, scen, holding in parts:
-        if holding is None:
-            rows.extend(fixed)
-            continue
-        if ratios is None:
-            ratios = column_std(long_w[-g:]) / long_vols
-            if np.any(ratios <= 0.0) or not np.all(np.isfinite(ratios)):
-                raise ValidationError("rescale factors must be positive and finite")
-        scale = np.repeat(ratios, len(config.alphas))
-        rows.extend((k, t, adjust(est, s)) for (k, t, est), s in zip(fixed, scale))
-        if config.portfolio is not None:
-            pr = (holding * ratios) @ config.portfolio.weights
-            rows.extend(
-                (key, PORTFOLIO_TICKER, var_es(pr, a, model_tag=key, seed=scen.seed))
-                for a in config.alphas
-            )
+    for key, seed, var, es, n_tail, holding, _ in parts:
+        if holding is not None:
+            if ratios is None:
+                ratios = column_std(long_w[-g:]) / long_vols
+                if np.any(ratios <= 0.0) or not np.all(np.isfinite(ratios)):
+                    raise ValidationError("rescale factors must be positive and finite")
+            var, es = var * ratios[:, None], es * ratios[:, None]
+            if config.portfolio is not None:
+                series = (holding * ratios) @ config.portfolio.weights
+                pv, pe, pn = var_es_columns(series[:, None], config.alphas)
+                var, es, n_tail = np.vstack((var, pv)), np.vstack((es, pe)), np.vstack((n_tail, pn))
+        var, es, n_tail = var.tolist(), es.tolist(), n_tail.tolist()
+        rows.extend(
+            (key, t, RiskEstimate(a, var[c][j], es[c][j], n_tail[c][j], key, seed))
+            for c, t in enumerate(targets)
+            for j, a in enumerate(config.alphas)
+        )
     return tuple(rows), ratios
 
 

@@ -59,14 +59,20 @@ def _as_matrix(data) -> np.ndarray:
     return X
 
 
-def covariance_floor(cov: np.ndarray) -> float:
-    """Diagonal floor added after each M-step: max(1e-8 * tr/k, 1e-10)."""
+def covariance_floor(cov: np.ndarray):
+    """Diagonal floor added after each M-step: max(1e-8 * tr/k, 1e-10).
+
+    A float for one (k, k) covariance, an array for a (n, k, k) stack.
+    """
     k = cov.shape[-1]
-    return max(1e-8 * float(np.trace(cov)) / k, 1e-10)
+    floor = np.maximum(1e-8 * np.trace(cov, axis1=-2, axis2=-1) / k, 1e-10)
+    return float(floor) if floor.ndim == 0 else floor
 
 
 def _floored(cov: np.ndarray) -> np.ndarray:
-    return cov + covariance_floor(cov) * np.eye(cov.shape[-1])
+    """cov plus its floor on the diagonal; cov is (k, k) or (n, k, k)."""
+    floor = np.asarray(covariance_floor(cov))
+    return cov + floor[..., None, None] * np.eye(cov.shape[-1])
 
 
 def _factorize(covs: np.ndarray):
@@ -376,17 +382,21 @@ def _m_step(X: np.ndarray, r: np.ndarray):
     if healthy.size == 0:
         raise DegenerateDataError("all mixture components collapsed")
 
+    # Every healthy component at once, in the arithmetic of a per-component
+    # loop: the means come from one vector-matrix product per column of r
+    # (the strided columns a loop would pass), the scatter from one batched
+    # (D * r)' @ D. Collapsed components stay out, so no 0/0 is formed.
     weights = np.empty(n_c)
     means = np.empty((n_c, k))
     covs = np.empty((n_c, k, k))
-    for j in healthy:
-        rj = r[:, j]
-        mu = rj @ X / col[j]
-        d = X - mu
-        S = (d * rj[:, None]).T @ d / col[j]
-        means[j] = mu
-        covs[j] = _floored(0.5 * (S + S.T))
-        weights[j] = col[j] / N
+    rh = r.T[healthy]
+    ch = col[healthy]
+    mu = np.matmul(r.T[:, None, :], X)[healthy, 0] / ch[:, None]
+    d = X - mu[:, None, :]
+    S = np.matmul((d * rh[:, :, None]).transpose(0, 2, 1), d) / ch[:, None, None]
+    means[healthy] = mu
+    covs[healthy] = _floored(0.5 * (S + S.transpose(0, 2, 1)))
+    weights[healthy] = ch / N
 
     if collapsed.size:
         _, prec_chols, logdets = _factorize(covs[healthy])
@@ -570,23 +580,25 @@ def sample(model: GaussianMixtureModel, n_total: int, rng) -> np.ndarray:
     """Draw n_total points from the mixture, stratified by component.
 
     Allocates round(w_j * n_total) draws per component by largest
-    remainder, draws each block as mu_j + L_j z, then shuffles the rows.
-    Draw order given one Generator: each component's normals in index
-    order, then one permutation.
+    remainder, turns the rows of block j into mu_j + L_j z, then shuffles
+    the rows. Draw order given one Generator: one (n_total, dim) block of
+    standard normals, whose rows go to the components in index order, then
+    one permutation. The single block holds the same stream as one block
+    per component drawn in turn.
     """
     if n_total < 1:
         raise ValidationError(f"n_total must be >= 1, got {n_total}")
     gen = np.random.default_rng(rng)
-    k = model.dim
-    counts = stratified_counts(model.weights, n_total)
-    blocks = []
-    for j, c in enumerate(counts):
-        if c == 0:
-            continue
-        z = gen.standard_normal((int(c), k))
-        blocks.append(model.means[j] + z @ model._chols[j].T)
-    out = np.concatenate(blocks, axis=0)
-    return out[gen.permutation(n_total)]
+    z = gen.standard_normal((n_total, model.dim))
+    out = np.empty_like(z)
+    stop = 0
+    for j, c in enumerate(stratified_counts(model.weights, n_total)):
+        start, stop = stop, stop + int(c)
+        if c:
+            block = out[start:stop]
+            np.matmul(z[start:stop], model._chols[j].T, out=block)
+            block += model.means[j]
+    return np.take(out, gen.permutation(n_total), axis=0)
 
 
 def mixture_cdf(model: GaussianMixtureModel, x):

@@ -82,6 +82,17 @@ class RiskEstimate:
             raise ValidationError(f"n_tail must be >= 0, got {self.n_tail}")
 
 
+def _interpolate(s: np.ndarray, alpha: float) -> np.ndarray:
+    """The alpha-quantile of each sorted row of s (last axis; numpy "linear")."""
+    n = s.shape[-1]
+    g = alpha * (n - 1)
+    lo = int(g)
+    if lo + 1 >= n:
+        return s[..., -1]
+    frac = g - lo
+    return s[..., lo] + frac * (s[..., lo + 1] - s[..., lo])
+
+
 def quantile(samples, alpha: float) -> float:
     """Empirical quantile with linear interpolation between order stats.
 
@@ -98,13 +109,49 @@ def quantile(samples, alpha: float) -> float:
         raise ValidationError("samples contain non-finite entries")
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    s = np.sort(x)
-    g = alpha * (x.size - 1)
-    lo = int(g)
-    if lo + 1 >= x.size:
-        return float(s[-1])
-    frac = g - lo
-    return float(s[lo] + frac * (s[lo + 1] - s[lo]))
+    return float(_interpolate(np.sort(x), alpha))
+
+
+def var_es_columns(samples, alphas):
+    """Empirical VaR, ES and tail counts of every column of a sample matrix.
+
+    samples is (n, cols); returns float arrays var and es and an int array
+    n_tail, each shaped (cols, len(alphas)). Each column is sorted once and
+    read at every alpha. ES averages the column's scenarios <= VaR
+    (inclusive) in their original order, so every entry equals var_es of
+    that column bit for bit. Requires at least ceil(1/alpha) rows for each
+    alpha; TailEmptyError guards the impossible empty tail.
+    """
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 2:
+        raise ShapeError(f"samples must be (n, cols), got ndim={x.ndim}")
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+        need = int(np.ceil(1.0 / alpha))
+        if x.shape[0] < need:
+            raise InsufficientDataError(
+                f"need at least ceil(1/alpha) = {need} scenarios for "
+                f"alpha={alpha}, got {x.shape[0]}"
+            )
+    cols = np.ascontiguousarray(x.T)
+    if not np.all(np.isfinite(cols)):
+        raise ValidationError("samples contain non-finite entries")
+    ordered = np.sort(cols, axis=1)
+    shape = (cols.shape[0], len(alphas))
+    var, es, n_tail = np.empty(shape), np.empty(shape), np.empty(shape, dtype=int)
+    for a, alpha in enumerate(alphas):
+        var[:, a] = _interpolate(ordered, alpha)
+        in_tail = cols <= var[:, a, None]
+        for c, col in enumerate(cols):
+            tail = col[in_tail[c]]
+            if tail.size == 0:
+                raise TailEmptyError(
+                    f"no scenarios at or below the VaR quantile {var[c, a]}"
+                )
+            es[c, a] = tail.sum() / tail.size  # the bits of tail.mean(), faster
+            n_tail[c, a] = tail.size
+    return var, es, n_tail
 
 
 def var_es(
@@ -115,29 +162,17 @@ def var_es(
 ) -> RiskEstimate:
     """Empirical VaR and ES of a scenario return vector.
 
-    Requires at least ceil(1/alpha) scenarios so the tail holds at least one
-    expected point. ES averages every scenario <= VaR (inclusive), which is
-    never empty under the interpolation convention; TailEmptyError guards
-    the impossible case anyway.
+    The one-column case of var_es_columns: requires at least ceil(1/alpha)
+    scenarios so the tail holds at least one expected point, and ES averages
+    every scenario <= VaR (inclusive).
     """
     x = np.asarray(scenario_returns, dtype=float).ravel()
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    need = int(np.ceil(1.0 / alpha))
-    if x.size < need:
-        raise InsufficientDataError(
-            f"need at least ceil(1/alpha) = {need} scenarios for "
-            f"alpha={alpha}, got {x.size}"
-        )
-    v = quantile(x, alpha)
-    tail = x[x <= v]
-    if tail.size == 0:
-        raise TailEmptyError(f"no scenarios at or below the VaR quantile {v}")
+    var, es, n_tail = var_es_columns(x[:, None], (alpha,))
     return RiskEstimate(
         alpha=alpha,
-        var=v,
-        es=float(tail.mean()),
-        n_tail=int(tail.size),
+        var=float(var[0, 0]),
+        es=float(es[0, 0]),
+        n_tail=int(n_tail[0, 0]),
         model_tag=model_tag,
         seed=seed,
     )

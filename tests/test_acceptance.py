@@ -19,7 +19,6 @@ from riskengine import (
     HitSequence,
     PortfolioSpec,
     PricePanel,
-    RiskEstimate,
     RunConfig,
     adjust,
     christoffersen,

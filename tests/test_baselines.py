@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskengine import (
     PortfolioSpec,
     calibrate_gbm,
     gbm_mc_var,
     historical_var,
+    parametric_columns,
     parametric_var,
 )
+from riskengine.distributions import normal_pdf, normal_ppf
 from riskengine.errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -76,6 +80,50 @@ def test_parametric_var_degenerate_window():
         parametric_var(np.full(50, 0.01), 0.05)
     with pytest.raises(InsufficientDataError):
         parametric_var(np.array([0.01]), 0.05)
+
+
+def _reference_parametric(x, alpha):
+    """(var, es) of one column the way parametric_var read it before the
+    column kernel: scalar moments of the (possibly strided) column."""
+    mu = float(np.mean(x))
+    sigma = float(np.std(x))
+    z = normal_ppf(alpha)
+    return mu + sigma * z, mu - sigma * normal_pdf(z) / alpha
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(2, 400),
+    cols=st.integers(1, 16),
+    scale=st.floats(-4.0, 1.0),
+    shift=st.floats(-0.05, 0.05),
+    alphas=st.lists(st.floats(0.001, 0.5), min_size=1, max_size=3, unique=True),
+)
+@settings(max_examples=150, deadline=None)
+def test_parametric_columns_matches_per_column_reference_bit_for_bit(
+    seed, rows, cols, scale, shift, alphas
+):
+    W = shift + np.random.default_rng(seed).normal(0.0, 10.0 ** scale, (rows, cols))
+    var, es = parametric_columns(W, alphas)
+    assert var.shape == es.shape == (cols, len(alphas))
+    for c in range(cols):
+        for j, a in enumerate(alphas):
+            ref = _reference_parametric(W[:, c], a)
+            assert (var[c, j], es[c, j]) == ref
+            est = parametric_var(W[:, c], a)
+            assert (est.var, est.es) == ref
+
+
+def test_parametric_columns_errors():
+    W = np.random.default_rng(2).normal(size=(30, 3))
+    W[:, 2] = 0.25  # exactly representable, so its std is exactly 0
+    with pytest.raises(DegenerateDataError, match="zero variance"):
+        parametric_columns(W, (0.05,))
+    with pytest.raises(InsufficientDataError):
+        parametric_columns(W[:1], (0.05,))
+    W[4, 0] = np.inf
+    with pytest.raises(ValidationError, match="non-finite"):
+        parametric_columns(W, (0.05,))
 
 
 def test_calibrate_gbm_oracle():

@@ -7,7 +7,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from riskengine import PortfolioSpec, PricePanel, RunConfig, log_returns, run_backtest
+from riskengine import (
+    EmSettings,
+    PortfolioSpec,
+    PricePanel,
+    RunConfig,
+    adjust,
+    fit,
+    log_returns,
+    rescale,
+    run_backtest,
+    simulate_gmm,
+    var_es,
+)
 from riskengine.baselines import gbm_mc_var, historical_var
 from riskengine.engine import (
     PORTFOLIO_TICKER,
@@ -417,6 +429,53 @@ def test_run_backtest_scenario_writer_called(panel_3assets, tmp_path):
     files = sorted(os.listdir(tmp_path / "scenarios"))
     assert len(files) == 2  # one per evaluation day for the single model
     assert files[0].endswith("_gmm2.csv")
+
+
+def test_run_backtest_gmm_rows_and_dumps_match_the_object_path(panel_3assets, tmp_path):
+    # the columnar day loop against the object-level path it replaced: per
+    # day the warm-start fit chain, simulate_gmm, per-asset var_es scaled by
+    # adjust, var_es of the ratio-scaled portfolio, and the dump of the
+    # rescaled scenario matrix
+    tickers = ("AAA", "BBB", "CCC")
+    cfg = RunConfig(
+        **{**SMALL, "models": ("gmm",), "eval_days": 4, "dump_scenarios": True},
+        portfolio=PortfolioSpec.equal(tickers),
+    )
+    records, _ = run_backtest(
+        panel_3assets, cfg, scenario_writer=make_scenario_writer(str(tmp_path / "run"))
+    )
+    ref_writer = make_scenario_writer(str(tmp_path / "ref"))
+    returns = log_returns(panel_3assets).returns
+    weights = cfg.portfolio.weights
+    model = "kmeans"
+    for i, rec in enumerate(records):
+        assert rec.error is None
+        long_w = returns[i : i + cfg.long_len]
+        model, _ = fit(long_w, 2, init=model, settings=EmSettings(seed=derive_seed(cfg.seed, i, 0, 0)))
+        seed = derive_seed(cfg.seed, i, 0, 1)
+        scen = simulate_gmm(model, cfg.paths, 1, seed, tickers=tickers)
+        ratios = np.array(
+            [np.std(long_w[-cfg.short_len :, c]) / np.std(long_w[:, c]) for c in range(3)]
+        )
+        holding = scen.returns[:, 0, :]
+        expected = [
+            ("gmm2", t, adjust(var_es(holding[:, c], a, model_tag="gmm2", seed=seed), ratios[c]))
+            for c, t in enumerate(tickers)
+            for a in cfg.alphas
+        ] + [
+            ("gmm2", PORTFOLIO_TICKER,
+             var_es((holding * ratios) @ weights, a, model_tag="gmm2", seed=seed))
+            for a in cfg.alphas
+        ]
+        assert list(rec.estimates) == expected
+        ref_writer(rec.date, "gmm2", rescale(scen, ratios))
+
+    names = sorted(os.listdir(tmp_path / "run" / "scenarios"))
+    assert len(names) == 4
+    assert names == sorted(os.listdir(tmp_path / "ref" / "scenarios"))
+    for name in names:
+        dumped = (tmp_path / "run" / "scenarios" / name).read_bytes()
+        assert dumped == (tmp_path / "ref" / "scenarios" / name).read_bytes(), name
 
 
 def _panel_with_flat_stretch():

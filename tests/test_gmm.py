@@ -355,9 +355,83 @@ def test_m_step_reseeds_starved_component():
     )
 
 
+def _reference_m_step(X, r):
+    """_m_step before batching: one pass per healthy component, scalar floor."""
+
+    def floored(S):
+        return S + max(1e-8 * float(np.trace(S)) / S.shape[0], 1e-10) * np.eye(S.shape[0])
+
+    N, k = X.shape
+    n_c = r.shape[1]
+    col = r.sum(axis=0)
+    collapsed = np.flatnonzero(col < 1e-8 * N)
+    healthy = np.flatnonzero(col >= 1e-8 * N)
+    weights = np.empty(n_c)
+    means = np.empty((n_c, k))
+    covs = np.empty((n_c, k, k))
+    for j in healthy:
+        rj = r[:, j]
+        mu = rj @ X / col[j]
+        d = X - mu
+        S = (d * rj[:, None]).T @ d / col[j]
+        means[j] = mu
+        covs[j] = floored(0.5 * (S + S.T))
+        weights[j] = col[j] / N
+    if collapsed.size:
+        _, prec_chols, logdets = gmm_module._factorize(covs[healthy])
+        logj = gmm_module._log_weighted(
+            X, weights[healthy] / weights[healthy].sum(), means[healthy],
+            prec_chols, logdets,
+        )
+        order = np.argsort(gmm_module._logsumexp_rows(logj, "reference"), kind="stable")
+        dm = X - X.mean(axis=0)
+        global_cov = floored(dm.T @ dm / N)
+        for pick, j in enumerate(collapsed):
+            means[j] = X[order[pick]]
+            covs[j] = global_cov
+            weights[j] = 1.0 / N
+    weights /= weights.sum()
+    return weights, means, covs
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_samples=st.integers(20, 300),
+    dim=st.integers(1, 15),
+    n_components=st.integers(1, 6),
+    n_collapsed=st.integers(0, 5),
+    tiny=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_m_step_matches_per_component_loop_bit_for_bit(
+    seed, n_samples, dim, n_components, n_collapsed, tiny
+):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.0, 0.01, (n_samples, dim)) + rng.normal(0.0, 0.01, dim)
+    logits = rng.normal(0.0, 3.0, (n_samples, n_components))
+    r = np.exp(logits - logits.max(axis=1, keepdims=True))
+    # starve some components (never all) so the re-seed branch runs; "tiny"
+    # leaves them a positive mass below the 1e-8 * N threshold
+    starved = rng.permutation(n_components)[: min(n_collapsed, n_components - 1)]
+    r[:, starved] = 1e-12 if tiny else 0.0
+    r /= r.sum(axis=1, keepdims=True)
+
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        got = gmm_module._m_step(X, r)
+    ref = _reference_m_step(X, r)
+    for a, b in zip(got, ref):
+        np.testing.assert_array_equal(a, b)
+    model = m_step(X, Responsibilities(r=r))
+    np.testing.assert_array_equal(model.covariances, ref[2])
+
+
 def test_covariance_floor_scales():
     assert covariance_floor(np.eye(2)) == pytest.approx(1e-8, rel=1e-12)
     assert covariance_floor(np.array([[1e-6]])) == 1e-10  # absolute floor wins
+    stack = np.stack([np.eye(2), 1e-6 * np.eye(2)])
+    np.testing.assert_array_equal(
+        covariance_floor(stack), [covariance_floor(c) for c in stack]
+    )
 
 
 # -------------------------------------------------------------------- init
@@ -549,6 +623,44 @@ def test_stratified_counts_properties():
         assert c.sum() == n
         assert np.all(c >= 0)
         assert np.all(np.abs(c - w * n) < 1.0)  # largest remainder never drifts far
+
+
+def _reference_sample(model, n_total, rng):
+    """sample before the single draw: one block of normals per component."""
+    gen = np.random.default_rng(rng)
+    blocks = []
+    for j, c in enumerate(stratified_counts(model.weights, n_total)):
+        if c == 0:
+            continue
+        z = gen.standard_normal((int(c), model.dim))
+        blocks.append(model.means[j] + z @ model._chols[j].T)
+    out = np.concatenate(blocks, axis=0)
+    return out[gen.permutation(n_total)]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 15),
+    n_components=st.integers(1, 6),
+    n_zero=st.integers(0, 5),
+    n_total=st.integers(1, 3500),
+)
+@settings(max_examples=150, deadline=None)
+def test_sample_single_draw_matches_block_draws_bit_for_bit(
+    seed, dim, n_components, n_zero, n_total
+):
+    rng = np.random.default_rng(seed)
+    model = random_mixture(rng, n_components, dim)
+    # zero weights (never all) give components with a zero draw count
+    w = model.weights.copy()
+    w[rng.permutation(n_components)[: min(n_zero, n_components - 1)]] = 0.0
+    model = GaussianMixtureModel(w / w.sum(), model.means, model.covariances)
+
+    gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    np.testing.assert_array_equal(
+        sample(model, n_total, gen), _reference_sample(model, n_total, ref_gen)
+    )
+    assert gen.random() == ref_gen.random()  # both consumed the same stream
 
 
 def test_sample_stratified_composition_exact(mix_1d):
