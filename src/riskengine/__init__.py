@@ -47,7 +47,6 @@ from .gmm import (  # noqa: E402
 )
 from .scenario import (  # noqa: E402
     GbmParams,
-    ScenarioMatrix,
     rescale,
     simulate_gbm_portfolio,
     simulate_gbm_single,
@@ -109,7 +108,7 @@ __all__ = [
     "e_step", "m_step", "fit", "kmeans_init", "sample", "stratified_counts",
     "covariance_floor",
     # scenario
-    "ScenarioMatrix", "GbmParams", "simulate_gmm", "simulate_gbm_single",
+    "GbmParams", "simulate_gmm", "simulate_gbm_single",
     "simulate_gbm_portfolio", "rescale",
     # risk
     "PortfolioSpec", "RiskEstimate", "quantile", "var_es", "var_es_columns",

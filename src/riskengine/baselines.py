@@ -170,7 +170,7 @@ def gbm_mc_var(
             f"check the window for collinear or constant assets"
         ) from exc
     return var_es(
-        price_space_returns(scen.returns.sum(axis=1), weights),
+        price_space_returns(scen.sum(axis=1), weights),
         alpha, model_tag="gbm_mc", seed=seed,
     )
 

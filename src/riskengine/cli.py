@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="report directory")
     p_run.add_argument(
         "--dump-scenarios", action="store_true",
-        help="write per-day scenario CSVs (large)",
+        help="save each Monte Carlo model-day's scenarios as .npy (large)",
     )
     p_run.set_defaults(func=_cmd_run)
 

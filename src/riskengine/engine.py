@@ -48,7 +48,7 @@ from .errors import (
 )
 from .gmm import EmSettings, GaussianMixtureModel, fit, sample
 from .risk import PortfolioSpec, RiskEstimate, var_es_columns
-from .scenario import ScenarioMatrix, column_std, simulate_gbm_portfolio
+from .scenario import column_std, rescale, simulate_gbm_portfolio
 from .timeseries import PricePanel, ReturnPanel, log_returns
 
 MODEL_CHOICES = ("gmm", "hs", "param", "gbm_mc")
@@ -216,15 +216,16 @@ def run_backtest(
     on the same window unadjusted. Backtests are one-day only: the realized
     return is one day, so a config with horizon > 1 raises ConfigError.
 
-    scenario_writer, when given together with config.dump_scenarios, is
-    called as writer(date, model_tag, scenario_matrix) for each Monte Carlo
-    model-day; only these dumped gmm scenarios are rescaled. model_sink,
-    when given, is filled with the final fitted mixture per gmm tag
-    (warm-start checkpoint state).
+    scenario_writer, when given, is called as writer(date, model_tag,
+    holding) for each valid Monte Carlo model-day, with holding the day's
+    (paths, assets) simulated log returns in panel ticker order; gmm
+    holdings are rescaled by the vol ratios first. config.dump_scenarios
+    does not enter here: the CLI reads it to decide whether to build a
+    writer. model_sink, when given, is filled with the final fitted mixture
+    per gmm tag (warm-start checkpoint state).
     """
-    writer = scenario_writer if config.dump_scenarios else None
     results = _run_days(
-        _panel_returns(panel), config, [config.short_len], writer, model_sink
+        _panel_returns(panel), config, [config.short_len], scenario_writer, model_sink
     )
     return results[config.short_len]
 
@@ -239,10 +240,11 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
     Once per day, in _day_parts: the long slice and its volatilities, every
     fit, one draw per Monte Carlo tag (horizon is 1, so a gmm holding is one
     sample() call) and one VaR/ES block per tag, gmm's on the unscaled
-    holdings. Once per (day, g), in _short_rows: the vol ratios, the gmm
-    blocks they scale, the gmm portfolio and the rows. An error in the
-    per-day part invalidates the day for every g, one in the per-g part only
-    that (day, g). Returns {g: (records, reports)}.
+    holdings. Once per (day, g), in _short_rows: the vol ratios, the
+    rescaled gmm holdings, the gmm blocks the ratios scale, the gmm
+    portfolio and the rows; a scenario writer gets the same holdings. An
+    error in the per-day part invalidates the day for every g, one in the
+    per-g part only that (day, g). Returns {g: (records, reports)}.
     """
     if config.horizon != 1:
         raise ConfigError(
@@ -284,25 +286,21 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
                     raise ValidationError("volatilities must be finite")
                 if np.any(long_vols == 0.0):
                     raise DegenerateDataError("long-window volatility is zero")
-            _day_parts(i, long_w, config, tickers, prev_models, diags, parts)
+            _day_parts(i, long_w, config, prev_models, diags, parts)
         except _DAY_ERRORS as exc:
             error = f"{type(exc).__name__}: {exc}"
 
         for g in short_lens:
-            estimates, ratios, day_error = (), None, error
+            estimates, holdings, day_error = (), (), error
             if error is None:
                 try:
-                    estimates, ratios = _short_rows(parts, long_w, long_vols, g, config, targets)
+                    estimates, holdings = _short_rows(parts, long_w, long_vols, g, config, targets)
                 except _DAY_ERRORS as exc:
                     day_error = f"{type(exc).__name__}: {exc}"
-            if scenario_writer is not None and day_error is None:
-                for key, seed, *_, holding, scen in parts:
-                    if holding is not None:
-                        scen = ScenarioMatrix(
-                            (holding * ratios)[:, None, :], rescaled=True, seed=seed, tickers=tickers
-                        )
-                    if scen is not None:
-                        scenario_writer(date, key, scen)
+            if scenario_writer is not None:
+                for key, holding in holdings:
+                    scenario_writer(date, key, holding)
+            del holdings  # free the scenarios before the next day simulates
             records[g].append(
                 DayRecord(date, anchor, realized, estimates, tuple(diags), day_error)
             )
@@ -319,7 +317,7 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
     return {g: (recs, _build_reports(recs)) for g, recs in records.items()}
 
 
-def _day_parts(i, long_w, config, tickers, prev_models, diags, parts):
+def _day_parts(i, long_w, config, prev_models, diags, parts):
     """Day i's estimates that ignore the short window, in model-key order.
 
     Each model is one sample matrix with a column per target, read by one
@@ -328,17 +326,17 @@ def _day_parts(i, long_w, config, tickers, prev_models, diags, parts):
     one more column, gbm_mc's aggregated in price space. gmm portfolio rows
     depend on the short window; _short_rows adds them.
 
-    Appends (key, seed, var, es, n_tail, holding, scen) to parts, with
-    var/es/n_tail shaped [column, alpha]. holding is set for gmm tags only,
-    whose asset block is still unscaled; scen is the gbm_mc matrix a writer
-    dumps. A seed is derived only where it is read: the fit seed for a cold
-    start, the simulation seed for Monte Carlo tags. Fits extend the
-    warm-start chain in prev_models and go to diags as they happen, so a
-    later failure on the same day keeps them.
+    Appends (key, seed, var, es, n_tail, holding) to parts, with
+    var/es/n_tail shaped [column, alpha]. holding is the (paths, assets)
+    simulated matrix of a Monte Carlo tag and None otherwise; a gmm holding
+    and its asset block are still unscaled. A seed is derived only where it
+    is read: the fit seed for a cold start, the simulation seed for Monte
+    Carlo tags. Fits extend the warm-start chain in prev_models and go to
+    diags as they happen, so a later failure on the same day keeps them.
     """
     weights = None if config.portfolio is None else config.portfolio.weights
     for mi, key in enumerate(config.model_keys()):
-        seed, holding, scen, series = -1, None, None, None
+        seed, holding, series = -1, None, None
         if key in ("hs", "param"):
             columns = long_w
             if weights is not None:
@@ -346,11 +344,10 @@ def _day_parts(i, long_w, config, tickers, prev_models, diags, parts):
         elif key == "gbm_mc":
             seed = derive_seed(config.seed, i, mi, 1)
             mus, sigmas, corr = calibrate_gbm(long_w)
-            scen = simulate_gbm_portfolio(
-                np.ones(len(tickers)), mus, sigmas, corr,
-                config.paths, config.horizon, seed, tickers=tickers,
-            )
-            columns = scen.returns[:, 0]
+            holding = columns = simulate_gbm_portfolio(
+                np.ones(long_w.shape[1]), mus, sigmas, corr,
+                config.paths, config.horizon, seed,
+            )[:, 0]
             if weights is not None:
                 series = price_space_returns(columns, weights)
         else:
@@ -372,27 +369,26 @@ def _day_parts(i, long_w, config, tickers, prev_models, diags, parts):
             n_tail = np.zeros(var.shape, dtype=int)
         else:
             var, es, n_tail = var_es_columns(columns, config.alphas)
-        parts.append((key, seed, var, es, n_tail, holding, scen))
+        parts.append((key, seed, var, es, n_tail, holding))
 
 
 def _short_rows(parts, long_w, long_vols, g, config, targets):
-    """(rows in model-key order, vol ratios or None) at short length g.
+    """(rows, (key, holding) per Monte Carlo tag), in model-key order, at g.
 
-    VaR and ES are positively homogeneous, so scaling the unscaled gmm
-    asset block by the vol ratios gives the estimates of the rescaled
-    scenarios, up to rounding. The gmm portfolio is read from the scaled
-    holdings.
+    Each gmm holding is rescaled by the vol ratios once; that array feeds
+    the gmm portfolio row and the scenario dump. VaR and ES are positively
+    homogeneous, so scaling the unscaled gmm asset block by the ratios gives
+    the estimates of the rescaled scenarios, up to rounding.
     """
-    rows, ratios = [], None
-    for key, seed, var, es, n_tail, holding, _ in parts:
-        if holding is not None:
+    rows, holdings, ratios = [], [], None
+    for key, seed, var, es, n_tail, holding in parts:
+        if key.startswith("gmm"):
             if ratios is None:
                 ratios = column_std(long_w[-g:]) / long_vols
-                if np.any(ratios <= 0.0) or not np.all(np.isfinite(ratios)):
-                    raise ValidationError("rescale factors must be positive and finite")
+            holding = rescale(holding, ratios)
             var, es = var * ratios[:, None], es * ratios[:, None]
             if config.portfolio is not None:
-                series = (holding * ratios) @ config.portfolio.weights
+                series = holding @ config.portfolio.weights
                 pv, pe, pn = var_es_columns(series[:, None], config.alphas)
                 var, es, n_tail = np.vstack((var, pv)), np.vstack((es, pe)), np.vstack((n_tail, pn))
         var, es, n_tail = var.tolist(), es.tolist(), n_tail.tolist()
@@ -401,7 +397,9 @@ def _short_rows(parts, long_w, long_vols, g, config, targets):
             for c, t in enumerate(targets)
             for j, a in enumerate(config.alphas)
         )
-    return tuple(rows), ratios
+        if holding is not None:
+            holdings.append((key, holding))
+    return tuple(rows), holdings
 
 
 def _build_reports(records) -> list[BacktestReport]:
@@ -615,27 +613,16 @@ def report_sweep(
 
 
 def make_scenario_writer(out_dir: str):
-    """Writer callback dumping each model-day's scenarios to CSV.
+    """Writer callback saving each Monte Carlo model-day's scenarios.
 
-    Files land under <out_dir>/scenarios/<date>_<model>.csv with columns
-    path,step,ticker,log_return. Intended for audits of small runs; a full
-    production run dumps millions of rows.
+    Each call saves the (paths, assets) array of simulated log returns, its
+    columns in panel ticker order, to <out_dir>/scenarios/<date>_<model>.npy;
+    np.load reads it back.
     """
     scen_dir = os.path.join(out_dir, "scenarios")
     os.makedirs(scen_dir, exist_ok=True)
 
-    def write(date: str, model_tag: str, scen: ScenarioMatrix) -> None:
-        names = scen.tickers or tuple(
-            f"asset{c}" for c in range(scen.n_assets)
-        )
-        path = os.path.join(scen_dir, f"{date}_{model_tag}.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("path,step,ticker,log_return\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            r = scen.returns
-            for p in range(scen.n_paths):
-                for s in range(scen.horizon):
-                    for c, name in enumerate(names):
-                        writer.writerow([p, s, name, repr(float(r[p, s, c]))])
+    def write(date: str, model_tag: str, holding: np.ndarray) -> None:
+        np.save(os.path.join(scen_dir, f"{date}_{model_tag}.npy"), holding)
 
     return write

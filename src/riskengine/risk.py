@@ -8,6 +8,7 @@ mean of the scenarios at or below that quantile, so es <= var always.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,7 +72,7 @@ class RiskEstimate:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not (np.isfinite(self.var) and np.isfinite(self.es)):
+        if not (math.isfinite(self.var) and math.isfinite(self.es)):
             raise ValidationError("var/es must be finite")
         if self.es > self.var + 1e-12 * max(1.0, abs(self.var)):
             raise ValidationError(

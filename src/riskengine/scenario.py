@@ -1,5 +1,10 @@
 """Scenario generation: mixture draws, GBM paths, volatility rescaling.
 
+Scenarios are plain float arrays of log returns shaped (paths, horizon,
+assets). Every simulator rejects non-finite output with ValidationError,
+and rescale multiplies the last axis of any array by one positive ratio per
+asset, returning a new array.
+
 Two GBM discretizations are implemented literally and never mixed. The
 single-asset form is exponential, S_t = S_{t-1} exp(mu dt + sigma eps
 sqrt(dt)), so prices stay positive by construction. The portfolio form is
@@ -21,48 +26,6 @@ import numpy as np
 
 from . import gmm as _gmm
 from .errors import NumericError, ShapeError, ValidationError
-
-
-@dataclass(frozen=True, eq=False)
-class ScenarioMatrix:
-    """Simulated log returns, shape (paths, horizon, assets)."""
-
-    returns: np.ndarray
-    rescaled: bool
-    seed: int
-    tickers: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        r = np.array(self.returns, dtype=float)
-        if r.ndim != 3:
-            raise ShapeError(
-                f"scenario returns must be (paths, horizon, assets), "
-                f"got ndim={r.ndim}"
-            )
-        if min(r.shape) < 1:
-            raise ValidationError(f"degenerate scenario shape {r.shape}")
-        if not np.all(np.isfinite(r)):
-            raise ValidationError("scenario returns contain non-finite entries")
-        if self.tickers is not None:
-            object.__setattr__(self, "tickers", tuple(self.tickers))
-            if len(self.tickers) != r.shape[2]:
-                raise ShapeError(
-                    f"{len(self.tickers)} tickers for {r.shape[2]} asset columns"
-                )
-        r.setflags(write=False)
-        object.__setattr__(self, "returns", r)
-
-    @property
-    def n_paths(self) -> int:
-        return self.returns.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.returns.shape[1]
-
-    @property
-    def n_assets(self) -> int:
-        return self.returns.shape[2]
 
 
 @dataclass(frozen=True)
@@ -100,23 +63,25 @@ def _check_counts(m: int, horizon: int):
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
 
 
+def _finite(returns: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(returns)):
+        raise ValidationError("scenario returns contain non-finite entries")
+    return returns
+
+
 def simulate_gmm(
-    model: _gmm.GaussianMixtureModel,
-    m: int,
-    horizon: int,
-    seed: int,
-    tickers: tuple[str, ...] | None = None,
-) -> ScenarioMatrix:
+    model: _gmm.GaussianMixtureModel, m: int, horizon: int, seed: int
+) -> np.ndarray:
     """Draw m x horizon i.i.d. step returns from a fitted mixture.
 
-    Each step consumes one stratified sample() call on a Generator seeded
-    once from ``seed``; steps are drawn in time order.
+    Returns an (m, horizon, dim) array. Each step consumes one stratified
+    sample() call on a Generator seeded once from ``seed``; steps are drawn
+    in time order.
     """
     _check_counts(m, horizon)
     gen = np.random.default_rng(seed)
     steps = [_gmm.sample(model, m, gen) for _ in range(horizon)]
-    returns = np.stack(steps, axis=1)
-    return ScenarioMatrix(returns=returns, rescaled=False, seed=int(seed), tickers=tickers)
+    return _finite(np.stack(steps, axis=1))
 
 
 def simulate_gbm_single(
@@ -125,7 +90,7 @@ def simulate_gbm_single(
     m: int,
     horizon: int,
     seed: int,
-) -> tuple[ScenarioMatrix, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exponential-form GBM paths for one asset.
 
     Returns the per-step log returns (m, horizon, 1) and the price paths
@@ -144,10 +109,7 @@ def simulate_gbm_single(
     prices = np.empty((m, horizon + 1))
     prices[:, 0] = s0
     prices[:, 1:] = s0 * np.exp(np.cumsum(log_steps, axis=1))
-    matrix = ScenarioMatrix(
-        returns=log_steps[:, :, None], rescaled=False, seed=int(seed)
-    )
-    return matrix, prices
+    return _finite(log_steps[:, :, None]), prices
 
 
 def simulate_gbm_portfolio(
@@ -159,16 +121,17 @@ def simulate_gbm_portfolio(
     horizon: int,
     seed: int,
     dt: float = 1.0,
-    tickers: tuple[str, ...] | None = None,
-) -> ScenarioMatrix:
+) -> np.ndarray:
     """Arithmetic-Euler GBM paths for several correlated assets.
 
+    Returns the per-step log returns, shaped (m, horizon, n_assets).
     Step: S_t = S_{t-1} (1 + mu dt) + S_{t-1} sigma xi sqrt(dt), with
     xi = A eps and A the Cholesky factor of corr. Per step, the Generator
     yields an (m, n_assets) block of standard normals. Raises
     numpy.linalg.LinAlgError when corr cannot be factorized (no repair is
-    attempted) and NumericError if any path's price hits zero or below,
-    which the arithmetic step does not preclude.
+    attempted), NumericError if any path's price hits zero or below, which
+    the arithmetic step does not preclude, and ValidationError if a price
+    overflows, so that a log return is not finite.
     """
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
@@ -208,27 +171,24 @@ def simulate_gbm_portfolio(
             )
         log_steps[:, t, :] = np.log(nxt / prices)
         prices = nxt
-    return ScenarioMatrix(
-        returns=log_steps, rescaled=False, seed=int(seed), tickers=tickers
-    )
+    return _finite(log_steps)
 
 
-def rescale(scenarios: ScenarioMatrix, ratios) -> ScenarioMatrix:
-    """Multiply each asset's per-step returns by its volatility ratio.
+def rescale(returns, ratios) -> np.ndarray:
+    """Multiply the last axis of returns by one volatility ratio per asset.
 
-    Every step of a multi-step horizon is scaled. ratios holds one positive
-    float per asset column. The input matrix is left untouched.
+    returns is any array whose last axis holds the assets, such as a
+    (paths, assets) holding or a (paths, horizon, assets) scenario array,
+    so every step of a multi-step horizon is scaled. ratios holds one
+    positive, finite float per asset; returns must be finite. Returns a new
+    array and leaves the input untouched.
     """
+    returns = np.asarray(returns, dtype=float)
     factors = np.asarray(ratios, dtype=float)
-    if factors.shape != (scenarios.n_assets,):
+    if returns.ndim < 1 or factors.shape != returns.shape[-1:]:
         raise ShapeError(
-            f"{factors.size} ratios for {scenarios.n_assets} asset columns"
+            f"{factors.size} ratios for returns shaped {returns.shape}"
         )
     if np.any(factors <= 0) or not np.all(np.isfinite(factors)):
         raise ValidationError("rescale factors must be positive and finite")
-    return ScenarioMatrix(
-        returns=scenarios.returns * factors,
-        rescaled=True,
-        seed=scenarios.seed,
-        tickers=scenarios.tickers,
-    )
+    return _finite(returns) * factors

@@ -286,7 +286,7 @@ def test_criterion_09_gbm_moments():
     scen, _ = simulate_gbm_single(
         s0=100.0, params=GbmParams(mu=mu, sigma=sigma, dt=delta), m=m, horizon=1, seed=4
     )
-    steps = scen.returns[:, 0, 0]
+    steps = scen[:, 0, 0]
     se_mean = sigma * np.sqrt(delta) / np.sqrt(m)
     se_std = sigma * np.sqrt(delta) / np.sqrt(2 * m)
     assert abs(steps.mean() - mu * delta) <= 3 * se_mean
@@ -297,7 +297,7 @@ def test_criterion_09_gbm_moments():
         s0=np.array([1.0, 1.0]), mus=np.zeros(2), sigmas=np.array([0.01, 0.01]),
         corr=corr, m=m, horizon=1, seed=8,
     )
-    realized = np.corrcoef(scen2.returns[:, 0, 0], scen2.returns[:, 0, 1])[0, 1]
+    realized = np.corrcoef(scen2[:, 0, 0], scen2[:, 0, 1])[0, 1]
     assert realized == pytest.approx(0.8, abs=0.02)
     print("ACCEPTANCE 9 PASS")
 

@@ -80,10 +80,10 @@ def test_run_dump_scenarios(prices_csv, tmp_path):
         "--dump-scenarios",
     ])
     assert code == 0
-    files = list((out / "scenarios").iterdir())
-    assert len(files) == 2
-    header = files[0].read_text().splitlines()[0]
-    assert header == "path,step,ticker,log_return"
+    files = sorted((out / "scenarios").iterdir())
+    assert [f.name.endswith("_gmm2.npy") for f in files] == [True, True]
+    for f in files:
+        assert np.load(f).shape == (150, 2)  # (paths, assets)
 
 
 def test_run_missing_prices_file(tmp_path):

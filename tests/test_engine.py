@@ -20,7 +20,7 @@ from riskengine import (
     simulate_gmm,
     var_es,
 )
-from riskengine.baselines import gbm_mc_var, historical_var
+from riskengine.baselines import calibrate_gbm, gbm_mc_var, historical_var
 from riskengine.engine import (
     PORTFOLIO_TICKER,
     derive_seed,
@@ -32,7 +32,7 @@ from riskengine.engine import (
 )
 from riskengine.errors import ConfigError, RunFailureError
 from riskengine.gmm import GaussianMixtureModel
-from riskengine.scenario import ScenarioMatrix
+from riskengine.scenario import simulate_gbm_portfolio
 
 from conftest import make_panel
 
@@ -402,21 +402,13 @@ def test_report_sweep_layout(tmp_path):
     assert (tmp_path / "sw" / "sweep_manifest.json").exists()
 
 
-def test_make_scenario_writer_file_contents(tmp_path):
+def test_make_scenario_writer_round_trips_through_np_load(tmp_path):
     writer = make_scenario_writer(str(tmp_path))
-    scen = ScenarioMatrix(
-        returns=np.array([[[0.01, -0.02]], [[0.03, 0.04]]]),  # (2, 1, 2)
-        rescaled=False,
-        seed=5,
-        tickers=("A", "B"),
-    )
-    writer("2020-05-01", "gmm2", scen)
-    path = tmp_path / "scenarios" / "2020-05-01_gmm2.csv"
-    lines = path.read_text().splitlines()
-    assert lines[0] == "path,step,ticker,log_return"
-    assert lines[1] == "0,0,A,0.01"
-    assert lines[2] == "0,0,B,-0.02"
-    assert len(lines) == 1 + 2 * 1 * 2
+    holding = np.array([[0.01, -0.02], [0.03, 0.04], [0.1 / 3, -1e-300]])
+    writer("2020-05-01", "gmm2", holding)
+    loaded = np.load(tmp_path / "scenarios" / "2020-05-01_gmm2.npy")
+    assert loaded.dtype == np.float64 and loaded.shape == (3, 2)
+    assert loaded.tobytes() == holding.tobytes()
 
 
 def test_run_backtest_scenario_writer_called(panel_3assets, tmp_path):
@@ -428,14 +420,49 @@ def test_run_backtest_scenario_writer_called(panel_3assets, tmp_path):
     run_backtest(panel_3assets, cfg, scenario_writer=writer)
     files = sorted(os.listdir(tmp_path / "scenarios"))
     assert len(files) == 2  # one per evaluation day for the single model
-    assert files[0].endswith("_gmm2.csv")
+    assert files[0].endswith("_gmm2.npy")
+
+
+def test_run_backtest_calls_a_writer_without_dump_scenarios(panel_3assets):
+    # the scenario_writer argument alone decides; dump_scenarios is a CLI
+    # setting and defaults to False
+    cfg = RunConfig(**{**SMALL, "models": ("gmm", "hs", "gbm_mc"), "eval_days": 2})
+    assert cfg.dump_scenarios is False
+    calls = []
+    run_backtest(panel_3assets, cfg, scenario_writer=lambda *a: calls.append(a))
+    assert [(tag, holding.shape) for _, tag, holding in calls] == [
+        (tag, (cfg.paths, 3)) for _ in range(2) for tag in ("gmm2", "gbm_mc")
+    ]
+
+
+def test_run_backtest_gbm_mc_dump_is_the_simulation(panel_3assets, tmp_path):
+    tickers = ("AAA", "BBB", "CCC")
+    cfg = RunConfig(
+        **{**SMALL, "models": ("hs", "gbm_mc"), "eval_days": 3},
+        portfolio=PortfolioSpec.equal(tickers),
+    )
+    records, _ = run_backtest(
+        panel_3assets, cfg, scenario_writer=make_scenario_writer(str(tmp_path))
+    )
+    returns = log_returns(panel_3assets).returns
+    mi = cfg.model_keys().index("gbm_mc")
+    for i, rec in enumerate(records):
+        long_w = returns[i : i + cfg.long_len]
+        expected = simulate_gbm_portfolio(
+            np.ones(3), *calibrate_gbm(long_w), cfg.paths, 1,
+            derive_seed(cfg.seed, i, mi, 1),
+        )[:, 0]
+        dumped = np.load(tmp_path / "scenarios" / f"{rec.date}_gbm_mc.npy")
+        assert dumped.shape == (cfg.paths, 3)
+        assert dumped.tobytes() == expected.tobytes()
+    assert len(os.listdir(tmp_path / "scenarios")) == 3
 
 
 def test_run_backtest_gmm_rows_and_dumps_match_the_object_path(panel_3assets, tmp_path):
     # the columnar day loop against the object-level path it replaced: per
     # day the warm-start fit chain, simulate_gmm, per-asset var_es scaled by
     # adjust, var_es of the ratio-scaled portfolio, and the dump of the
-    # rescaled scenario matrix
+    # rescaled scenarios
     tickers = ("AAA", "BBB", "CCC")
     cfg = RunConfig(
         **{**SMALL, "models": ("gmm",), "eval_days": 4, "dump_scenarios": True},
@@ -453,11 +480,11 @@ def test_run_backtest_gmm_rows_and_dumps_match_the_object_path(panel_3assets, tm
         long_w = returns[i : i + cfg.long_len]
         model, _ = fit(long_w, 2, init=model, settings=EmSettings(seed=derive_seed(cfg.seed, i, 0, 0)))
         seed = derive_seed(cfg.seed, i, 0, 1)
-        scen = simulate_gmm(model, cfg.paths, 1, seed, tickers=tickers)
+        scen = simulate_gmm(model, cfg.paths, 1, seed)
         ratios = np.array(
             [np.std(long_w[-cfg.short_len :, c]) / np.std(long_w[:, c]) for c in range(3)]
         )
-        holding = scen.returns[:, 0, :]
+        holding = scen[:, 0, :]
         expected = [
             ("gmm2", t, adjust(var_es(holding[:, c], a, model_tag="gmm2", seed=seed), ratios[c]))
             for c, t in enumerate(tickers)
@@ -468,7 +495,7 @@ def test_run_backtest_gmm_rows_and_dumps_match_the_object_path(panel_3assets, tm
             for a in cfg.alphas
         ]
         assert list(rec.estimates) == expected
-        ref_writer(rec.date, "gmm2", rescale(scen, ratios))
+        ref_writer(rec.date, "gmm2", rescale(scen, ratios)[:, 0])
 
     names = sorted(os.listdir(tmp_path / "run" / "scenarios"))
     assert len(names) == 4

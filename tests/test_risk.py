@@ -103,6 +103,16 @@ def test_risk_estimate_validation():
         RiskEstimate(alpha=0.05, var=-0.01, es=-0.02, n_tail=-1, model_tag="t", seed=0)
 
 
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), -np.inf, np.float64("nan"), np.float64("inf")]
+)
+@pytest.mark.parametrize("field", ["var", "es"])
+def test_risk_estimate_rejects_non_finite(field, bad):
+    values = {"var": -0.01, "es": -0.02, field: bad}
+    with pytest.raises(ValidationError, match="finite"):
+        RiskEstimate(alpha=0.05, n_tail=3, model_tag="t", seed=0, **values)
+
+
 def test_adjust_scales_var_and_es():
     est = RiskEstimate(alpha=0.05, var=-0.02, es=-0.03, n_tail=9, model_tag="t", seed=4)
     out = adjust(est, 1.5)

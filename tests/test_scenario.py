@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from riskengine import (
     GbmParams,
-    ScenarioMatrix,
     rescale,
     simulate_gbm_portfolio,
     simulate_gbm_single,
@@ -40,26 +39,19 @@ def test_column_std_equals_per_column_std_bit_for_bit(n_rows, n_cols, scale, see
 
 def test_simulate_gmm_shape_and_determinism(mix_1d):
     scen = simulate_gmm(mix_1d, m=300, horizon=5, seed=77)
-    assert scen.returns.shape == (300, 5, 1)
-    assert scen.n_paths == 300 and scen.horizon == 5 and scen.n_assets == 1
-    assert scen.rescaled is False
-    assert scen.seed == 77
+    assert type(scen) is np.ndarray and scen.dtype == float
+    assert scen.shape == (300, 5, 1)
     again = simulate_gmm(mix_1d, m=300, horizon=5, seed=77)
-    np.testing.assert_array_equal(scen.returns, again.returns)
+    np.testing.assert_array_equal(scen, again)
     other = simulate_gmm(mix_1d, m=300, horizon=5, seed=78)
-    assert not np.array_equal(scen.returns, other.returns)
+    assert not np.array_equal(scen, other)
 
 
 def test_simulate_gmm_moments(mix_1d):
     scen = simulate_gmm(mix_1d, m=20000, horizon=2, seed=5)
-    flat = scen.returns.reshape(-1)
+    flat = scen.reshape(-1)
     true_mean = float(mix_1d.weights @ mix_1d.means[:, 0])
     assert flat.mean() == pytest.approx(true_mean, abs=0.05)
-
-
-def test_simulate_gmm_carries_tickers(mix_1d):
-    scen = simulate_gmm(mix_1d, m=120, horizon=1, seed=1, tickers=("Z",))
-    assert scen.tickers == ("Z",)
 
 
 # ------------------------------------------------------------ single GBM
@@ -71,7 +63,7 @@ def test_gbm_single_price_identity():
     assert prices.shape == (200, 4)
     assert np.all(prices[:, 0] == 50.0)
     np.testing.assert_allclose(
-        scen.returns[:, :, 0],
+        scen[:, :, 0],
         np.log(prices[:, 1:] / prices[:, :-1]),
         rtol=1e-12,
         atol=1e-14,
@@ -86,7 +78,7 @@ def test_gbm_single_draw_consumption_contract():
     for t in range(2):
         eps = gen.standard_normal(40)
         expected = params.mu * params.dt + params.sigma * eps * np.sqrt(params.dt)
-        np.testing.assert_allclose(scen.returns[:, t, 0], expected, rtol=1e-12)
+        np.testing.assert_allclose(scen[:, t, 0], expected, rtol=1e-12)
 
 
 def test_gbm_single_argument_validation():
@@ -114,8 +106,8 @@ def test_gbm_portfolio_shapes_and_independent_case():
         horizon=1,
         seed=21,
     )
-    assert scen.returns.shape == (5000, 1, 2)
-    c = np.corrcoef(scen.returns[:, 0, 0], scen.returns[:, 0, 1])[0, 1]
+    assert type(scen) is np.ndarray and scen.shape == (5000, 1, 2)
+    c = np.corrcoef(scen[:, 0, 0], scen[:, 0, 1])[0, 1]
     assert abs(c) < 0.05
 
 
@@ -130,7 +122,7 @@ def test_gbm_portfolio_correlated_shocks():
         horizon=1,
         seed=33,
     )
-    c = np.corrcoef(scen.returns[:, 0, 0], scen.returns[:, 0, 1])[0, 1]
+    c = np.corrcoef(scen[:, 0, 0], scen[:, 0, 1])[0, 1]
     assert c == pytest.approx(0.8, abs=0.05)
 
 
@@ -172,37 +164,46 @@ def test_gbm_portfolio_blowup_names_step():
         )
 
 
+def test_gbm_portfolio_rejects_overflowing_prices():
+    # finite, valid parameters whose second step overflows the price to inf,
+    # so its log return is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match="non-finite"):
+            simulate_gbm_portfolio(np.ones(1), [1e308], [0.0], np.eye(1), 5, 2, 0)
+
+
 # ------------------------------------------------------------- rescaling
 
 
 def test_rescale_multiplies_per_asset():
-    rng = np.random.default_rng(2)
-    base = ScenarioMatrix(
-        returns=rng.normal(0, 0.01, (50, 3, 2)), rescaled=False, seed=4,
-        tickers=("A", "B"),
-    )
-    out = rescale(base, [2.0, 0.5])
-    np.testing.assert_allclose(out.returns[..., 0], base.returns[..., 0] * 2.0, rtol=1e-15)
-    np.testing.assert_allclose(out.returns[..., 1], base.returns[..., 1] * 0.5, rtol=1e-15)
-    assert out.rescaled is True
-    assert out.seed == 4 and out.tickers == ("A", "B")
-    # source matrix untouched
-    assert base.rescaled is False
+    # the last axis holds the assets: a (paths, assets) holding or a
+    # (paths, horizon, assets) scenario array
+    for shape in [(50, 2), (50, 3, 2)]:
+        base = np.random.default_rng(2).normal(0, 0.01, shape)
+        before = base.copy()
+        out = rescale(base, [2.0, 0.5])
+        assert out.shape == shape
+        assert np.array_equal(out[..., 0], base[..., 0] * 2.0)
+        assert np.array_equal(out[..., 1], base[..., 1] * 0.5)
+        # the input is left untouched
+        assert np.array_equal(base, before)
 
 
 def test_rescale_validation():
-    base = ScenarioMatrix(returns=np.zeros((4, 1, 2)), rescaled=False, seed=0)
+    base = np.zeros((4, 1, 2))
     with pytest.raises(ShapeError):
         rescale(base, [1.0])  # one factor for two assets
+    with pytest.raises(ShapeError):
+        rescale(np.float64(0.01), 2.0)  # no asset axis
     with pytest.raises(ValidationError):
         rescale(base, [1.0, -1.0])
-
-
-def test_scenario_matrix_validation():
-    with pytest.raises(ShapeError):
-        ScenarioMatrix(returns=np.zeros((3, 2)), rescaled=False, seed=0)
     with pytest.raises(ValidationError):
-        ScenarioMatrix(returns=np.full((1, 1, 1), np.nan), rescaled=False, seed=0)
-    scen = ScenarioMatrix(returns=np.zeros((1, 1, 1)), rescaled=False, seed=0)
-    with pytest.raises(ValueError):
-        scen.returns[0, 0, 0] = 1.0
+        rescale(base, [1.0, np.inf])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rescale_rejects_non_finite_returns(bad):
+    returns = np.zeros((4, 2))
+    returns[3, 1] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        rescale(returns, [1.0, 1.0])
