@@ -365,7 +365,6 @@ class BacktestReport:
     hit_seq: HitSequence
     christoffersen: ChristoffersenResult | None
     loss: LossResult
-    note: str = ""
 
     CSV_HEADER = (
         "model_tag,ticker,alpha,n,x,lr_uc,p_uc,lr_ind,p_ind,lr_cc,p_cc,"

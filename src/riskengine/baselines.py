@@ -14,17 +14,9 @@ from .distributions import normal_pdf, normal_ppf
 from .errors import DegenerateDataError, InsufficientDataError, NumericError, ValidationError
 from .risk import PortfolioSpec, RiskEstimate, var_es
 from .scenario import simulate_gbm_portfolio
-from .timeseries import ReturnPanel
 
 
 def _as_series(window_returns) -> np.ndarray:
-    if isinstance(window_returns, ReturnPanel):
-        if window_returns.n_assets != 1:
-            raise ValidationError(
-                "baseline estimators take a single return series; "
-                f"panel has {window_returns.n_assets} assets"
-            )
-        return window_returns.returns[:, 0]
     x = np.asarray(window_returns, dtype=float)
     if x.ndim == 2 and x.shape[1] == 1:
         x = x[:, 0]
@@ -104,12 +96,9 @@ def calibrate_gbm(window_returns, dt: float = 1.0):
     The correlation matrix comes from the same window; a single asset gets
     the 1x1 identity.
     """
-    if isinstance(window_returns, ReturnPanel):
-        X = window_returns.returns
-    else:
-        X = np.asarray(window_returns, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+    X = np.asarray(window_returns, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
     if X.ndim != 2 or X.shape[0] < 2:
         raise InsufficientDataError("calibration window needs >= 2 rows")
     if not np.all(np.isfinite(X)):
@@ -136,7 +125,6 @@ def gbm_mc_var(
     seed: int,
     portfolio: PortfolioSpec | None = None,
     horizon: int = 1,
-    dt: float = 1.0,
 ) -> RiskEstimate:
     """GBM Monte Carlo VaR/ES calibrated on a return window.
 
@@ -145,7 +133,7 @@ def gbm_mc_var(
     aggregation; w . S_0 = 1 when weights sum to one). A single asset, or
     portfolio=None with a one-column window, reduces to the asset itself.
     """
-    mus, sigmas, corr = calibrate_gbm(window_returns, dt=dt)
+    mus, sigmas, corr = calibrate_gbm(window_returns)
     n_assets = mus.shape[0]
     if portfolio is None:
         if n_assets != 1:
@@ -162,7 +150,7 @@ def gbm_mc_var(
         weights = portfolio.weights
     try:
         scen = simulate_gbm_portfolio(
-            np.ones(n_assets), mus, sigmas, corr, m, horizon, seed, dt=dt
+            np.ones(n_assets), mus, sigmas, corr, m, horizon, seed
         )
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(

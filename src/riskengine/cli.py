@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> tuple[RunConfig, dict]:
+def _load_config(args) -> RunConfig:
     base: dict = {}
     if args.config:
         with open(args.config) as fh:
@@ -152,11 +152,9 @@ def _load_config(args) -> tuple[RunConfig, dict]:
             base[key] = value
     if args.no_warm_start:
         base["warm_start"] = False
-    if getattr(args, "dump_scenarios", False):
-        base["dump_scenarios"] = True
     if args.portfolio == "none":
         base["portfolio"] = None
-    return RunConfig.from_dict(base), base
+    return RunConfig.from_dict(base)
 
 
 def _finalize_portfolio(config: RunConfig, args, tickers) -> RunConfig:
@@ -181,10 +179,10 @@ def _print_report_table(reports) -> None:
 
 
 def _cmd_run(args) -> int:
-    config, base = _load_config(args)
+    config = _load_config(args)
     panel = load_prices(args.prices)
     config = _finalize_portfolio(config, args, panel.tickers)
-    writer = make_scenario_writer(args.out) if config.dump_scenarios else None
+    writer = make_scenario_writer(args.out) if args.dump_scenarios else None
     sink: dict = {}
     t0 = time.monotonic()
     records, reports = run_backtest(
@@ -210,7 +208,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config, base = _load_config(args)
+    config = _load_config(args)
     grid = _parse_grid(args.grid)
     panel = load_prices(args.prices)
     config = _finalize_portfolio(config, args, panel.tickers)

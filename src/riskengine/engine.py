@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .backtest import BacktestReport, christoffersen, hits, quadratic_loss
@@ -82,7 +83,6 @@ class RunConfig:
     seed: int = 0
     portfolio: PortfolioSpec | None = None
     warm_start: bool = True
-    dump_scenarios: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "models", tuple(self.models))
@@ -219,10 +219,9 @@ def run_backtest(
     scenario_writer, when given, is called as writer(date, model_tag,
     holding) for each valid Monte Carlo model-day, with holding the day's
     (paths, assets) simulated log returns in panel ticker order; gmm
-    holdings are rescaled by the vol ratios first. config.dump_scenarios
-    does not enter here: the CLI reads it to decide whether to build a
-    writer. model_sink, when given, is filled with the final fitted mixture
-    per gmm tag (warm-start checkpoint state).
+    holdings are rescaled by the vol ratios first; the CLI builds one for
+    run --dump-scenarios. model_sink, when given, is filled with the final
+    fitted mixture per gmm tag (warm-start checkpoint state).
     """
     results = _run_days(
         _panel_returns(panel), config, [config.short_len], scenario_writer, model_sink
@@ -420,11 +419,8 @@ def _build_reports(records) -> list[BacktestReport]:
     for s, (key, target, est) in enumerate(valid[0].estimates):
         r, v = realized[:, column[target]], var[:, s]
         seq = hits(r, v, est.alpha, adjacent=adjacent)
-        if seq.n >= 2:
-            result, note = christoffersen(seq), ""
-        else:
-            result = None
-            note = "single evaluation day; independence statistics undefined"
+        # one evaluation day leaves the independence statistics undefined
+        result = christoffersen(seq) if seq.n >= 2 else None
         reports.append(
             BacktestReport(
                 model_tag=key,
@@ -433,7 +429,6 @@ def _build_reports(records) -> list[BacktestReport]:
                 hit_seq=seq,
                 christoffersen=result,
                 loss=quadratic_loss(r, v),
-                note=note,
             )
         )
     return reports
@@ -472,22 +467,87 @@ def sweep_verdict_rows(results) -> list[list[str]]:
     ]
 
 
-def _versions() -> dict:
-    import scipy
-
+def _manifest(config: RunConfig, wall_clock_seconds, **entries) -> dict:
+    """A manifest: entries plus the config, versions, wall clock and creation time."""
     return {
-        "package": __version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "python": sys.version.split()[0],
+        **entries,
+        "config": config.to_dict(),
+        "versions": {
+            "package": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": sys.version.split()[0],
+        },
+        "wall_clock_seconds": wall_clock_seconds,
+        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
 
 
-def _write_rows(path: str, header: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
+def _run_files(records, reports, config, wall_clock_seconds=None, final_models=None):
+    """One run's report files as (relative path, content) pairs for _commit.
+
+    CSV rows are generators, so each file streams into its temporary.
+    """
+    if records:
+        yield "estimates.csv", (ESTIMATES_HEADER, (
+            [rec.date, target, key, repr(est.alpha), repr(est.var),
+             repr(est.es), str(est.n_tail), str(est.seed)]
+            for rec in records
+            if rec.error is None
+            for key, target, est in rec.estimates
+        ))
+        yield "backtest.csv", (BacktestReport.CSV_HEADER, (rep.to_csv_row() for rep in reports))
+        yield "fit_diagnostics.csv", (DIAGNOSTICS_HEADER, (
+            [rec.date, d.model_tag, d.init_mode, str(d.iterations),
+             "true" if d.converged else "false", repr(d.final_loglik)]
+            for rec in records
+            for d in rec.fit_diagnostics
+        ))
+        for tag in sorted(final_models or ()):
+            yield f"models/{tag}.json", final_models[tag].to_dict()
+    invalid = [r for r in records if r.error is not None]
+    yield "manifest.json", _manifest(
+        config,
+        wall_clock_seconds,
+        empty=not records,
+        n_days=len(records),
+        n_invalid_days=len(invalid),
+        invalid_days=[{"date": r.date, "error": r.error} for r in invalid],
+    )
+
+
+def _commit(out_dir: str, files) -> dict[str, str]:
+    """Write report files into out_dir, all or nothing; returns {name: path}.
+
+    files yields (relative path, content) pairs: (header, rows) for a .csv
+    file, a JSON-able object for a .json file. Each file goes to a .tmp.*
+    temporary in out_dir as it is produced; subdirectories are created and
+    the temporaries renamed into place only after every write succeeded. On
+    any failure the temporaries are removed, so no partial report is left
+    behind. name is the relative path without its extension.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    staged: list[tuple[str, str, str]] = []  # (name, tmp path, final path)
+    try:
+        for rel, content in files:
+            tmp = os.path.join(out_dir, ".tmp." + rel.replace("/", "_"))
+            staged.append((os.path.splitext(rel)[0], tmp, os.path.join(out_dir, rel)))
+            with open(tmp, "w", newline="") as fh:
+                if rel.endswith(".csv"):
+                    header, rows = content
+                    fh.write(header + "\n")
+                    csv.writer(fh, lineterminator="\n").writerows(rows)
+                else:
+                    json.dump(content, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+        for _, tmp, final in staged:
+            os.makedirs(os.path.dirname(final), exist_ok=True)
+            os.replace(tmp, final)
+    finally:
+        for _, tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    return {name: final for name, _, final in staged}
 
 
 def report(
@@ -502,83 +562,15 @@ def report(
 
     Files: estimates.csv (valid days only), backtest.csv, fit_diagnostics.csv,
     manifest.json, and models/<tag>.json checkpoints when final_models is
-    given. All files are written to temporaries first and renamed into place
-    only after every write succeeded, so a failing disk never leaves a
-    partial report behind. An empty record list produces only a manifest
-    with an explicit empty marker.
+    given. The report is written all or nothing: every file goes to a
+    temporary first and is renamed into place only after every write
+    succeeded, so a failing write (a full disk, a checkpoint that cannot be
+    serialised) leaves no file behind. An empty record list produces only a
+    manifest with an explicit empty marker.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    invalid = [r for r in records if r.error is not None]
-    manifest = {
-        "empty": not records,
-        "config": config.to_dict(),
-        "n_days": len(records),
-        "n_invalid_days": len(invalid),
-        "invalid_days": [
-            {"date": r.date, "error": r.error} for r in invalid
-        ],
-        "versions": _versions(),
-        "wall_clock_seconds": wall_clock_seconds,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    }
-
-    staged: list[tuple[str, str]] = []  # (tmp path, final path)
-
-    def stage(name: str, write_fn, *args) -> str:
-        final = os.path.join(out_dir, name)
-        tmp = os.path.join(out_dir, f".tmp.{name.replace(os.sep, '_')}")
-        write_fn(tmp, *args)
-        staged.append((tmp, final))
-        return final
-
-    paths: dict[str, str] = {}
-    try:
-        if records:
-            est_rows = [
-                [rec.date, target, key, repr(est.alpha), repr(est.var),
-                 repr(est.es), str(est.n_tail), str(est.seed)]
-                for rec in records
-                if rec.error is None
-                for key, target, est in rec.estimates
-            ]
-            paths["estimates"] = stage("estimates.csv", _write_rows, ESTIMATES_HEADER, est_rows)
-            bt_rows = [rep.to_csv_row() for rep in reports]
-            paths["backtest"] = stage(
-                "backtest.csv", _write_rows, BacktestReport.CSV_HEADER, bt_rows
-            )
-
-            diag_rows = [
-                [rec.date, d.model_tag, d.init_mode, str(d.iterations),
-                 "true" if d.converged else "false", repr(d.final_loglik)]
-                for rec in records
-                for d in rec.fit_diagnostics
-            ]
-            paths["fit_diagnostics"] = stage(
-                "fit_diagnostics.csv", _write_rows, DIAGNOSTICS_HEADER, diag_rows
-            )
-
-            if final_models:
-                os.makedirs(os.path.join(out_dir, "models"), exist_ok=True)
-                for tag in sorted(final_models):
-                    paths[f"models/{tag}"] = stage(
-                        os.path.join("models", f"{tag}.json"),
-                        _write_json, final_models[tag].to_dict(),
-                    )
-
-        paths["manifest"] = stage("manifest.json", _write_json, manifest)
-        for tmp, final in staged:
-            os.replace(tmp, final)
-    finally:
-        for tmp, _ in staged:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-    return paths
-
-
-def _write_json(path: str, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return _commit(
+        out_dir, _run_files(records, reports, config, wall_clock_seconds, final_models)
+    )
 
 
 def report_sweep(
@@ -587,29 +579,23 @@ def report_sweep(
     out_dir: str,
     wall_clock_seconds: float | None = None,
 ) -> dict[str, str]:
-    """Write per-grid-value reports plus the verdict matrix CSV."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths: dict[str, str] = {}
-    for g, (records, reports) in sorted(results.items()):
-        sub = os.path.join(out_dir, f"short_{g:03d}")
-        cfg = replace(config, short_len=g)
-        subpaths = report(records, reports, cfg, sub)
-        for name, p in subpaths.items():
-            paths[f"short_{g:03d}/{name}"] = p
-    verdicts = os.path.join(out_dir, "sweep_verdicts.csv")
-    _write_rows(verdicts, SWEEP_HEADER, sweep_verdict_rows(results))
-    paths["sweep_verdicts"] = verdicts
-    manifest = {
-        "grid": sorted(results),
-        "config": config.to_dict(),
-        "versions": _versions(),
-        "wall_clock_seconds": wall_clock_seconds,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    }
-    mpath = os.path.join(out_dir, "sweep_manifest.json")
-    _write_json(mpath, manifest)
-    paths["sweep_manifest"] = mpath
-    return paths
+    """Write a sweep's reports to a directory; returns {name: path}.
+
+    Each grid value g gets a run report under short_<g>/ (zero-padded to
+    three digits) with config.short_len set to g; the directory also holds
+    sweep_verdicts.csv, one row per (g, model, target, alpha), and
+    sweep_manifest.json. Like report, the whole sweep is written all or
+    nothing.
+    """
+
+    def files():
+        for g, (records, reports) in sorted(results.items()):
+            for rel, content in _run_files(records, reports, replace(config, short_len=g)):
+                yield f"short_{g:03d}/{rel}", content
+        yield "sweep_verdicts.csv", (SWEEP_HEADER, sweep_verdict_rows(results))
+        yield "sweep_manifest.json", _manifest(config, wall_clock_seconds, grid=sorted(results))
+
+    return _commit(out_dir, files())
 
 
 def make_scenario_writer(out_dir: str):

@@ -38,15 +38,12 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .timeseries import ReturnPanel
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
 def _as_matrix(data) -> np.ndarray:
     """Coerce samples to an (N, k) float matrix; 1-D input means k = 1."""
-    if isinstance(data, ReturnPanel):
-        return data.returns
     X = np.asarray(data, dtype=float)
     if X.ndim == 1:
         X = X[:, None]

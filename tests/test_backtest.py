@@ -330,7 +330,7 @@ def test_backtest_report_without_statistics():
     loss = quadratic_loss(np.array([-0.02, 0.0]), np.array([-0.01, -0.01]))
     rep = BacktestReport(
         model_tag="hs", ticker="B", alpha=0.05,
-        hit_seq=seq, christoffersen=None, loss=loss, note="too short",
+        hit_seq=seq, christoffersen=None, loss=loss,
     )
     fields = rep.to_csv_row()
     assert fields[5] == "" and fields[10] == ""

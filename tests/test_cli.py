@@ -157,6 +157,19 @@ def test_config_file_unknown_key(prices_csv, tmp_path):
     assert code == 2
 
 
+def test_sweep_config_file_cannot_ask_for_scenario_dumps(prices_csv, tmp_path, capsys):
+    # scenario dumps come only from run --dump-scenarios; a config file that
+    # asks a sweep for them is rejected instead of writing nothing
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"models": ["gmm"], "dump_scenarios": True}))
+    out = tmp_path / "s"
+    code = main(["sweep", "--prices", prices_csv, "--config", str(cfg_path),
+                 "--out", str(out), "--param", "sigma-short", "--grid", "20,30"])
+    assert code == 2
+    assert "unknown config keys" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_grid_colon_syntax(prices_csv, tmp_path):
     out = tmp_path / "sweep"
     code = main([

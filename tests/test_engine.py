@@ -105,7 +105,6 @@ def test_run_config_dict_round_trip():
         "seed": 11,
         "portfolio": {"tickers": ["A", "B"], "weights": [0.3, 0.7]},
         "warm_start": True,
-        "dump_scenarios": False,
     }
     again = RunConfig.from_dict(cfg.to_dict())
     assert again.models == cfg.models
@@ -375,7 +374,31 @@ def test_report_writes_expected_files(small_run, tmp_path):
 
     model_blob = json.loads((out / "models" / "gmm2.json").read_text())
     assert "weights" in model_blob
-    assert isinstance(paths, dict) and paths
+    assert paths == {
+        name: os.path.join(str(out), rel)
+        for name, rel in (
+            ("estimates", "estimates.csv"), ("backtest", "backtest.csv"),
+            ("fit_diagnostics", "fit_diagnostics.csv"),
+            ("models/gmm2", "models/gmm2.json"), ("manifest", "manifest.json"),
+        )
+    }
+    assert sorted(os.listdir(out)) == [
+        "backtest.csv", "estimates.csv", "fit_diagnostics.csv", "manifest.json", "models"
+    ]
+
+
+class _UnwritableModel:
+    def to_dict(self):
+        raise OSError("checkpoint cannot be serialised")
+
+
+def test_report_failure_leaves_no_file(small_run, tmp_path):
+    # the checkpoint fails after the three CSVs went to temporaries
+    _, cfg, records, reports = small_run
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="checkpoint"):
+        report(records, reports, cfg, str(out), final_models={"gmm2": _UnwritableModel()})
+    assert [p for p in out.rglob("*")] == []
 
 
 def test_report_csv_bytes_stable(small_run, tmp_path):
@@ -393,13 +416,41 @@ def test_report_sweep_layout(tmp_path):
         short_len=30, paths=150, eval_days=10, seed=1,
     )
     results = sweep_sigma_short(panel, cfg, [15, 30])
-    report_sweep(results, cfg, str(tmp_path / "sw"))
-    assert (tmp_path / "sw" / "short_015" / "estimates.csv").exists()
-    assert (tmp_path / "sw" / "short_030" / "backtest.csv").exists()
+    paths = report_sweep(results, cfg, str(tmp_path / "sw"))
+    names = [
+        f"short_{g}/{name}" for g in ("015", "030")
+        for name in ("estimates", "backtest", "fit_diagnostics", "manifest")
+    ] + ["sweep_verdicts", "sweep_manifest"]
+    assert sorted(paths) == sorted(names)
+    for name, path in paths.items():
+        assert os.path.isfile(path) and path.startswith(str(tmp_path / "sw" / name))
     verdicts = (tmp_path / "sw" / "sweep_verdicts.csv").read_text().splitlines()
     assert verdicts[0] == "sigma_short,model_tag,ticker,alpha,n,x,verdict"
     assert len(verdicts) == 1 + 4
-    assert (tmp_path / "sw" / "sweep_manifest.json").exists()
+    manifest = json.loads((tmp_path / "sw" / "sweep_manifest.json").read_text())
+    assert manifest["grid"] == [15, 30]
+    short = json.loads((tmp_path / "sw" / "short_015" / "manifest.json").read_text())
+    assert short["config"]["short_len"] == 15 and short["n_days"] == 10
+
+
+def test_report_sweep_failure_leaves_no_file(tmp_path, monkeypatch):
+    # the verdict matrix fails after both grid values' reports went to
+    # temporaries: the sweep is written all or nothing, like a run
+    panel = make_panel(170, ("A", "B"), seed=2)
+    cfg = RunConfig(
+        models=("gmm",), n_components=(2,), alphas=(0.05,), long_len=120,
+        short_len=30, paths=150, eval_days=10, seed=1,
+    )
+    results = sweep_sigma_short(panel, cfg, [15, 30])
+
+    def fail(results):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("riskengine.engine.sweep_verdict_rows", fail)
+    out = tmp_path / "sw"
+    with pytest.raises(OSError, match="disk full"):
+        report_sweep(results, cfg, str(out))
+    assert [p for p in out.rglob("*")] == []
 
 
 def test_make_scenario_writer_round_trips_through_np_load(tmp_path):
@@ -413,8 +464,7 @@ def test_make_scenario_writer_round_trips_through_np_load(tmp_path):
 
 def test_run_backtest_scenario_writer_called(panel_3assets, tmp_path):
     cfg = RunConfig(
-        **{**SMALL, "models": ("gmm",), "alphas": (0.05,), "eval_days": 2,
-           "dump_scenarios": True}
+        **{**SMALL, "models": ("gmm",), "alphas": (0.05,), "eval_days": 2}
     )
     writer = make_scenario_writer(str(tmp_path))
     run_backtest(panel_3assets, cfg, scenario_writer=writer)
@@ -424,10 +474,8 @@ def test_run_backtest_scenario_writer_called(panel_3assets, tmp_path):
 
 
 def test_run_backtest_calls_a_writer_without_dump_scenarios(panel_3assets):
-    # the scenario_writer argument alone decides; dump_scenarios is a CLI
-    # setting and defaults to False
+    # the scenario_writer argument alone decides; no config field enters
     cfg = RunConfig(**{**SMALL, "models": ("gmm", "hs", "gbm_mc"), "eval_days": 2})
-    assert cfg.dump_scenarios is False
     calls = []
     run_backtest(panel_3assets, cfg, scenario_writer=lambda *a: calls.append(a))
     assert [(tag, holding.shape) for _, tag, holding in calls] == [
@@ -465,7 +513,7 @@ def test_run_backtest_gmm_rows_and_dumps_match_the_object_path(panel_3assets, tm
     # rescaled scenarios
     tickers = ("AAA", "BBB", "CCC")
     cfg = RunConfig(
-        **{**SMALL, "models": ("gmm",), "eval_days": 4, "dump_scenarios": True},
+        **{**SMALL, "models": ("gmm",), "eval_days": 4},
         portfolio=PortfolioSpec.equal(tickers),
     )
     records, _ = run_backtest(
