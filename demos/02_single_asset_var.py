@@ -45,7 +45,7 @@ def main():
 
     ratio = np.std(window[-30:]) / np.std(window)
     model, rep = fit(window, 2, settings=EmSettings(seed=3))
-    scen = simulate_gmm(model, m=20000, horizon=1, seed=17)
+    scen = simulate_gmm(model, m=20000, seed=17)
     scaled = rescale(scen, [ratio])
 
     print(f"short/long vol ratio: {ratio:.3f}  (fit {rep.iterations} iters)")
@@ -53,15 +53,15 @@ def main():
     print(f"{'model':<22} {'VaR 95%':>10} {'ES 95%':>10} {'VaR 99%':>10}")
     for alpha in (0.05,):
         rows = [
-            ("mixture MC", var_es(scen[:, 0, 0], alpha)),
-            ("mixture MC, rescaled", var_es(scaled[:, 0, 0], alpha)),
+            ("mixture MC", var_es(scen[:, 0], alpha)),
+            ("mixture MC, rescaled", var_es(scaled[:, 0], alpha)),
             ("historical", historical_var(window, alpha)),
             ("parametric normal", parametric_var(window, alpha)),
             ("GBM Monte Carlo", gbm_mc_var(window, alpha, m=20000, seed=5)),
         ]
         deep = {
-            "mixture MC": var_es(scen[:, 0, 0], 0.01),
-            "mixture MC, rescaled": var_es(scaled[:, 0, 0], 0.01),
+            "mixture MC": var_es(scen[:, 0], 0.01),
+            "mixture MC, rescaled": var_es(scaled[:, 0], 0.01),
             "historical": historical_var(window, 0.01),
             "parametric normal": parametric_var(window, 0.01),
             "GBM Monte Carlo": gbm_mc_var(window, 0.01, m=20000, seed=5),

@@ -36,7 +36,6 @@ def main():
         long_len=252,
         short_len=60,
         paths=2000,
-        horizon=1,
         eval_days=250,
         seed=99,
         portfolio=PortfolioSpec.equal(panel.tickers),

@@ -38,7 +38,6 @@ def main():
         long_len=252,
         short_len=60,  # placeholder, the sweep overrides it
         paths=5000,
-        horizon=1,
         eval_days=30,
         seed=13,
     )

@@ -89,12 +89,12 @@ def parametric_columns(window, alphas):
     return var, es
 
 
-def calibrate_gbm(window_returns, dt: float = 1.0):
-    """Per-asset drift/volatility and shock correlation from a window.
+def calibrate_gbm(window_returns):
+    """Per-asset one-day drift/volatility and shock correlation from a window.
 
-    Drifts are mean log return / dt, volatilities population std / sqrt(dt).
-    The correlation matrix comes from the same window; a single asset gets
-    the 1x1 identity.
+    Drifts are the mean log returns, volatilities the population stds. The
+    correlation matrix comes from the same window; a single asset gets the
+    1x1 identity.
     """
     X = np.asarray(window_returns, dtype=float)
     if X.ndim == 1:
@@ -103,14 +103,11 @@ def calibrate_gbm(window_returns, dt: float = 1.0):
         raise InsufficientDataError("calibration window needs >= 2 rows")
     if not np.all(np.isfinite(X)):
         raise ValidationError("window contains non-finite returns")
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    sigmas_step = np.std(X, axis=0)
-    if np.any(sigmas_step == 0.0):
-        bad = int(np.argmax(sigmas_step == 0.0))
+    sigmas = np.std(X, axis=0)
+    if np.any(sigmas == 0.0):
+        bad = int(np.argmax(sigmas == 0.0))
         raise DegenerateDataError(f"asset column {bad} has zero variance")
-    mus = X.mean(axis=0) / dt
-    sigmas = sigmas_step / np.sqrt(dt)
+    mus = X.mean(axis=0)
     if X.shape[1] == 1:
         corr = np.ones((1, 1))
     else:
@@ -124,12 +121,11 @@ def gbm_mc_var(
     m: int,
     seed: int,
     portfolio: PortfolioSpec | None = None,
-    horizon: int = 1,
 ) -> RiskEstimate:
-    """GBM Monte Carlo VaR/ES calibrated on a return window.
+    """One-day GBM Monte Carlo VaR/ES calibrated on a return window.
 
-    Simulates correlated arithmetic-Euler paths from unit initial prices and
-    evaluates the portfolio log return ln(w . S_T) (price-space
+    Simulates one correlated arithmetic-Euler day from unit initial prices
+    and evaluates the portfolio log return ln(w . S_1) (price-space
     aggregation; w . S_0 = 1 when weights sum to one). A single asset, or
     portfolio=None with a one-column window, reduces to the asset itself.
     """
@@ -149,16 +145,14 @@ def gbm_mc_var(
             )
         weights = portfolio.weights
     try:
-        scen = simulate_gbm_portfolio(
-            np.ones(n_assets), mus, sigmas, corr, m, horizon, seed
-        )
+        scen = simulate_gbm_portfolio(np.ones(n_assets), mus, sigmas, corr, m, seed)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"shock correlation matrix is not positive definite ({exc}); "
             f"check the window for collinear or constant assets"
         ) from exc
     return var_es(
-        price_space_returns(scen.sum(axis=1), weights),
+        price_space_returns(scen, weights),
         alpha, model_tag="gbm_mc", seed=seed,
     )
 

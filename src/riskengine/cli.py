@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window-long", type=int, dest="window_long")
         p.add_argument("--window-short", type=int, dest="window_short")
         p.add_argument("--paths", type=int)
-        p.add_argument("--horizon", type=int)
         p.add_argument("--days", type=int, help="number of evaluation days")
         p.add_argument("--seed", type=int)
         p.add_argument(
@@ -143,7 +142,6 @@ def _load_config(args) -> RunConfig:
         ("window_long", "long_len"),
         ("window_short", "short_len"),
         ("paths", "paths"),
-        ("horizon", "horizon"),
         ("days", "eval_days"),
         ("seed", "seed"),
     ):

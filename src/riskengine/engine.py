@@ -53,6 +53,7 @@ from .scenario import column_std, rescale, simulate_gbm_portfolio
 from .timeseries import PricePanel, ReturnPanel, log_returns
 
 MODEL_CHOICES = ("gmm", "hs", "param", "gbm_mc")
+_INT_FIELDS = ("long_len", "short_len", "paths", "horizon", "eval_days", "seed")
 PORTFOLIO_TICKER = "PORTFOLIO"
 
 ESTIMATES_HEADER = "date,ticker,model_tag,alpha,var,es,n_tail,seed"
@@ -68,9 +69,19 @@ def derive_seed(root_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a backtest run depends on besides the price panel."""
+    """Everything a backtest run depends on besides the price panel.
+
+    Backtests score one-day forecasts against the next day's return, so
+    horizon must be 1; the field stays so that configs naming it still load.
+    Integer fields reject floats and bools, so that a value arriving as JSON
+    is never truncated or coerced.
+    """
 
     models: tuple[str, ...] = ("gmm", "hs", "param", "gbm_mc")
     n_components: tuple[int, ...] = (3, 4, 5, 6)
@@ -85,8 +96,18 @@ class RunConfig:
     warm_start: bool = True
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        components = tuple(self.n_components)
+        if not all(_is_int(c) for c in components):
+            raise ConfigError(f"n_components must hold integers, got {list(components)}")
+        if not isinstance(self.warm_start, bool):
+            raise ConfigError(f"warm_start must be true or false, got {self.warm_start!r}")
         object.__setattr__(self, "models", tuple(self.models))
-        object.__setattr__(self, "n_components", tuple(int(c) for c in self.n_components))
+        object.__setattr__(self, "n_components", tuple(int(c) for c in components))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         if not self.models:
             raise ConfigError("models must not be empty")
@@ -111,8 +132,10 @@ class RunConfig:
             )
         if self.paths < 100:
             raise ConfigError(f"paths must be >= 100, got {self.paths}")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        if self.horizon != 1:
+            raise ConfigError(
+                f"backtests score one-day forecasts only; got horizon {self.horizon}"
+            )
         if self.eval_days < 1:
             raise ConfigError(f"eval_days must be >= 1, got {self.eval_days}")
         if self.seed < 0:
@@ -213,8 +236,7 @@ def run_backtest(
     return. GMM asset VaR/ES is read from the unscaled scenarios and scaled
     by the short/long volatility ratio (positive homogeneity); the GMM
     portfolio is re-aggregated from the ratio-scaled holdings. Baselines run
-    on the same window unadjusted. Backtests are one-day only: the realized
-    return is one day, so a config with horizon > 1 raises ConfigError.
+    on the same window unadjusted.
 
     scenario_writer, when given, is called as writer(date, model_tag,
     holding) for each valid Monte Carlo model-day, with holding the day's
@@ -237,18 +259,14 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
     """The day loop behind run_backtest and sweep_sigma_short.
 
     Once per day, in _day_parts: the long slice and its volatilities, every
-    fit, one draw per Monte Carlo tag (horizon is 1, so a gmm holding is one
-    sample() call) and one VaR/ES block per tag, gmm's on the unscaled
-    holdings. Once per (day, g), in _short_rows: the vol ratios, the
-    rescaled gmm holdings, the gmm blocks the ratios scale, the gmm
-    portfolio and the rows; a scenario writer gets the same holdings. An
-    error in the per-day part invalidates the day for every g, one in the
-    per-g part only that (day, g). Returns {g: (records, reports)}.
+    fit, one draw per Monte Carlo tag (a gmm holding is one sample() call)
+    and one VaR/ES block per tag, gmm's on the unscaled holdings. Once per
+    (day, g), in _short_rows: the vol ratios, the rescaled gmm holdings, the
+    gmm blocks the ratios scale, the gmm portfolio and the rows; a scenario
+    writer gets the same holdings. An error in the per-day part invalidates
+    the day for every g, one in the per-g part only that (day, g). Returns
+    {g: (records, reports)}.
     """
-    if config.horizon != 1:
-        raise ConfigError(
-            f"backtests score one-day forecasts only; got horizon {config.horizon}"
-        )
     n_rows = returns.n_rows
     if config.long_len + config.eval_days > n_rows:
         raise ConfigError(
@@ -344,9 +362,8 @@ def _day_parts(i, long_w, config, prev_models, diags, parts):
             seed = derive_seed(config.seed, i, mi, 1)
             mus, sigmas, corr = calibrate_gbm(long_w)
             holding = columns = simulate_gbm_portfolio(
-                np.ones(long_w.shape[1]), mus, sigmas, corr,
-                config.paths, config.horizon, seed,
-            )[:, 0]
+                np.ones(long_w.shape[1]), mus, sigmas, corr, config.paths, seed
+            )
             if weights is not None:
                 series = price_space_returns(columns, weights)
         else:
@@ -601,14 +618,16 @@ def report_sweep(
 def make_scenario_writer(out_dir: str):
     """Writer callback saving each Monte Carlo model-day's scenarios.
 
-    Each call saves the (paths, assets) array of simulated log returns, its
-    columns in panel ticker order, to <out_dir>/scenarios/<date>_<model>.npy;
-    np.load reads it back.
+    Each call saves the (paths, assets) array of simulated one-day log
+    returns, its columns in panel ticker order, to
+    <out_dir>/scenarios/<date>_<model>.npy; np.load reads it back. The
+    directory is created by the first write, so a run that fails before
+    its first valid Monte Carlo day leaves none behind.
     """
     scen_dir = os.path.join(out_dir, "scenarios")
-    os.makedirs(scen_dir, exist_ok=True)
 
     def write(date: str, model_tag: str, holding: np.ndarray) -> None:
+        os.makedirs(scen_dir, exist_ok=True)
         np.save(os.path.join(scen_dir, f"{date}_{model_tag}.npy"), holding)
 
     return write

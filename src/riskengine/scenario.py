@@ -1,21 +1,20 @@
-"""Scenario generation: mixture draws, GBM paths, volatility rescaling.
+"""Scenario generation: mixture draws, GBM steps, volatility rescaling.
 
-Scenarios are plain float arrays of log returns shaped (paths, horizon,
+Scenarios are one-day log returns in plain float arrays shaped (paths,
 assets). Every simulator rejects non-finite output with ValidationError,
 and rescale multiplies the last axis of any array by one positive ratio per
 asset, returning a new array.
 
 Two GBM discretizations are implemented literally and never mixed. The
-single-asset form is exponential, S_t = S_{t-1} exp(mu dt + sigma eps
+single-asset form is exponential, S_1 = S_0 exp(mu dt + sigma eps
 sqrt(dt)), so prices stay positive by construction. The portfolio form is
-the arithmetic Euler step S_t = S_{t-1}(1 + mu dt) + S_{t-1} sigma xi
-sqrt(dt) with correlated shocks xi = A eps, where A is the Cholesky factor
-of the shock correlation matrix. The two agree in distribution only up to
-O(dt), which is why neither is expressed through the other.
+the arithmetic Euler step over one day, S_1 = S_0 (1 + mu) + S_0 sigma xi
+with correlated shocks xi = A eps, where A is the Cholesky factor of the
+shock correlation matrix. The two agree in distribution only up to O(dt),
+which is why neither is expressed through the other.
 
-Reproducibility: every simulator takes an integer seed and consumes draws
-step by step from numpy's default Generator, so a run with horizon T shares
-its first T' < T steps with a shorter run under the same seed.
+Reproducibility: every simulator takes an integer seed and draws from one
+numpy default Generator seeded with it.
 """
 
 from __future__ import annotations
@@ -56,11 +55,9 @@ def column_std(w: np.ndarray) -> np.ndarray:
     return np.std(np.ascontiguousarray(w.T), axis=1)
 
 
-def _check_counts(m: int, horizon: int):
+def _check_paths(m: int):
     if m < 1:
         raise ValidationError(f"need at least one path, got {m}")
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
 
 
 def _finite(returns: np.ndarray) -> np.ndarray:
@@ -69,69 +66,41 @@ def _finite(returns: np.ndarray) -> np.ndarray:
     return returns
 
 
-def simulate_gmm(
-    model: _gmm.GaussianMixtureModel, m: int, horizon: int, seed: int
-) -> np.ndarray:
-    """Draw m x horizon i.i.d. step returns from a fitted mixture.
+def simulate_gmm(model: _gmm.GaussianMixtureModel, m: int, seed: int) -> np.ndarray:
+    """Draw m i.i.d. one-day returns from a fitted mixture.
 
-    Returns an (m, horizon, dim) array. Each step consumes one stratified
-    sample() call on a Generator seeded once from ``seed``; steps are drawn
-    in time order.
+    Returns an (m, dim) array: one stratified sample() call on a Generator
+    seeded from ``seed``.
     """
-    _check_counts(m, horizon)
-    gen = np.random.default_rng(seed)
-    steps = [_gmm.sample(model, m, gen) for _ in range(horizon)]
-    return _finite(np.stack(steps, axis=1))
+    return _finite(_gmm.sample(model, m, np.random.default_rng(seed)))
 
 
 def simulate_gbm_single(
-    s0: float,
-    params: GbmParams,
-    m: int,
-    horizon: int,
-    seed: int,
+    s0: float, params: GbmParams, m: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exponential-form GBM paths for one asset.
+    """One exponential-form GBM step of length params.dt for one asset.
 
-    Returns the per-step log returns (m, horizon, 1) and the price paths
-    (m, horizon + 1) including the initial price column. Per step, the
-    Generator yields m standard normals.
+    Returns the log returns (m, 1) and the end prices (m,). The Generator
+    yields m standard normals.
     """
     if not np.isfinite(s0) or s0 <= 0:
         raise ValidationError(f"initial price must be positive, got {s0}")
-    _check_counts(m, horizon)
-    gen = np.random.default_rng(seed)
-    drift = params.mu * params.dt
-    scale = params.sigma * np.sqrt(params.dt)
-    log_steps = np.empty((m, horizon))
-    for t in range(horizon):
-        log_steps[:, t] = drift + scale * gen.standard_normal(m)
-    prices = np.empty((m, horizon + 1))
-    prices[:, 0] = s0
-    prices[:, 1:] = s0 * np.exp(np.cumsum(log_steps, axis=1))
-    return _finite(log_steps[:, :, None]), prices
+    _check_paths(m)
+    eps = np.random.default_rng(seed).standard_normal(m)
+    log_step = params.mu * params.dt + params.sigma * np.sqrt(params.dt) * eps
+    return _finite(log_step[:, None]), s0 * np.exp(log_step)
 
 
-def simulate_gbm_portfolio(
-    s0,
-    mus,
-    sigmas,
-    corr,
-    m: int,
-    horizon: int,
-    seed: int,
-    dt: float = 1.0,
-) -> np.ndarray:
-    """Arithmetic-Euler GBM paths for several correlated assets.
+def simulate_gbm_portfolio(s0, mus, sigmas, corr, m: int, seed: int) -> np.ndarray:
+    """One arithmetic-Euler GBM day for several correlated assets.
 
-    Returns the per-step log returns, shaped (m, horizon, n_assets).
-    Step: S_t = S_{t-1} (1 + mu dt) + S_{t-1} sigma xi sqrt(dt), with
-    xi = A eps and A the Cholesky factor of corr. Per step, the Generator
-    yields an (m, n_assets) block of standard normals. Raises
-    numpy.linalg.LinAlgError when corr cannot be factorized (no repair is
-    attempted), NumericError if any path's price hits zero or below, which
-    the arithmetic step does not preclude, and ValidationError if a price
-    overflows, so that a log return is not finite.
+    Returns the log returns ln(S_1 / S_0), shaped (m, n_assets), of the step
+    S_1 = S_0 (1 + mu) + S_0 sigma xi, with xi = A eps, A the Cholesky
+    factor of corr and eps one (m, n_assets) block of standard normals.
+    Raises numpy.linalg.LinAlgError when corr cannot be factorized (no
+    repair is attempted), NumericError if any path's price hits zero or
+    below, which the arithmetic step does not preclude, and ValidationError
+    if a price overflows, so that a log return is not finite.
     """
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
@@ -147,41 +116,30 @@ def simulate_gbm_portfolio(
         raise ValidationError("initial prices must be positive and finite")
     if np.any(sigmas < 0) or not np.all(np.isfinite(sigmas)) or not np.all(np.isfinite(mus)):
         raise ValidationError("mus/sigmas must be finite, sigmas non-negative")
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
     if np.max(np.abs(corr - corr.T)) > 1e-12:
         raise ValidationError("correlation matrix must be symmetric")
     if np.max(np.abs(np.diag(corr) - 1.0)) > 1e-12:
         raise ValidationError("correlation matrix must have a unit diagonal")
-    _check_counts(m, horizon)
+    _check_paths(m)
 
     A = np.linalg.cholesky(corr)
-    gen = np.random.default_rng(seed)
-    sqdt = np.sqrt(dt)
-    prices = np.tile(s0, (m, 1))
-    log_steps = np.empty((m, horizon, n))
-    for t in range(horizon):
-        eps = gen.standard_normal((m, n))
-        xi = eps @ A.T
-        nxt = prices * (1.0 + mus * dt) + prices * sigmas * xi * sqdt
-        if np.any(nxt <= 0.0):
-            raise NumericError(
-                f"arithmetic Euler step produced a non-positive price at "
-                f"step {t + 1}; parameters too coarse for this step size"
-            )
-        log_steps[:, t, :] = np.log(nxt / prices)
-        prices = nxt
-    return _finite(log_steps)
+    xi = np.random.default_rng(seed).standard_normal((m, n)) @ A.T
+    prices = s0 * (1.0 + mus) + s0 * sigmas * xi
+    if np.any(prices <= 0.0):
+        raise NumericError(
+            "arithmetic Euler step produced a non-positive price; "
+            "parameters too coarse for a one-day step"
+        )
+    return _finite(np.log(prices / s0))
 
 
 def rescale(returns, ratios) -> np.ndarray:
     """Multiply the last axis of returns by one volatility ratio per asset.
 
     returns is any array whose last axis holds the assets, such as a
-    (paths, assets) holding or a (paths, horizon, assets) scenario array,
-    so every step of a multi-step horizon is scaled. ratios holds one
-    positive, finite float per asset; returns must be finite. Returns a new
-    array and leaves the input untouched.
+    (paths, assets) scenario array. ratios holds one positive, finite float
+    per asset; returns must be finite. Returns a new array and leaves the
+    input untouched.
     """
     returns = np.asarray(returns, dtype=float)
     factors = np.asarray(ratios, dtype=float)

@@ -284,9 +284,9 @@ def test_criterion_09_gbm_moments():
     mu, sigma, delta = 0.05, 0.2, 1 / 252
     m = 100000
     scen, _ = simulate_gbm_single(
-        s0=100.0, params=GbmParams(mu=mu, sigma=sigma, dt=delta), m=m, horizon=1, seed=4
+        s0=100.0, params=GbmParams(mu=mu, sigma=sigma, dt=delta), m=m, seed=4
     )
-    steps = scen[:, 0, 0]
+    steps = scen[:, 0]
     se_mean = sigma * np.sqrt(delta) / np.sqrt(m)
     se_std = sigma * np.sqrt(delta) / np.sqrt(2 * m)
     assert abs(steps.mean() - mu * delta) <= 3 * se_mean
@@ -295,9 +295,9 @@ def test_criterion_09_gbm_moments():
     corr = np.array([[1.0, 0.8], [0.8, 1.0]])
     scen2 = simulate_gbm_portfolio(
         s0=np.array([1.0, 1.0]), mus=np.zeros(2), sigmas=np.array([0.01, 0.01]),
-        corr=corr, m=m, horizon=1, seed=8,
+        corr=corr, m=m, seed=8,
     )
-    realized = np.corrcoef(scen2[:, 0, 0], scen2[:, 0, 1])[0, 1]
+    realized = np.corrcoef(scen2[:, 0], scen2[:, 1])[0, 1]
     assert realized == pytest.approx(0.8, abs=0.02)
     print("ACCEPTANCE 9 PASS")
 

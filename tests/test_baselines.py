@@ -136,15 +136,6 @@ def test_calibrate_gbm_oracle():
     np.testing.assert_allclose(corr, np.eye(2), atol=1e-14)
 
 
-def test_calibrate_gbm_dt_scaling():
-    rng = np.random.default_rng(2)
-    w = rng.normal(0.001, 0.01, (300, 1))
-    mus_daily, sig_daily, _ = calibrate_gbm(w, dt=1.0)
-    mus_annual, sig_annual, _ = calibrate_gbm(w, dt=1 / 252)
-    assert mus_annual[0] == pytest.approx(mus_daily[0] * 252, rel=1e-12)
-    assert sig_annual[0] == pytest.approx(sig_daily[0] * np.sqrt(252), rel=1e-12)
-
-
 def test_calibrate_gbm_constant_column_named():
     window = np.column_stack([np.zeros(50), np.arange(50.0)])
     with pytest.raises(DegenerateDataError, match="0"):

@@ -112,11 +112,31 @@ def test_run_config_errors_exit_2(prices_csv, tmp_path):
 
 
 def test_run_multi_day_horizon_exits_2(prices_csv, tmp_path, capsys):
+    cfg = tmp_path / "h10.json"
+    cfg.write_text(json.dumps({"horizon": 10}))
     out = tmp_path / "h10"
     code = main(["run", "--prices", prices_csv, "--out", str(out), *RUN_FLAGS,
-                 "--horizon", "10"])
+                 "--config", str(cfg)])
     assert code == 2
     assert "horizon 10" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_mistyped_config_value_exits_2(prices_csv, tmp_path, capsys):
+    cfg = tmp_path / "paths.json"
+    cfg.write_text(json.dumps({"paths": 150.5}))
+    out = tmp_path / "o"
+    code = main(["run", "--prices", prices_csv, "--out", str(out), "--config", str(cfg)])
+    assert code == 2
+    assert "paths" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_failing_before_first_day_leaves_no_scenario_dir(prices_csv, tmp_path):
+    out = tmp_path / "dump"
+    code = main(["run", "--prices", prices_csv, "--out", str(out), *RUN_FLAGS,
+                 "--days", "100000", "--dump-scenarios"])
+    assert code == 2
     assert not out.exists()
 
 

@@ -114,6 +114,30 @@ def test_run_config_dict_round_trip():
         RunConfig.from_dict({"models": ["gmm"], "mystery_knob": 3})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("paths", 150.5),
+    ("seed", 1.5),
+    ("long_len", 120.0),
+    ("short_len", True),
+    ("eval_days", "12"),
+    ("horizon", 1.0),
+    ("n_components", [2.5]),
+    ("n_components", [True]),
+    ("warm_start", "no"),
+    ("warm_start", 0),
+])
+def test_run_config_from_dict_rejects_mistyped_values(key, value):
+    # JSON numbers and strings must not be truncated or coerced into a run
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_dict({**SMALL, key: value})
+
+
+def test_run_config_accepts_numpy_ints():
+    cfg = RunConfig(**{**SMALL, "paths": np.int64(150), "n_components": np.array([2])})
+    assert type(cfg.paths) is int and cfg.n_components == (2,)
+    json.dumps(cfg.to_dict())
+
+
 def test_run_backtest_day_bookkeeping(small_run):
     panel, cfg, records, reports = small_run
     rets = log_returns(panel)
@@ -223,13 +247,13 @@ def test_run_backtest_panel_too_short():
         run_backtest(panel, RunConfig(**SMALL))
 
 
-def test_run_backtest_rejects_multi_day_horizon(panel_3assets):
-    # the realized return is one day, so an h-day VaR cannot be scored on it
-    cfg = RunConfig(**{**SMALL, "horizon": 10})
+def test_run_backtest_rejects_multi_day_horizon():
+    # the realized return is one day, so an h-day VaR cannot be scored on it;
+    # the config fails as it is built, before any run or sweep starts
     with pytest.raises(ConfigError, match="horizon 10"):
-        run_backtest(panel_3assets, cfg)
+        RunConfig(**{**SMALL, "horizon": 10})
     with pytest.raises(ConfigError, match="horizon 10"):
-        sweep_sigma_short(panel_3assets, cfg, [10, 20])
+        RunConfig.from_dict({**SMALL, "horizon": 10})
 
 
 def test_run_backtest_portfolio_ticker_mismatch(panel_3assets):
@@ -497,9 +521,8 @@ def test_run_backtest_gbm_mc_dump_is_the_simulation(panel_3assets, tmp_path):
     for i, rec in enumerate(records):
         long_w = returns[i : i + cfg.long_len]
         expected = simulate_gbm_portfolio(
-            np.ones(3), *calibrate_gbm(long_w), cfg.paths, 1,
-            derive_seed(cfg.seed, i, mi, 1),
-        )[:, 0]
+            np.ones(3), *calibrate_gbm(long_w), cfg.paths, derive_seed(cfg.seed, i, mi, 1)
+        )
         dumped = np.load(tmp_path / "scenarios" / f"{rec.date}_gbm_mc.npy")
         assert dumped.shape == (cfg.paths, 3)
         assert dumped.tobytes() == expected.tobytes()
@@ -528,11 +551,10 @@ def test_run_backtest_gmm_rows_and_dumps_match_the_object_path(panel_3assets, tm
         long_w = returns[i : i + cfg.long_len]
         model, _ = fit(long_w, 2, init=model, settings=EmSettings(seed=derive_seed(cfg.seed, i, 0, 0)))
         seed = derive_seed(cfg.seed, i, 0, 1)
-        scen = simulate_gmm(model, cfg.paths, 1, seed)
+        holding = simulate_gmm(model, cfg.paths, seed)
         ratios = np.array(
             [np.std(long_w[-cfg.short_len :, c]) / np.std(long_w[:, c]) for c in range(3)]
         )
-        holding = scen[:, 0, :]
         expected = [
             ("gmm2", t, adjust(var_es(holding[:, c], a, model_tag="gmm2", seed=seed), ratios[c]))
             for c, t in enumerate(tickers)
@@ -543,7 +565,7 @@ def test_run_backtest_gmm_rows_and_dumps_match_the_object_path(panel_3assets, tm
             for a in cfg.alphas
         ]
         assert list(rec.estimates) == expected
-        ref_writer(rec.date, "gmm2", rescale(scen, ratios)[:, 0])
+        ref_writer(rec.date, "gmm2", rescale(holding, ratios))
 
     names = sorted(os.listdir(tmp_path / "run" / "scenarios"))
     assert len(names) == 4

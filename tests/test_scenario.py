@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from riskengine import (
     GbmParams,
     rescale,
+    sample,
     simulate_gbm_portfolio,
     simulate_gbm_single,
     simulate_gmm,
 )
 from riskengine.errors import NumericError, ShapeError, ValidationError
 from riskengine.scenario import column_std
+
+from conftest import random_mixture
 
 
 # ------------------------------------------------------------- vol ratios
@@ -38,17 +41,26 @@ def test_column_std_equals_per_column_std_bit_for_bit(n_rows, n_cols, scale, see
 
 
 def test_simulate_gmm_shape_and_determinism(mix_1d):
-    scen = simulate_gmm(mix_1d, m=300, horizon=5, seed=77)
+    scen = simulate_gmm(mix_1d, m=300, seed=77)
     assert type(scen) is np.ndarray and scen.dtype == float
-    assert scen.shape == (300, 5, 1)
-    again = simulate_gmm(mix_1d, m=300, horizon=5, seed=77)
+    assert scen.shape == (300, 1)
+    again = simulate_gmm(mix_1d, m=300, seed=77)
     np.testing.assert_array_equal(scen, again)
-    other = simulate_gmm(mix_1d, m=300, horizon=5, seed=78)
+    other = simulate_gmm(mix_1d, m=300, seed=78)
     assert not np.array_equal(scen, other)
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_simulate_gmm_is_one_sample_call(dim):
+    # the draw contract: one stratified sample() on a Generator seeded once
+    model = random_mixture(np.random.default_rng(dim), 3, dim)
+    got = simulate_gmm(model, 500, 41)
+    expected = sample(model, 500, np.random.default_rng(41))
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_simulate_gmm_moments(mix_1d):
-    scen = simulate_gmm(mix_1d, m=20000, horizon=2, seed=5)
+    scen = simulate_gmm(mix_1d, m=20000, seed=5)
     flat = scen.reshape(-1)
     true_mean = float(mix_1d.weights @ mix_1d.means[:, 0])
     assert flat.mean() == pytest.approx(true_mean, abs=0.05)
@@ -59,38 +71,32 @@ def test_simulate_gmm_moments(mix_1d):
 
 def test_gbm_single_price_identity():
     params = GbmParams(mu=0.05, sigma=0.2, dt=1 / 252)
-    scen, prices = simulate_gbm_single(s0=50.0, params=params, m=200, horizon=3, seed=3)
-    assert prices.shape == (200, 4)
-    assert np.all(prices[:, 0] == 50.0)
+    scen, prices = simulate_gbm_single(s0=50.0, params=params, m=200, seed=3)
+    assert scen.shape == (200, 1) and prices.shape == (200,)
     np.testing.assert_allclose(
-        scen[:, :, 0],
-        np.log(prices[:, 1:] / prices[:, :-1]),
-        rtol=1e-12,
-        atol=1e-14,
+        scen[:, 0], np.log(prices / 50.0), rtol=1e-12, atol=1e-14
     )
 
 
 def test_gbm_single_draw_consumption_contract():
-    # one standard-normal block of size m per step, in step order
+    # one standard-normal block of size m for the one step
     params = GbmParams(mu=0.1, sigma=0.3, dt=0.5)
-    scen, _ = simulate_gbm_single(s0=1.0, params=params, m=40, horizon=2, seed=9)
-    gen = np.random.default_rng(9)
-    for t in range(2):
-        eps = gen.standard_normal(40)
-        expected = params.mu * params.dt + params.sigma * eps * np.sqrt(params.dt)
-        np.testing.assert_allclose(scen[:, t, 0], expected, rtol=1e-12)
+    scen, _ = simulate_gbm_single(s0=1.0, params=params, m=40, seed=9)
+    eps = np.random.default_rng(9).standard_normal(40)
+    expected = params.mu * params.dt + params.sigma * eps * np.sqrt(params.dt)
+    np.testing.assert_allclose(scen[:, 0], expected, rtol=1e-12)
 
 
 def test_gbm_single_argument_validation():
     params = GbmParams(mu=0.0, sigma=0.1)
     with pytest.raises(ValidationError):
-        simulate_gbm_single(s0=0.0, params=params, m=10, horizon=1, seed=0)
+        simulate_gbm_single(s0=0.0, params=params, m=10, seed=0)
     with pytest.raises(ValidationError):
         GbmParams(mu=0.0, sigma=-0.1)
     with pytest.raises(ValidationError):
         GbmParams(mu=0.0, sigma=0.1, dt=0.0)
     with pytest.raises(ValidationError):
-        simulate_gbm_single(s0=1.0, params=params, m=0, horizon=1, seed=0)
+        simulate_gbm_single(s0=1.0, params=params, m=0, seed=0)
 
 
 # --------------------------------------------------------- portfolio GBM
@@ -103,11 +109,10 @@ def test_gbm_portfolio_shapes_and_independent_case():
         sigmas=np.array([0.01, 0.01]),
         corr=np.eye(2),
         m=5000,
-        horizon=1,
         seed=21,
     )
-    assert type(scen) is np.ndarray and scen.shape == (5000, 1, 2)
-    c = np.corrcoef(scen[:, 0, 0], scen[:, 0, 1])[0, 1]
+    assert type(scen) is np.ndarray and scen.shape == (5000, 2)
+    c = np.corrcoef(scen[:, 0], scen[:, 1])[0, 1]
     assert abs(c) < 0.05
 
 
@@ -119,15 +124,27 @@ def test_gbm_portfolio_correlated_shocks():
         sigmas=np.array([0.01, 0.01]),
         corr=corr,
         m=20000,
-        horizon=1,
         seed=33,
     )
-    c = np.corrcoef(scen[:, 0, 0], scen[:, 0, 1])[0, 1]
+    c = np.corrcoef(scen[:, 0], scen[:, 1])[0, 1]
     assert c == pytest.approx(0.8, abs=0.05)
 
 
+def test_gbm_portfolio_is_one_closed_form_step():
+    # the draw contract: one (m, n) standard-normal block, one Euler step
+    s0 = np.array([1.0, 2.5, 0.7])
+    mus = np.array([0.001, -0.002, 0.0005])
+    sigmas = np.array([0.01, 0.02, 0.015])
+    corr = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.5], [-0.2, 0.5, 1.0]])
+    got = simulate_gbm_portfolio(s0, mus, sigmas, corr, 400, 12)
+    eps = np.random.default_rng(12).standard_normal((400, 3))
+    xi = eps @ np.linalg.cholesky(corr).T
+    expected = np.log((s0 * (1 + mus) + s0 * sigmas * xi) / s0)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_gbm_portfolio_validation():
-    ok = dict(m=100, horizon=1, seed=0)
+    ok = dict(m=100, seed=0)
     with pytest.raises(ValidationError):
         simulate_gbm_portfolio(
             s0=np.array([1.0]), mus=np.zeros(1), sigmas=np.array([0.1]),
@@ -159,25 +176,23 @@ def test_gbm_portfolio_blowup_names_step():
             sigmas=np.array([50.0]),
             corr=np.eye(1),
             m=2000,
-            horizon=1,
             seed=1,
         )
 
 
 def test_gbm_portfolio_rejects_overflowing_prices():
-    # finite, valid parameters whose second step overflows the price to inf,
+    # finite, valid parameters whose one step overflows the price to inf,
     # so its log return is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValidationError, match="non-finite"):
-            simulate_gbm_portfolio(np.ones(1), [1e308], [0.0], np.eye(1), 5, 2, 0)
+            simulate_gbm_portfolio([1e300], [1e10], [0.0], np.eye(1), 5, 0)
 
 
 # ------------------------------------------------------------- rescaling
 
 
 def test_rescale_multiplies_per_asset():
-    # the last axis holds the assets: a (paths, assets) holding or a
-    # (paths, horizon, assets) scenario array
+    # the last axis holds the assets, whatever the leading axes
     for shape in [(50, 2), (50, 3, 2)]:
         base = np.random.default_rng(2).normal(0, 0.01, shape)
         before = base.copy()
