@@ -55,7 +55,7 @@ def main():
             / np.std(x[rec.anchor - config.long_len : rec.anchor])
             for rec in records
         ]
-        vars_ = [est.var for rec in records for _, _, est in rec.estimates]
+        vars_ = [rec.var[0, 0, 0] for rec in records]  # (model, target, alpha)
         print(f"{g:>9d} {np.mean(ratios):>11.3f} {np.mean(vars_):>10.5f}")
 
 

@@ -99,10 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
     p_sweep.add_argument("--out", required=True, help="report directory")
     p_sweep.add_argument(
-        "--param", required=True, choices=["sigma-short"],
-        help="swept parameter",
-    )
-    p_sweep.add_argument(
         "--grid", required=True, help="grid as start:stop:step or comma list"
     )
     p_sweep.set_defaults(func=_cmd_sweep)

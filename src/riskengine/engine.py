@@ -42,13 +42,12 @@ from .baselines import calibrate_gbm, parametric_columns, price_space_returns
 from .errors import (
     ConfigError,
     DegenerateDataError,
-    InsufficientDataError,
     NumericError,
     RunFailureError,
     ValidationError,
 )
 from .gmm import EmSettings, GaussianMixtureModel, fit, sample
-from .risk import PortfolioSpec, RiskEstimate, var_es_columns
+from .risk import PortfolioSpec, var_es_columns
 from .scenario import column_std, rescale, simulate_gbm_portfolio
 from .timeseries import PricePanel, ReturnPanel, log_returns
 
@@ -73,14 +72,24 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+# (name, item type, item check) of the fields holding a non-empty list of
+# distinct items; a bare string or a JSON object is not such a list
+_LIST_FIELDS = (
+    ("models", str, lambda v: isinstance(v, str)),
+    ("n_components", int, _is_int),
+    ("alphas", float, lambda v: _is_int(v) or isinstance(v, (float, np.floating))),
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a backtest run depends on besides the price panel.
 
     Backtests score one-day forecasts against the next day's return, so
     horizon must be 1; the field stays so that configs naming it still load.
-    Integer fields reject floats and bools, so that a value arriving as JSON
-    is never truncated or coerced.
+    Integer fields reject floats and bools, list fields a bare string, and
+    alphas any non-number, so that a value arriving as JSON is never
+    truncated or coerced.
     """
 
     models: tuple[str, ...] = ("gmm", "hs", "param", "gbm_mc")
@@ -101,41 +110,31 @@ class RunConfig:
             if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        components = tuple(self.n_components)
-        if not all(_is_int(c) for c in components):
-            raise ConfigError(f"n_components must hold integers, got {list(components)}")
+        for name, cast, ok in _LIST_FIELDS:
+            value = getattr(self, name)
+            items = None if isinstance(value, (str, dict)) or not np.iterable(value) else tuple(value)
+            if not items or not all(ok(v) for v in items):
+                raise ConfigError(
+                    f"{name} must be a non-empty list of {cast.__name__}, got {value!r}")
+            if len(set(items)) != len(items):
+                raise ConfigError(f"duplicate entries in {name}")
+            object.__setattr__(self, name, tuple(cast(v) for v in items))
         if not isinstance(self.warm_start, bool):
             raise ConfigError(f"warm_start must be true or false, got {self.warm_start!r}")
-        object.__setattr__(self, "models", tuple(self.models))
-        object.__setattr__(self, "n_components", tuple(int(c) for c in components))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        if not self.models:
-            raise ConfigError("models must not be empty")
-        for m in self.models:
-            if m not in MODEL_CHOICES:
-                raise ConfigError(
-                    f"unknown model {m!r}; choices are {MODEL_CHOICES}"
-                )
-        if len(set(self.models)) != len(self.models):
-            raise ConfigError("duplicate entries in models")
-        if not self.n_components or any(c < 1 for c in self.n_components):
-            raise ConfigError("n_components must be a non-empty tuple of ints >= 1")
-        if len(set(self.n_components)) != len(self.n_components):
-            raise ConfigError("duplicate entries in n_components")
-        if not self.alphas or any(not 0.0 < a < 1.0 for a in self.alphas):
-            raise ConfigError("alphas must be a non-empty tuple inside (0, 1)")
-        if len(set(self.alphas)) != len(self.alphas):
-            raise ConfigError("duplicate entries in alphas")
+        unknown = [m for m in self.models if m not in MODEL_CHOICES]
+        if unknown:
+            raise ConfigError(f"unknown model {unknown[0]!r}; choices are {MODEL_CHOICES}")
+        if any(c < 1 for c in self.n_components):
+            raise ConfigError("n_components must be ints >= 1")
+        if any(not 0.0 < a < 1.0 for a in self.alphas):
+            raise ConfigError("alphas must lie inside (0, 1)")
         if not 0 < self.short_len <= self.long_len:
             raise ConfigError(
-                f"need 0 < short_len <= long_len, got {self.short_len}/{self.long_len}"
-            )
+                f"need 0 < short_len <= long_len, got {self.short_len}/{self.long_len}")
         if self.paths < 100:
             raise ConfigError(f"paths must be >= 100, got {self.paths}")
         if self.horizon != 1:
-            raise ConfigError(
-                f"backtests score one-day forecasts only; got horizon {self.horizon}"
-            )
+            raise ConfigError(f"backtests score one-day forecasts only; got horizon {self.horizon}")
         if self.eval_days < 1:
             raise ConfigError(f"eval_days must be >= 1, got {self.eval_days}")
         if self.seed < 0:
@@ -143,13 +142,8 @@ class RunConfig:
 
     def model_keys(self) -> list[str]:
         """Concrete model tags, expanding gmm across component counts."""
-        keys: list[str] = []
-        for m in self.models:
-            if m == "gmm":
-                keys.extend(f"gmm{c}" for c in self.n_components)
-            else:
-                keys.append(m)
-        return keys
+        gmm = [f"gmm{c}" for c in self.n_components]
+        return [k for m in self.models for k in (gmm if m == "gmm" else [m])]
 
     def to_dict(self) -> dict:
         d = {}
@@ -172,11 +166,8 @@ class RunConfig:
         portfolio = d.pop("portfolio", None)
         if portfolio is not None and not isinstance(portfolio, PortfolioSpec):
             try:
-                portfolio = PortfolioSpec(
-                    tickers=tuple(portfolio["tickers"]),
-                    weights=np.asarray(portfolio["weights"], dtype=float),
-                )
-            except (KeyError, TypeError, ValidationError) as exc:
+                portfolio = PortfolioSpec(portfolio["tickers"], portfolio["weights"])
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid portfolio spec: {exc}") from exc
         try:
             return cls(portfolio=portfolio, **d)
@@ -199,16 +190,22 @@ class FitDiagnostic:
 class DayRecord:
     """Everything produced for one evaluation day.
 
-    estimates holds (model_tag, target, RiskEstimate) triples; realized the
-    out-of-sample return per target. A non-None error marks the day invalid:
-    it has no estimates and is left out of backtesting, while
-    fit_diagnostics keeps the fits made that day before the failure.
+    realized holds the out-of-sample return per target. var, es and n_tail
+    are arrays shaped (model, target, alpha), in config.model_keys() x
+    realized x config.alphas order; n_tail is 0 for closed-form estimates.
+    seeds holds each model's simulation seed, -1 for hs and param. A
+    non-None error marks the day invalid: its var, es and n_tail are None
+    and it is left out of backtesting, while fit_diagnostics keeps the fits
+    made that day before the failure.
     """
 
     date: str
     anchor: int
     realized: tuple[tuple[str, float], ...]
-    estimates: tuple[tuple[str, str, RiskEstimate], ...]
+    var: np.ndarray | None
+    es: np.ndarray | None
+    n_tail: np.ndarray | None
+    seeds: tuple[int, ...]
     fit_diagnostics: tuple[FitDiagnostic, ...]
     error: str | None = None
 
@@ -218,9 +215,7 @@ def _panel_returns(panel) -> ReturnPanel:
         return log_returns(panel)
     if isinstance(panel, ReturnPanel):
         return panel
-    raise ValidationError(
-        f"expected a PricePanel or ReturnPanel, got {type(panel).__name__}"
-    )
+    raise ValidationError(f"expected a PricePanel or ReturnPanel, got {type(panel).__name__}")
 
 
 def run_backtest(
@@ -236,7 +231,9 @@ def run_backtest(
     return. GMM asset VaR/ES is read from the unscaled scenarios and scaled
     by the short/long volatility ratio (positive homogeneity); the GMM
     portfolio is re-aggregated from the ratio-scaled holdings. Baselines run
-    on the same window unadjusted.
+    on the same window unadjusted. Returns one DayRecord per evaluation day,
+    its VaR/ES as (model, target, alpha) arrays, and one BacktestReport per
+    (model, target, alpha).
 
     scenario_writer, when given, is called as writer(date, model_tag,
     holding) for each valid Monte Carlo model-day, with holding the day's
@@ -245,14 +242,12 @@ def run_backtest(
     run --dump-scenarios. model_sink, when given, is filled with the final
     fitted mixture per gmm tag (warm-start checkpoint state).
     """
-    results = _run_days(
-        _panel_returns(panel), config, [config.short_len], scenario_writer, model_sink
-    )
-    return results[config.short_len]
+    g = config.short_len
+    return _run_days(_panel_returns(panel), config, [g], scenario_writer, model_sink)[g]
 
 
-_DAY_ERRORS = (ValidationError, InsufficientDataError, DegenerateDataError,
-               NumericError, np.linalg.LinAlgError)
+# ValidationError covers the insufficient- and degenerate-data subclasses
+_DAY_ERRORS = (ValidationError, NumericError, np.linalg.LinAlgError)
 
 
 def _run_days(returns, config, short_lens, scenario_writer, model_sink):
@@ -279,8 +274,8 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
             "portfolio tickers must match the panel tickers in order; "
             f"got {config.portfolio.tickers} vs {tickers}"
         )
-    targets = tickers if config.portfolio is None else tickers + (PORTFOLIO_TICKER,)
-    needs_gmm = any(k.startswith("gmm") for k in config.model_keys())
+    keys = config.model_keys()
+    needs_gmm = any(k.startswith("gmm") for k in keys)
     prev_models: dict[str, GaussianMixtureModel] = {}
     records: dict[int, list[DayRecord]] = {g: [] for g in short_lens}
 
@@ -292,6 +287,8 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
         realized = tuple((t, float(day_returns[c])) for c, t in enumerate(tickers))
         if config.portfolio is not None:
             realized += ((PORTFOLIO_TICKER, float(day_returns @ config.portfolio.weights)),)
+        seeds = tuple(-1 if k in ("hs", "param") else derive_seed(config.seed, i, mi, 1)
+                      for mi, k in enumerate(keys))
 
         parts: list[tuple] = []
         diags: list[FitDiagnostic] = []
@@ -303,24 +300,25 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
                     raise ValidationError("volatilities must be finite")
                 if np.any(long_vols == 0.0):
                     raise DegenerateDataError("long-window volatility is zero")
-            _day_parts(i, long_w, config, prev_models, diags, parts)
+            _day_parts(i, long_w, config, seeds, prev_models, diags, parts)
         except _DAY_ERRORS as exc:
             error = f"{type(exc).__name__}: {exc}"
 
         for g in short_lens:
-            estimates, holdings, day_error = (), (), error
+            var = es = n_tail = None
+            holdings, day_error = (), error
             if error is None:
                 try:
-                    estimates, holdings = _short_rows(parts, long_w, long_vols, g, config, targets)
+                    var, es, n_tail, holdings = _short_rows(parts, long_w, long_vols, g, config)
                 except _DAY_ERRORS as exc:
                     day_error = f"{type(exc).__name__}: {exc}"
             if scenario_writer is not None:
                 for key, holding in holdings:
                     scenario_writer(date, key, holding)
             del holdings  # free the scenarios before the next day simulates
-            records[g].append(
-                DayRecord(date, anchor, realized, estimates, tuple(diags), day_error)
-            )
+            records[g].append(DayRecord(
+                date, anchor, realized, var, es, n_tail, seeds, tuple(diags), day_error
+            ))
 
     for g in short_lens:
         invalid = [r for r in records[g] if r.error is not None]
@@ -331,10 +329,10 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
             )
     if model_sink is not None:
         model_sink.update(prev_models)
-    return {g: (recs, _build_reports(recs)) for g, recs in records.items()}
+    return {g: (recs, _build_reports(recs, config)) for g, recs in records.items()}
 
 
-def _day_parts(i, long_w, config, prev_models, diags, parts):
+def _day_parts(i, long_w, config, seeds, prev_models, diags, parts):
     """Day i's estimates that ignore the short window, in model-key order.
 
     Each model is one sample matrix with a column per target, read by one
@@ -343,26 +341,25 @@ def _day_parts(i, long_w, config, prev_models, diags, parts):
     one more column, gbm_mc's aggregated in price space. gmm portfolio rows
     depend on the short window; _short_rows adds them.
 
-    Appends (key, seed, var, es, n_tail, holding) to parts, with
-    var/es/n_tail shaped [column, alpha]. holding is the (paths, assets)
-    simulated matrix of a Monte Carlo tag and None otherwise; a gmm holding
-    and its asset block are still unscaled. A seed is derived only where it
-    is read: the fit seed for a cold start, the simulation seed for Monte
-    Carlo tags. Fits extend the warm-start chain in prev_models and go to
-    diags as they happen, so a later failure on the same day keeps them.
+    Appends (key, var, es, n_tail, holding) to parts, with var/es/n_tail
+    shaped [column, alpha]. holding is the (paths, assets) simulated matrix
+    of a Monte Carlo tag and None otherwise; a gmm holding and its asset
+    block are still unscaled. Monte Carlo tags simulate with seeds[mi]; a
+    fit seed is derived only for a cold start. Fits extend the warm-start
+    chain in prev_models and go to diags as they happen, so a later failure
+    on the same day keeps them.
     """
     weights = None if config.portfolio is None else config.portfolio.weights
     for mi, key in enumerate(config.model_keys()):
-        seed, holding, series = -1, None, None
+        holding, series = None, None
         if key in ("hs", "param"):
             columns = long_w
             if weights is not None:
                 series = long_w @ weights
         elif key == "gbm_mc":
-            seed = derive_seed(config.seed, i, mi, 1)
             mus, sigmas, corr = calibrate_gbm(long_w)
             holding = columns = simulate_gbm_portfolio(
-                np.ones(long_w.shape[1]), mus, sigmas, corr, config.paths, seed
+                np.ones(long_w.shape[1]), mus, sigmas, corr, config.paths, seeds[mi]
             )
             if weights is not None:
                 series = price_space_returns(columns, weights)
@@ -376,8 +373,7 @@ def _day_parts(i, long_w, config, prev_models, diags, parts):
             diags.append(FitDiagnostic(
                 key, rep.init_mode, rep.iterations, rep.converged, rep.final_loglik
             ))
-            seed = derive_seed(config.seed, i, mi, 1)
-            holding = columns = sample(model, config.paths, np.random.default_rng(seed))
+            holding = columns = sample(model, config.paths, np.random.default_rng(seeds[mi]))
         if series is not None:
             columns = np.column_stack((columns, series))
         if key == "param":
@@ -385,19 +381,22 @@ def _day_parts(i, long_w, config, prev_models, diags, parts):
             n_tail = np.zeros(var.shape, dtype=int)
         else:
             var, es, n_tail = var_es_columns(columns, config.alphas)
-        parts.append((key, seed, var, es, n_tail, holding))
+        parts.append((key, var, es, n_tail, holding))
 
 
-def _short_rows(parts, long_w, long_vols, g, config, targets):
-    """(rows, (key, holding) per Monte Carlo tag), in model-key order, at g.
+def _short_rows(parts, long_w, long_vols, g, config):
+    """(var, es, n_tail, (key, holding) per Monte Carlo tag) at short length g.
 
-    Each gmm holding is rescaled by the vol ratios once; that array feeds
-    the gmm portfolio row and the scenario dump. VaR and ES are positively
-    homogeneous, so scaling the unscaled gmm asset block by the ratios gives
-    the estimates of the rescaled scenarios, up to rounding.
+    var, es and n_tail stack the models' [target, alpha] blocks into
+    (model, target, alpha) arrays. Each gmm holding is rescaled by the vol
+    ratios once; that array feeds the gmm portfolio column and the scenario
+    dump. VaR and ES are positively homogeneous, so scaling the unscaled gmm
+    asset block by the ratios gives the estimates of the rescaled scenarios,
+    up to rounding. ValidationError if any var or es is not finite or an es
+    sits above its var (beyond 1e-12 relative).
     """
-    rows, holdings, ratios = [], [], None
-    for key, seed, var, es, n_tail, holding in parts:
+    blocks, holdings, ratios = [], [], None
+    for key, var, es, n_tail, holding in parts:
         if key.startswith("gmm"):
             if ratios is None:
                 ratios = column_std(long_w[-g:]) / long_vols
@@ -407,47 +406,44 @@ def _short_rows(parts, long_w, long_vols, g, config, targets):
                 series = holding @ config.portfolio.weights
                 pv, pe, pn = var_es_columns(series[:, None], config.alphas)
                 var, es, n_tail = np.vstack((var, pv)), np.vstack((es, pe)), np.vstack((n_tail, pn))
-        var, es, n_tail = var.tolist(), es.tolist(), n_tail.tolist()
-        rows.extend(
-            (key, t, RiskEstimate(a, var[c][j], es[c][j], n_tail[c][j], key, seed))
-            for c, t in enumerate(targets)
-            for j, a in enumerate(config.alphas)
-        )
+        blocks.append((var, es, n_tail))
         if holding is not None:
             holdings.append((key, holding))
-    return tuple(rows), holdings
+    var, es, n_tail = (np.stack(b) for b in zip(*blocks))
+    if not (np.all(np.isfinite(var)) and np.all(np.isfinite(es))):
+        raise ValidationError("var/es must be finite")
+    above = es > var + 1e-12 * np.maximum(1.0, np.abs(var))
+    if above.any():
+        e, v = es[above][0], var[above][0]
+        raise ValidationError(f"es {e} exceeds var {v}; tail mean cannot sit above its quantile")
+    return var, es, n_tail, holdings
 
 
-def _build_reports(records) -> list[BacktestReport]:
-    """One BacktestReport per (model, target, alpha) slot, in row order.
+def _build_reports(records, config) -> list[BacktestReport]:
+    """One BacktestReport per (model, target, alpha), in estimates.csv row order.
 
-    Every valid day carries the same slots in the same order, so the VaR
-    series of slot s is column s of a valid-day x slot matrix, and its
-    realized series the target's column of a valid-day x target matrix.
+    The valid days' var blocks stack into one (day, model, target, alpha)
+    array, so the VaR series of a slot is var[:, m, c, a] and its realized
+    series column c of a valid-day x target matrix.
     """
     valid = [r for r in records if r.error is None]
     # LR_ind pairs only days with adjacent anchors, never across a dropped day
     adjacent = np.diff([r.anchor for r in valid]) == 1
-    var = np.array([[est.var for _, _, est in r.estimates] for r in valid])
+    var = np.stack([r.var for r in valid])
     realized = np.array([[x for _, x in r.realized] for r in valid])
-    column = {t: c for c, (t, _) in enumerate(valid[0].realized)}
 
     reports = []
-    for s, (key, target, est) in enumerate(valid[0].estimates):
-        r, v = realized[:, column[target]], var[:, s]
-        seq = hits(r, v, est.alpha, adjacent=adjacent)
-        # one evaluation day leaves the independence statistics undefined
-        result = christoffersen(seq) if seq.n >= 2 else None
-        reports.append(
-            BacktestReport(
-                model_tag=key,
-                ticker=target,
-                alpha=est.alpha,
-                hit_seq=seq,
-                christoffersen=result,
-                loss=quadratic_loss(r, v),
-            )
-        )
+    for m, key in enumerate(config.model_keys()):
+        for c, (target, _) in enumerate(valid[0].realized):
+            for a, alpha in enumerate(config.alphas):
+                r, v = realized[:, c], var[:, m, c, a]
+                seq = hits(r, v, alpha, adjacent=adjacent)
+                # one evaluation day leaves the independence statistics undefined
+                result = christoffersen(seq) if seq.n >= 2 else None
+                reports.append(BacktestReport(
+                    model_tag=key, ticker=target, alpha=alpha, hit_seq=seq,
+                    christoffersen=result, loss=quadratic_loss(r, v),
+                ))
     return reports
 
 
@@ -503,15 +499,19 @@ def _manifest(config: RunConfig, wall_clock_seconds, **entries) -> dict:
 def _run_files(records, reports, config, wall_clock_seconds=None, final_models=None):
     """One run's report files as (relative path, content) pairs for _commit.
 
-    CSV rows are generators, so each file streams into its temporary.
+    CSV rows are generators, so each file streams into its temporary. The
+    estimates rows walk each valid day's (model, target, alpha) arrays
+    through tolist(), so every figure is written as the repr of a float.
     """
     if records:
         yield "estimates.csv", (ESTIMATES_HEADER, (
-            [rec.date, target, key, repr(est.alpha), repr(est.var),
-             repr(est.es), str(est.n_tail), str(est.seed)]
+            [rec.date, target, key, repr(alpha), repr(v), repr(e), str(n), str(seed)]
             for rec in records
             if rec.error is None
-            for key, target, est in rec.estimates
+            for key, seed, var_m, es_m, n_m in zip(config.model_keys(), rec.seeds, rec.var.tolist(),
+                                                   rec.es.tolist(), rec.n_tail.tolist())
+            for (target, _), var_c, es_c, n_c in zip(rec.realized, var_m, es_m, n_m)
+            for alpha, v, e, n in zip(config.alphas, var_c, es_c, n_c)
         ))
         yield "backtest.csv", (BacktestReport.CSV_HEADER, (rep.to_csv_row() for rep in reports))
         yield "fit_diagnostics.csv", (DIAGNOSTICS_HEADER, (

@@ -29,6 +29,8 @@ class PortfolioSpec:
     weights: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.tickers, str):
+            raise ValidationError(f"tickers must be a list of names, got {self.tickers!r}")
         object.__setattr__(self, "tickers", tuple(self.tickers))
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.shape[0] != len(self.tickers):

@@ -132,6 +132,24 @@ def test_run_mistyped_config_value_exits_2(prices_csv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entry", [
+    {"alphas": ["0.05", "1e-2"]},
+    {"alphas": "0.05"},
+    {"models": "gmm"},
+    {"portfolio": {"tickers": "AB", "weights": [0.5, 0.5]}},
+])
+def test_run_string_where_a_list_belongs_exits_2(prices_csv, tmp_path, capsys, entry):
+    # a quoted level or a bare string for a list field is a config error, not
+    # a traceback and not a run over coerced or split-up values
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    out = tmp_path / "o"
+    code = main(["run", "--prices", prices_csv, "--out", str(out), "--config", str(cfg)])
+    assert code == 2
+    assert next(iter(entry)) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_failing_before_first_day_leaves_no_scenario_dir(prices_csv, tmp_path):
     out = tmp_path / "dump"
     code = main(["run", "--prices", prices_csv, "--out", str(out), *RUN_FLAGS,
@@ -184,7 +202,7 @@ def test_sweep_config_file_cannot_ask_for_scenario_dumps(prices_csv, tmp_path, c
     cfg_path.write_text(json.dumps({"models": ["gmm"], "dump_scenarios": True}))
     out = tmp_path / "s"
     code = main(["sweep", "--prices", prices_csv, "--config", str(cfg_path),
-                 "--out", str(out), "--param", "sigma-short", "--grid", "20,30"])
+                 "--out", str(out), "--grid", "20,30"])
     assert code == 2
     assert "unknown config keys" in capsys.readouterr().err
     assert not out.exists()
@@ -194,7 +212,7 @@ def test_sweep_grid_colon_syntax(prices_csv, tmp_path):
     out = tmp_path / "sweep"
     code = main([
         "sweep", "--prices", prices_csv, "--out", str(out),
-        "--param", "sigma-short", "--grid", "20:40:10",
+        "--grid", "20:40:10",
         "--models", "gmm", "--components", "2", "--alpha", "0.05",
         "--window-long", "120", "--paths", "200", "--days", "10", "--seed", "2",
     ])
@@ -208,7 +226,7 @@ def test_sweep_grid_colon_syntax(prices_csv, tmp_path):
 
 def test_sweep_bad_grid(prices_csv, tmp_path):
     code = main(["sweep", "--prices", prices_csv, "--out", str(tmp_path / "s"),
-                 "--param", "sigma-short", "--grid", "40:20:10",
+                 "--grid", "40:20:10",
                  "--window-long", "120", "--paths", "200", "--days", "5"])
     assert code == 2
 

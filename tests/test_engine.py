@@ -19,6 +19,7 @@ from riskengine import (
     run_backtest,
     simulate_gmm,
     var_es,
+    var_es_columns,
 )
 from riskengine.baselines import calibrate_gbm, gbm_mc_var, historical_var
 from riskengine.engine import (
@@ -125,6 +126,11 @@ def test_run_config_dict_round_trip():
     ("n_components", [True]),
     ("warm_start", "no"),
     ("warm_start", 0),
+    ("alphas", ["0.05", "1e-2"]),
+    ("alphas", "0.05"),
+    ("n_components", "2"),
+    ("models", "gmm"),
+    ("portfolio", {"tickers": "AB", "weights": [0.5, 0.5]}),
 ])
 def test_run_config_from_dict_rejects_mistyped_values(key, value):
     # JSON numbers and strings must not be truncated or coerced into a run
@@ -169,8 +175,7 @@ def test_run_backtest_report_grid(small_run):
 def test_run_backtest_es_never_above_var(small_run):
     _, _, records, _ = small_run
     for rec in records:
-        for _, _, est in rec.estimates:
-            assert est.es <= est.var + 1e-12
+        assert np.all(rec.es <= rec.var + 1e-12)
 
 
 def test_run_backtest_hs_estimates_match_direct_computation(small_run):
@@ -178,15 +183,13 @@ def test_run_backtest_hs_estimates_match_direct_computation(small_run):
     rets = log_returns(panel)
     rec = records[4]
     long_w = rets.returns[rec.anchor - cfg.long_len : rec.anchor]
-    for key, target, est in rec.estimates:
-        if key != "hs" or target == PORTFOLIO_TICKER:
-            continue
-        col = panel.tickers.index(target)
-        direct = historical_var(
-            long_w[:, col], est.alpha, min_len=cfg.long_len
-        )
-        assert est.var == pytest.approx(direct.var, rel=1e-12)
-        assert est.es == pytest.approx(direct.es, rel=1e-12)
+    m = cfg.model_keys().index("hs")
+    assert [t for t, _ in rec.realized] == [*panel.tickers, PORTFOLIO_TICKER]
+    for c in range(len(panel.tickers)):
+        for a, alpha in enumerate(cfg.alphas):
+            direct = historical_var(long_w[:, c], alpha, min_len=cfg.long_len)
+            assert rec.var[m, c, a] == pytest.approx(direct.var, rel=1e-12)
+            assert rec.es[m, c, a] == pytest.approx(direct.es, rel=1e-12)
 
 
 def test_run_backtest_gbm_portfolio_matches_gbm_mc_var(panel_3assets):
@@ -199,14 +202,13 @@ def test_run_backtest_gbm_portfolio_matches_gbm_mc_var(panel_3assets):
     for i in (0, 5, 11):
         rec = records[i]
         long_w = rets.returns[rec.anchor - cfg.long_len : rec.anchor]
-        rows = [est for _, target, est in rec.estimates if target == PORTFOLIO_TICKER]
-        assert [est.alpha for est in rows] == list(cfg.alphas)
-        for est in rows:
-            direct = gbm_mc_var(
-                long_w, est.alpha, m=cfg.paths,
-                seed=derive_seed(cfg.seed, i, 0, 1), portfolio=spec,
-            )
-            assert (est.var, est.es, est.n_tail) == (direct.var, direct.es, direct.n_tail)
+        seed = derive_seed(cfg.seed, i, 0, 1)
+        assert rec.seeds == (seed,)
+        assert rec.realized[-1][0] == PORTFOLIO_TICKER
+        for a, alpha in enumerate(cfg.alphas):
+            direct = gbm_mc_var(long_w, alpha, m=cfg.paths, seed=seed, portfolio=spec)
+            row = (rec.var[0, -1, a], rec.es[0, -1, a], rec.n_tail[0, -1, a])
+            assert row == (direct.var, direct.es, direct.n_tail)
 
 
 def test_run_backtest_deterministic(small_run):
@@ -214,9 +216,8 @@ def test_run_backtest_deterministic(small_run):
     records2, _ = run_backtest(panel, cfg)
     for a, b in zip(records, records2):
         assert a.date == b.date
-        for (k1, t1, e1), (k2, t2, e2) in zip(a.estimates, b.estimates):
-            assert (k1, t1) == (k2, t2)
-            assert e1.var == e2.var and e1.es == e2.es and e1.seed == e2.seed
+        assert a.realized == b.realized and a.seeds == b.seeds
+        assert a.var.tobytes() == b.var.tobytes() and a.es.tobytes() == b.es.tobytes()
 
 
 def test_run_backtest_warm_start_modes(panel_3assets):
@@ -284,10 +285,31 @@ def test_run_backtest_tolerates_rare_invalid_days():
     records, reports = run_backtest(panel, cfg)
     assert records[0].error is not None
     assert "DegenerateDataError" in records[0].error
-    assert records[0].estimates == ()
+    assert records[0].var is None and records[0].es is None and records[0].n_tail is None
     assert all(r.error is None for r in records[1:])
     # reports aggregate only the valid days
     assert reports[0].hit_seq.n == 20
+
+
+def test_run_backtest_es_above_var_invalidates_only_that_day(panel_3assets, monkeypatch):
+    # the run checks every estimate block as it is read: an es above its var
+    # marks that one day invalid and leaves the others valid
+    calls = []
+
+    def es_above_var_on_day_3(samples, alphas):
+        var, es, n_tail = var_es_columns(samples, alphas)
+        calls.append(None)
+        return (es, var, n_tail) if len(calls) == 4 else (var, es, n_tail)
+
+    monkeypatch.setattr("riskengine.engine.var_es_columns", es_above_var_on_day_3)
+    cfg = RunConfig(**{**SMALL, "models": ("hs",), "alphas": (0.05,), "eval_days": 20})
+    records, reports = run_backtest(panel_3assets, cfg)
+    assert len(calls) == 20
+    assert records[3].error.startswith("ValidationError: es ")
+    assert "exceeds var" in records[3].error
+    assert records[3].var is None
+    assert all(r.error is None for i, r in enumerate(records) if i != 3)
+    assert reports[0].hit_seq.n == 19
 
 
 def test_run_backtest_zero_long_vol_invalidates_day_before_fitting():
@@ -338,8 +360,7 @@ def test_sweep_shares_fits_and_scales_single_asset_var():
 
     var_by_grid = {}
     for g, (records, _) in results.items():
-        est = dict(((k, t), e) for k, t, e in records[day].estimates)[("gmm2", "SOLO")]
-        var_by_grid[g] = est.var
+        var_by_grid[g] = records[day].var[0, 0, 0]  # gmm2, SOLO, 0.05
     assert var_by_grid[20] / var_by_grid[80] == pytest.approx(
         ratio(20) / ratio(80), rel=1e-9
     )
@@ -556,15 +577,14 @@ def test_run_backtest_gmm_rows_and_dumps_match_the_object_path(panel_3assets, tm
             [np.std(long_w[-cfg.short_len :, c]) / np.std(long_w[:, c]) for c in range(3)]
         )
         expected = [
-            ("gmm2", t, adjust(var_es(holding[:, c], a, model_tag="gmm2", seed=seed), ratios[c]))
-            for c, t in enumerate(tickers)
-            for a in cfg.alphas
-        ] + [
-            ("gmm2", PORTFOLIO_TICKER,
-             var_es((holding * ratios) @ weights, a, model_tag="gmm2", seed=seed))
-            for a in cfg.alphas
-        ]
-        assert list(rec.estimates) == expected
+            [adjust(var_es(holding[:, c], a), ratios[c]) for a in cfg.alphas]
+            for c in range(len(tickers))
+        ] + [[var_es((holding * ratios) @ weights, a) for a in cfg.alphas]]
+        assert [t for t, _ in rec.realized] == [*tickers, PORTFOLIO_TICKER]
+        assert rec.seeds == (seed,)
+        assert rec.var[0].tolist() == [[e.var for e in row] for row in expected]
+        assert rec.es[0].tolist() == [[e.es for e in row] for row in expected]
+        assert rec.n_tail[0].tolist() == [[e.n_tail for e in row] for row in expected]
         ref_writer(rec.date, "gmm2", rescale(holding, ratios))
 
     names = sorted(os.listdir(tmp_path / "run" / "scenarios"))
@@ -573,6 +593,24 @@ def test_run_backtest_gmm_rows_and_dumps_match_the_object_path(panel_3assets, tm
     for name in names:
         dumped = (tmp_path / "run" / "scenarios" / name).read_bytes()
         assert dumped == (tmp_path / "ref" / "scenarios" / name).read_bytes(), name
+
+
+def test_runs_and_reports_build_no_per_row_estimate_objects(panel_3assets, tmp_path, monkeypatch):
+    # estimates stay (model, target, alpha) arrays from the estimators to
+    # the report files; no RiskEstimate is built per row on the way
+    def refuse(self):
+        raise AssertionError("a RiskEstimate was built")
+
+    monkeypatch.setattr("riskengine.risk.RiskEstimate.__post_init__", refuse)
+    cfg = RunConfig(**SMALL, portfolio=PortfolioSpec.equal(("AAA", "BBB", "CCC")))
+    assert cfg.model_keys() == ["gmm2", "hs", "param", "gbm_mc"]
+    records, reports = run_backtest(panel_3assets, cfg)
+    report(records, reports, cfg, str(tmp_path / "run"))
+    results = sweep_sigma_short(panel_3assets, cfg, [20, 30])
+    report_sweep(results, cfg, str(tmp_path / "sweep"))
+    runs = [records, *(recs for recs, _ in results.values())]
+    assert all(r.error is None for recs in runs for r in recs)
+    assert records[0].var.shape == (4, 4, 2)
 
 
 def _panel_with_flat_stretch():
