@@ -157,17 +157,23 @@ def gbm_mc_var(
     )
 
 
-def price_space_returns(holding, weights) -> np.ndarray:
+def price_space_returns(holding, weights, *, out=None, work=None) -> np.ndarray:
     """Per-path portfolio log return ln(w . exp(H)) from unit initial prices.
 
     holding is the (paths, assets) matrix of holding-period log returns H.
     Raises NumericError when a path's portfolio value is not positive, where
-    the log return is undefined.
+    the log return is undefined. out, when given, is a float64 (paths,)
+    array that receives the returns and is returned. work, when given, is a
+    flat float64 array of at least paths * assets entries that holds exp(H)
+    and is overwritten. Without them each call returns a new array; the
+    result is the same bits either way.
     """
-    value = np.exp(holding) @ weights
+    holding = np.asarray(holding, dtype=float)
+    growth = None if work is None else work[: holding.size].reshape(holding.shape)
+    value = np.matmul(np.exp(holding, out=growth), weights, out=out)
     if np.any(value <= 0.0):
         raise NumericError(
             "portfolio value went non-positive in simulation; log return "
             "undefined (short weights with coarse steps?)"
         )
-    return np.log(value)
+    return np.log(value, out=value)

@@ -75,7 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window-long", type=int, dest="window_long")
         p.add_argument("--window-short", type=int, dest="window_short")
         p.add_argument("--paths", type=int)
-        p.add_argument("--days", type=int, help="number of evaluation days")
+        p.add_argument(
+            "--days", type=int,
+            help="number of evaluation days, the first ones after the first long window",
+        )
         p.add_argument("--seed", type=int)
         p.add_argument(
             "--portfolio", choices=["equal", "none"],

@@ -239,8 +239,10 @@ def run_backtest(
     holding) for each valid Monte Carlo model-day, with holding the day's
     (paths, assets) simulated log returns in panel ticker order; gmm
     holdings are rescaled by the vol ratios first; the CLI builds one for
-    run --dump-scenarios. model_sink, when given, is filled with the final
-    fitted mixture per gmm tag (warm-start checkpoint state).
+    run --dump-scenarios. holding is valid only during the call: the run
+    writes the next day's scenarios into the same array, so a writer that
+    keeps one must copy it (np.save does). model_sink, when given, is filled
+    with the final fitted mixture per gmm tag (warm-start checkpoint state).
     """
     g = config.short_len
     return _run_days(_panel_returns(panel), config, [g], scenario_writer, model_sink)[g]
@@ -248,6 +250,30 @@ def run_backtest(
 
 # ValidationError covers the insufficient- and degenerate-data subclasses
 _DAY_ERRORS = (ValidationError, NumericError, np.linalg.LinAlgError)
+
+
+@dataclass(frozen=True)
+class _Buffers:
+    """One Monte Carlo tag's scenario arrays, allocated once per run.
+
+    Every day overwrites them, so a day allocates no array of paths rows and
+    the allocator has no pages to hand back and fault in again. holding
+    receives the day's (paths, assets) draws; columns the matrix read next to
+    them, a gmm holding rescaled by the vol ratios or gbm_mc's holding with
+    its portfolio column appended; series a portfolio column; work the
+    kernels' scratch. Tags never share a set.
+    """
+
+    holding: np.ndarray
+    columns: np.ndarray
+    series: np.ndarray
+    work: np.ndarray
+
+    @classmethod
+    def allocate(cls, key: str, paths: int, n_assets: int) -> "_Buffers":
+        width = n_assets + (key == "gbm_mc")
+        return cls(np.empty((paths, n_assets)), np.empty((paths, width)),
+                   np.empty(paths), np.empty(2 * paths * width))
 
 
 def _run_days(returns, config, short_lens, scenario_writer, model_sink):
@@ -258,9 +284,11 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
     and one VaR/ES block per tag, gmm's on the unscaled holdings. Once per
     (day, g), in _short_rows: the vol ratios, the rescaled gmm holdings, the
     gmm blocks the ratios scale, the gmm portfolio and the rows; a scenario
-    writer gets the same holdings. An error in the per-day part invalidates
-    the day for every g, one in the per-g part only that (day, g). Returns
-    {g: (records, reports)}.
+    writer gets the same holdings. Each Monte Carlo tag simulates into its
+    own _Buffers, allocated here once for the run, so the holding a writer
+    gets is overwritten by the next g or day. An error in the per-day part
+    invalidates the day for every g, one in the per-g part only that
+    (day, g). Returns {g: (records, reports)}.
     """
     n_rows = returns.n_rows
     if config.long_len + config.eval_days > n_rows:
@@ -276,6 +304,8 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
         )
     keys = config.model_keys()
     needs_gmm = any(k.startswith("gmm") for k in keys)
+    buffers = {k: _Buffers.allocate(k, config.paths, len(tickers))
+               for k in keys if k not in ("hs", "param")}
     prev_models: dict[str, GaussianMixtureModel] = {}
     records: dict[int, list[DayRecord]] = {g: [] for g in short_lens}
 
@@ -300,7 +330,7 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
                     raise ValidationError("volatilities must be finite")
                 if np.any(long_vols == 0.0):
                     raise DegenerateDataError("long-window volatility is zero")
-            _day_parts(i, long_w, config, seeds, prev_models, diags, parts)
+            _day_parts(i, long_w, config, seeds, prev_models, diags, parts, buffers)
         except _DAY_ERRORS as exc:
             error = f"{type(exc).__name__}: {exc}"
 
@@ -315,7 +345,6 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
             if scenario_writer is not None:
                 for key, holding in holdings:
                     scenario_writer(date, key, holding)
-            del holdings  # free the scenarios before the next day simulates
             records[g].append(DayRecord(
                 date, anchor, realized, var, es, n_tail, seeds, tuple(diags), day_error
             ))
@@ -332,7 +361,7 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
     return {g: (recs, _build_reports(recs, config)) for g, recs in records.items()}
 
 
-def _day_parts(i, long_w, config, seeds, prev_models, diags, parts):
+def _day_parts(i, long_w, config, seeds, prev_models, diags, parts, buffers):
     """Day i's estimates that ignore the short window, in model-key order.
 
     Each model is one sample matrix with a column per target, read by one
@@ -341,28 +370,30 @@ def _day_parts(i, long_w, config, seeds, prev_models, diags, parts):
     one more column, gbm_mc's aggregated in price space. gmm portfolio rows
     depend on the short window; _short_rows adds them.
 
-    Appends (key, var, es, n_tail, holding) to parts, with var/es/n_tail
-    shaped [column, alpha]. holding is the (paths, assets) simulated matrix
-    of a Monte Carlo tag and None otherwise; a gmm holding and its asset
-    block are still unscaled. Monte Carlo tags simulate with seeds[mi]; a
-    fit seed is derived only for a cold start. Fits extend the warm-start
-    chain in prev_models and go to diags as they happen, so a later failure
-    on the same day keeps them.
+    Appends (key, var, es, n_tail, buf) to parts, with var/es/n_tail shaped
+    [column, alpha]. buf is buffers[key] for a Monte Carlo tag, whose
+    holding now holds the day's (paths, assets) simulated matrix, and None
+    otherwise; a gmm holding and its asset block are still unscaled.
+    Monte Carlo tags simulate with seeds[mi]; a fit seed is derived only for
+    a cold start. Fits extend the warm-start chain in prev_models and go to
+    diags as they happen, so a later failure on the same day keeps them.
     """
     weights = None if config.portfolio is None else config.portfolio.weights
     for mi, key in enumerate(config.model_keys()):
-        holding, series = None, None
+        buf, series = buffers.get(key), None
+        work = None if buf is None else buf.work
         if key in ("hs", "param"):
             columns = long_w
             if weights is not None:
                 series = long_w @ weights
         elif key == "gbm_mc":
             mus, sigmas, corr = calibrate_gbm(long_w)
-            holding = columns = simulate_gbm_portfolio(
-                np.ones(long_w.shape[1]), mus, sigmas, corr, config.paths, seeds[mi]
+            columns = simulate_gbm_portfolio(
+                np.ones(long_w.shape[1]), mus, sigmas, corr, config.paths, seeds[mi],
+                out=buf.holding, work=work,
             )
             if weights is not None:
-                series = price_space_returns(columns, weights)
+                series = price_space_returns(columns, weights, out=buf.series, work=work)
         else:
             warm = prev_models.get(key) if config.warm_start else None
             init, settings = warm, None
@@ -373,15 +404,17 @@ def _day_parts(i, long_w, config, seeds, prev_models, diags, parts):
             diags.append(FitDiagnostic(
                 key, rep.init_mode, rep.iterations, rep.converged, rep.final_loglik
             ))
-            holding = columns = sample(model, config.paths, np.random.default_rng(seeds[mi]))
+            rng = np.random.default_rng(seeds[mi])
+            columns = sample(model, config.paths, rng, out=buf.holding, work=work)
         if series is not None:
-            columns = np.column_stack((columns, series))
+            columns = np.concatenate((columns, series[:, None]), axis=1,
+                                     out=None if buf is None else buf.columns)
         if key == "param":
             var, es = parametric_columns(columns, config.alphas)
             n_tail = np.zeros(var.shape, dtype=int)
         else:
-            var, es, n_tail = var_es_columns(columns, config.alphas)
-        parts.append((key, var, es, n_tail, holding))
+            var, es, n_tail = var_es_columns(columns, config.alphas, work=work)
+        parts.append((key, var, es, n_tail, buf))
 
 
 def _short_rows(parts, long_w, long_vols, g, config):
@@ -389,22 +422,23 @@ def _short_rows(parts, long_w, long_vols, g, config):
 
     var, es and n_tail stack the models' [target, alpha] blocks into
     (model, target, alpha) arrays. Each gmm holding is rescaled by the vol
-    ratios once; that array feeds the gmm portfolio column and the scenario
-    dump. VaR and ES are positively homogeneous, so scaling the unscaled gmm
-    asset block by the ratios gives the estimates of the rescaled scenarios,
-    up to rounding. ValidationError if any var or es is not finite or an es
+    ratios once, into its tag's buffers; that array feeds the gmm portfolio
+    column and the scenario dump. VaR and ES are positively homogeneous, so
+    scaling the unscaled gmm asset block by the ratios gives the estimates
+    of the rescaled scenarios, up to rounding. ValidationError if any var or es is not finite or an es
     sits above its var (beyond 1e-12 relative).
     """
     blocks, holdings, ratios = [], [], None
-    for key, var, es, n_tail, holding in parts:
+    for key, var, es, n_tail, buf in parts:
+        holding = None if buf is None else buf.holding
         if key.startswith("gmm"):
             if ratios is None:
                 ratios = column_std(long_w[-g:]) / long_vols
-            holding = rescale(holding, ratios)
+            holding = rescale(holding, ratios, out=buf.columns)
             var, es = var * ratios[:, None], es * ratios[:, None]
             if config.portfolio is not None:
-                series = holding @ config.portfolio.weights
-                pv, pe, pn = var_es_columns(series[:, None], config.alphas)
+                series = np.matmul(holding, config.portfolio.weights, out=buf.series)
+                pv, pe, pn = var_es_columns(series[:, None], config.alphas, work=buf.work)
                 var, es, n_tail = np.vstack((var, pv)), np.vstack((es, pe)), np.vstack((n_tail, pn))
         blocks.append((var, es, n_tail))
         if holding is not None:
@@ -621,8 +655,10 @@ def make_scenario_writer(out_dir: str):
     Each call saves the (paths, assets) array of simulated one-day log
     returns, its columns in panel ticker order, to
     <out_dir>/scenarios/<date>_<model>.npy; np.load reads it back. The
-    directory is created by the first write, so a run that fails before
-    its first valid Monte Carlo day leaves none behind.
+    array is valid only during the call, since a run reuses it for the next
+    day; np.save writes it out before returning. The directory is created
+    by the first write, so a run that fails before its first valid Monte
+    Carlo day leaves none behind.
     """
     scen_dir = os.path.join(out_dir, "scenarios")
 

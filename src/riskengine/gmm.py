@@ -573,7 +573,9 @@ def stratified_counts(weights, n_total: int) -> np.ndarray:
     return base
 
 
-def sample(model: GaussianMixtureModel, n_total: int, rng) -> np.ndarray:
+def sample(
+    model: GaussianMixtureModel, n_total: int, rng, *, out=None, work=None
+) -> np.ndarray:
     """Draw n_total points from the mixture, stratified by component.
 
     Allocates round(w_j * n_total) draws per component by largest
@@ -582,20 +584,29 @@ def sample(model: GaussianMixtureModel, n_total: int, rng) -> np.ndarray:
     standard normals, whose rows go to the components in index order, then
     one permutation. The single block holds the same stream as one block
     per component drawn in turn.
+
+    out, when given, is a float64 (n_total, dim) array that receives the
+    draws and is returned. work, when given, is a flat float64 array of at
+    least n_total * dim entries that holds the unshuffled rows and is
+    overwritten. Neither may overlap the other. Without them each call
+    returns a new array; the draws are the same bits either way.
     """
     if n_total < 1:
         raise ValidationError(f"n_total must be >= 1, got {n_total}")
     gen = np.random.default_rng(rng)
-    z = gen.standard_normal((n_total, model.dim))
-    out = np.empty_like(z)
+    shape = (n_total, model.dim)
+    z = gen.standard_normal(shape, out=out)  # the shuffle below overwrites it
+    rows = np.empty(shape) if work is None else work[: z.size].reshape(shape)
     stop = 0
     for j, c in enumerate(stratified_counts(model.weights, n_total)):
         start, stop = stop, stop + int(c)
         if c:
-            block = out[start:stop]
+            block = rows[start:stop]
             np.matmul(z[start:stop], model._chols[j].T, out=block)
             block += model.means[j]
-    return np.take(out, gen.permutation(n_total), axis=0)
+    # mode="clip" writes straight into z: the default mode="raise" copies an
+    # out= array first, and a permutation is never out of range
+    return np.take(rows, gen.permutation(n_total), axis=0, out=z, mode="clip")
 
 
 def mixture_cdf(model: GaussianMixtureModel, x):

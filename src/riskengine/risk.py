@@ -23,7 +23,11 @@ from .errors import (
 
 @dataclass(frozen=True, eq=False)
 class PortfolioSpec:
-    """Fixed portfolio weights, one per ticker; shorts are permitted."""
+    """Fixed portfolio weights, one per ticker; shorts are permitted.
+
+    Tickers must be strings and weights real numbers: a weight given as a
+    string or a bool is rejected rather than coerced to float.
+    """
 
     tickers: tuple[str, ...]
     weights: np.ndarray
@@ -32,11 +36,20 @@ class PortfolioSpec:
         if isinstance(self.tickers, str):
             raise ValidationError(f"tickers must be a list of names, got {self.tickers!r}")
         object.__setattr__(self, "tickers", tuple(self.tickers))
-        w = np.array(self.weights, dtype=float)
+        bad = [t for t in self.tickers if not isinstance(t, str)]
+        if bad:
+            raise ValidationError(f"tickers must be strings, got {bad[0]!r}")
+        # an object array keeps each weight's own type, which a float one would coerce
+        w = np.array(self.weights, dtype=object)
         if w.ndim != 1 or w.shape[0] != len(self.tickers):
             raise ShapeError(
                 f"{w.shape} weights for {len(self.tickers)} tickers"
             )
+        bad = [v for v in w if isinstance(v, bool)
+               or not isinstance(v, (int, float, np.integer, np.floating))]
+        if bad:
+            raise ValidationError(f"weights must be numbers, got {bad[0]!r}")
+        w = w.astype(float)
         if len(set(self.tickers)) != len(self.tickers):
             raise ValidationError("duplicate tickers in portfolio")
         if not np.all(np.isfinite(w)):
@@ -115,7 +128,7 @@ def quantile(samples, alpha: float) -> float:
     return float(_interpolate(np.sort(x), alpha))
 
 
-def var_es_columns(samples, alphas):
+def var_es_columns(samples, alphas, *, work=None):
     """Empirical VaR, ES and tail counts of every column of a sample matrix.
 
     samples is (n, cols); returns float arrays var and es and an int array
@@ -123,7 +136,10 @@ def var_es_columns(samples, alphas):
     read at every alpha. ES averages the column's scenarios <= VaR
     (inclusive) in their original order, so every entry equals var_es of
     that column bit for bit. Requires at least ceil(1/alpha) rows for each
-    alpha; TailEmptyError guards the impossible empty tail.
+    alpha; TailEmptyError guards the impossible empty tail. work, when
+    given, is a flat float64 array of at least 2 * n * cols entries that
+    holds the transposed and the sorted copy of samples and is overwritten;
+    without it both are new arrays.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
@@ -137,17 +153,19 @@ def var_es_columns(samples, alphas):
                 f"need at least ceil(1/alpha) = {need} scenarios for "
                 f"alpha={alpha}, got {x.shape[0]}"
             )
-    cols = np.ascontiguousarray(x.T)
+    copies = (2, x.shape[1], x.shape[0])
+    cols, ordered = np.empty(copies) if work is None else work[: 2 * x.size].reshape(copies)
+    np.copyto(cols, x.T)
     if not np.all(np.isfinite(cols)):
         raise ValidationError("samples contain non-finite entries")
-    ordered = np.sort(cols, axis=1)
+    np.copyto(ordered, cols)
+    ordered.sort(axis=1)
     shape = (cols.shape[0], len(alphas))
     var, es, n_tail = np.empty(shape), np.empty(shape), np.empty(shape, dtype=int)
     for a, alpha in enumerate(alphas):
         var[:, a] = _interpolate(ordered, alpha)
-        in_tail = cols <= var[:, a, None]
         for c, col in enumerate(cols):
-            tail = col[in_tail[c]]
+            tail = col[col <= var[c, a]]
             if tail.size == 0:
                 raise TailEmptyError(
                     f"no scenarios at or below the VaR quantile {var[c, a]}"

@@ -3,7 +3,9 @@
 Scenarios are one-day log returns in plain float arrays shaped (paths,
 assets). Every simulator rejects non-finite output with ValidationError,
 and rescale multiplies the last axis of any array by one positive ratio per
-asset, returning a new array.
+asset, returning a new array. The kernels that make large arrays also
+write into caller-owned ones through a keyword-only out=, so that a run can
+reuse one set of arrays every day; the bits do not depend on it.
 
 Two GBM discretizations are implemented literally and never mixed. The
 single-asset form is exponential, S_1 = S_0 exp(mu dt + sigma eps
@@ -91,7 +93,9 @@ def simulate_gbm_single(
     return _finite(log_step[:, None]), s0 * np.exp(log_step)
 
 
-def simulate_gbm_portfolio(s0, mus, sigmas, corr, m: int, seed: int) -> np.ndarray:
+def simulate_gbm_portfolio(
+    s0, mus, sigmas, corr, m: int, seed: int, *, out=None, work=None
+) -> np.ndarray:
     """One arithmetic-Euler GBM day for several correlated assets.
 
     Returns the log returns ln(S_1 / S_0), shaped (m, n_assets), of the step
@@ -101,6 +105,12 @@ def simulate_gbm_portfolio(s0, mus, sigmas, corr, m: int, seed: int) -> np.ndarr
     repair is attempted), NumericError if any path's price hits zero or
     below, which the arithmetic step does not preclude, and ValidationError
     if a price overflows, so that a log return is not finite.
+
+    out, when given, is a float64 (m, n_assets) array that receives the log
+    returns and is returned. work, when given, is a flat float64 array of at
+    least m * n_assets entries that holds eps and is overwritten. Neither may
+    overlap the other. Without them each call returns a new array; the
+    result is the same bits either way.
     """
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
@@ -123,23 +133,28 @@ def simulate_gbm_portfolio(s0, mus, sigmas, corr, m: int, seed: int) -> np.ndarr
     _check_paths(m)
 
     A = np.linalg.cholesky(corr)
-    xi = np.random.default_rng(seed).standard_normal((m, n)) @ A.T
-    prices = s0 * (1.0 + mus) + s0 * sigmas * xi
+    eps = None if work is None else work[: m * n].reshape(m, n)
+    eps = np.random.default_rng(seed).standard_normal((m, n), out=eps)
+    prices = np.matmul(eps, A.T, out=out)  # xi, turned into prices in place
+    prices *= s0 * sigmas
+    prices += s0 * (1.0 + mus)
     if np.any(prices <= 0.0):
         raise NumericError(
             "arithmetic Euler step produced a non-positive price; "
             "parameters too coarse for a one-day step"
         )
-    return _finite(np.log(prices / s0))
+    prices /= s0
+    return _finite(np.log(prices, out=prices))
 
 
-def rescale(returns, ratios) -> np.ndarray:
+def rescale(returns, ratios, *, out=None) -> np.ndarray:
     """Multiply the last axis of returns by one volatility ratio per asset.
 
     returns is any array whose last axis holds the assets, such as a
     (paths, assets) scenario array. ratios holds one positive, finite float
     per asset; returns must be finite. Returns a new array and leaves the
-    input untouched.
+    input untouched; out, when given, is a float64 array shaped like returns
+    that receives the product and is returned instead.
     """
     returns = np.asarray(returns, dtype=float)
     factors = np.asarray(ratios, dtype=float)
@@ -149,4 +164,4 @@ def rescale(returns, ratios) -> np.ndarray:
         )
     if np.any(factors <= 0) or not np.all(np.isfinite(factors)):
         raise ValidationError("rescale factors must be positive and finite")
-    return _finite(returns) * factors
+    return np.multiply(_finite(returns), factors, out=out)

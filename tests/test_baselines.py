@@ -13,6 +13,7 @@ from riskengine import (
     parametric_columns,
     parametric_var,
 )
+from riskengine.baselines import price_space_returns
 from riskengine.distributions import normal_pdf, normal_ppf
 from riskengine.errors import (
     DegenerateDataError,
@@ -173,6 +174,16 @@ def test_gbm_mc_var_portfolio_route():
     est = gbm_mc_var(window, 0.05, m=8000, seed=2, portfolio=port)
     assert est.es <= est.var
     assert est.var < 0
+
+
+def test_price_space_returns_writes_into_caller_arrays():
+    holding = np.random.default_rng(8).normal(0.0, 0.02, (400, 3))
+    weights = np.array([0.2, 0.5, 0.3])
+    fresh = price_space_returns(holding, weights)
+    out, work = np.full(400, np.nan), np.full(1201, np.nan)
+    assert price_space_returns(holding, weights, out=out, work=work) is out
+    assert out.tobytes() == fresh.tobytes()
+    assert not np.shares_memory(price_space_returns(holding, weights), fresh)
 
 
 def test_gbm_mc_var_multi_asset_requires_portfolio():

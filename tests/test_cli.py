@@ -150,6 +150,23 @@ def test_run_string_where_a_list_belongs_exits_2(prices_csv, tmp_path, capsys, e
     assert not out.exists()
 
 
+@pytest.mark.parametrize("weights, tickers", [
+    (["0.5", "0.5"], ["AA", "BB"]),
+    ([True, False], ["AA", "BB"]),
+    ([0.5, 0.5], [1, 2]),
+])
+def test_run_mistyped_portfolio_exits_2(prices_csv, tmp_path, capsys, weights, tickers):
+    # quoted or bool weights and numeric tickers are not coerced into a run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"portfolio": {"tickers": tickers, "weights": weights}}))
+    out = tmp_path / "o"
+    code = main(["run", "--prices", prices_csv, "--out", str(out), *RUN_FLAGS,
+                 "--config", str(cfg)])
+    assert code == 2
+    assert "invalid portfolio spec" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_failing_before_first_day_leaves_no_scenario_dir(prices_csv, tmp_path):
     out = tmp_path / "dump"
     code = main(["run", "--prices", prices_csv, "--out", str(out), *RUN_FLAGS,

@@ -21,7 +21,7 @@ from riskengine import (
     var_es,
     var_es_columns,
 )
-from riskengine.baselines import calibrate_gbm, gbm_mc_var, historical_var
+from riskengine.baselines import calibrate_gbm, gbm_mc_var, historical_var, price_space_returns
 from riskengine.engine import (
     PORTFOLIO_TICKER,
     derive_seed,
@@ -131,6 +131,10 @@ def test_run_config_dict_round_trip():
     ("n_components", "2"),
     ("models", "gmm"),
     ("portfolio", {"tickers": "AB", "weights": [0.5, 0.5]}),
+    ("portfolio", {"tickers": ["A", "B"], "weights": ["0.5", "0.5"]}),
+    ("portfolio", {"tickers": ["A", "B"], "weights": [True, False]}),
+    ("portfolio", {"tickers": ["A", "B"], "weights": [1, False]}),
+    ("portfolio", {"tickers": [1, 2], "weights": [0.5, 0.5]}),
 ])
 def test_run_config_from_dict_rejects_mistyped_values(key, value):
     # JSON numbers and strings must not be truncated or coerced into a run
@@ -142,6 +146,17 @@ def test_run_config_accepts_numpy_ints():
     cfg = RunConfig(**{**SMALL, "paths": np.int64(150), "n_components": np.array([2])})
     assert type(cfg.paths) is int and cfg.n_components == (2,)
     json.dumps(cfg.to_dict())
+
+
+@pytest.mark.parametrize("weights", [
+    [0.25, 0.75], [1, 0], np.array([0.25, 0.75]), np.array([0.25, 0.75], dtype=np.float32),
+    [np.float64(0.25), np.int64(1) - 0.25],
+])
+def test_portfolio_weights_accept_python_and_numpy_numbers(weights):
+    cfg = RunConfig.from_dict({**SMALL, "portfolio": {"tickers": ["A", "B"], "weights": weights}})
+    assert cfg.portfolio.weights.dtype == np.float64
+    assert cfg.portfolio.weights.tolist() == np.asarray(weights, dtype=float).tolist()
+    assert PortfolioSpec.equal(("A", "B")).weights.tolist() == [0.5, 0.5]
 
 
 def test_run_backtest_day_bookkeeping(small_run):
@@ -296,8 +311,8 @@ def test_run_backtest_es_above_var_invalidates_only_that_day(panel_3assets, monk
     # marks that one day invalid and leaves the others valid
     calls = []
 
-    def es_above_var_on_day_3(samples, alphas):
-        var, es, n_tail = var_es_columns(samples, alphas)
+    def es_above_var_on_day_3(samples, alphas, **scratch):
+        var, es, n_tail = var_es_columns(samples, alphas, **scratch)
         calls.append(None)
         return (es, var, n_tail) if len(calls) == 4 else (var, es, n_tail)
 
@@ -528,6 +543,17 @@ def test_run_backtest_calls_a_writer_without_dump_scenarios(panel_3assets):
     ]
 
 
+def test_scenario_writer_array_is_valid_only_during_the_call(panel_3assets):
+    # the run simulates each day into the array the writer got the day
+    # before, so a writer that keeps one must copy it
+    cfg = RunConfig(**{**SMALL, "models": ("gmm",), "eval_days": 2})
+    kept = []
+    run_backtest(panel_3assets, cfg, scenario_writer=lambda d, t, h: kept.append((h, h.copy())))
+    (first, first_copy), (second, second_copy) = kept
+    assert np.shares_memory(first, second)
+    assert first.tobytes() == second_copy.tobytes() != first_copy.tobytes()
+
+
 def test_run_backtest_gbm_mc_dump_is_the_simulation(panel_3assets, tmp_path):
     tickers = ("AAA", "BBB", "CCC")
     cfg = RunConfig(
@@ -593,6 +619,55 @@ def test_run_backtest_gmm_rows_and_dumps_match_the_object_path(panel_3assets, tm
     for name in names:
         dumped = (tmp_path / "run" / "scenarios" / name).read_bytes()
         assert dumped == (tmp_path / "ref" / "scenarios" / name).read_bytes(), name
+
+
+def test_run_backtest_tags_and_days_never_share_scenarios(panel_3assets, tmp_path):
+    # gmm2, gmm3 and gbm_mc simulate on the same days into arrays the run
+    # reuses; every dump and every var/es row must still equal a recomputation
+    # from that tag's own fit chain and seed alone
+    tickers = ("AAA", "BBB", "CCC")
+    cfg = RunConfig(
+        **{**SMALL, "models": ("gmm", "gbm_mc"), "n_components": (2, 3), "eval_days": 4},
+        portfolio=PortfolioSpec.equal(tickers),
+    )
+    assert cfg.warm_start and cfg.model_keys() == ["gmm2", "gmm3", "gbm_mc"]
+    records, _ = run_backtest(
+        panel_3assets, cfg, scenario_writer=make_scenario_writer(str(tmp_path))
+    )
+    returns = log_returns(panel_3assets).returns
+    weights = cfg.portfolio.weights
+    chains = {"gmm2": "kmeans", "gmm3": "kmeans"}
+    for i, rec in enumerate(records):
+        assert rec.error is None
+        long_w = returns[i : i + cfg.long_len]
+        ratios = np.array(
+            [np.std(long_w[-cfg.short_len :, c]) / np.std(long_w[:, c]) for c in range(3)]
+        )
+        for mi, tag in enumerate(cfg.model_keys()):
+            seed = derive_seed(cfg.seed, i, mi, 1)
+            assert rec.seeds[mi] == seed
+            if tag == "gbm_mc":
+                holding = simulate_gbm_portfolio(
+                    np.ones(3), *calibrate_gbm(long_w), cfg.paths, seed
+                )
+                assets = var_es_columns(holding, cfg.alphas)
+                series = price_space_returns(holding, weights)
+            else:
+                settings = EmSettings(seed=derive_seed(cfg.seed, i, mi, 0))
+                chains[tag], _ = fit(long_w, int(tag[3:]), init=chains[tag], settings=settings)
+                unscaled = simulate_gmm(chains[tag], cfg.paths, seed)
+                var, es, n_tail = var_es_columns(unscaled, cfg.alphas)
+                assets = (var * ratios[:, None], es * ratios[:, None], n_tail)
+                holding = rescale(unscaled, ratios)
+                series = holding @ weights
+            portfolio = var_es_columns(series[:, None], cfg.alphas)
+            for got, asset_rows, portfolio_row in zip(
+                (rec.var, rec.es, rec.n_tail), assets, portfolio
+            ):
+                assert got[mi].tolist() == np.vstack((asset_rows, portfolio_row)).tolist(), tag
+            dumped = np.load(tmp_path / "scenarios" / f"{rec.date}_{tag}.npy")
+            assert dumped.tobytes() == holding.tobytes(), (rec.date, tag)
+    assert len(os.listdir(tmp_path / "scenarios")) == 4 * 3
 
 
 def test_runs_and_reports_build_no_per_row_estimate_objects(panel_3assets, tmp_path, monkeypatch):

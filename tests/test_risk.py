@@ -182,6 +182,9 @@ def test_var_es_columns_matches_per_column_reference_bit_for_bit(case):
     H, alphas = case
     var, es, n_tail = var_es_columns(H, alphas)
     assert var.shape == es.shape == n_tail.shape == (H.shape[1], len(alphas))
+    # a caller's scratch array, larger than needed, changes no bit
+    scratch = var_es_columns(H, alphas, work=np.full(2 * H.size + 5, np.nan))
+    assert [a.tobytes() for a in scratch] == [a.tobytes() for a in (var, es, n_tail)]
     for c in range(H.shape[1]):
         for j, a in enumerate(alphas):
             ref = _reference_var_es(H[:, c], a)

@@ -143,6 +143,16 @@ def test_gbm_portfolio_is_one_closed_form_step():
     assert got.tobytes() == expected.tobytes()
 
 
+def test_gbm_portfolio_writes_into_caller_arrays():
+    args = (np.array([1.0, 2.5]), np.array([0.001, -0.002]), np.array([0.01, 0.02]),
+            np.array([[1.0, 0.4], [0.4, 1.0]]), 300, 5)
+    fresh = simulate_gbm_portfolio(*args)
+    out, work = np.full((300, 2), np.nan), np.full(601, np.nan)
+    assert simulate_gbm_portfolio(*args, out=out, work=work) is out
+    assert out.tobytes() == fresh.tobytes()
+    assert not np.shares_memory(simulate_gbm_portfolio(*args), fresh)
+
+
 def test_gbm_portfolio_validation():
     ok = dict(m=100, seed=0)
     with pytest.raises(ValidationError):
@@ -202,6 +212,16 @@ def test_rescale_multiplies_per_asset():
         assert np.array_equal(out[..., 1], base[..., 1] * 0.5)
         # the input is left untouched
         assert np.array_equal(base, before)
+
+
+def test_rescale_writes_into_out():
+    returns = np.random.default_rng(2).normal(0.0, 0.01, (200, 3))
+    ratios = np.array([0.5, 1.0, 1.7])
+    fresh = rescale(returns, ratios)
+    out = np.full_like(returns, np.nan)
+    assert rescale(returns, ratios, out=out) is out
+    assert out.tobytes() == fresh.tobytes()
+    assert not np.shares_memory(rescale(returns, ratios), fresh)
 
 
 def test_rescale_validation():
