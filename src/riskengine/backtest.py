@@ -24,10 +24,10 @@ non-negative because each restricted model is nested in its alternative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .distributions import chi2_sf, kolmogorov_sf
 from .errors import (
@@ -187,6 +187,11 @@ def _transitions(seq: HitSequence) -> tuple[int, int, int, int]:
     return n00, n01, n10, n11
 
 
+def _xlogy(x, y) -> float:
+    """x * ln y with 0 * ln 0 = 0 (the convention of scipy.special.xlogy)."""
+    return 0.0 if x == 0 else x * math.log(y)
+
+
 def christoffersen(seq: HitSequence, reject_level: float = 0.01) -> ChristoffersenResult:
     """Unconditional-coverage, independence and combined LR tests.
 
@@ -207,8 +212,8 @@ def christoffersen(seq: HitSequence, reject_level: float = 0.01) -> Christoffers
     p = seq.alpha
 
     phat = x / n
-    lr_uc = -2.0 * (xlogy(n - x, 1.0 - p) + xlogy(x, p)) + 2.0 * (
-        xlogy(n - x, 1.0 - phat) + xlogy(x, phat)
+    lr_uc = -2.0 * (_xlogy(n - x, 1.0 - p) + _xlogy(x, p)) + 2.0 * (
+        _xlogy(n - x, 1.0 - phat) + _xlogy(x, phat)
     )
     lr_uc = max(float(lr_uc), 0.0)
 
@@ -217,12 +222,12 @@ def christoffersen(seq: HitSequence, reject_level: float = 0.01) -> Christoffers
     pi01 = n01 / (n00 + n01) if n00 + n01 > 0 else 0.0
     pi11 = n11 / (n10 + n11) if n10 + n11 > 0 else 0.0
     pi2 = (n01 + n11) / pairs if pairs > 0 else 0.0
-    log_l0 = xlogy(n00 + n10, 1.0 - pi2) + xlogy(n01 + n11, pi2)
+    log_l0 = _xlogy(n00 + n10, 1.0 - pi2) + _xlogy(n01 + n11, pi2)
     log_l1 = (
-        xlogy(n00, 1.0 - pi01)
-        + xlogy(n01, pi01)
-        + xlogy(n10, 1.0 - pi11)
-        + xlogy(n11, pi11)
+        _xlogy(n00, 1.0 - pi01)
+        + _xlogy(n01, pi01)
+        + _xlogy(n10, 1.0 - pi11)
+        + _xlogy(n11, pi11)
     )
     lr_ind = max(float(2.0 * (log_l1 - log_l0)), 0.0)
     lr_cc = lr_uc + lr_ind

@@ -227,6 +227,8 @@ def _cmd_gof(args) -> int:
         raise ConfigError(f"bad --components: {exc}") from exc
     if not components or any(c < 1 for c in components):
         raise ConfigError("--components needs positive integers")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     panel = load_prices(args.prices)
     returns = log_returns(panel)
 

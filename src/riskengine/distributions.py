@@ -1,20 +1,30 @@
 """Reference distribution functions used by estimators and test statistics.
 
-Thin wrappers over scipy.special so the rest of the package has one audited
-place for tail probabilities. Accuracy contracts (checked in the test suite):
-the normal quantile round-trips through the normal CDF to better than 1e-9
-over alpha in [1e-4, 0.5]; the chi-square survival function is the
-regularized upper incomplete gamma Q(df/2, x/2).
+The one audited place for tail probabilities, built on the standard
+library's math and statistics modules so the package imports nothing beyond
+numpy. Accuracy contracts, checked against scipy.special in the test suite:
+
+- normal_cdf within 1e-12 relative on x in [-37, 8];
+- normal_ppf within 1e-15 relative on a regular grid of p in
+  [1e-300, 1 - 1e-15]. It and ndtri each lie within 6e-16 of a 40-digit
+  quantile, so at other p the two can differ by up to 1.1e-15;
+- chi2_sf, the regularized upper incomplete gamma Q(df/2, x/2), within
+  1e-13 relative for integer df in 1..40 and x <= 400;
+- kolmogorov_sf within 1e-14 absolute on y in (0, 6].
 """
 
 from __future__ import annotations
 
+import math
+from statistics import NormalDist
+
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_STANDARD_NORMAL = NormalDist()
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def normal_pdf(x):
@@ -25,9 +35,9 @@ def normal_pdf(x):
 
 
 def normal_cdf(x):
-    """Standard normal CDF Phi(x)."""
+    """Standard normal CDF Phi(x) = erfc(-x / sqrt 2) / 2."""
     x = np.asarray(x, dtype=float)
-    out = special.ndtr(x)
+    out = 0.5 * np.asarray(_erfc(x * -math.sqrt(0.5)), dtype=float)
     return float(out) if out.ndim == 0 else out
 
 
@@ -35,24 +45,56 @@ def normal_ppf(p: float) -> float:
     """Inverse standard normal CDF; p must lie strictly inside (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValidationError(f"quantile level must be in (0, 1), got {p}")
-    return float(special.ndtri(p))
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
-def chi2_sf(x: float, df: float) -> float:
-    """Chi-square survival function P(X > x) = Q(df/2, x/2)."""
-    if df <= 0:
-        raise ValidationError(f"degrees of freedom must be positive, got {df}")
-    if x < 0:
+def chi2_sf(x: float, df: int) -> float:
+    """Chi-square survival function P(X > x) = Q(df/2, x/2), integer df.
+
+    With h = x/2 and m = df // 2, closed forms of the incomplete gamma:
+    even df gives exp(-h) sum_{k<m} h^k / k!; odd df gives
+    erfc(sqrt h) + exp(-h) sum_{k<m} h^(k+1/2) / Gamma(k + 3/2). Every term
+    is positive, so no digits cancel.
+    """
+    if not (df >= 1 and float(df).is_integer()):
+        raise ValidationError(f"degrees of freedom must be a positive integer, got {df}")
+    if x <= 0:
         return 1.0
-    return float(special.gammaincc(df / 2.0, x / 2.0))
+    if math.isinf(x):
+        return 0.0
+    h = 0.5 * float(x)
+    m, odd = divmod(int(df), 2)
+    if odd:
+        head, term, offset = math.erfc(math.sqrt(h)), 2.0 * math.sqrt(h / math.pi), 1.5
+    else:
+        head, term, offset = 0.0, 1.0, 1.0
+    total = 0.0
+    for k in range(m):
+        total += term
+        term *= h / (k + offset)
+    return head + math.exp(-h) * total
 
 
 def kolmogorov_sf(y: float) -> float:
     """Asymptotic Kolmogorov distribution survival function.
 
-    P(sqrt(n) * D_n > y) in the large-n limit: 2 * sum_{k>=1} (-1)^(k-1)
-    exp(-2 k^2 y^2).
+    P(sqrt(n) * D_n > y) in the large-n limit. Below y = 1 it is
+    1 - sqrt(2 pi) / y * sum_{k>=1} exp(-(2k-1)^2 pi^2 / (8 y^2)), above
+    it 2 * sum_{k>=1} (-1)^(k-1) exp(-2 k^2 y^2); each series needs a few
+    terms on its side.
     """
     if y < 0:
         raise ValidationError(f"KS scaled statistic must be >= 0, got {y}")
-    return float(special.kolmogorov(y))
+    if y < 0.1:  # 1 - sf < 1e-50 rounds away, and the series divides by y
+        return 1.0
+    y = float(y)
+    if y < 1.0:
+        c = -(math.pi * math.pi) / (8.0 * y * y)
+        total = 0.0
+        for k in range(1, 8):
+            total += math.exp((2 * k - 1) ** 2 * c)
+        return 1.0 - _SQRT_2PI / y * total
+    total = 0.0
+    for k in range(1, 8):
+        total += (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * y * y)
+    return 2.0 * total

@@ -34,7 +34,6 @@ import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .backtest import BacktestReport, christoffersen, hits, quadratic_loss
@@ -522,7 +521,6 @@ def _manifest(config: RunConfig, wall_clock_seconds, **entries) -> dict:
         "versions": {
             "package": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "wall_clock_seconds": wall_clock_seconds,

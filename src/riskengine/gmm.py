@@ -2,12 +2,12 @@
 
 A mixture is P(x) = sum_j w_j * N(x | mu_j, Sigma_j). All density work goes
 through Cholesky factors Sigma_j = L_j L_j', with an inverse of the
-triangular factor only (LAPACK trtri), never of Sigma itself: for each
-component, log N(x) = -0.5 * (k ln 2pi + ln det Sigma + z'z) with
-z = L^-1 (x - mu). This is the precision-Cholesky parameterisation of
-scikit-learn's GaussianMixture.precisions_cholesky_ (Pedregosa et al., JMLR
-2011). Stacking every L_j^-T side by side turns the densities of all samples
-and components into one matrix product, X @ [L_1^-T ... L_n^-T] - b.
+triangular factor only, never of Sigma itself: for each component,
+log N(x) = -0.5 * (k ln 2pi + ln det Sigma + z'z) with z = L^-1 (x - mu).
+This is the precision-Cholesky parameterisation of scikit-learn's
+GaussianMixture.precisions_cholesky_ (Pedregosa et al., JMLR 2011).
+Stacking every L_j^-T side by side turns the densities of all samples and
+components into one matrix product, X @ [L_1^-T ... L_n^-T] - b.
 
 EM runs in log space. The E-step shifts each row by its max before
 exponentiating, so responsibilities stay finite even when every component
@@ -29,8 +29,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
+from .distributions import normal_cdf
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -69,27 +69,30 @@ def covariance_floor(cov: np.ndarray):
 def _floored(cov: np.ndarray) -> np.ndarray:
     """cov plus its floor on the diagonal; cov is (k, k) or (n, k, k)."""
     floor = np.asarray(covariance_floor(cov))
-    return cov + floor[..., None, None] * np.eye(cov.shape[-1])
+    k = cov.shape[-1]
+    # adding 0.0 everywhere keeps this bit for bit equal to cov + floor * I,
+    # which turns an off-diagonal -0.0 into 0.0; the floor then goes onto the
+    # diagonal alone, through a flat view of the C-ordered copy
+    out = np.add(cov, 0.0, order="C")
+    out.reshape(*cov.shape[:-2], k * k)[..., :: k + 1] += floor[..., None]
+    return out
 
 
 def _factorize(covs: np.ndarray):
     """Cholesky factors L_j, their inverses L_j^-1 and ln det Sigma_j.
 
-    Raises numpy.linalg.LinAlgError when a covariance is not positive
-    definite or a triangular inverse fails, and ValidationError when one is
-    not finite (an overflowed M-step; Cholesky would not notice).
+    The inverses come from one batched solve over the whole (n, k, k)
+    stack, numpy.linalg.inv of the upper-triangular L_j', transposed back.
+    L_j' needs no row exchange, so each inverse is exactly lower
+    triangular; inverting L_j itself would pivot and leave rounding noise
+    above the diagonal. Raises numpy.linalg.LinAlgError when a covariance
+    is not positive definite, and ValidationError when one is not finite
+    (an overflowed M-step; Cholesky would not notice).
     """
     if not np.all(np.isfinite(covs)):
         raise ValidationError("means/covariances contain non-finite entries")
     chols = np.linalg.cholesky(covs)
-    prec_chols = np.empty_like(chols)
-    for j, L in enumerate(chols):
-        inv, info = dtrtri(L, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"triangular inverse of component {j} failed (info={info})"
-            )
-        prec_chols[j] = inv
+    prec_chols = np.linalg.inv(chols.transpose(0, 2, 1)).transpose(0, 2, 1)
     logdets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
     return chols, prec_chols, logdets
 
@@ -288,7 +291,11 @@ def component_density(x, mean, cov) -> float:
 
 
 def _logsumexp_rows(logj: np.ndarray, context: str) -> np.ndarray:
-    shift = logj.max(axis=1)
+    # the row max as a chain over the few columns: cheaper than max(axis=1)
+    # on a tall (N, n) array, and as exact; a NaN still propagates
+    shift = logj[:, 0]
+    for j in range(1, logj.shape[1]):
+        shift = np.maximum(shift, logj[:, j])
     bad = ~np.isfinite(shift)
     if np.any(bad):
         raise NumericError(
@@ -374,10 +381,12 @@ def _m_step(X: np.ndarray, r: np.ndarray):
     N, k = X.shape
     n_c = r.shape[1]
     col = r.sum(axis=0)
-    collapsed = np.flatnonzero(col < 1e-8 * N)
-    healthy = np.flatnonzero(col >= 1e-8 * N)
-    if healthy.size == 0:
+    collapsed = col < 1e-8 * N
+    if collapsed.all():
         raise DegenerateDataError("all mixture components collapsed")
+    # Without a collapse a basic slice selects every component, and the
+    # selections below are views instead of fancy-index copies.
+    healthy = np.flatnonzero(~collapsed) if collapsed.any() else slice(None)
 
     # Every healthy component at once, in the arithmetic of a per-component
     # loop: the means come from one vector-matrix product per column of r
@@ -395,7 +404,7 @@ def _m_step(X: np.ndarray, r: np.ndarray):
     covs[healthy] = _floored(0.5 * (S + S.transpose(0, 2, 1)))
     weights[healthy] = ch / N
 
-    if collapsed.size:
+    if collapsed.any():
         _, prec_chols, logdets = _factorize(covs[healthy])
         logj = _log_weighted(
             X, weights[healthy] / weights[healthy].sum(), means[healthy],
@@ -404,7 +413,7 @@ def _m_step(X: np.ndarray, r: np.ndarray):
         order = np.argsort(_logsumexp_rows(logj, "m_step reseed"), kind="stable")
         dm = X - X.mean(axis=0)
         global_cov = _floored(dm.T @ dm / N)
-        for pick, j in enumerate(collapsed):
+        for pick, j in enumerate(np.flatnonzero(collapsed)):
             means[j] = X[order[pick]]
             covs[j] = global_cov
             weights[j] = 1.0 / N
@@ -613,8 +622,6 @@ def mixture_cdf(model: GaussianMixtureModel, x):
     """CDF of a univariate mixture: sum_j w_j Phi((x - mu_j) / sigma_j)."""
     if model.dim != 1:
         raise ShapeError(f"mixture_cdf needs a 1-D model, got dim {model.dim}")
-    from .distributions import normal_cdf
-
     x = np.asarray(x, dtype=float)
     sds = np.sqrt(model.covariances[:, 0, 0])
     z = (x[..., None] - model.means[:, 0]) / sds

@@ -154,6 +154,44 @@ def test_christoffersen_matches_direct_formula_random():
         assert res.p_cc == pytest.approx(scipy.stats.chi2.sf(res.lr_cc, 2), rel=1e-9)
 
 
+def _christoffersen_lr_with_scipy_xlogy(seq):
+    """LR_uc, LR_ind and LR_cc in christoffersen's order of operations, on xlogy."""
+    from scipy.special import xlogy
+
+    from riskengine.backtest import _transitions
+
+    n, x, p = seq.n, seq.x, seq.alpha
+    phat = x / n
+    lr_uc = -2.0 * (xlogy(n - x, 1.0 - p) + xlogy(x, p)) + 2.0 * (
+        xlogy(n - x, 1.0 - phat) + xlogy(x, phat)
+    )
+    lr_uc = max(float(lr_uc), 0.0)
+    n00, n01, n10, n11 = _transitions(seq)
+    pairs = n00 + n01 + n10 + n11
+    pi01 = n01 / (n00 + n01) if n00 + n01 > 0 else 0.0
+    pi11 = n11 / (n10 + n11) if n10 + n11 > 0 else 0.0
+    pi2 = (n01 + n11) / pairs if pairs > 0 else 0.0
+    log_l0 = xlogy(n00 + n10, 1.0 - pi2) + xlogy(n01 + n11, pi2)
+    log_l1 = (
+        xlogy(n00, 1.0 - pi01) + xlogy(n01, pi01)
+        + xlogy(n10, 1.0 - pi11) + xlogy(n11, pi11)
+    )
+    lr_ind = max(float(2.0 * (log_l1 - log_l0)), 0.0)
+    return lr_uc, lr_ind, lr_uc + lr_ind
+
+
+def test_christoffersen_lr_statistics_match_scipy_xlogy_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for _ in range(400):
+        n = int(rng.integers(2, 400))
+        a = float(rng.choice([0.01, 0.025, 0.05, 0.1]))
+        h = rng.random(n) < a * rng.choice([0.0, 0.5, 1.0, 3.0, 30.0])
+        adjacent = rng.random(n - 1) < 0.9 if rng.random() < 0.3 else None
+        seq = HitSequence(hits=h, alpha=a, adjacent=adjacent)
+        res = christoffersen(seq)
+        assert (res.lr_uc, res.lr_ind, res.lr_cc) == _christoffersen_lr_with_scipy_xlogy(seq)
+
+
 def test_christoffersen_counts_no_transition_across_a_gap():
     # days 0..2 and 3..6 with a dropped day between them: the (T, T) pair of
     # observations 2 and 3 straddles the gap and must not count as n11

@@ -265,6 +265,19 @@ def test_gof_table_and_csv(prices_csv, tmp_path, capsys):
         assert 0.0 <= float(fields[4]) <= 1.0
 
 
+def test_gof_negative_seed_is_a_config_error(prices_csv, tmp_path, capsys):
+    # run and sweep reject a negative seed with exit 2; gof must too, before
+    # it prints its table or writes anything
+    out = tmp_path / "gof.csv"
+    code = main(["gof", "--prices", prices_csv, "--components", "2",
+                 "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "seed" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_gof_mixture_beats_normal_on_mixture_data(tmp_path, capsys):
     # returns drawn from a two-regime mixture: the 2-component fit should
     # dominate the single normal in log-likelihood

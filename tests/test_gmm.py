@@ -254,6 +254,20 @@ def test_gemm_kernel_matches_triangular_solves(case):
     )
 
 
+@given(ill_conditioned_mixtures())
+@settings(max_examples=150, deadline=None)
+def test_batched_inverse_of_cholesky_factors(case):
+    # the one numpy.linalg.inv call over the stack inverts every factor, and
+    # each inverse is exactly lower triangular, as a trtri result is
+    model, _ = case
+    chols, prec_chols = model._chols, model._prec_chols
+    k = model.dim
+    for L, P in zip(chols, prec_chols):
+        err = np.max(np.abs(P @ L - np.eye(k)))
+        assert err <= 1e-12 * np.linalg.cond(L)
+        assert not np.any(np.triu(P, 1))
+
+
 def test_em_path_makes_no_triangular_solve(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("triangular solve (trsm) called in the EM path")
