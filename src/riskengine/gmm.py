@@ -6,13 +6,24 @@ triangular factor only, never of Sigma itself: for each component,
 log N(x) = -0.5 * (k ln 2pi + ln det Sigma + z'z) with z = L^-1 (x - mu).
 This is the precision-Cholesky parameterisation of scikit-learn's
 GaussianMixture.precisions_cholesky_ (Pedregosa et al., JMLR 2011).
-Stacking every L_j^-T side by side turns the densities of all samples and
-components into one matrix product, X @ [L_1^-T ... L_n^-T] - b.
 
-EM runs in log space. The E-step shifts each row by its max before
-exponentiating, so responsibilities stay finite even when every component
-density underflows in linear space. The M-step re-estimates weights, means
-and covariances from responsibility-weighted moments and floors each
+The EM kernel is component-major: fit holds the samples as one (k, N)
+matrix X' with a sample per column, and log-densities, responsibilities and
+centred samples are (n, N) and (n, k, N) arrays, one row or block per
+component. Stacking every L_j^-1 turns all densities into one matrix
+product, [L_1^-1; ...; L_n^-1] X' - b. Each later step is then a handful of
+array operations along the long sample axis, instead of many operations
+whose inner loops run over only the n components or k dimensions; with
+N = 252, k = 15 and n = 3 that per-call overhead, not arithmetic, is what
+an EM iteration spends most of its time on. The public functions take and
+return samples as (N, k) rows and responsibilities as (N, n), and transpose
+once at that boundary.
+
+EM runs in log space. The E-step shifts each sample's column by its max
+before exponentiating, so responsibilities stay finite even when every
+component density underflows in linear space; one exp pass gives both the
+log-likelihood and the responsibilities. The M-step re-estimates weights,
+means and covariances from responsibility-weighted moments and floors each
 covariance diagonal with eps = max(1e-8 * trace(Sigma)/k, 1e-10), which keeps
 factorizations well posed without visibly perturbing the fit.
 
@@ -67,57 +78,83 @@ def covariance_floor(cov: np.ndarray):
 
 
 def _floored(cov: np.ndarray) -> np.ndarray:
-    """cov plus its floor on the diagonal; cov is (k, k) or (n, k, k)."""
-    floor = np.asarray(covariance_floor(cov))
-    k = cov.shape[-1]
-    # adding 0.0 everywhere keeps this bit for bit equal to cov + floor * I,
-    # which turns an off-diagonal -0.0 into 0.0; the floor then goes onto the
-    # diagonal alone, through a flat view of the C-ordered copy
-    out = np.add(cov, 0.0, order="C")
-    out.reshape(*cov.shape[:-2], k * k)[..., :: k + 1] += floor[..., None]
-    return out
+    """Add its floor to the diagonal of cov, in place; returns cov.
+
+    cov is a (k, k) or (n, k, k) array that the caller owns.
+    """
+    diagonal = np.einsum("...ii->...i", cov)  # a writable view, for any strides
+    diagonal += np.asarray(covariance_floor(cov))[..., None]
+    return cov
 
 
 def _factorize(covs: np.ndarray):
     """Cholesky factors L_j, their inverses L_j^-1 and ln det Sigma_j.
 
     The inverses come from one batched solve over the whole (n, k, k)
-    stack, numpy.linalg.inv of the upper-triangular L_j', transposed back.
-    L_j' needs no row exchange, so each inverse is exactly lower
-    triangular; inverting L_j itself would pivot and leave rounding noise
-    above the diagonal. Raises numpy.linalg.LinAlgError when a covariance
-    is not positive definite, and ValidationError when one is not finite
-    (an overflowed M-step; Cholesky would not notice).
+    stack, numpy.linalg.inv of the upper-triangular L_j', transposed back
+    and stored C-ordered, so the stack reshapes to one (n * k, k) matrix
+    without a copy. L_j' needs no row exchange, so each inverse is exactly
+    lower triangular; inverting L_j itself would pivot and leave rounding
+    noise above the diagonal. Raises numpy.linalg.LinAlgError when a
+    covariance is not positive definite, and ValidationError when one is not
+    finite (an overflowed M-step; Cholesky would not notice).
     """
-    if not np.all(np.isfinite(covs)):
+    if not np.isfinite(covs).all():
         raise ValidationError("means/covariances contain non-finite entries")
     chols = np.linalg.cholesky(covs)
-    prec_chols = np.linalg.inv(chols.transpose(0, 2, 1)).transpose(0, 2, 1)
-    logdets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    prec_chols = np.linalg.inv(chols.transpose(0, 2, 1)).transpose(0, 2, 1).copy()
+    logdets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
     return chols, prec_chols, logdets
 
 
-def _log_densities(X, means, prec_chols, logdets) -> np.ndarray:
-    """Log N(x_i | mu_j, Sigma_j) for every sample/component pair: (N, n).
+def _log_densities(Xt, means, prec_chols, logdets) -> np.ndarray:
+    """Log N(x_i | mu_j, Sigma_j) for every component/sample pair: (n, N).
 
-    z_ij = L_j^-1 (x_i - mu_j) for all pairs comes out of one GEMM,
-    X @ W - b with W = [L_1^-T ... L_n^-T] and b_j = L_j^-1 mu_j.
+    Xt is (k, N), one sample per column. z_ji = L_j^-1 (x_i - mu_j) for all
+    pairs comes out of one GEMM, [L_1^-1; ...; L_n^-1] @ Xt - b with
+    b_j = L_j^-1 mu_j, shaped (n, k, N); z'z sums its squares over axis 1.
     Rounding error in z is of order eps * |L^-1| * |x| rather than the
     eps * |L^-1| * |x - mu| of a triangular solve, so data lying many of the
     narrowest component's standard deviations away from the origin loses
     digits; daily returns sit well within one standard deviation of 0.
     """
     n, k = means.shape
-    W = prec_chols.transpose(2, 0, 1).reshape(k, n * k)
-    b = np.einsum("jca,ja->jc", prec_chols, means).reshape(n * k)
-    Z = (X @ W - b).reshape(X.shape[0], n, k)
-    return -0.5 * (k * _LOG_2PI + logdets + np.einsum("ijc,ijc->ij", Z, Z))
+    Z = (prec_chols.reshape(n * k, k) @ Xt).reshape(n, k, -1)
+    Z -= prec_chols @ means[:, :, None]
+    # einsum, unlike Z * Z, stays silent when a far-away point overflows z'z
+    return -0.5 * (k * _LOG_2PI + logdets[:, None] + np.einsum("jci,jci->ji", Z, Z))
 
 
-def _log_weighted(X, weights, means, prec_chols, logdets) -> np.ndarray:
+def _log_weighted(Xt, weights, means, prec_chols, logdets) -> np.ndarray:
+    """ln w_j + ln N(x_i | mu_j, Sigma_j) for every pair: (n, N)."""
     with np.errstate(divide="ignore"):  # log(0) for zero weights is fine
         logw = np.log(weights)
-    return _log_densities(X, means, prec_chols, logdets) + logw
+    logj = _log_densities(Xt, means, prec_chols, logdets)
+    logj += logw[:, None]
+    return logj
+
+
+def _logsumexp(logj: np.ndarray, context: str | None = None):
+    """Log-sum-exp over the components (axis 0) of logj (n, N), in place.
+
+    Returns (shift, e, s): shift is each column's max, e = exp(logj - shift)
+    overwrites logj, and s is e summed over axis 0. The log-sum-exp is
+    shift + log(s) and the responsibilities are e / s, so one exp pass
+    serves both. A column with no finite max raises NumericError naming
+    context; with context None its shift is taken as 0 instead, so a column
+    of -inf gets s = 0.
+    """
+    shift = logj.max(axis=0)  # a new array, never a view of logj; NaN propagates
+    finite = np.isfinite(shift)
+    if not finite.all():
+        if context is not None:
+            raise NumericError(
+                f"{context}: density underflowed for sample {int(np.argmin(finite))}"
+            )
+        shift[~finite] = 0.0
+    logj -= shift
+    e = np.exp(logj, out=logj)
+    return shift, e, e.sum(axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,9 +209,9 @@ class GaussianMixtureModel:
         object.__setattr__(self, "_logdets", logdets)
 
     def _log_weighted_densities(self, X: np.ndarray) -> np.ndarray:
-        """ln w_j + ln N(x_i | mu_j, Sigma_j) for every pair: (N, n)."""
+        """ln w_j + ln N(x_i | mu_j, Sigma_j) for samples X (N, k): (n, N)."""
         return _log_weighted(
-            X, self.weights, self.means, self._prec_chols, self._logdets
+            X.T, self.weights, self.means, self._prec_chols, self._logdets
         )
 
     @property
@@ -287,21 +324,8 @@ def component_density(x, mean, cov) -> float:
             f"point {x.shape}, mean {mean.shape} and cov {cov.shape} disagree"
         )
     _, prec_chols, logdets = _factorize(cov[None])
-    return float(np.exp(_log_densities(x[None], mean[None], prec_chols, logdets)[0, 0]))
-
-
-def _logsumexp_rows(logj: np.ndarray, context: str) -> np.ndarray:
-    # the row max as a chain over the few columns: cheaper than max(axis=1)
-    # on a tall (N, n) array, and as exact; a NaN still propagates
-    shift = logj[:, 0]
-    for j in range(1, logj.shape[1]):
-        shift = np.maximum(shift, logj[:, j])
-    bad = ~np.isfinite(shift)
-    if np.any(bad):
-        raise NumericError(
-            f"{context}: density underflowed for sample {int(np.argmax(bad))}"
-        )
-    return shift + np.log(np.sum(np.exp(logj - shift[:, None]), axis=1))
+    logpdf = _log_densities(x[:, None], mean[None], prec_chols, logdets)[0, 0]
+    return float(np.exp(logpdf))
 
 
 def mixture_density(model: GaussianMixtureModel, x):
@@ -328,13 +352,9 @@ def mixture_density(model: GaussianMixtureModel, x):
             scalar = True
     if x.shape[1] != model.dim:
         raise ShapeError(f"points have dim {x.shape[1]}, model has dim {model.dim}")
-    logj = model._log_weighted_densities(x)
-    shift = logj.max(axis=1)
-    dens = np.where(
-        np.isfinite(shift),
-        np.exp(shift) * np.sum(np.exp(logj - shift[:, None]), axis=1),
-        0.0,
-    )
+    # a point where every component density is 0 gets shift 0 and s = 0
+    shift, _, s = _logsumexp(model._log_weighted_densities(x))
+    dens = np.exp(shift) * s
     return float(dens[0]) if scalar else dens
 
 
@@ -343,8 +363,8 @@ def log_likelihood(model: GaussianMixtureModel, data) -> float:
     X = _as_matrix(data)
     if X.shape[1] != model.dim:
         raise ShapeError(f"data has dim {X.shape[1]}, model has dim {model.dim}")
-    logj = model._log_weighted_densities(X)
-    return float(np.mean(_logsumexp_rows(logj, "log_likelihood")))
+    shift, _, s = _logsumexp(model._log_weighted_densities(X), "log_likelihood")
+    return float(np.mean(shift + np.log(s)))
 
 
 def e_step(model: GaussianMixtureModel, data) -> Responsibilities:
@@ -352,9 +372,8 @@ def e_step(model: GaussianMixtureModel, data) -> Responsibilities:
     X = _as_matrix(data)
     if X.shape[1] != model.dim:
         raise ShapeError(f"data has dim {X.shape[1]}, model has dim {model.dim}")
-    logj = model._log_weighted_densities(X)
-    lse = _logsumexp_rows(logj, "e_step")
-    return Responsibilities(r=np.exp(logj - lse[:, None]))
+    _, e, s = _logsumexp(model._log_weighted_densities(X), "e_step")
+    return Responsibilities(r=(e / s).T)
 
 
 def m_step(data, resp) -> GaussianMixtureModel:
@@ -372,52 +391,52 @@ def m_step(data, resp) -> GaussianMixtureModel:
     N = X.shape[0]
     if resp.r.shape[0] != N:
         raise ShapeError(f"{N} samples but {resp.r.shape[0]} responsibility rows")
-    weights, means, covs = _m_step(X, resp.r)
+    weights, means, covs = _m_step(np.ascontiguousarray(X.T), resp.r.T)
     return GaussianMixtureModel(weights=weights, means=means, covariances=covs)
 
 
-def _m_step(X: np.ndarray, r: np.ndarray):
-    """m_step on validated arrays; returns (weights, means, covariances)."""
-    N, k = X.shape
-    n_c = r.shape[1]
-    col = r.sum(axis=0)
+def _m_step(Xt: np.ndarray, r: np.ndarray):
+    """m_step on validated arrays, Xt (k, N) and r (n, N).
+
+    Returns (weights, means, covariances).
+    """
+    k, N = Xt.shape
+    col = r.sum(axis=1)
     collapsed = col < 1e-8 * N
     if collapsed.all():
         raise DegenerateDataError("all mixture components collapsed")
-    # Without a collapse a basic slice selects every component, and the
-    # selections below are views instead of fancy-index copies.
-    healthy = np.flatnonzero(~collapsed) if collapsed.any() else slice(None)
+    reseed = collapsed.any()
+    if reseed:  # collapsed components stay out, so no 0/0 is formed
+        r, col = r[~collapsed], col[~collapsed]
 
-    # Every healthy component at once, in the arithmetic of a per-component
-    # loop: the means come from one vector-matrix product per column of r
-    # (the strided columns a loop would pass), the scatter from one batched
-    # (D * r)' @ D. Collapsed components stay out, so no 0/0 is formed.
-    weights = np.empty(n_c)
+    # every healthy component at once: D = Xt - mu is (n, k, N) and the
+    # scatter one batched (D * r) @ D', symmetrised, scaled and floored in place
+    mu = (r @ Xt.T) / col[:, None]
+    D = Xt - mu[:, :, None]
+    S = (D * r[:, None, :]) @ D.transpose(0, 2, 1)
+    S += S.transpose(0, 2, 1)
+    S *= (0.5 / col)[:, None, None]
+    _floored(S)
+    if not reseed:
+        return col / col.sum(), mu, S
+
+    # re-seed each collapsed component at the sample the healthy ones explain
+    # least, with weight 1/N and the global covariance
+    _, prec_chols, logdets = _factorize(S)
+    shift, _, s = _logsumexp(
+        _log_weighted(Xt, col / col.sum(), mu, prec_chols, logdets), "m_step reseed"
+    )
+    order = np.argsort(shift + np.log(s), kind="stable")
+    dm = Xt - Xt.mean(axis=1, keepdims=True)
+    n_c = collapsed.shape[0]
+    weights = np.full(n_c, 1.0 / N)
     means = np.empty((n_c, k))
     covs = np.empty((n_c, k, k))
-    rh = r.T[healthy]
-    ch = col[healthy]
-    mu = np.matmul(r.T[:, None, :], X)[healthy, 0] / ch[:, None]
-    d = X - mu[:, None, :]
-    S = np.matmul((d * rh[:, :, None]).transpose(0, 2, 1), d) / ch[:, None, None]
-    means[healthy] = mu
-    covs[healthy] = _floored(0.5 * (S + S.transpose(0, 2, 1)))
-    weights[healthy] = ch / N
-
-    if collapsed.any():
-        _, prec_chols, logdets = _factorize(covs[healthy])
-        logj = _log_weighted(
-            X, weights[healthy] / weights[healthy].sum(), means[healthy],
-            prec_chols, logdets,
-        )
-        order = np.argsort(_logsumexp_rows(logj, "m_step reseed"), kind="stable")
-        dm = X - X.mean(axis=0)
-        global_cov = _floored(dm.T @ dm / N)
-        for pick, j in enumerate(np.flatnonzero(collapsed)):
-            means[j] = X[order[pick]]
-            covs[j] = global_cov
-            weights[j] = 1.0 / N
-
+    weights[~collapsed] = col / N
+    means[~collapsed] = mu
+    covs[~collapsed] = S
+    means[collapsed] = Xt[:, order[: int(collapsed.sum())]].T
+    covs[collapsed] = _floored(dm @ dm.T / N)
     weights /= weights.sum()
     return weights, means, covs
 
@@ -530,19 +549,22 @@ def fit(
     else:
         raise ValidationError(f"unknown init {init!r}")
 
-    # The loop runs on plain arrays; the validated model is built once, at
-    # exit. Responsibilities need no validation here: every row has a finite
-    # maximum (checked by _logsumexp_rows), so exp(logj - lse) lies in
-    # [0, 1] with rows summing to one.
+    # The loop runs on plain component-major arrays; the validated model is
+    # built once, at exit. Responsibilities need no validation here: every
+    # sample's column has a finite maximum (checked by _logsumexp), so e / s
+    # lies in [0, 1] with columns summing to one.
+    Xt = np.ascontiguousarray(X.T)
     weights, means, covs = model.weights, model.means, model.covariances
     prec_chols, logdets = model._prec_chols, model._logdets
     trace: list[float] = []
     converged = False
     previous = (weights, means, covs)
     for it in range(1, settings.max_iter + 1):
-        logj = _log_weighted(X, weights, means, prec_chols, logdets)
-        lse = _logsumexp_rows(logj, f"fit iteration {it}")
-        ll = float(np.mean(lse))
+        shift, e, s = _logsumexp(
+            _log_weighted(Xt, weights, means, prec_chols, logdets),
+            f"fit iteration {it}",
+        )
+        ll = float((shift + np.log(s)).sum()) / N  # np.mean, bit for bit
         if not np.isfinite(ll):
             raise NumericError(f"log-likelihood non-finite at iteration {it}")
         if trace and ll < trace[-1]:
@@ -558,7 +580,7 @@ def fit(
             converged = True
             break
         previous = (weights, means, covs)
-        weights, means, covs = _m_step(X, np.exp(logj - lse[:, None]))
+        weights, means, covs = _m_step(Xt, np.divide(e, s, out=e))
         _, prec_chols, logdets = _factorize(covs)
 
     report = FitReport(

@@ -1,6 +1,9 @@
 """Mixture model container, EM calibration, and stratified sampling."""
 
+import collections
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +161,23 @@ def test_mixture_density_reference():
     np.testing.assert_allclose(batch, 0.10656655564146993, rtol=1e-13)
 
 
+def test_mixture_density_is_zero_where_every_component_underflows():
+    # every component log-density is -inf at these points; the density is 0,
+    # with no -inf - (-inf) along the way (RuntimeWarnings are errors here)
+    m = GaussianMixtureModel(
+        weights=np.array([0.3, 0.7]),
+        means=np.array([[-1.0], [2.0]]),
+        covariances=np.array([[[0.25]], [[4.0]]]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mixture_density(m, 1e200) == 0.0
+        batch = mixture_density(m, np.array([1e200, 0.2, -1e200]))
+        assert mixture_density(two_comp_2d(), [1e200, 0.0]) == 0.0
+    assert batch[0] == 0.0 and batch[2] == 0.0
+    assert batch[1] == pytest.approx(0.10656655564146993, rel=1e-13)
+
+
 def test_mixture_cdf_reference():
     m = GaussianMixtureModel(
         weights=np.array([0.3, 0.7]),
@@ -239,8 +259,10 @@ def ill_conditioned_mixtures(draw):
 def test_gemm_kernel_matches_triangular_solves(case):
     model, X = case
     ref, size = _reference_log_densities(model, X)
-    new = gmm_module._log_densities(X, model.means, model._prec_chols, model._logdets)
-    assert np.all(np.abs(new - ref) <= 1e-10 * size)
+    # the kernel is component-major: samples in columns, densities (n, N)
+    new = gmm_module._log_densities(X.T, model.means, model._prec_chols, model._logdets)
+    assert new.shape == (model.n_components, len(X))
+    assert np.all(np.abs(new.T - ref) <= 1e-10 * size)
 
     logj = ref + np.log(model.weights)
     lse = np.logaddexp.reduce(logj, axis=1)
@@ -268,6 +290,15 @@ def test_batched_inverse_of_cholesky_factors(case):
         assert not np.any(np.triu(P, 1))
 
 
+def _desk_windows():
+    """A desk-shaped window, 252 days of one-factor returns on 15 assets,
+    and the same window one day later."""
+    rng = np.random.default_rng(4)
+    f = rng.normal(size=(253, 1))
+    panel = 0.0002 + 0.011 * (0.5 * f + np.sqrt(0.75) * rng.normal(size=(253, 15)))
+    return panel[:252], panel[1:]
+
+
 def test_em_path_makes_no_triangular_solve(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("triangular solve (trsm) called in the EM path")
@@ -276,12 +307,7 @@ def test_em_path_makes_no_triangular_solve(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dtrtrs", forbidden)
     monkeypatch.setattr(gmm_module, "solve_triangular", forbidden, raising=False)
 
-    # a desk-shaped window: 252 days of one-factor returns on 15 assets
-    rng = np.random.default_rng(4)
-    f = rng.normal(size=(253, 1))
-    panel = 0.0002 + 0.011 * (0.5 * f + np.sqrt(0.75) * rng.normal(size=(253, 15)))
-    X, shifted = panel[:252], panel[1:]
-
+    X, shifted = _desk_windows()
     model, cold = fit(X, 3, settings=EmSettings(seed=1))
     warm_model, warm = fit(shifted, 3, init=model)
     assert cold.init_mode == "kmeans" and warm.init_mode == "warm_start"
@@ -290,6 +316,37 @@ def test_em_path_makes_no_triangular_solve(monkeypatch):
     assert np.isfinite(log_likelihood(refit, shifted))
     assert component_density(X[0], model.means[0], model.covariances[0]) > 0.0
     assert sample(warm_model, 3000, np.random.default_rng(2)).shape == (3000, 15)
+
+
+def test_fit_makes_one_density_pass_and_one_factorization_per_step(monkeypatch):
+    # fit evaluates the density kernel once per log-likelihood it computes and
+    # factorizes once per M-step, plus once for the model it returns (and,
+    # cold, once for the k-means start): no second density pass for the
+    # responsibilities, no second factorization of one iterate
+    calls = collections.Counter()
+    for name in ("_log_densities", "_factorize", "_m_step"):
+        def counted(*args, _name=name, _original=getattr(gmm_module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(gmm_module, name, counted)
+
+    X, shifted = _desk_windows()
+    settings = EmSettings(seed=1)
+    model, cold = fit(X, 3, settings=settings)
+    cold_calls = dict(calls)
+    calls.clear()
+    _, warm = fit(shifted, 3, init=model, settings=settings)
+    for report, counts, starts in ((cold, cold_calls, 1), (warm, calls, 0)):
+        trace = report.loglik_trace
+        tol_stop = len(trace) >= 2 and trace[-1] - trace[-2] < settings.tol
+        # a downhill stop evaluates one more iterate and discards it
+        downhill = not tol_stop and report.iterations < settings.max_iter
+        m_steps = report.iterations - tol_stop
+        assert counts["_log_densities"] == report.iterations + downhill
+        assert counts["_m_step"] == m_steps
+        assert counts["_factorize"] == m_steps + 1 + starts
+    assert cold.iterations > 5 and warm.init_mode == "warm_start"
 
 
 # ----------------------------------------------------------------- EM steps
@@ -369,43 +426,58 @@ def test_m_step_reseeds_starved_component():
     )
 
 
-def _reference_m_step(X, r):
-    """_m_step before batching: one pass per healthy component, scalar floor."""
+def _assert_exact_moments(X, r, weights, means, covs):
+    """Check an M-step result against weighted moments summed with math.fsum.
 
-    def floored(S):
-        return S + max(1e-8 * float(np.trace(S)) / S.shape[0], 1e-10) * np.eye(S.shape[0])
-
+    Each healthy component's sums, of N <= 300 terms, carry a worst-case
+    forward error of N * 2^-53 <= 3.4e-14 relative to the sum of absolute
+    terms. That bounds a mean's error by that factor times the component's
+    root-mean-square coordinate, and a covariance entry's by that factor
+    times sqrt(S_aa * S_bb) (Cauchy-Schwarz); the error of the mean enters
+    the scatter only squared. 1e-12 of those scales leaves a margin of 30.
+    A collapsed component must sit on the samples the healthy components
+    explain least, ranked here with per-component triangular solves, and
+    carry the global covariance with weight 1/N before renormalising.
+    """
     N, k = X.shape
-    n_c = r.shape[1]
-    col = r.sum(axis=0)
-    collapsed = np.flatnonzero(col < 1e-8 * N)
-    healthy = np.flatnonzero(col >= 1e-8 * N)
-    weights = np.empty(n_c)
-    means = np.empty((n_c, k))
-    covs = np.empty((n_c, k, k))
-    for j in healthy:
+    n = r.shape[1]
+    col = np.array([math.fsum(r[:, j]) for j in range(n)])
+    healthy = col >= 1e-8 * N
+    total = math.fsum(col[healthy]) + int(np.sum(~healthy))
+    for j in np.flatnonzero(healthy):
         rj = r[:, j]
-        mu = rj @ X / col[j]
-        d = X - mu
-        S = (d * rj[:, None]).T @ d / col[j]
-        means[j] = mu
-        covs[j] = floored(0.5 * (S + S.T))
-        weights[j] = col[j] / N
-    if collapsed.size:
-        _, prec_chols, logdets = gmm_module._factorize(covs[healthy])
-        logj = gmm_module._log_weighted(
-            X, weights[healthy] / weights[healthy].sum(), means[healthy],
-            prec_chols, logdets,
-        )
-        order = np.argsort(gmm_module._logsumexp_rows(logj, "reference"), kind="stable")
-        dm = X - X.mean(axis=0)
-        global_cov = floored(dm.T @ dm / N)
-        for pick, j in enumerate(collapsed):
-            means[j] = X[order[pick]]
-            covs[j] = global_cov
-            weights[j] = 1.0 / N
-    weights /= weights.sum()
-    return weights, means, covs
+        mu = np.array([math.fsum(rj * X[:, a]) for a in range(k)]) / col[j]
+        rms = np.sqrt([math.fsum(rj * X[:, a] ** 2) / col[j] for a in range(k)])
+        D = X - mu
+        S = np.array(
+            [[math.fsum(rj * D[:, a] * D[:, b]) for b in range(k)] for a in range(k)]
+        ) / col[j]
+        expected = S + covariance_floor(S) * np.eye(k)
+        assert weights[j] == pytest.approx(col[j] / total, rel=1e-12, abs=0.0)
+        assert np.all(np.abs(means[j] - mu) <= 1e-12 * rms)
+        scale = np.sqrt(np.outer(np.diag(S), np.diag(S)))
+        assert np.all(np.abs(covs[j] - expected) <= 1e-12 * scale)
+    if healthy.all():
+        return
+    survivors = GaussianMixtureModel(
+        weights=weights[healthy] / weights[healthy].sum(),
+        means=means[healthy],
+        covariances=covs[healthy],
+    )
+    logj, _ = _reference_log_densities(survivors, X)
+    order = np.argsort(
+        np.logaddexp.reduce(logj + np.log(survivors.weights), axis=1), kind="stable"
+    )
+    D = X - np.array([math.fsum(X[:, a]) for a in range(k)]) / N
+    G = np.array(
+        [[math.fsum(D[:, a] * D[:, b]) for b in range(k)] for a in range(k)]
+    ) / N
+    expected = G + covariance_floor(G) * np.eye(k)
+    scale = np.sqrt(np.outer(np.diag(G), np.diag(G)))
+    for pick, j in enumerate(np.flatnonzero(~healthy)):
+        np.testing.assert_array_equal(means[j], X[order[pick]])
+        assert np.all(np.abs(covs[j] - expected) <= 1e-12 * scale)
+        assert weights[j] == pytest.approx(1.0 / total, rel=1e-12, abs=0.0)
 
 
 @given(
@@ -417,7 +489,7 @@ def _reference_m_step(X, r):
     tiny=st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
-def test_batched_m_step_matches_per_component_loop_bit_for_bit(
+def test_m_step_matches_exact_weighted_moments(
     seed, n_samples, dim, n_components, n_collapsed, tiny
 ):
     rng = np.random.default_rng(seed)
@@ -431,12 +503,10 @@ def test_batched_m_step_matches_per_component_loop_bit_for_bit(
     r /= r.sum(axis=1, keepdims=True)
 
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        got = gmm_module._m_step(X, r)
-    ref = _reference_m_step(X, r)
-    for a, b in zip(got, ref):
-        np.testing.assert_array_equal(a, b)
-    model = m_step(X, Responsibilities(r=r))
-    np.testing.assert_array_equal(model.covariances, ref[2])
+        got = gmm_module._m_step(np.ascontiguousarray(X.T), np.ascontiguousarray(r.T))
+        model = m_step(X, Responsibilities(r=r))
+    _assert_exact_moments(X, r, *got)
+    _assert_exact_moments(X, r, model.weights, model.means, model.covariances)
 
 
 def test_covariance_floor_scales():
