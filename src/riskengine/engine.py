@@ -260,7 +260,7 @@ class _Buffers:
     receives the day's (paths, assets) draws; columns the matrix read next to
     them, a gmm holding rescaled by the vol ratios or gbm_mc's holding with
     its portfolio column appended; series a portfolio column; work the
-    kernels' scratch. Tags never share a set.
+    kernels' scratch of paths * width entries. Tags never share a set.
     """
 
     holding: np.ndarray
@@ -272,7 +272,7 @@ class _Buffers:
     def allocate(cls, key: str, paths: int, n_assets: int) -> "_Buffers":
         width = n_assets + (key == "gbm_mc")
         return cls(np.empty((paths, n_assets)), np.empty((paths, width)),
-                   np.empty(paths), np.empty(2 * paths * width))
+                   np.empty(paths), np.empty(paths * width))
 
 
 def _run_days(returns, config, short_lens, scenario_writer, model_sink):

@@ -514,7 +514,8 @@ def fit(
     init is either the string "kmeans" (cold start, seeded from
     settings.seed) or an existing GaussianMixtureModel to warm-start from.
     Returns the fitted model together with a FitReport whose trace holds the
-    per-sample log-likelihood at the top of every iteration.
+    per-sample log-likelihood at the top of every iteration; final_loglik,
+    its last entry, is the returned model's, also when max_iter stops it.
 
     The covariance stabiliser makes each M-step very slightly suboptimal, so
     near convergence the objective can wobble below its previous value.  The
@@ -557,7 +558,6 @@ def fit(
     weights, means, covs = model.weights, model.means, model.covariances
     prec_chols, logdets = model._prec_chols, model._logdets
     trace: list[float] = []
-    converged = False
     previous = (weights, means, covs)
     for it in range(1, settings.max_iter + 1):
         shift, e, s = _logsumexp(
@@ -576,8 +576,8 @@ def fit(
             converged = trace[-1] - ll < settings.tol
             break
         trace.append(ll)
-        if len(trace) >= 2 and trace[-1] - trace[-2] < settings.tol:
-            converged = True
+        converged = len(trace) >= 2 and trace[-1] - trace[-2] < settings.tol
+        if converged or it == settings.max_iter:  # return the iterate last scored
             break
         previous = (weights, means, covs)
         weights, means, covs = _m_step(Xt, np.divide(e, s, out=e))

@@ -3,7 +3,8 @@
 Sign convention: returns are log returns, losses are negative numbers. The
 alpha-level VaR is the empirical alpha-quantile of the scenario return
 distribution (linear interpolation between order statistics), and ES is the
-mean of the scenarios at or below that quantile, so es <= var always.
+mean of the n_tail smallest scenarios, those at or below that quantile,
+summed in ascending order, so es <= var always.
 """
 
 from __future__ import annotations
@@ -98,15 +99,21 @@ class RiskEstimate:
             raise ValidationError(f"n_tail must be >= 0, got {self.n_tail}")
 
 
-def _interpolate(s: np.ndarray, alpha: float) -> np.ndarray:
-    """The alpha-quantile of each sorted row of s (last axis; numpy "linear")."""
-    n = s.shape[-1]
-    g = alpha * (n - 1)
-    lo = int(g)
-    if lo + 1 >= n:
-        return s[..., -1]
-    frac = g - lo
-    return s[..., lo] + frac * (s[..., lo + 1] - s[..., lo])
+def _quantiles(rows: np.ndarray, alphas):
+    """(top, var): the alphas-quantiles of each row (numpy "linear") in var,
+    shaped (..., len(alphas)), after sorting each row in place only up to
+    top, the largest rank read; a partition at top leaves later entries >= it."""
+    m = rows.shape[-1]
+    ranks = [int(alpha * (m - 1)) for alpha in alphas]  # each <= m - 2, as alpha < 1
+    top = max(ranks, default=-1) + 1
+    if top < m - 1:
+        rows.partition(top, axis=-1)  # one kth: a tuple of kths costs more than a sort
+    rows[..., : top + 1].sort(axis=-1)
+    var = np.empty(rows.shape[:-1] + (len(ranks),))
+    for a, (alpha, lo) in enumerate(zip(alphas, ranks)):
+        low, high = rows[..., lo], rows[..., lo + 1]
+        var[..., a] = low + (alpha * (m - 1) - lo) * (high - low)
+    return top, var
 
 
 def quantile(samples, alpha: float) -> float:
@@ -116,7 +123,7 @@ def quantile(samples, alpha: float) -> float:
     calls "linear"): the result interpolates between the floor(h)-th and
     (floor(h)+1)-th smallest observations.
     """
-    x = np.asarray(samples, dtype=float).ravel()
+    x = np.array(samples, dtype=float).ravel()
     if x.size < 2:
         raise InsufficientDataError(
             f"quantile needs at least 2 samples, got {x.size}"
@@ -125,21 +132,22 @@ def quantile(samples, alpha: float) -> float:
         raise ValidationError("samples contain non-finite entries")
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    return float(_interpolate(np.sort(x), alpha))
+    return float(_quantiles(x, (alpha,))[1][0])
 
 
 def var_es_columns(samples, alphas, *, work=None):
     """Empirical VaR, ES and tail counts of every column of a sample matrix.
 
     samples is (n, cols); returns float arrays var and es and an int array
-    n_tail, each shaped (cols, len(alphas)). Each column is sorted once and
-    read at every alpha. ES averages the column's scenarios <= VaR
-    (inclusive) in their original order, so every entry equals var_es of
-    that column bit for bit. Requires at least ceil(1/alpha) rows for each
-    alpha; TailEmptyError guards the impossible empty tail. work, when
-    given, is a flat float64 array of at least 2 * n * cols entries that
-    holds the transposed and the sorted copy of samples and is overwritten;
-    without it both are new arrays.
+    n_tail, each shaped (cols, len(alphas)). One copy of the columns is
+    partitioned once and sorted up to the largest rank any alpha reads, so
+    VaR is the full-sort quantile. ES is the mean of the n_tail smallest
+    scenarios, those <= VaR (inclusive), summed in ascending order; a column
+    whose ties run past the sorted ranks is sorted in full. Each entry is
+    var_es of its column bit for bit. Needs ceil(1/alpha) rows per alpha;
+    TailEmptyError marks a nan VaR, from an overflowing gap between ranks.
+    work, when given, is a flat float64 array of at least n * cols entries
+    that holds the copy and is overwritten; else the copy is a new array.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
@@ -147,31 +155,32 @@ def var_es_columns(samples, alphas, *, work=None):
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
             raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-        need = int(np.ceil(1.0 / alpha))
+        need = math.ceil(1.0 / alpha)
         if x.shape[0] < need:
             raise InsufficientDataError(
                 f"need at least ceil(1/alpha) = {need} scenarios for "
                 f"alpha={alpha}, got {x.shape[0]}"
             )
-    copies = (2, x.shape[1], x.shape[0])
-    cols, ordered = np.empty(copies) if work is None else work[: 2 * x.size].reshape(copies)
-    np.copyto(cols, x.T)
-    if not np.all(np.isfinite(cols)):
+    ordered = np.empty(x.shape[::-1]) if work is None else work[: x.size].reshape(x.shape[::-1])
+    np.copyto(ordered, x.T)
+    if not np.isfinite(ordered).all():
         raise ValidationError("samples contain non-finite entries")
-    np.copyto(ordered, cols)
-    ordered.sort(axis=1)
-    shape = (cols.shape[0], len(alphas))
-    var, es, n_tail = np.empty(shape), np.empty(shape), np.empty(shape, dtype=int)
-    for a, alpha in enumerate(alphas):
-        var[:, a] = _interpolate(ordered, alpha)
-        for c, col in enumerate(cols):
-            tail = col[col <= var[c, a]]
-            if tail.size == 0:
-                raise TailEmptyError(
-                    f"no scenarios at or below the VaR quantile {var[c, a]}"
-                )
-            es[c, a] = tail.sum() / tail.size  # the bits of tail.mean(), faster
-            n_tail[c, a] = tail.size
+    top, var = _quantiles(ordered, alphas)
+    head = ordered[:, None, : top + 1]
+    below = head <= var[:, :, None]
+    n_tail = below.sum(axis=-1)
+    # entries past rank top are >= it, so only a column whose whole head is
+    # tail can have more, through ties: sort those in full, read every rank
+    if n_tail.max(initial=0) > top:
+        spill = (n_tail > top).any(axis=-1)
+        ordered[spill] = np.sort(ordered[spill], axis=-1)
+        head = ordered[:, None, :]
+        below = head <= var[:, :, None]
+        n_tail = below.sum(axis=-1)
+    if not n_tail.all():
+        raise TailEmptyError(f"no scenarios at or below the VaR quantile in {var}")
+    # a masked sum adds each row's leading run of n_tail entries alone
+    es = head.repeat(len(alphas), axis=1).sum(axis=-1, where=below) / n_tail
     return var, es, n_tail
 
 

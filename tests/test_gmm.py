@@ -332,17 +332,25 @@ def test_fit_makes_one_density_pass_and_one_factorization_per_step(monkeypatch):
         monkeypatch.setattr(gmm_module, name, counted)
 
     X, shifted = _desk_windows()
-    settings = EmSettings(seed=1)
+    settings, capped_settings = EmSettings(seed=1), EmSettings(seed=1, max_iter=3)
     model, cold = fit(X, 3, settings=settings)
     cold_calls = dict(calls)
     calls.clear()
     _, warm = fit(shifted, 3, init=model, settings=settings)
-    for report, counts, starts in ((cold, cold_calls, 1), (warm, calls, 0)):
+    warm_calls = dict(calls)
+    calls.clear()
+    _, capped = fit(X, 3, settings=capped_settings)
+    for report, counts, starts, max_iter in (
+        (cold, cold_calls, 1, settings.max_iter),
+        (warm, warm_calls, 0, settings.max_iter),
+        (capped, calls, 1, capped_settings.max_iter),
+    ):
         trace = report.loglik_trace
         tol_stop = len(trace) >= 2 and trace[-1] - trace[-2] < settings.tol
-        # a downhill stop evaluates one more iterate and discards it
-        downhill = not tol_stop and report.iterations < settings.max_iter
-        m_steps = report.iterations - tol_stop
+        # a downhill stop evaluates one more iterate and discards it; a stop
+        # by tol or max_iter makes no M-step after its last evaluation
+        downhill = not tol_stop and report.iterations < max_iter
+        m_steps = report.iterations - (tol_stop or report.iterations == max_iter)
         assert counts["_log_densities"] == report.iterations + downhill
         assert counts["_m_step"] == m_steps
         assert counts["_factorize"] == m_steps + 1 + starts
@@ -622,6 +630,15 @@ def test_fit_respects_max_iter():
     _, report = fit(x, 3, settings=EmSettings(tol=1e-300, max_iter=4, seed=0))
     assert report.iterations <= 4
     assert not report.converged
+
+
+def test_fit_stopped_by_max_iter_returns_the_iterate_it_scored():
+    # the last allowed iteration scores its iterate and stops before another
+    # M-step, so the reported log-likelihood is the returned model's
+    X, _ = _desk_windows()
+    model, report = fit(X, 3, settings=EmSettings(seed=1, max_iter=3))
+    assert report.iterations == 3 and not report.converged
+    assert report.final_loglik == log_likelihood(model, X)
 
 
 def test_fit_report_validation():

@@ -1,5 +1,7 @@
 """Quantile estimation, VaR/ES extraction, volatility adjustment, portfolio specs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from riskengine import (
 from riskengine.errors import (
     InsufficientDataError,
     ShapeError,
+    TailEmptyError,
     ValidationError,
 )
 
@@ -142,8 +145,8 @@ def test_adjust_commutes_with_scaling_data():
 
 
 def _reference_var_es(x, alpha):
-    """(var, es, n_tail) of one column the way var_es read it before the
-    column kernel: a sort, the interpolated quantile, a masked tail mean."""
+    """(var, tail, n_tail) of one column the way var_es read it before the
+    column kernel: a full sort, the interpolated quantile, a masked tail."""
     x = np.asarray(x, dtype=float).ravel()
     s = np.sort(x)
     g = alpha * (x.size - 1)
@@ -153,7 +156,30 @@ def _reference_var_es(x, alpha):
     else:
         v = float(s[lo] + (g - lo) * (s[lo + 1] - s[lo]))
     tail = x[x <= v]
-    return v, float(tail.mean()), int(tail.size)
+    return v, tail, int(tail.size)
+
+
+def _check_var_es_columns(H, alphas):
+    """var and n_tail equal the full-sort reference bit for bit; es is the
+    exact tail mean to within 4 n eps max|tail|, the rounding of any order
+    of summing n terms; every column is var_es of that column, bit for bit;
+    a scratch array of exactly H.size entries, or a larger one, changes no
+    bit."""
+    var, es, n_tail = var_es_columns(H, alphas)
+    assert var.shape == es.shape == n_tail.shape == (H.shape[1], len(alphas))
+    assert n_tail.dtype == int
+    for work in (np.full(H.size, np.nan), np.full(2 * H.size + 5, np.nan)):
+        scratch = var_es_columns(H, alphas, work=work)
+        assert [a.tobytes() for a in scratch] == [a.tobytes() for a in (var, es, n_tail)]
+    eps = np.finfo(float).eps
+    for c in range(H.shape[1]):
+        for j, a in enumerate(alphas):
+            v, tail, n = _reference_var_es(H[:, c], a)
+            assert (var[c, j], n_tail[c, j]) == (v, n)
+            exact = math.fsum(tail) / n
+            assert abs(es[c, j] - exact) <= 4 * n * eps * np.max(np.abs(tail))
+            est = var_es(H[:, c], a)
+            assert (est.var, est.es, est.n_tail) == (var[c, j], es[c, j], n_tail[c, j])
 
 
 @st.composite
@@ -179,18 +205,51 @@ def sample_matrices(draw):
 @given(sample_matrices())
 @settings(max_examples=150, deadline=None)
 def test_var_es_columns_matches_per_column_reference_bit_for_bit(case):
-    H, alphas = case
+    _check_var_es_columns(*case)
+
+
+def _tie_run_past_the_sorted_ranks():
+    # alpha 0.05 at 100 rows reads ranks 4 and 5; ranks 3..22 of column 0
+    # tie at -1, so its tail runs 17 ranks past the sorted head
+    rng = np.random.default_rng(4)
+    tied = np.concatenate([[-3.0, -2.0, -1.5], np.full(20, -1.0), np.arange(77.0)])
+    return np.column_stack([rng.permutation(tied), rng.normal(size=100)]), (0.05,)
+
+
+def _signed_zeros():
+    rng = np.random.default_rng(5)
+    x = np.concatenate([np.tile([-0.0, 0.0], 30), rng.uniform(1.0, 2.0, 40)])
+    return np.column_stack([rng.permutation(x), rng.permutation(-x)]), (0.05, 0.5)
+
+
+@pytest.mark.parametrize("case", [
+    _tie_run_past_the_sorted_ranks(),
+    _signed_zeros(),
+    # a constant column beside a random one, read at two levels
+    (np.column_stack([np.full(120, 0.3), np.random.default_rng(6).normal(size=120)]),
+     (0.01, 0.05)),
+    # the largest alpha below 1 reads the two largest ranks: no partition,
+    # a full sort (alpha * (m - 1) never rounds up to m - 1)
+    (np.random.default_rng(7).normal(size=(2, 3)), (np.nextafter(1.0, 0.0),)),
+    (np.random.default_rng(8).normal(size=(1025, 2)), (np.nextafter(1.0, 0.0), 0.01)),
+], ids=["tie-run", "signed-zeros", "constant-column", "max-alpha-2-rows", "max-alpha-1025-rows"])
+def test_var_es_columns_edge_cases(case):
+    _check_var_es_columns(*case)
+
+
+def test_var_es_columns_tail_runs_past_the_sorted_ranks():
+    H, alphas = _tie_run_past_the_sorted_ranks()
     var, es, n_tail = var_es_columns(H, alphas)
-    assert var.shape == es.shape == n_tail.shape == (H.shape[1], len(alphas))
-    # a caller's scratch array, larger than needed, changes no bit
-    scratch = var_es_columns(H, alphas, work=np.full(2 * H.size + 5, np.nan))
-    assert [a.tobytes() for a in scratch] == [a.tobytes() for a in (var, es, n_tail)]
-    for c in range(H.shape[1]):
-        for j, a in enumerate(alphas):
-            ref = _reference_var_es(H[:, c], a)
-            assert (var[c, j], es[c, j], n_tail[c, j]) == ref
-            est = var_es(H[:, c], a)
-            assert (est.var, est.es, est.n_tail) == ref
+    assert var[0, 0] == -1.0 and n_tail[0, 0] == 23
+    assert es[0, 0] == pytest.approx((-3.0 - 2.0 - 1.5 - 20.0) / 23, rel=1e-15)
+
+
+def test_var_es_columns_overflowing_quantile_has_an_empty_tail():
+    # a gap of 2e308 between the ranks read overflows to inf, and 0 * inf
+    # makes the VaR nan, below which no scenario lies
+    H = np.array([[-1e308], [-1e308], [1e308]])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TailEmptyError):
+        var_es_columns(H, (0.5,))
 
 
 def test_var_es_columns_validation():
