@@ -16,12 +16,11 @@ from riskengine import (
     PricePanel,
     fit,
     gbm_mc_var,
-    historical_var,
     log_returns,
-    parametric_var,
+    parametric_columns,
     rescale,
     simulate_gmm,
-    var_es,
+    var_es_columns,
 )
 
 
@@ -51,26 +50,17 @@ def main():
     print(f"short/long vol ratio: {ratio:.3f}  (fit {rep.iterations} iters)")
     print()
     print(f"{'model':<22} {'VaR 95%':>10} {'ES 95%':>10} {'VaR 99%':>10}")
-    for alpha in (0.05,):
-        rows = [
-            ("mixture MC", var_es(scen[:, 0], alpha)),
-            ("mixture MC, rescaled", var_es(scaled[:, 0], alpha)),
-            ("historical", historical_var(window, alpha)),
-            ("parametric normal", parametric_var(window, alpha)),
-            ("GBM Monte Carlo", gbm_mc_var(window, alpha, m=20000, seed=5)),
-        ]
-        deep = {
-            "mixture MC": var_es(scen[:, 0], 0.01),
-            "mixture MC, rescaled": var_es(scaled[:, 0], 0.01),
-            "historical": historical_var(window, 0.01),
-            "parametric normal": parametric_var(window, 0.01),
-            "GBM Monte Carlo": gbm_mc_var(window, 0.01, m=20000, seed=5),
-        }
-        for name, est in rows:
-            print(
-                f"{name:<22} {est.var:>10.5f} {est.es:>10.5f}"
-                f" {deep[name].var:>10.5f}"
-            )
+    # every estimator returns var and es arrays shaped (column, alpha)
+    alphas = (0.05, 0.01)
+    estimates = {
+        "mixture MC": var_es_columns(scen, alphas),
+        "mixture MC, rescaled": var_es_columns(scaled, alphas),
+        "historical": var_es_columns(window[:, None], alphas),
+        "parametric normal": parametric_columns(window[:, None], alphas),
+        "GBM Monte Carlo": gbm_mc_var(window, alphas, m=20000, seed=5),
+    }
+    for name, (var, es, *_) in estimates.items():
+        print(f"{name:<22} {var[0, 0]:>10.5f} {es[0, 0]:>10.5f} {var[0, 1]:>10.5f}")
 
 
 if __name__ == "__main__":

@@ -54,18 +54,13 @@ from .scenario import (  # noqa: E402
 )
 from .risk import (  # noqa: E402
     PortfolioSpec,
-    RiskEstimate,
-    adjust,
     quantile,
-    var_es,
     var_es_columns,
 )
 from .baselines import (  # noqa: E402
     calibrate_gbm,
     gbm_mc_var,
-    historical_var,
     parametric_columns,
-    parametric_var,
 )
 from .backtest import (  # noqa: E402
     BacktestReport,
@@ -111,11 +106,9 @@ __all__ = [
     "GbmParams", "simulate_gmm", "simulate_gbm_single",
     "simulate_gbm_portfolio", "rescale",
     # risk
-    "PortfolioSpec", "RiskEstimate", "quantile", "var_es", "var_es_columns",
-    "adjust",
+    "PortfolioSpec", "quantile", "var_es_columns",
     # baselines
-    "historical_var", "parametric_var", "parametric_columns", "gbm_mc_var",
-    "calibrate_gbm",
+    "parametric_columns", "gbm_mc_var", "calibrate_gbm",
     # backtest
     "HitSequence", "ChristoffersenResult", "LossResult", "GofResult",
     "BacktestReport", "hits", "christoffersen", "quadratic_loss", "ks_test",

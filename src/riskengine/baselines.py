@@ -1,9 +1,9 @@
 """Classical one-day VaR baselines: historical, parametric normal, GBM-MC.
 
-Each calibrates on a rolling window of log returns and returns a
-RiskEstimate tagged "hs", "param" or "gbm_mc". The historical estimator is
-the empirical quantile of the window itself and deliberately delegates to
-risk.var_es so there is exactly one quantile implementation in the package.
+Each calibrates on a rolling window of log returns and returns VaR/ES as
+plain (column, alpha) arrays. Historical simulation is risk.var_es_columns
+over the window itself, so there is exactly one quantile implementation in
+the package; parametric_columns is the closed-form normal.
 """
 
 from __future__ import annotations
@@ -11,60 +11,19 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import normal_pdf, normal_ppf
-from .errors import DegenerateDataError, InsufficientDataError, NumericError, ValidationError
-from .risk import PortfolioSpec, RiskEstimate, var_es
+from .errors import DegenerateDataError, InsufficientDataError, NumericError, ValidationError, _scratch
+from .risk import PortfolioSpec, var_es_columns
 from .scenario import simulate_gbm_portfolio
 
 
-def _as_series(window_returns) -> np.ndarray:
-    x = np.asarray(window_returns, dtype=float)
-    if x.ndim == 2 and x.shape[1] == 1:
-        x = x[:, 0]
-    if x.ndim != 1:
-        raise ValidationError(f"expected a 1-D return series, got ndim={x.ndim}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("window contains non-finite returns")
-    return x
-
-
-def historical_var(window_returns, alpha: float, min_len: int = 100) -> RiskEstimate:
-    """Historical-simulation VaR/ES: the window's own empirical quantile."""
-    x = _as_series(window_returns)
-    if x.size < min_len:
-        raise InsufficientDataError(
-            f"historical window has {x.size} points, need {min_len}"
-        )
-    est = var_es(x, alpha, model_tag="hs", seed=-1)
-    return est
-
-
-def parametric_var(window_returns, alpha: float) -> RiskEstimate:
-    """Normal (variance-covariance) VaR with closed-form ES.
+def parametric_columns(window, alphas):
+    """Normal VaR and closed-form ES of every column of a (rows, cols) window.
 
     var = mu + sigma z_alpha, es = mu - sigma phi(z_alpha)/alpha, with mu and
-    sigma the window's population moments. n_tail is 0: the ES here is
-    analytic, no scenario tail exists. The one-column case of
-    parametric_columns.
-    """
-    x = _as_series(window_returns)
-    var, es = parametric_columns(x[:, None], (alpha,))
-    return RiskEstimate(
-        alpha=alpha,
-        var=float(var[0, 0]),
-        es=float(es[0, 0]),
-        n_tail=0,
-        model_tag="param",
-        seed=-1,
-    )
-
-
-def parametric_columns(window, alphas):
-    """parametric_var of every column of a (rows, cols) window at every alpha.
-
-    Returns var and es arrays shaped (cols, len(alphas)). The moments come
-    from one pass over the transposed window, whose rows numpy reduces in
-    the same order as a 1-D column, so every entry equals parametric_var of
-    that column bit for bit.
+    sigma a column's population moments; returns (cols, len(alphas)) arrays.
+    The moments come from one pass over the transposed window, whose rows
+    numpy reduces in the same order as a 1-D column, so every entry is the
+    closed form of that column's own np.mean and np.std bit for bit.
     """
     x = np.asarray(window, dtype=float)
     if x.ndim != 2:
@@ -115,35 +74,23 @@ def calibrate_gbm(window_returns):
     return mus, sigmas, corr
 
 
-def gbm_mc_var(
-    window_returns,
-    alpha: float,
-    m: int,
-    seed: int,
-    portfolio: PortfolioSpec | None = None,
-) -> RiskEstimate:
+def gbm_mc_var(window, alphas, m: int, seed: int, portfolio: PortfolioSpec | None = None):
     """One-day GBM Monte Carlo VaR/ES calibrated on a return window.
 
     Simulates one correlated arithmetic-Euler day from unit initial prices
     and evaluates the portfolio log return ln(w . S_1) (price-space
     aggregation; w . S_0 = 1 when weights sum to one). A single asset, or
     portfolio=None with a one-column window, reduces to the asset itself.
+    Returns var_es_columns of that series, arrays shaped (1, len(alphas)).
     """
-    mus, sigmas, corr = calibrate_gbm(window_returns)
+    mus, sigmas, corr = calibrate_gbm(window)
     n_assets = mus.shape[0]
-    if portfolio is None:
-        if n_assets != 1:
-            raise ValidationError(
-                f"window has {n_assets} assets; a portfolio spec is required"
-            )
-        weights = np.ones(1)
-    else:
-        if portfolio.weights.shape[0] != n_assets:
-            raise ValidationError(
-                f"{portfolio.weights.shape[0]} portfolio weights for "
-                f"{n_assets} window assets"
-            )
-        weights = portfolio.weights
+    weights = np.ones(1) if portfolio is None else portfolio.weights
+    if weights.shape[0] != n_assets:
+        raise ValidationError(
+            f"{weights.shape[0]} portfolio weights for {n_assets} window assets; "
+            f"a multi-asset window needs a portfolio spec"
+        )
     try:
         scen = simulate_gbm_portfolio(np.ones(n_assets), mus, sigmas, corr, m, seed)
     except np.linalg.LinAlgError as exc:
@@ -151,10 +98,7 @@ def gbm_mc_var(
             f"shock correlation matrix is not positive definite ({exc}); "
             f"check the window for collinear or constant assets"
         ) from exc
-    return var_es(
-        price_space_returns(scen, weights),
-        alpha, model_tag="gbm_mc", seed=seed,
-    )
+    return var_es_columns(price_space_returns(scen, weights)[:, None], alphas)
 
 
 def price_space_returns(holding, weights, *, out=None, work=None) -> np.ndarray:
@@ -169,7 +113,8 @@ def price_space_returns(holding, weights, *, out=None, work=None) -> np.ndarray:
     result is the same bits either way.
     """
     holding = np.asarray(holding, dtype=float)
-    growth = None if work is None else work[: holding.size].reshape(holding.shape)
+    growth = _scratch(work, holding.shape, "work")
+    out = _scratch(out, holding.shape[:1], "out")
     value = np.matmul(np.exp(holding, out=growth), weights, out=out)
     if np.any(value <= 0.0):
         raise NumericError(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -18,6 +19,7 @@ from . import __version__
 from .backtest import ks_test, pdf_rmse
 from .engine import (
     RunConfig,
+    _commit,
     make_scenario_writer,
     report,
     report_sweep,
@@ -229,6 +231,8 @@ def _cmd_gof(args) -> int:
         raise ConfigError("--components needs positive integers")
     if args.seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.out and not args.out.endswith(".csv"):
+        raise ConfigError(f"--out must name a .csv file, got {args.out!r}")
     panel = load_prices(args.prices)
     returns = log_returns(panel)
 
@@ -251,11 +255,9 @@ def _cmd_gof(args) -> int:
                 f"{gof.ks_pvalue:>8.4f} {rmse:>10.5f}"
             )
     if args.out:
-        import csv as _csv
-
-        with open(args.out, "w", newline="") as fh:
-            fh.write("ticker,model,loglik_per_sample,ks_stat,ks_pvalue,pdf_rmse\n")
-            _csv.writer(fh, lineterminator="\n").writerows(rows)
+        # staged like a run report: the directory is created, the write is all or nothing
+        header = "ticker,model,loglik_per_sample,ks_stat,ks_pvalue,pdf_rmse"
+        _commit(os.path.dirname(args.out) or ".", [(os.path.basename(args.out), (header, rows))])
         print(f"table written to {args.out}")
     return 0
 

@@ -48,6 +48,7 @@ from .errors import (
     NumericError,
     ShapeError,
     ValidationError,
+    _scratch,
 )
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -626,8 +627,9 @@ def sample(
         raise ValidationError(f"n_total must be >= 1, got {n_total}")
     gen = np.random.default_rng(rng)
     shape = (n_total, model.dim)
+    out, work = _scratch(out, shape, "out"), _scratch(work, shape, "work")
     z = gen.standard_normal(shape, out=out)  # the shuffle below overwrites it
-    rows = np.empty(shape) if work is None else work[: z.size].reshape(shape)
+    rows = np.empty(shape) if work is None else work
     stop = 0
     for j, c in enumerate(stratified_counts(model.weights, n_total)):
         start, stop = stop, stop + int(c)

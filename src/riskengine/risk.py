@@ -5,12 +5,16 @@ alpha-level VaR is the empirical alpha-quantile of the scenario return
 distribution (linear interpolation between order statistics), and ES is the
 mean of the n_tail smallest scenarios, those at or below that quantile,
 summed in ascending order, so es <= var always.
+
+Estimates are plain (column, alpha) arrays from var_es_columns. Both are
+positively homogeneous, so scaling them by a volatility ratio equals
+re-estimating from the scaled scenarios.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +23,7 @@ from .errors import (
     ShapeError,
     TailEmptyError,
     ValidationError,
+    _scratch,
 )
 
 
@@ -69,36 +74,6 @@ class PortfolioSpec:
         return cls(tickers=tickers, weights=np.full(n, 1.0 / n))
 
 
-@dataclass(frozen=True)
-class RiskEstimate:
-    """One VaR/ES figure with its provenance.
-
-    n_tail counts the scenarios that entered the ES average; closed-form
-    estimates (no scenario tail) carry n_tail = 0. seed is the simulation
-    seed for Monte Carlo estimates and -1 for deterministic ones.
-    """
-
-    alpha: float
-    var: float
-    es: float
-    n_tail: int
-    model_tag: str
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not (math.isfinite(self.var) and math.isfinite(self.es)):
-            raise ValidationError("var/es must be finite")
-        if self.es > self.var + 1e-12 * max(1.0, abs(self.var)):
-            raise ValidationError(
-                f"es {self.es} exceeds var {self.var}; tail mean cannot sit "
-                f"above its quantile"
-            )
-        if self.n_tail < 0:
-            raise ValidationError(f"n_tail must be >= 0, got {self.n_tail}")
-
-
 def _quantiles(rows: np.ndarray, alphas):
     """(top, var): the alphas-quantiles of each row (numpy "linear") in var,
     shaped (..., len(alphas)), after sorting each row in place only up to
@@ -143,11 +118,12 @@ def var_es_columns(samples, alphas, *, work=None):
     partitioned once and sorted up to the largest rank any alpha reads, so
     VaR is the full-sort quantile. ES is the mean of the n_tail smallest
     scenarios, those <= VaR (inclusive), summed in ascending order; a column
-    whose ties run past the sorted ranks is sorted in full. Each entry is
-    var_es of its column bit for bit. Needs ceil(1/alpha) rows per alpha;
-    TailEmptyError marks a nan VaR, from an overflowing gap between ranks.
-    work, when given, is a flat float64 array of at least n * cols entries
-    that holds the copy and is overwritten; else the copy is a new array.
+    whose ties run past the sorted ranks is sorted in full. A single series
+    is the one-column case, samples[:, None]. Needs ceil(1/alpha) rows per
+    alpha; TailEmptyError marks a nan VaR, from an overflowing gap between
+    ranks. work, when given, is a flat float64 array of at least n * cols
+    entries that holds the copy and is overwritten; else the copy is a new
+    array.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
@@ -161,7 +137,7 @@ def var_es_columns(samples, alphas, *, work=None):
                 f"need at least ceil(1/alpha) = {need} scenarios for "
                 f"alpha={alpha}, got {x.shape[0]}"
             )
-    ordered = np.empty(x.shape[::-1]) if work is None else work[: x.size].reshape(x.shape[::-1])
+    ordered = np.empty(x.shape[::-1]) if work is None else _scratch(work, x.shape[::-1], "work")
     np.copyto(ordered, x.T)
     if not np.isfinite(ordered).all():
         raise ValidationError("samples contain non-finite entries")
@@ -182,40 +158,3 @@ def var_es_columns(samples, alphas, *, work=None):
     # a masked sum adds each row's leading run of n_tail entries alone
     es = head.repeat(len(alphas), axis=1).sum(axis=-1, where=below) / n_tail
     return var, es, n_tail
-
-
-def var_es(
-    scenario_returns,
-    alpha: float,
-    model_tag: str = "sample",
-    seed: int = -1,
-) -> RiskEstimate:
-    """Empirical VaR and ES of a scenario return vector.
-
-    The one-column case of var_es_columns: requires at least ceil(1/alpha)
-    scenarios so the tail holds at least one expected point, and ES averages
-    every scenario <= VaR (inclusive).
-    """
-    x = np.asarray(scenario_returns, dtype=float).ravel()
-    var, es, n_tail = var_es_columns(x[:, None], (alpha,))
-    return RiskEstimate(
-        alpha=alpha,
-        var=float(var[0, 0]),
-        es=float(es[0, 0]),
-        n_tail=int(n_tail[0, 0]),
-        model_tag=model_tag,
-        seed=seed,
-    )
-
-
-def adjust(estimate: RiskEstimate, ratio: float) -> RiskEstimate:
-    """Scale an estimate's var and es by a volatility ratio.
-
-    Equivalent to rescaling the underlying scenarios by the same factor and
-    re-estimating, since both quantile and tail mean are positively
-    homogeneous. ratio is a positive float.
-    """
-    c = float(ratio)
-    if not np.isfinite(c) or c <= 0:
-        raise ValidationError(f"adjustment ratio must be positive, got {c}")
-    return replace(estimate, var=estimate.var * c, es=estimate.es * c)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gmm as _gmm
-from .errors import NumericError, ShapeError, ValidationError
+from .errors import NumericError, ShapeError, ValidationError, _scratch
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,9 @@ def simulate_gbm_portfolio(
     if np.max(np.abs(np.diag(corr) - 1.0)) > 1e-12:
         raise ValidationError("correlation matrix must have a unit diagonal")
     _check_paths(m)
+    eps, out = _scratch(work, (m, n), "work"), _scratch(out, (m, n), "out")
 
     A = np.linalg.cholesky(corr)
-    eps = None if work is None else work[: m * n].reshape(m, n)
     eps = np.random.default_rng(seed).standard_normal((m, n), out=eps)
     prices = np.matmul(eps, A.T, out=out)  # xi, turned into prices in place
     prices *= s0 * sigmas
@@ -164,4 +164,4 @@ def rescale(returns, ratios, *, out=None) -> np.ndarray:
         )
     if np.any(factors <= 0) or not np.all(np.isfinite(factors)):
         raise ValidationError("rescale factors must be positive and finite")
-    return np.multiply(_finite(returns), factors, out=out)
+    return np.multiply(_finite(returns), factors, out=_scratch(out, returns.shape, "out"))

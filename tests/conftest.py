@@ -30,6 +30,22 @@ def random_mixture(rng, n_components, dim):
     return GaussianMixtureModel(weights=w, means=means, covariances=covs)
 
 
+def _reference_var_es(x, alpha):
+    """(var, tail, n_tail) of one series from a full sort, independent of
+    the package's partial-sort kernel: the interpolated quantile (numpy
+    "linear") and the ascending run of scenarios at or below it. The
+    package's ES is tail.sum() / n_tail, numpy summing the ascending tail."""
+    s = np.sort(np.asarray(x, dtype=float).ravel())
+    g = alpha * (s.size - 1)
+    lo = int(g)
+    if lo + 1 >= s.size:
+        v = float(s[-1])
+    else:
+        v = float(s[lo] + (g - lo) * (s[lo + 1] - s[lo]))
+    tail = s[s <= v]
+    return v, tail, int(tail.size)
+
+
 @pytest.fixture
 def panel_3assets():
     return make_panel(161, ("AAA", "BBB", "CCC"), seed=3)

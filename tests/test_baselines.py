@@ -9,9 +9,8 @@ from riskengine import (
     PortfolioSpec,
     calibrate_gbm,
     gbm_mc_var,
-    historical_var,
     parametric_columns,
-    parametric_var,
+    var_es_columns,
 )
 from riskengine.baselines import price_space_returns
 from riskengine.distributions import normal_pdf, normal_ppf
@@ -23,69 +22,53 @@ from riskengine.errors import (
 
 
 def test_historical_var_oracle():
+    # historical simulation is the window's own empirical quantile
     x = np.arange(1.0, 101.0) / 1000.0
-    est = historical_var(x, 0.05)
-    assert est.var == pytest.approx(0.00595, rel=1e-13)
-    assert est.es == pytest.approx(0.003, rel=1e-13)  # mean of the five smallest
-    assert est.n_tail == 5
-    assert est.model_tag == "hs"
-    assert est.seed == -1
+    var, es, n_tail = var_es_columns(x[:, None], (0.05,))
+    assert var[0, 0] == pytest.approx(0.00595, rel=1e-13)
+    assert es[0, 0] == pytest.approx(0.003, rel=1e-13)  # mean of the five smallest
+    assert n_tail.tolist() == [[5]]
 
 
-def test_historical_var_window_length_gate():
-    x = np.arange(99.0)
-    with pytest.raises(InsufficientDataError):
-        historical_var(x, 0.05)
-    est = historical_var(x, 0.05, min_len=50)
-    assert est.n_tail >= 1
-
-
-def test_historical_var_single_asset_only():
-    with pytest.raises(ValidationError):
-        historical_var(np.zeros((120, 2)) + np.arange(120)[:, None], 0.05)
-
-
-def test_historical_var_accepts_column_vector():
-    x = (np.arange(1.0, 101.0) / 1000.0)[:, None]
-    assert historical_var(x, 0.05).var == pytest.approx(0.00595, rel=1e-13)
+def _param(x, alpha):
+    """(var, es) of a single series at one level."""
+    var, es = parametric_columns(np.asarray(x)[:, None], (alpha,))
+    return var[0, 0], es[0, 0]
 
 
 def test_parametric_var_oracle():
     # window with mean 0 and population sigma sqrt(2e-4)
-    x = np.array([-0.02, -0.01, 0.0, 0.01, 0.02])
-    est = parametric_var(x, 0.05)
-    assert est.var == pytest.approx(-0.023261743073533482, rel=1e-13)
-    assert est.es == pytest.approx(-0.029171164276576852, rel=1e-13)
-    assert est.n_tail == 0
-    assert est.model_tag == "param"
+    var, es = _param(np.array([-0.02, -0.01, 0.0, 0.01, 0.02]), 0.05)
+    assert var == pytest.approx(-0.023261743073533482, rel=1e-13)
+    assert es == pytest.approx(-0.029171164276576852, rel=1e-13)
 
 
 def test_parametric_var_alpha_one_percent_factors():
     x = np.array([-0.02, -0.01, 0.0, 0.01, 0.02])
     sig = np.sqrt(2e-4)
-    est = parametric_var(x, 0.01)
-    assert est.var == pytest.approx(sig * -2.3263478740408411, rel=1e-12)
-    assert est.es == pytest.approx(sig * -2.6652142203458048, rel=1e-12)
+    var, es = _param(x, 0.01)
+    assert var == pytest.approx(sig * -2.3263478740408411, rel=1e-12)
+    assert es == pytest.approx(sig * -2.6652142203458048, rel=1e-12)
 
 
 def test_parametric_var_mean_shift():
     x = np.array([-0.02, -0.01, 0.0, 0.01, 0.02]) + 0.005
-    base = parametric_var(x - 0.005, 0.05)
-    est = parametric_var(x, 0.05)
-    assert est.var == pytest.approx(base.var + 0.005, rel=1e-12)
-    assert est.es == pytest.approx(base.es + 0.005, rel=1e-12)
+    base = _param(x - 0.005, 0.05)
+    var, es = _param(x, 0.05)
+    assert var == pytest.approx(base[0] + 0.005, rel=1e-12)
+    assert es == pytest.approx(base[1] + 0.005, rel=1e-12)
 
 
 def test_parametric_var_degenerate_window():
     with pytest.raises(DegenerateDataError):
-        parametric_var(np.full(50, 0.01), 0.05)
+        _param(np.full(50, 0.01), 0.05)
     with pytest.raises(InsufficientDataError):
-        parametric_var(np.array([0.01]), 0.05)
+        _param(np.array([0.01]), 0.05)
 
 
 def _reference_parametric(x, alpha):
-    """(var, es) of one column the way parametric_var read it before the
-    column kernel: scalar moments of the (possibly strided) column."""
+    """(var, es) of one column in closed form from its own scalar moments
+    of the (possibly strided) column."""
     mu = float(np.mean(x))
     sigma = float(np.std(x))
     z = normal_ppf(alpha)
@@ -109,10 +92,7 @@ def test_parametric_columns_matches_per_column_reference_bit_for_bit(
     assert var.shape == es.shape == (cols, len(alphas))
     for c in range(cols):
         for j, a in enumerate(alphas):
-            ref = _reference_parametric(W[:, c], a)
-            assert (var[c, j], es[c, j]) == ref
-            est = parametric_var(W[:, c], a)
-            assert (est.var, est.es) == ref
+            assert (var[c, j], es[c, j]) == _reference_parametric(W[:, c], a)
 
 
 def test_parametric_columns_errors():
@@ -151,29 +131,27 @@ def test_calibrate_gbm_single_asset_corr():
 def test_gbm_mc_var_close_to_parametric_on_gaussian_window():
     rng = np.random.default_rng(10)
     window = rng.normal(0.0, 0.01, 252)
-    mc = gbm_mc_var(window, 0.05, m=40000, seed=3)
-    closed = parametric_var(window, 0.05)
-    assert mc.model_tag == "gbm_mc"
-    assert mc.seed == 3
-    assert mc.var == pytest.approx(closed.var, abs=4e-4)
-    assert mc.n_tail == pytest.approx(0.05 * 40000, rel=0.2)
+    var, es, n_tail = gbm_mc_var(window, (0.05,), m=40000, seed=3)
+    assert var.shape == es.shape == n_tail.shape == (1, 1)
+    assert var[0, 0] == pytest.approx(_reference_parametric(window, 0.05)[0], abs=4e-4)
+    assert n_tail[0, 0] == pytest.approx(0.05 * 40000, rel=0.2)
 
 
 def test_gbm_mc_var_deterministic():
     rng = np.random.default_rng(1)
     window = rng.normal(0.0, 0.01, 150)
-    a = gbm_mc_var(window, 0.05, m=5000, seed=77)
-    b = gbm_mc_var(window, 0.05, m=5000, seed=77)
-    assert a.var == b.var and a.es == b.es and a.n_tail == b.n_tail
+    a = gbm_mc_var(window, (0.05, 0.01), m=5000, seed=77)
+    b = gbm_mc_var(window, (0.05, 0.01), m=5000, seed=77)
+    assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
 
 
 def test_gbm_mc_var_portfolio_route():
     rng = np.random.default_rng(5)
     window = rng.normal(0.0002, 0.012, (252, 2))
     port = PortfolioSpec(tickers=("A", "B"), weights=np.array([0.5, 0.5]))
-    est = gbm_mc_var(window, 0.05, m=8000, seed=2, portfolio=port)
-    assert est.es <= est.var
-    assert est.var < 0
+    var, es, _ = gbm_mc_var(window, (0.05,), m=8000, seed=2, portfolio=port)
+    assert es[0, 0] <= var[0, 0]
+    assert var[0, 0] < 0
 
 
 def test_price_space_returns_writes_into_caller_arrays():
@@ -190,7 +168,7 @@ def test_gbm_mc_var_multi_asset_requires_portfolio():
     rng = np.random.default_rng(5)
     window = rng.normal(0.0, 0.01, (100, 2))
     with pytest.raises(ValidationError):
-        gbm_mc_var(window, 0.05, m=1000, seed=0)
+        gbm_mc_var(window, (0.05,), m=1000, seed=0)
 
 
 def test_gbm_mc_var_collinear_assets_hint():
@@ -199,4 +177,4 @@ def test_gbm_mc_var_collinear_assets_hint():
     window = np.column_stack([a, 2.0 * a])  # correlation exactly 1
     port = PortfolioSpec(tickers=("A", "B"), weights=np.array([0.5, 0.5]))
     with pytest.raises(np.linalg.LinAlgError, match="collinear"):
-        gbm_mc_var(window, 0.05, m=1000, seed=0, portfolio=port)
+        gbm_mc_var(window, (0.05,), m=1000, seed=0, portfolio=port)

@@ -265,6 +265,25 @@ def test_gof_table_and_csv(prices_csv, tmp_path, capsys):
         assert 0.0 <= float(fields[4]) <= 1.0
 
 
+def test_gof_out_creates_its_directory(prices_csv, tmp_path, capsys):
+    # like run and sweep, gof stages its --out file through the report
+    # writer: the directory is created and no temporary is left behind
+    out = tmp_path / "missing" / "gof.csv"
+    assert main(["gof", "--prices", prices_csv, "--components", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(f"table written to {out}\n")
+    assert out.read_text().startswith("ticker,model,loglik_per_sample,")
+    assert [p.name for p in out.parent.iterdir()] == ["gof.csv"]
+
+
+def test_gof_out_must_name_a_csv_file(prices_csv, tmp_path, capsys):
+    out = tmp_path / "gof.txt"
+    assert main(["gof", "--prices", prices_csv, "--components", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and ".csv" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_gof_negative_seed_is_a_config_error(prices_csv, tmp_path, capsys):
     # run and sweep reject a negative seed with exit 2; gof must too, before
     # it prints its table or writes anything

@@ -12,16 +12,14 @@ from riskengine import (
     PortfolioSpec,
     PricePanel,
     RunConfig,
-    adjust,
     fit,
     log_returns,
     rescale,
     run_backtest,
     simulate_gmm,
-    var_es,
     var_es_columns,
 )
-from riskengine.baselines import calibrate_gbm, gbm_mc_var, historical_var, price_space_returns
+from riskengine.baselines import calibrate_gbm, gbm_mc_var, price_space_returns
 from riskengine.engine import (
     PORTFOLIO_TICKER,
     derive_seed,
@@ -35,7 +33,7 @@ from riskengine.errors import ConfigError, RunFailureError
 from riskengine.gmm import GaussianMixtureModel
 from riskengine.scenario import simulate_gbm_portfolio
 
-from conftest import make_panel
+from conftest import _reference_var_es, make_panel
 
 SMALL = dict(
     models=("gmm", "hs", "param", "gbm_mc"),
@@ -48,6 +46,19 @@ SMALL = dict(
     eval_days=12,
     seed=11,
 )
+
+
+def _reference_block(columns, alphas):
+    """var, es and n_tail arrays shaped (column, alpha) from the full-sort
+    reference of each column; es is the numpy sum of the ascending tail over
+    its length, the order the package sums it in."""
+    var, es, n_tail = [], [], []
+    for col in np.asarray(columns).T:
+        refs = [_reference_var_es(col, a) for a in alphas]
+        var.append([v for v, _, _ in refs])
+        es.append([tail.sum() / n for _, tail, n in refs])
+        n_tail.append([n for _, _, n in refs])
+    return np.array(var), np.array(es), np.array(n_tail)
 
 
 @pytest.fixture
@@ -200,16 +211,17 @@ def test_run_backtest_hs_estimates_match_direct_computation(small_run):
     long_w = rets.returns[rec.anchor - cfg.long_len : rec.anchor]
     m = cfg.model_keys().index("hs")
     assert [t for t, _ in rec.realized] == [*panel.tickers, PORTFOLIO_TICKER]
-    for c in range(len(panel.tickers)):
-        for a, alpha in enumerate(cfg.alphas):
-            direct = historical_var(long_w[:, c], alpha, min_len=cfg.long_len)
-            assert rec.var[m, c, a] == pytest.approx(direct.var, rel=1e-12)
-            assert rec.es[m, c, a] == pytest.approx(direct.es, rel=1e-12)
+    var, es, n_tail = _reference_block(long_w, cfg.alphas)
+    assert rec.var[m, :-1].tolist() == var.tolist()
+    assert rec.es[m, :-1].tolist() == es.tolist()
+    assert rec.n_tail[m, :-1].tolist() == n_tail.tolist()
 
 
 def test_run_backtest_gbm_portfolio_matches_gbm_mc_var(panel_3assets):
-    # the engine's gbm_mc portfolio rows and gbm_mc_var share one price-space
-    # aggregation, so with the same window and seed they agree exactly
+    # the engine's gbm_mc portfolio rows are the full-sort reference of the
+    # price-space portfolio ln(w . exp(H)) of the day's simulated holding;
+    # gbm_mc_var shares that aggregation, so with the same window and seed
+    # it gives the same rows
     spec = PortfolioSpec.equal(("AAA", "BBB", "CCC"))
     cfg = RunConfig(**{**SMALL, "models": ("gbm_mc",)}, portfolio=spec)
     records, _ = run_backtest(panel_3assets, cfg)
@@ -220,10 +232,12 @@ def test_run_backtest_gbm_portfolio_matches_gbm_mc_var(panel_3assets):
         seed = derive_seed(cfg.seed, i, 0, 1)
         assert rec.seeds == (seed,)
         assert rec.realized[-1][0] == PORTFOLIO_TICKER
-        for a, alpha in enumerate(cfg.alphas):
-            direct = gbm_mc_var(long_w, alpha, m=cfg.paths, seed=seed, portfolio=spec)
-            row = (rec.var[0, -1, a], rec.es[0, -1, a], rec.n_tail[0, -1, a])
-            assert row == (direct.var, direct.es, direct.n_tail)
+        holding = simulate_gbm_portfolio(np.ones(3), *calibrate_gbm(long_w), cfg.paths, seed)
+        expected = _reference_block(np.log(np.exp(holding) @ spec.weights)[:, None], cfg.alphas)
+        direct = gbm_mc_var(long_w, cfg.alphas, m=cfg.paths, seed=seed, portfolio=spec)
+        row = [rec.var[0, -1:], rec.es[0, -1:], rec.n_tail[0, -1:]]
+        assert [r.tolist() for r in row] == [e.tolist() for e in expected]
+        assert [r.tolist() for r in row] == [d.tolist() for d in direct]
 
 
 def test_run_backtest_deterministic(small_run):
@@ -325,6 +339,28 @@ def test_run_backtest_es_above_var_invalidates_only_that_day(panel_3assets, monk
     assert records[3].var is None
     assert all(r.error is None for i, r in enumerate(records) if i != 3)
     assert reports[0].hit_seq.n == 19
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["var", "es"])
+def test_run_backtest_non_finite_estimate_invalidates_only_that_day(
+    panel_3assets, monkeypatch, field, bad
+):
+    # a var or es block that is not finite marks that one day invalid
+    calls = []
+
+    def non_finite_on_day_3(samples, alphas, **scratch):
+        var, es, n_tail = var_es_columns(samples, alphas, **scratch)
+        calls.append(None)
+        if len(calls) == 4:
+            {"var": var, "es": es}[field][0, 0] = bad
+        return var, es, n_tail
+
+    monkeypatch.setattr("riskengine.engine.var_es_columns", non_finite_on_day_3)
+    cfg = RunConfig(**{**SMALL, "models": ("hs",), "alphas": (0.05,), "eval_days": 20})
+    records, _ = run_backtest(panel_3assets, cfg)
+    assert records[3].error == "ValidationError: var/es must be finite"
+    assert all(r.error is None for i, r in enumerate(records) if i != 3)
 
 
 def test_run_backtest_zero_long_vol_invalidates_day_before_fitting():
@@ -576,11 +612,11 @@ def test_run_backtest_gbm_mc_dump_is_the_simulation(panel_3assets, tmp_path):
     assert len(os.listdir(tmp_path / "scenarios")) == 3
 
 
-def test_run_backtest_gmm_rows_and_dumps_match_the_object_path(panel_3assets, tmp_path):
-    # the columnar day loop against the object-level path it replaced: per
-    # day the warm-start fit chain, simulate_gmm, per-asset var_es scaled by
-    # adjust, var_es of the ratio-scaled portfolio, and the dump of the
-    # rescaled scenarios
+def test_run_backtest_gmm_rows_and_dumps_match_a_recomputation(panel_3assets, tmp_path):
+    # per day, from the warm-start fit chain and simulate_gmm: the asset rows
+    # are the full-sort reference of the unscaled scenarios times the vol
+    # ratios, the portfolio row that of the ratio-scaled portfolio, and the
+    # dump holds the ratio-scaled scenarios
     tickers = ("AAA", "BBB", "CCC")
     cfg = RunConfig(
         **{**SMALL, "models": ("gmm",), "eval_days": 4},
@@ -602,16 +638,14 @@ def test_run_backtest_gmm_rows_and_dumps_match_the_object_path(panel_3assets, tm
         ratios = np.array(
             [np.std(long_w[-cfg.short_len :, c]) / np.std(long_w[:, c]) for c in range(3)]
         )
-        expected = [
-            [adjust(var_es(holding[:, c], a), ratios[c]) for a in cfg.alphas]
-            for c in range(len(tickers))
-        ] + [[var_es((holding * ratios) @ weights, a) for a in cfg.alphas]]
+        var, es, n_tail = _reference_block(holding, cfg.alphas)
+        pv, pe, pn = _reference_block(((holding * ratios) @ weights)[:, None], cfg.alphas)
         assert [t for t, _ in rec.realized] == [*tickers, PORTFOLIO_TICKER]
         assert rec.seeds == (seed,)
-        assert rec.var[0].tolist() == [[e.var for e in row] for row in expected]
-        assert rec.es[0].tolist() == [[e.es for e in row] for row in expected]
-        assert rec.n_tail[0].tolist() == [[e.n_tail for e in row] for row in expected]
-        ref_writer(rec.date, "gmm2", rescale(holding, ratios))
+        assert rec.var[0].tolist() == np.vstack((var * ratios[:, None], pv)).tolist()
+        assert rec.es[0].tolist() == np.vstack((es * ratios[:, None], pe)).tolist()
+        assert rec.n_tail[0].tolist() == np.vstack((n_tail, pn)).tolist()
+        ref_writer(rec.date, "gmm2", holding * ratios)
 
     names = sorted(os.listdir(tmp_path / "run" / "scenarios"))
     assert len(names) == 4
@@ -670,13 +704,9 @@ def test_run_backtest_tags_and_days_never_share_scenarios(panel_3assets, tmp_pat
     assert len(os.listdir(tmp_path / "scenarios")) == 4 * 3
 
 
-def test_runs_and_reports_build_no_per_row_estimate_objects(panel_3assets, tmp_path, monkeypatch):
+def test_runs_and_reports_build_no_per_row_estimate_objects(panel_3assets, tmp_path):
     # estimates stay (model, target, alpha) arrays from the estimators to
-    # the report files; no RiskEstimate is built per row on the way
-    def refuse(self):
-        raise AssertionError("a RiskEstimate was built")
-
-    monkeypatch.setattr("riskengine.risk.RiskEstimate.__post_init__", refuse)
+    # the report files
     cfg = RunConfig(**SMALL, portfolio=PortfolioSpec.equal(("AAA", "BBB", "CCC")))
     assert cfg.model_keys() == ["gmm2", "hs", "param", "gbm_mc"]
     records, reports = run_backtest(panel_3assets, cfg)
@@ -685,7 +715,8 @@ def test_runs_and_reports_build_no_per_row_estimate_objects(panel_3assets, tmp_p
     report_sweep(results, cfg, str(tmp_path / "sweep"))
     runs = [records, *(recs for recs, _ in results.values())]
     assert all(r.error is None for recs in runs for r in recs)
-    assert records[0].var.shape == (4, 4, 2)
+    assert all(type(a) is np.ndarray and a.shape == (4, 4, 2)
+               for recs in runs for r in recs for a in (r.var, r.es, r.n_tail))
 
 
 def _panel_with_flat_stretch():

@@ -1,4 +1,4 @@
-"""Quantile estimation, VaR/ES extraction, volatility adjustment, portfolio specs."""
+"""Quantile estimation, VaR/ES extraction, volatility scaling, portfolio specs."""
 
 import math
 
@@ -7,20 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskengine import (
-    PortfolioSpec,
-    RiskEstimate,
-    adjust,
-    quantile,
-    var_es,
-    var_es_columns,
-)
+from riskengine import PortfolioSpec, quantile, var_es_columns
 from riskengine.errors import (
     InsufficientDataError,
     ShapeError,
     TailEmptyError,
     ValidationError,
 )
+
+from conftest import _reference_var_es
 
 
 def test_quantile_interpolation_oracle():
@@ -57,27 +52,28 @@ def test_quantile_validation():
         quantile(np.array([1.0, np.nan]), 0.5)
 
 
+def _one_column(x, alpha):
+    """(var, es, n_tail) of a single series at one level, as floats and an int."""
+    var, es, n_tail = var_es_columns(np.asarray(x, dtype=float)[:, None], (alpha,))
+    return float(var[0, 0]), float(es[0, 0]), int(n_tail[0, 0])
+
+
 def test_var_es_oracle_single_extreme_loss():
-    x = np.concatenate([[-10.0], np.zeros(99)])
-    est = var_es(x, 0.01)
-    assert est.var == pytest.approx(-0.1, rel=1e-12)
-    assert est.es == pytest.approx(-10.0, rel=1e-14)
-    assert est.n_tail == 1
-    assert est.alpha == 0.01
+    var, es, n_tail = _one_column(np.concatenate([[-10.0], np.zeros(99)]), 0.01)
+    assert var == pytest.approx(-0.1, rel=1e-12)
+    assert es == pytest.approx(-10.0, rel=1e-14)
+    assert n_tail == 1
 
 
 def test_var_es_tail_inclusive_on_ties():
-    est = var_es(np.full(100, 5.0), 0.05)
-    assert est.var == 5.0 and est.es == 5.0
-    assert est.n_tail == 100
+    assert _one_column(np.full(100, 5.0), 0.05) == (5.0, 5.0, 100)
 
 
 def test_var_es_minimum_sample_size():
     # alpha = 0.01 needs at least ceil(1/alpha) = 100 scenarios
     with pytest.raises(InsufficientDataError):
-        var_es(np.zeros(99) - np.arange(99), 0.01)
-    est = var_es(np.arange(100.0), 0.01)
-    assert est.n_tail >= 1
+        _one_column(np.zeros(99) - np.arange(99), 0.01)
+    assert _one_column(np.arange(100.0), 0.01)[2] >= 1
 
 
 def test_var_es_es_never_above_var():
@@ -85,86 +81,28 @@ def test_var_es_es_never_above_var():
     for _ in range(40):
         x = rng.standard_t(4, 500) * 0.02
         a = float(rng.uniform(0.01, 0.2))
-        est = var_es(x, a)
-        assert est.es <= est.var + 1e-15
-        assert est.n_tail >= 1
-
-
-def test_var_es_records_tag_and_seed():
-    est = var_es(np.arange(200.0), 0.05, model_tag="demo", seed=123)
-    assert est.model_tag == "demo" and est.seed == 123
-
-
-def test_risk_estimate_validation():
-    with pytest.raises(ValidationError):
-        RiskEstimate(alpha=0.05, var=-0.01, es=-0.005, n_tail=3, model_tag="t", seed=0)
-    with pytest.raises(ValidationError):
-        RiskEstimate(alpha=1.5, var=-0.01, es=-0.02, n_tail=3, model_tag="t", seed=0)
-    with pytest.raises(ValidationError):
-        RiskEstimate(alpha=0.05, var=np.nan, es=-0.02, n_tail=3, model_tag="t", seed=0)
-    with pytest.raises(ValidationError):
-        RiskEstimate(alpha=0.05, var=-0.01, es=-0.02, n_tail=-1, model_tag="t", seed=0)
-
-
-@pytest.mark.parametrize(
-    "bad", [float("nan"), float("inf"), -np.inf, np.float64("nan"), np.float64("inf")]
-)
-@pytest.mark.parametrize("field", ["var", "es"])
-def test_risk_estimate_rejects_non_finite(field, bad):
-    values = {"var": -0.01, "es": -0.02, field: bad}
-    with pytest.raises(ValidationError, match="finite"):
-        RiskEstimate(alpha=0.05, n_tail=3, model_tag="t", seed=0, **values)
-
-
-def test_adjust_scales_var_and_es():
-    est = RiskEstimate(alpha=0.05, var=-0.02, es=-0.03, n_tail=9, model_tag="t", seed=4)
-    out = adjust(est, 1.5)
-    assert out.var == pytest.approx(-0.03, rel=1e-15)
-    assert out.es == pytest.approx(-0.045, rel=1e-15)
-    assert (out.alpha, out.n_tail, out.model_tag, out.seed) == (0.05, 9, "t", 4)
-
-
-def test_adjust_rejects_bad_factor():
-    est = RiskEstimate(alpha=0.05, var=-0.02, es=-0.03, n_tail=9, model_tag="t", seed=4)
-    with pytest.raises(ValidationError):
-        adjust(est, 0.0)
-    with pytest.raises(ValidationError):
-        adjust(est, -2.0)
-    with pytest.raises(ValidationError):
-        adjust(est, float("inf"))
+        var, es, n_tail = _one_column(x, a)
+        assert es <= var + 1e-15
+        assert n_tail >= 1
 
 
 def test_adjust_commutes_with_scaling_data():
+    # positive homogeneity: scaling the estimates by a volatility ratio
+    # equals estimating from the scaled scenarios
     rng = np.random.default_rng(8)
-    x = rng.normal(0, 0.01, 400)
+    x = rng.normal(0, 0.01, 400)[:, None]
     c = 1.37
-    direct = var_es(x * c, 0.05)
-    adjusted = adjust(var_es(x, 0.05), c)
-    assert adjusted.var == pytest.approx(direct.var, rel=1e-12)
-    assert adjusted.es == pytest.approx(direct.es, rel=1e-12)
-
-
-def _reference_var_es(x, alpha):
-    """(var, tail, n_tail) of one column the way var_es read it before the
-    column kernel: a full sort, the interpolated quantile, a masked tail."""
-    x = np.asarray(x, dtype=float).ravel()
-    s = np.sort(x)
-    g = alpha * (x.size - 1)
-    lo = int(g)
-    if lo + 1 >= x.size:
-        v = float(s[-1])
-    else:
-        v = float(s[lo] + (g - lo) * (s[lo + 1] - s[lo]))
-    tail = x[x <= v]
-    return v, tail, int(tail.size)
+    direct = var_es_columns(x * c, (0.05,))
+    var, es, _ = var_es_columns(x, (0.05,))
+    np.testing.assert_allclose(var * c, direct[0], rtol=1e-12)
+    np.testing.assert_allclose(es * c, direct[1], rtol=1e-12)
 
 
 def _check_var_es_columns(H, alphas):
     """var and n_tail equal the full-sort reference bit for bit; es is the
     exact tail mean to within 4 n eps max|tail|, the rounding of any order
-    of summing n terms; every column is var_es of that column, bit for bit;
-    a scratch array of exactly H.size entries, or a larger one, changes no
-    bit."""
+    of summing n terms; a scratch array of exactly H.size entries, or a
+    larger one, changes no bit."""
     var, es, n_tail = var_es_columns(H, alphas)
     assert var.shape == es.shape == n_tail.shape == (H.shape[1], len(alphas))
     assert n_tail.dtype == int
@@ -178,8 +116,6 @@ def _check_var_es_columns(H, alphas):
             assert (var[c, j], n_tail[c, j]) == (v, n)
             exact = math.fsum(tail) / n
             assert abs(es[c, j] - exact) <= 4 * n * eps * np.max(np.abs(tail))
-            est = var_es(H[:, c], a)
-            assert (est.var, est.es, est.n_tail) == (var[c, j], es[c, j], n_tail[c, j])
 
 
 @st.composite

@@ -12,7 +12,9 @@ from riskengine import (
     simulate_gbm_portfolio,
     simulate_gbm_single,
     simulate_gmm,
+    var_es_columns,
 )
+from riskengine.baselines import price_space_returns
 from riskengine.errors import NumericError, ShapeError, ValidationError
 from riskengine.scenario import column_std
 
@@ -242,3 +244,42 @@ def test_rescale_rejects_non_finite_returns(bad):
     returns[3, 1] = bad
     with pytest.raises(ValidationError, match="non-finite"):
         rescale(returns, [1.0, 1.0])
+
+
+# ---------------------------------------------------- caller scratch arrays
+
+_H = np.random.default_rng(3).normal(0.0, 0.01, (100, 2))
+_MIX = random_mixture(np.random.default_rng(4), 2, 2)
+_GBM = (np.ones(2), np.zeros(2), np.full(2, 0.01), np.eye(2), 100, 5)
+
+_CALLS = {
+    "var_es_columns": lambda **kw: var_es_columns(_H, (0.05,), **kw),
+    "price_space_returns": lambda **kw: price_space_returns(_H, np.array([0.5, 0.5]), **kw),
+    "rescale": lambda **kw: rescale(_H, [1.0, 2.0], **kw),
+    "sample": lambda **kw: sample(_MIX, 100, np.random.default_rng(0), **kw),
+    "simulate_gbm_portfolio": lambda **kw: simulate_gbm_portfolio(*_GBM, **kw),
+}
+# "kernel-keyword": the shape the keyword's array needs; a work= array is flat
+_KEYWORD_ARRAYS = {
+    "var_es_columns-work": (200,),
+    "price_space_returns-out": (100,),
+    "price_space_returns-work": (200,),
+    "rescale-out": (100, 2),
+    "sample-out": (100, 2),
+    "sample-work": (200,),
+    "simulate_gbm_portfolio-out": (100, 2),
+    "simulate_gbm_portfolio-work": (200,),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KEYWORD_ARRAYS))
+def test_caller_scratch_arrays_are_checked(case):
+    # unchecked, numpy casts into a float32 array, so the figures change or
+    # come back float32, or fails inside with a bare ValueError or TypeError
+    kernel, name = case.split("-")
+    call, shape = _CALLS[kernel], _KEYWORD_ARRAYS[case]
+    call(**{name: np.zeros(shape)})
+    with pytest.raises(ValidationError, match="float64"):
+        call(**{name: np.zeros(shape, dtype=np.float32)})
+    with pytest.raises(ShapeError):
+        call(**{name: np.zeros((shape[0] - 1, *shape[1:]))})
