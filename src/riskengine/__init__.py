@@ -21,10 +21,8 @@ from .errors import (  # noqa: E402
     ValidationError,
 )
 from .timeseries import (  # noqa: E402
-    DescriptiveStats,
     PricePanel,
     ReturnPanel,
-    describe,
     load_prices,
     log_returns,
 )
@@ -32,14 +30,10 @@ from .gmm import (  # noqa: E402
     EmSettings,
     FitReport,
     GaussianMixtureModel,
-    Responsibilities,
-    component_density,
     covariance_floor,
-    e_step,
     fit,
     kmeans_init,
     log_likelihood,
-    m_step,
     mixture_cdf,
     mixture_density,
     sample,
@@ -54,7 +48,6 @@ from .scenario import (  # noqa: E402
 )
 from .risk import (  # noqa: E402
     PortfolioSpec,
-    quantile,
     var_es_columns,
 )
 from .baselines import (  # noqa: E402
@@ -95,18 +88,16 @@ __all__ = [
     "InsufficientDataError", "DegenerateDataError", "NumericError",
     "TailEmptyError", "ConfigError", "RunFailureError",
     # timeseries
-    "PricePanel", "ReturnPanel", "DescriptiveStats", "load_prices",
-    "log_returns", "describe",
+    "PricePanel", "ReturnPanel", "load_prices", "log_returns",
     # gmm
-    "GaussianMixtureModel", "Responsibilities", "EmSettings", "FitReport",
-    "component_density", "mixture_density", "mixture_cdf", "log_likelihood",
-    "e_step", "m_step", "fit", "kmeans_init", "sample", "stratified_counts",
-    "covariance_floor",
+    "GaussianMixtureModel", "EmSettings", "FitReport", "mixture_density",
+    "mixture_cdf", "log_likelihood", "fit", "kmeans_init", "sample",
+    "stratified_counts", "covariance_floor",
     # scenario
     "GbmParams", "simulate_gmm", "simulate_gbm_single",
     "simulate_gbm_portfolio", "rescale",
     # risk
-    "PortfolioSpec", "quantile", "var_es_columns",
+    "PortfolioSpec", "var_es_columns",
     # baselines
     "parametric_columns", "gbm_mc_var", "calibrate_gbm",
     # backtest

@@ -64,15 +64,19 @@ def _scratch(array, shape, name: str):
 
     None stays None. out must be a float64 array of exactly that shape and
     is returned; work a flat float64 array of at least prod(shape)
-    entries, whose leading entries are returned reshaped. Another dtype,
-    which numpy would cast into silently, is a ValidationError; a wrong
-    shape or too few entries a ShapeError.
+    entries, whose leading entries are returned reshaped. Either must be
+    writable and C-contiguous, or a kernel would fail inside numpy or, for a
+    strided work, write into a copy. Another dtype, which numpy would cast
+    into silently, a read-only or a strided array is a ValidationError; a
+    wrong shape or too few entries a ShapeError.
     """
     if array is None:
         return None
     if not isinstance(array, np.ndarray) or array.dtype != np.float64:
         got = getattr(array, "dtype", type(array).__name__)
         raise ValidationError(f"{name} must be a float64 array, got {got}")
+    if not (array.flags.writeable and array.flags.c_contiguous):
+        raise ValidationError(f"{name} must be a writable C-contiguous array")
     if name == "out":
         if array.shape != shape:
             raise ShapeError(f"out must be shaped {shape}, got {array.shape}")

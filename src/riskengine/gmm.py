@@ -16,8 +16,7 @@ array operations along the long sample axis, instead of many operations
 whose inner loops run over only the n components or k dimensions; with
 N = 252, k = 15 and n = 3 that per-call overhead, not arithmetic, is what
 an EM iteration spends most of its time on. The public functions take and
-return samples as (N, k) rows and responsibilities as (N, n), and transpose
-once at that boundary.
+return samples as (N, k) rows, and transpose once at that boundary.
 
 EM runs in log space. The E-step shifts each sample's column by its max
 before exponentiating, so responsibilities stay finite even when every
@@ -252,27 +251,6 @@ class GaussianMixtureModel:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True, eq=False)
-class Responsibilities:
-    """Posterior component memberships; rows sum to one."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        r = np.array(self.r, dtype=float)
-        if r.ndim != 2:
-            raise ShapeError(f"responsibilities must be 2-D, got ndim={r.ndim}")
-        if not np.all(np.isfinite(r)):
-            raise ValidationError("responsibilities contain non-finite entries")
-        if np.any(r < -1e-12) or np.any(r > 1.0 + 1e-12):
-            raise ValidationError("responsibilities outside [0, 1]")
-        rows = r.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > 1e-10:
-            raise ValidationError("responsibility rows must sum to 1")
-        r.setflags(write=False)
-        object.__setattr__(self, "r", r)
-
-
 @dataclass(frozen=True)
 class EmSettings:
     tol: float = 1e-6
@@ -308,25 +286,6 @@ class FitReport:
                 )
         if self.final_loglik != trace[-1]:
             raise ValidationError("final_loglik must equal the last trace entry")
-
-
-def component_density(x, mean, cov) -> float:
-    """Multivariate normal density at a single point.
-
-    Evaluated through the Cholesky factor of cov; raises
-    numpy.linalg.LinAlgError when cov is not positive definite.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    k = mean.shape[0]
-    if x.shape != (k,) or cov.shape != (k, k):
-        raise ShapeError(
-            f"point {x.shape}, mean {mean.shape} and cov {cov.shape} disagree"
-        )
-    _, prec_chols, logdets = _factorize(cov[None])
-    logpdf = _log_densities(x[:, None], mean[None], prec_chols, logdets)[0, 0]
-    return float(np.exp(logpdf))
 
 
 def mixture_density(model: GaussianMixtureModel, x):
@@ -368,38 +327,17 @@ def log_likelihood(model: GaussianMixtureModel, data) -> float:
     return float(np.mean(shift + np.log(s)))
 
 
-def e_step(model: GaussianMixtureModel, data) -> Responsibilities:
-    """Posterior responsibilities r_ij = w_j N_j(x_i) / sum_l w_l N_l(x_i)."""
-    X = _as_matrix(data)
-    if X.shape[1] != model.dim:
-        raise ShapeError(f"data has dim {X.shape[1]}, model has dim {model.dim}")
-    _, e, s = _logsumexp(model._log_weighted_densities(X), "e_step")
-    return Responsibilities(r=(e / s).T)
-
-
-def m_step(data, resp) -> GaussianMixtureModel:
+def _m_step(Xt: np.ndarray, r: np.ndarray):
     """Re-estimate mixture parameters from responsibility-weighted moments.
 
-    w_j = sum_i r_ij / N, mu_j = weighted mean, Sigma_j = weighted scatter
+    Xt is (k, N), one sample per column, and r (n, N), the responsibilities,
+    each column summing to one. Returns (weights, means, covariances): w_j =
+    sum_i r_ji / N, mu_j the weighted mean and Sigma_j the weighted scatter
     plus the diagonal floor (see covariance_floor). A component whose total
     responsibility falls below 1e-8 * N is considered collapsed and is
-    re-seeded at the data point least explained by the surviving components,
-    with weight 1/N and the global covariance; weights are renormalized.
-    """
-    X = _as_matrix(data)
-    if not isinstance(resp, Responsibilities):
-        resp = Responsibilities(r=np.asarray(resp, dtype=float))
-    N = X.shape[0]
-    if resp.r.shape[0] != N:
-        raise ShapeError(f"{N} samples but {resp.r.shape[0]} responsibility rows")
-    weights, means, covs = _m_step(np.ascontiguousarray(X.T), resp.r.T)
-    return GaussianMixtureModel(weights=weights, means=means, covariances=covs)
-
-
-def _m_step(Xt: np.ndarray, r: np.ndarray):
-    """m_step on validated arrays, Xt (k, N) and r (n, N).
-
-    Returns (weights, means, covariances).
+    re-seeded at the sample the surviving components explain least, with
+    weight 1/N and the global covariance; weights are renormalized.
+    DegenerateDataError if every component collapsed.
     """
     k, N = Xt.shape
     col = r.sum(axis=1)
@@ -552,9 +490,9 @@ def fit(
         raise ValidationError(f"unknown init {init!r}")
 
     # The loop runs on plain component-major arrays; the validated model is
-    # built once, at exit. Responsibilities need no validation here: every
-    # sample's column has a finite maximum (checked by _logsumexp), so e / s
-    # lies in [0, 1] with columns summing to one.
+    # built once, at exit. The responsibilities e / s need no check: every
+    # sample's column has a finite maximum (checked by _logsumexp), so they
+    # lie in [0, 1] with columns summing to one.
     Xt = np.ascontiguousarray(X.T)
     weights, means, covs = model.weights, model.means, model.covariances
     prec_chols, logdets = model._prec_chols, model._logdets

@@ -91,25 +91,6 @@ def _quantiles(rows: np.ndarray, alphas):
     return top, var
 
 
-def quantile(samples, alpha: float) -> float:
-    """Empirical quantile with linear interpolation between order stats.
-
-    Uses the rank h = alpha * (n - 1) + 1 convention (the same one numpy
-    calls "linear"): the result interpolates between the floor(h)-th and
-    (floor(h)+1)-th smallest observations.
-    """
-    x = np.array(samples, dtype=float).ravel()
-    if x.size < 2:
-        raise InsufficientDataError(
-            f"quantile needs at least 2 samples, got {x.size}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("samples contain non-finite entries")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    return float(_quantiles(x, (alpha,))[1][0])
-
-
 def var_es_columns(samples, alphas, *, work=None):
     """Empirical VaR, ES and tail counts of every column of a sample matrix.
 

@@ -1,10 +1,4 @@
-"""Price panels, log returns and descriptive statistics.
-
-Moment conventions: all sample moments here are population-style (divide by
-n, no bias correction). Skewness and kurtosis are standardized central
-moments, kurtosis is reported in excess of 3, and the Jarque-Bera statistic
-is n/6 * (S^2 + K^2/4) with K the excess kurtosis.
-"""
+"""Price panels and log returns."""
 
 from __future__ import annotations
 
@@ -13,9 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import chi2_sf
 from .errors import (
-    DegenerateDataError,
     InsufficientDataError,
     ParseError,
     ShapeError,
@@ -104,30 +96,6 @@ class ReturnPanel:
         return self.returns.shape[1]
 
 
-@dataclass(frozen=True)
-class DescriptiveStats:
-    """Population-moment summary of a univariate sample."""
-
-    n: int
-    mean: float
-    std: float
-    skewness: float
-    excess_kurtosis: float
-    jarque_bera: float
-    jb_pvalue: float
-    max: float
-    min: float
-
-    def __post_init__(self):
-        if not self.min <= self.mean <= self.max:
-            raise ValidationError("mean falls outside [min, max]")
-        expected = self.n / 6.0 * (self.skewness**2 + self.excess_kurtosis**2 / 4.0)
-        if abs(self.jarque_bera - expected) > 1e-12 * max(1.0, abs(expected)):
-            raise ValidationError("jarque_bera inconsistent with moment fields")
-        if not 0.0 <= self.jb_pvalue <= 1.0:
-            raise ValidationError(f"jb_pvalue {self.jb_pvalue} outside [0, 1]")
-
-
 def load_prices(path_or_buffer) -> PricePanel:
     """Read a close-price CSV into a PricePanel.
 
@@ -197,36 +165,3 @@ def log_returns(panel: PricePanel) -> ReturnPanel:
         raise InsufficientDataError("need at least 2 price rows for returns")
     r = np.diff(np.log(panel.prices), axis=0)
     return ReturnPanel(dates=panel.dates[1:], tickers=panel.tickers, returns=r)
-
-
-def describe(series) -> DescriptiveStats:
-    """Descriptive statistics of a univariate sample (population moments)."""
-    x = np.asarray(series, dtype=float).ravel()
-    n = x.size
-    if n < 8:
-        raise InsufficientDataError(
-            f"descriptive statistics need at least 8 observations, got {n}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("series contains non-finite entries")
-    mean = float(np.mean(x))
-    d = x - mean
-    m2 = float(np.mean(d * d))
-    if m2 == 0.0:
-        raise DegenerateDataError("series is constant; moments are degenerate")
-    m3 = float(np.mean(d**3))
-    m4 = float(np.mean(d**4))
-    skew = m3 / m2**1.5
-    kurt_ex = m4 / (m2 * m2) - 3.0
-    jb = n / 6.0 * (skew**2 + kurt_ex**2 / 4.0)
-    return DescriptiveStats(
-        n=n,
-        mean=mean,
-        std=float(np.sqrt(m2)),
-        skewness=skew,
-        excess_kurtosis=kurt_ex,
-        jarque_bera=jb,
-        jb_pvalue=chi2_sf(jb, 2.0),
-        max=float(np.max(x)),
-        min=float(np.min(x)),
-    )

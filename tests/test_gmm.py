@@ -17,14 +17,10 @@ from riskengine import (
     EmSettings,
     FitReport,
     GaussianMixtureModel,
-    Responsibilities,
-    component_density,
     covariance_floor,
-    e_step,
     fit,
     kmeans_init,
     log_likelihood,
-    m_step,
     mixture_cdf,
     mixture_density,
     sample,
@@ -121,18 +117,18 @@ def test_model_from_dict_dim_mismatch():
 # ----------------------------------------------------------------- density
 
 
+def _one_component(mean, cov):
+    return GaussianMixtureModel(weights=np.ones(1), means=mean[None], covariances=cov[None])
+
+
 def test_component_density_1d_standard_normal():
-    assert component_density(0.0, np.zeros(1), np.eye(1)) == pytest.approx(
-        0.3989422804014327, rel=1e-14
-    )
+    model = _one_component(np.zeros(1), np.eye(1))
+    assert mixture_density(model, 0.0) == pytest.approx(0.3989422804014327, rel=1e-14)
 
 
 def test_component_density_2d_reference():
-    val = component_density(
-        np.array([1.0, 0.5]),
-        np.array([0.5, -0.25]),
-        np.array([[2.0, 0.6], [0.6, 1.0]]),
-    )
+    model = _one_component(np.array([0.5, -0.25]), np.array([[2.0, 0.6], [0.6, 1.0]]))
+    val = mixture_density(model, np.array([1.0, 0.5]))
     assert val == pytest.approx(0.0937393348269034, rel=1e-13)
 
 
@@ -147,7 +143,7 @@ def test_component_density_matches_scipy():
         mean = rng.normal(size=dim)
         x = rng.normal(size=dim)
         ref = scipy.stats.multivariate_normal(mean=mean, cov=cov).pdf(x)
-        assert component_density(x, mean, cov) == pytest.approx(ref, rel=1e-10)
+        assert mixture_density(_one_component(mean, cov), x) == pytest.approx(ref, rel=1e-10)
 
 
 def test_mixture_density_reference():
@@ -272,7 +268,7 @@ def test_gemm_kernel_matches_triangular_solves(case):
     )
     # responsibilities lie in [0, 1] and each row sums to 1, the scale here
     np.testing.assert_allclose(
-        e_step(model, X).r, np.exp(logj - lse[:, None]), rtol=0.0, atol=1e-10
+        _responsibilities(model, X), np.exp(logj - lse[:, None]), rtol=0.0, atol=1e-10
     )
 
 
@@ -311,10 +307,8 @@ def test_em_path_makes_no_triangular_solve(monkeypatch):
     model, cold = fit(X, 3, settings=EmSettings(seed=1))
     warm_model, warm = fit(shifted, 3, init=model)
     assert cold.init_mode == "kmeans" and warm.init_mode == "warm_start"
-    resp = e_step(warm_model, shifted)
-    refit = m_step(shifted, resp)
-    assert np.isfinite(log_likelihood(refit, shifted))
-    assert component_density(X[0], model.means[0], model.covariances[0]) > 0.0
+    assert np.isfinite(log_likelihood(warm_model, shifted))
+    assert np.all(mixture_density(model, X[:5]) > 0.0)
     assert sample(warm_model, 3000, np.random.default_rng(2)).shape == (3000, 15)
 
 
@@ -360,6 +354,19 @@ def test_fit_makes_one_density_pass_and_one_factorization_per_step(monkeypatch):
 # ----------------------------------------------------------------- EM steps
 
 
+def _responsibilities(model, X):
+    """(N, n) responsibilities e / s from the one _logsumexp pass fit's
+    E-step makes over the weighted log-densities of the samples X (N, k)."""
+    _, e, s = gmm_module._logsumexp(model._log_weighted_densities(X), "e-step")
+    return (e / s).T
+
+
+def _m_step(X, r):
+    """_m_step on samples X (N, k) and responsibilities r (N, n), one row
+    per sample as the tests hold them: (weights, means, covariances)."""
+    return gmm_module._m_step(np.ascontiguousarray(X.T), np.ascontiguousarray(r.T))
+
+
 def test_e_step_scalar_oracle():
     # equal weights, unit variances, means 0 and 1, observation at 0:
     # posterior of the first component is 1 / (1 + exp(-1/2))
@@ -368,7 +375,7 @@ def test_e_step_scalar_oracle():
         means=np.array([[0.0], [1.0]]),
         covariances=np.array([[[1.0]], [[1.0]]]),
     )
-    r = e_step(m, np.array([0.0])).r
+    r = _responsibilities(m, np.array([[0.0]]))
     assert r[0, 0] == pytest.approx(0.62245933120185456, rel=1e-14)
     assert r[0, 1] == pytest.approx(1 - 0.62245933120185456, rel=1e-13)
 
@@ -380,40 +387,33 @@ def test_e_step_rows_sum_to_one_random():
         k = int(rng.integers(1, 4))
         model = random_mixture(rng, k, dim)
         x = rng.normal(0, 2, (30, dim))
-        r = e_step(model, x).r
+        r = _responsibilities(model, x)
         np.testing.assert_allclose(r.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(r >= 0)
-
-
-def test_responsibilities_validation():
-    with pytest.raises(ValidationError):
-        Responsibilities(r=np.array([[0.5, 0.4]]))  # row does not sum to 1
-    with pytest.raises(ValidationError):
-        Responsibilities(r=np.array([[1.5, -0.5]]))
 
 
 def test_m_step_weighted_moment_oracle():
     x = np.array([[0.0], [1.0], [2.0], [5.0]])
     r = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    model = m_step(x, Responsibilities(r=r))
-    np.testing.assert_allclose(model.weights, [0.5, 0.5], rtol=1e-15)
-    np.testing.assert_allclose(model.means, [[0.5], [3.5]], rtol=1e-15)
+    weights, means, covs = _m_step(x, r)
+    np.testing.assert_allclose(weights, [0.5, 0.5], rtol=1e-15)
+    np.testing.assert_allclose(means, [[0.5], [3.5]], rtol=1e-15)
     # population variances 0.25 and 2.25, plus the diagonal stabiliser
     expected0 = 0.25 + covariance_floor(np.array([[0.25]]))
     expected1 = 2.25 + covariance_floor(np.array([[2.25]]))
-    assert model.covariances[0, 0, 0] == pytest.approx(expected0, rel=1e-14)
-    assert model.covariances[1, 0, 0] == pytest.approx(expected1, rel=1e-14)
+    assert covs[0, 0, 0] == pytest.approx(expected0, rel=1e-14)
+    assert covs[1, 0, 0] == pytest.approx(expected1, rel=1e-14)
 
 
 def test_m_step_single_component_recovers_global_moments():
     rng = np.random.default_rng(3)
     x = rng.normal(1.0, 2.0, (200, 2))
     r = np.ones((200, 1))
-    model = m_step(x, Responsibilities(r=r))
-    np.testing.assert_allclose(model.means[0], x.mean(axis=0), rtol=1e-12)
+    _, means, covs = _m_step(x, r)
+    np.testing.assert_allclose(means[0], x.mean(axis=0), rtol=1e-12)
     cov = np.cov(x.T, bias=True)
     np.testing.assert_allclose(
-        model.covariances[0], cov + covariance_floor(cov) * np.eye(2), rtol=1e-10
+        covs[0], cov + covariance_floor(cov) * np.eye(2), rtol=1e-10
     )
 
 
@@ -422,14 +422,14 @@ def test_m_step_reseeds_starved_component():
     rng = np.random.default_rng(9)
     x = rng.normal(0.0, 1.0, (50, 1))
     r = np.column_stack([np.ones(50), np.zeros(50)])
-    model = m_step(x, Responsibilities(r=r))
+    weights, means, covs = _m_step(x, r)
     # re-seeded weight 1/N, then the vector is renormalized: 0.02/1.02
-    assert model.weights[1] == pytest.approx(0.02 / 1.02, rel=1e-12)
-    assert model.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert weights[1] == pytest.approx(0.02 / 1.02, rel=1e-12)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     # re-seeded component sits on an actual data point with the global spread
-    assert np.any(np.isclose(x[:, 0], model.means[1, 0]))
+    assert np.any(np.isclose(x[:, 0], means[1, 0]))
     gcov = np.cov(x[:, 0], bias=True)
-    assert model.covariances[1, 0, 0] == pytest.approx(
+    assert covs[1, 0, 0] == pytest.approx(
         gcov + covariance_floor(np.atleast_2d(gcov)), rel=1e-10
     )
 
@@ -511,10 +511,8 @@ def test_m_step_matches_exact_weighted_moments(
     r /= r.sum(axis=1, keepdims=True)
 
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        got = gmm_module._m_step(np.ascontiguousarray(X.T), np.ascontiguousarray(r.T))
-        model = m_step(X, Responsibilities(r=r))
+        got = _m_step(X, r)
     _assert_exact_moments(X, r, *got)
-    _assert_exact_moments(X, r, model.weights, model.means, model.covariances)
 
 
 def test_covariance_floor_scales():

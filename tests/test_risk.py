@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskengine import PortfolioSpec, quantile, var_es_columns
+from riskengine import PortfolioSpec, var_es_columns
 from riskengine.errors import (
     InsufficientDataError,
     ShapeError,
@@ -21,8 +21,8 @@ from conftest import _reference_var_es
 def test_quantile_interpolation_oracle():
     # order statistics 1..100: g = 0.05 * 99 = 4.95 between the 5th and 6th
     x = np.arange(1.0, 101.0)
-    assert quantile(x, 0.05) == pytest.approx(5.95, rel=1e-14)
-    assert quantile(x, 0.5) == pytest.approx(50.5, rel=1e-14)
+    var = var_es_columns(x[:, None], (0.05, 0.5))[0]
+    np.testing.assert_allclose(var, [[5.95, 50.5]], rtol=1e-14)
 
 
 def test_quantile_matches_numpy_linear():
@@ -30,26 +30,27 @@ def test_quantile_matches_numpy_linear():
     for _ in range(50):
         n = int(rng.integers(2, 400))
         x = rng.normal(0, 1, n)
-        a = float(rng.uniform(0.001, 0.999))
-        assert quantile(x, a) == pytest.approx(
+        a = float(rng.uniform(1.0 / n, 0.999))  # ceil(1/a) <= n scenarios
+        assert var_es_columns(x[:, None], (a,))[0][0, 0] == pytest.approx(
             float(np.quantile(x, a, method="linear")), rel=1e-12, abs=1e-15
         )
 
 
 def test_quantile_input_order_irrelevant():
     x = np.array([5.0, 1.0, 3.0, 2.0, 4.0])
-    assert quantile(x, 0.25) == quantile(np.sort(x), 0.25)
+    got, again = (var_es_columns(v[:, None], (0.25,)) for v in (x, np.sort(x)))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in again]
 
 
 def test_quantile_validation():
     with pytest.raises(InsufficientDataError):
-        quantile(np.array([1.0]), 0.5)
+        var_es_columns(np.array([[1.0]]), (0.5,))
     with pytest.raises(ValidationError):
-        quantile(np.array([1.0, 2.0]), 0.0)
+        var_es_columns(np.array([[1.0], [2.0]]), (0.0,))
     with pytest.raises(ValidationError):
-        quantile(np.array([1.0, 2.0]), 1.0)
+        var_es_columns(np.array([[1.0], [2.0]]), (1.0,))
     with pytest.raises(ValidationError):
-        quantile(np.array([1.0, np.nan]), 0.5)
+        var_es_columns(np.array([[1.0], [np.nan]]), (0.5,))
 
 
 def _one_column(x, alpha):
@@ -86,7 +87,7 @@ def test_var_es_es_never_above_var():
         assert n_tail >= 1
 
 
-def test_adjust_commutes_with_scaling_data():
+def test_var_es_columns_positive_homogeneity():
     # positive homogeneity: scaling the estimates by a volatility ratio
     # equals estimating from the scaled scenarios
     rng = np.random.default_rng(8)

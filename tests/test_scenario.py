@@ -275,7 +275,9 @@ _KEYWORD_ARRAYS = {
 @pytest.mark.parametrize("case", sorted(_KEYWORD_ARRAYS))
 def test_caller_scratch_arrays_are_checked(case):
     # unchecked, numpy casts into a float32 array, so the figures change or
-    # come back float32, or fails inside with a bare ValueError or TypeError
+    # come back float32, or fails inside with a bare ValueError or TypeError;
+    # a read-only array fails inside numpy, and a strided one does too or is
+    # silently copied, so the kernel never writes into the caller's memory
     kernel, name = case.split("-")
     call, shape = _CALLS[kernel], _KEYWORD_ARRAYS[case]
     call(**{name: np.zeros(shape)})
@@ -283,3 +285,9 @@ def test_caller_scratch_arrays_are_checked(case):
         call(**{name: np.zeros(shape, dtype=np.float32)})
     with pytest.raises(ShapeError):
         call(**{name: np.zeros((shape[0] - 1, *shape[1:]))})
+    read_only = np.zeros(shape)
+    read_only.setflags(write=False)
+    strided = np.zeros((*shape[:-1], 2 * shape[-1]))[..., ::2]
+    for array in (read_only, strided):
+        with pytest.raises(ValidationError, match=f"{name} must be a writable C-contiguous"):
+            call(**{name: array})

@@ -1,4 +1,4 @@
-"""Price loading, return computation, moment summaries."""
+"""Price loading and return computation."""
 
 import io
 
@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 
 from riskengine import (
-    DescriptiveStats,
     PricePanel,
     ReturnPanel,
-    describe,
     load_prices,
     log_returns,
 )
 from riskengine.errors import (
-    DegenerateDataError,
     InsufficientDataError,
     ParseError,
     ShapeError,
@@ -143,53 +140,6 @@ def test_log_returns_needs_two_rows():
     panel = PricePanel(dates=("2020-01-01",), tickers=("X",), prices=np.array([[1.0]]))
     with pytest.raises(InsufficientDataError):
         log_returns(panel)
-
-
-def test_describe_oracle():
-    # three-point shape {-1,-1,2} tiled to pass the minimum-length gate;
-    # population moments are unchanged by tiling
-    x = np.array([-1.0, -1.0, 2.0] * 3)
-    st = describe(x)
-    assert st.n == 9
-    assert st.mean == pytest.approx(0.0, abs=1e-15)
-    assert st.std == pytest.approx(np.sqrt(2.0), rel=1e-15)
-    assert st.skewness == pytest.approx(0.70710678118654752, rel=1e-14)
-    assert st.excess_kurtosis == pytest.approx(-1.5, rel=1e-14)
-    assert st.jarque_bera == pytest.approx(1.59375, rel=1e-12)
-    assert st.jb_pvalue == pytest.approx(0.4507353134063624, rel=1e-12)
-    assert st.max == 2.0 and st.min == -1.0
-
-
-def test_describe_matches_scipy_population_moments():
-    import scipy.stats
-
-    rng = np.random.default_rng(11)
-    x = rng.lognormal(0.0, 0.4, 500)
-    st = describe(x)
-    assert st.skewness == pytest.approx(scipy.stats.skew(x, bias=True), rel=1e-10)
-    assert st.excess_kurtosis == pytest.approx(
-        scipy.stats.kurtosis(x, bias=True), rel=1e-10
-    )
-
-
-def test_describe_gates():
-    with pytest.raises(InsufficientDataError):
-        describe(np.arange(7, dtype=float))
-    with pytest.raises(DegenerateDataError):
-        describe(np.full(20, 3.14))
-
-
-def test_descriptive_stats_validates_internal_consistency():
-    with pytest.raises(ValidationError):
-        DescriptiveStats(
-            n=10, mean=5.0, std=1.0, skewness=0.0, excess_kurtosis=0.0,
-            jarque_bera=0.0, jb_pvalue=1.0, max=4.0, min=0.0,  # mean above max
-        )
-    with pytest.raises(ValidationError):
-        DescriptiveStats(
-            n=10, mean=0.0, std=1.0, skewness=1.0, excess_kurtosis=0.0,
-            jarque_bera=99.0, jb_pvalue=0.5, max=1.0, min=-1.0,  # JB identity broken
-        )
 
 
 def test_return_panel_rejects_non_finite():
