@@ -193,13 +193,13 @@ def _xlogy(x, y) -> float:
     return 0.0 if x == 0 else x * math.log(y)
 
 
-def christoffersen(seq: HitSequence, reject_level: float = 0.01) -> ChristoffersenResult:
+def christoffersen(seq: HitSequence) -> ChristoffersenResult:
     """Unconditional-coverage, independence and combined LR tests.
 
     LR_uc and LR_ind are chi-squared with 1 degree of freedom and LR_cc
     with 2, by construction (Christoffersen 1998). The verdict is "rejected"
-    when min(p_uc, p_ind) < reject_level; the combined statistic is reported
-    but does not join the verdict. Requires at least two observations;
+    when min(p_uc, p_ind) < 0.01, a fixed level; the combined statistic is
+    reported but does not join the verdict. Requires at least two observations;
     transitions are counted only between adjacent days (seq.adjacent), and
     with none LR_ind is 0.
     """
@@ -207,8 +207,6 @@ def christoffersen(seq: HitSequence, reject_level: float = 0.01) -> Christoffers
         raise InsufficientDataError(
             f"independence statistics need n >= 2 days, got {seq.n}"
         )
-    if not 0.0 < reject_level < 1.0:
-        raise ValidationError(f"reject_level must be in (0, 1), got {reject_level}")
     n, x = seq.n, seq.x
     p = seq.alpha
 
@@ -238,7 +236,7 @@ def christoffersen(seq: HitSequence, reject_level: float = 0.01) -> Christoffers
     p_cc = chi2_sf(lr_cc, 2)
     verdict = (
         VERDICT_REJECTED
-        if min(p_uc, p_ind) < reject_level
+        if min(p_uc, p_ind) < 0.01
         else VERDICT_NOT_REJECTED
     )
     return ChristoffersenResult(
@@ -307,12 +305,11 @@ def ks_test(samples, cdf) -> GofResult:
     return GofResult(ks_stat=d, ks_pvalue=kolmogorov_sf(np.sqrt(n) * d))
 
 
-def empirical_density(data, grid=None) -> tuple[np.ndarray, np.ndarray]:
+def empirical_density(data) -> tuple[np.ndarray, np.ndarray]:
     """Histogram density estimate evaluated at bin centers.
 
-    With grid=None the bin width follows the Freedman-Diaconis rule
-    (2 IQR / n^(1/3)) over the data range. An explicit grid (>= 2 equally
-    spaced points) is interpreted as the desired bin centers.
+    The bin width follows the Freedman-Diaconis rule (2 IQR / n^(1/3)) over
+    the data range.
     """
     x = np.asarray(data, dtype=float).ravel()
     if x.size < 8:
@@ -321,35 +318,23 @@ def empirical_density(data, grid=None) -> tuple[np.ndarray, np.ndarray]:
         )
     if not np.all(np.isfinite(x)):
         raise ValidationError("data contains non-finite entries")
-    if grid is None:
-        q25, q75 = _quantiles(x.copy(), (0.25, 0.75))[1]  # it sorts in place
-        width = 2.0 * (q75 - q25) / x.size ** (1.0 / 3.0)
-        span = float(x.max() - x.min())
-        if width <= 0.0 or span <= 0.0:
-            raise DegenerateDataError(
-                "data has no spread; histogram bin width is zero"
-            )
-        nbins = max(int(np.ceil(span / width)), 1)
-        edges = np.linspace(x.min(), x.max(), nbins + 1)
-    else:
-        g = np.asarray(grid, dtype=float).ravel()
-        if g.size < 2:
-            raise ValidationError("grid needs at least 2 points")
-        steps = np.diff(g)
-        if np.any(steps <= 0):
-            raise ValidationError("grid must be strictly increasing")
-        if np.max(steps) - np.min(steps) > 1e-9 * np.max(steps):
-            raise ValidationError("grid must be equally spaced")
-        half = steps[0] / 2.0
-        edges = np.concatenate(([g[0] - half], g + half))
+    q25, q75 = _quantiles(x.copy(), (0.25, 0.75))[1]  # it sorts in place
+    width = 2.0 * (q75 - q25) / x.size ** (1.0 / 3.0)
+    span = float(x.max() - x.min())
+    if width <= 0.0 or span <= 0.0:
+        raise DegenerateDataError(
+            "data has no spread; histogram bin width is zero"
+        )
+    nbins = max(int(np.ceil(span / width)), 1)
+    edges = np.linspace(x.min(), x.max(), nbins + 1)
     density, _ = np.histogram(x, bins=edges, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, density
 
 
-def pdf_rmse(model_pdf, data, grid=None) -> float:
+def pdf_rmse(model_pdf, data) -> float:
     """RMSE between a model density and the histogram estimate of the data."""
-    centers, emp = empirical_density(data, grid)
+    centers, emp = empirical_density(data)
     mod = np.asarray(model_pdf(centers), dtype=float)
     if mod.shape != centers.shape:
         raise ValidationError(

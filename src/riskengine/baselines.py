@@ -3,7 +3,8 @@
 Each calibrates on a rolling window of log returns and returns VaR/ES as
 plain (column, alpha) arrays. Historical simulation is risk.var_es_columns
 over the window itself, so there is exactly one quantile implementation in
-the package; parametric_columns is the closed-form normal.
+the package; parametric_columns is the closed-form normal. A portfolio is
+one more series, w . r per window day or path, like its realized return.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import normal_pdf, normal_ppf
-from .errors import DegenerateDataError, InsufficientDataError, NumericError, ValidationError, _scratch
-from .risk import PortfolioSpec, var_es_columns
+from .errors import DegenerateDataError, InsufficientDataError, ShapeError, ValidationError
+from .risk import var_es_columns
 from .scenario import simulate_gbm_portfolio
 
 
@@ -74,51 +75,18 @@ def calibrate_gbm(window_returns):
     return mus, sigmas, corr
 
 
-def gbm_mc_var(window, alphas, m: int, seed: int, portfolio: PortfolioSpec | None = None):
-    """One-day GBM Monte Carlo VaR/ES calibrated on a return window.
+def gbm_mc_var(series, alphas, m: int, seed: int):
+    """One-day GBM Monte Carlo VaR/ES calibrated on one return series.
 
-    Simulates one correlated arithmetic-Euler day from unit initial prices
-    and evaluates the portfolio log return ln(w . S_1) (price-space
-    aggregation; w . S_0 = 1 when weights sum to one). A single asset, or
-    portfolio=None with a one-column window, reduces to the asset itself.
-    Returns var_es_columns of that series, arrays shaped (1, len(alphas)).
+    series is a window of log returns, 1-D or one column; a portfolio is
+    the series of its window returns w . r. Simulates m arithmetic-Euler
+    days of one asset and returns var_es_columns of their log returns,
+    arrays shaped (1, len(alphas)). ShapeError for a multi-column window.
     """
-    mus, sigmas, corr = calibrate_gbm(window)
-    n_assets = mus.shape[0]
-    weights = np.ones(1) if portfolio is None else portfolio.weights
-    if weights.shape[0] != n_assets:
-        raise ValidationError(
-            f"{weights.shape[0]} portfolio weights for {n_assets} window assets; "
-            f"a multi-asset window needs a portfolio spec"
+    x = np.asarray(series, dtype=float)
+    if x.shape[1:] not in ((), (1,)):
+        raise ShapeError(
+            f"gbm_mc_var takes one return series, got shape {x.shape}; "
+            f"aggregate a multi-asset window to its portfolio series w . r first"
         )
-    try:
-        scen = simulate_gbm_portfolio(np.ones(n_assets), mus, sigmas, corr, m, seed)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"shock correlation matrix is not positive definite ({exc}); "
-            f"check the window for collinear or constant assets"
-        ) from exc
-    return var_es_columns(price_space_returns(scen, weights)[:, None], alphas)
-
-
-def price_space_returns(holding, weights, *, out=None, work=None) -> np.ndarray:
-    """Per-path portfolio log return ln(w . exp(H)) from unit initial prices.
-
-    holding is the (paths, assets) matrix of holding-period log returns H.
-    Raises NumericError when a path's portfolio value is not positive, where
-    the log return is undefined. out, when given, is a float64 (paths,)
-    array that receives the returns and is returned. work, when given, is a
-    flat float64 array of at least paths * assets entries that holds exp(H)
-    and is overwritten. Without them each call returns a new array; the
-    result is the same bits either way.
-    """
-    holding = np.asarray(holding, dtype=float)
-    growth = _scratch(work, holding.shape, "work")
-    out = _scratch(out, holding.shape[:1], "out")
-    value = np.matmul(np.exp(holding, out=growth), weights, out=out)
-    if np.any(value <= 0.0):
-        raise NumericError(
-            "portfolio value went non-positive in simulation; log return "
-            "undefined (short weights with coarse steps?)"
-        )
-    return np.log(value, out=value)
+    return var_es_columns(simulate_gbm_portfolio(*calibrate_gbm(x), m, seed), alphas)

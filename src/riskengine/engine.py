@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .backtest import BacktestReport, christoffersen, hits, quadratic_loss
-from .baselines import calibrate_gbm, parametric_columns, price_space_returns
+from .baselines import calibrate_gbm, parametric_columns
 from .errors import (
     ConfigError,
     DegenerateDataError,
@@ -257,22 +257,21 @@ class _Buffers:
 
     Every day overwrites them, so a day allocates no array of paths rows and
     the allocator has no pages to hand back and fault in again. holding
-    receives the day's (paths, assets) draws; columns the matrix read next to
-    them, a gmm holding rescaled by the vol ratios or gbm_mc's holding with
-    its portfolio column appended; series a portfolio column; work the
-    kernels' scratch of paths * width entries. Tags never share a set.
+    receives the day's (paths, assets) draws; rescaled a gmm holding scaled
+    by the vol ratios (gbm_mc never writes it, so its pages are never
+    touched); series the portfolio return of every path; work the kernels'
+    scratch of paths * assets entries. Tags never share a set.
     """
 
     holding: np.ndarray
-    columns: np.ndarray
+    rescaled: np.ndarray
     series: np.ndarray
     work: np.ndarray
 
     @classmethod
-    def allocate(cls, key: str, paths: int, n_assets: int) -> "_Buffers":
-        width = n_assets + (key == "gbm_mc")
-        return cls(np.empty((paths, n_assets)), np.empty((paths, width)),
-                   np.empty(paths), np.empty(paths * width))
+    def allocate(cls, paths: int, n_assets: int) -> "_Buffers":
+        return cls(np.empty((paths, n_assets)), np.empty((paths, n_assets)),
+                   np.empty(paths), np.empty(paths * n_assets))
 
 
 def _run_days(returns, config, short_lens, scenario_writer, model_sink):
@@ -303,7 +302,7 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
         )
     keys = config.model_keys()
     needs_gmm = any(k.startswith("gmm") for k in keys)
-    buffers = {k: _Buffers.allocate(k, config.paths, len(tickers))
+    buffers = {k: _Buffers.allocate(config.paths, len(tickers))
                for k in keys if k not in ("hs", "param")}
     prev_models: dict[str, GaussianMixtureModel] = {}
     records: dict[int, list[DayRecord]] = {g: [] for g in short_lens}
@@ -363,36 +362,28 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
 def _day_parts(i, long_w, config, seeds, prev_models, diags, parts, buffers):
     """Day i's estimates that ignore the short window, in model-key order.
 
-    Each model is one sample matrix with a column per target, read by one
-    estimator pass: for hs/param the long window, for gmm and gbm_mc the
-    simulated holding returns. hs, param and gbm_mc append the portfolio as
-    one more column, gbm_mc's aggregated in price space. gmm portfolio rows
-    depend on the short window; _short_rows adds them.
+    Each model is one sample matrix with a column per asset, read by its
+    estimator: for hs/param the long window, for gmm and gbm_mc the
+    simulated holding returns. hs, param and gbm_mc add the portfolio row
+    through _with_portfolio, the same estimator over the matrix's w . r.
+    gmm portfolio rows depend on the short window; _short_rows adds them.
 
     Appends (key, var, es, n_tail, buf) to parts, with var/es/n_tail shaped
-    [column, alpha]. buf is buffers[key] for a Monte Carlo tag, whose
+    [target, alpha]. buf is buffers[key] for a Monte Carlo tag, whose
     holding now holds the day's (paths, assets) simulated matrix, and None
     otherwise; a gmm holding and its asset block are still unscaled.
     Monte Carlo tags simulate with seeds[mi]; a fit seed is derived only for
     a cold start. Fits extend the warm-start chain in prev_models and go to
     diags as they happen, so a later failure on the same day keeps them.
     """
-    weights = None if config.portfolio is None else config.portfolio.weights
     for mi, key in enumerate(config.model_keys()):
-        buf, series = buffers.get(key), None
-        work = None if buf is None else buf.work
+        buf = buffers.get(key)
         if key in ("hs", "param"):
             columns = long_w
-            if weights is not None:
-                series = long_w @ weights
         elif key == "gbm_mc":
-            mus, sigmas, corr = calibrate_gbm(long_w)
             columns = simulate_gbm_portfolio(
-                np.ones(long_w.shape[1]), mus, sigmas, corr, config.paths, seeds[mi],
-                out=buf.holding, work=work,
+                *calibrate_gbm(long_w), config.paths, seeds[mi], out=buf.holding, work=buf.work
             )
-            if weights is not None:
-                series = price_space_returns(columns, weights, out=buf.series, work=work)
         else:
             warm = prev_models.get(key) if config.warm_start else None
             init, settings = warm, None
@@ -404,16 +395,28 @@ def _day_parts(i, long_w, config, seeds, prev_models, diags, parts, buffers):
                 key, rep.init_mode, rep.iterations, rep.converged, rep.final_loglik
             ))
             rng = np.random.default_rng(seeds[mi])
-            columns = sample(model, config.paths, rng, out=buf.holding, work=work)
-        if series is not None:
-            columns = np.concatenate((columns, series[:, None]), axis=1,
-                                     out=None if buf is None else buf.columns)
-        if key == "param":
-            var, es = parametric_columns(columns, config.alphas)
-            n_tail = np.zeros(var.shape, dtype=int)
-        else:
-            var, es, n_tail = var_es_columns(columns, config.alphas, work=work)
-        parts.append((key, var, es, n_tail, buf))
+            columns = sample(model, config.paths, rng, out=buf.holding, work=buf.work)
+        block = _estimate(key, columns, config.alphas, buf)
+        if config.portfolio is not None and not key.startswith("gmm"):
+            block = _with_portfolio(key, block, columns, config, buf)
+        parts.append((key, *block, buf))
+
+
+def _estimate(key, columns, alphas, buf):
+    """(var, es, n_tail) of every sample column by the model's estimator:
+    closed-form normal for param (n_tail 0), else empirical in buf's work."""
+    if key == "param":
+        var, es = parametric_columns(columns, alphas)
+        return var, es, np.zeros(var.shape, dtype=int)
+    return var_es_columns(columns, alphas, work=None if buf is None else buf.work)
+
+
+def _with_portfolio(key, block, columns, config, buf):
+    """block plus the model's estimate of columns @ w, the per-row portfolio
+    return that the realized row also reads; each column is read alone."""
+    series = np.matmul(columns, config.portfolio.weights, out=None if buf is None else buf.series)
+    portfolio = _estimate(key, series[:, None], config.alphas, buf)
+    return tuple(np.vstack(pair) for pair in zip(block, portfolio))
 
 
 def _short_rows(parts, long_w, long_vols, g, config):
@@ -422,7 +425,7 @@ def _short_rows(parts, long_w, long_vols, g, config):
     var, es and n_tail stack the models' [target, alpha] blocks into
     (model, target, alpha) arrays. Each gmm holding is rescaled by the vol
     ratios once, into its tag's buffers; that array feeds the gmm portfolio
-    column and the scenario dump. VaR and ES are positively homogeneous, so
+    row and the scenario dump. VaR and ES are positively homogeneous, so
     scaling the unscaled gmm asset block by the ratios gives the estimates
     of the rescaled scenarios, up to rounding. ValidationError if any var or es is not finite or an es
     sits above its var (beyond 1e-12 relative).
@@ -433,12 +436,10 @@ def _short_rows(parts, long_w, long_vols, g, config):
         if key.startswith("gmm"):
             if ratios is None:
                 ratios = column_std(long_w[-g:]) / long_vols
-            holding = rescale(holding, ratios, out=buf.columns)
+            holding = rescale(holding, ratios, out=buf.rescaled)
             var, es = var * ratios[:, None], es * ratios[:, None]
             if config.portfolio is not None:
-                series = np.matmul(holding, config.portfolio.weights, out=buf.series)
-                pv, pe, pn = var_es_columns(series[:, None], config.alphas, work=buf.work)
-                var, es, n_tail = np.vstack((var, pv)), np.vstack((es, pe)), np.vstack((n_tail, pn))
+                var, es, n_tail = _with_portfolio(key, (var, es, n_tail), holding, config, buf)
         blocks.append((var, es, n_tail))
         if holding is not None:
             holdings.append((key, holding))

@@ -4,7 +4,10 @@ Sign convention: returns are log returns, losses are negative numbers. The
 alpha-level VaR is the empirical alpha-quantile of the scenario return
 distribution (linear interpolation between order statistics), and ES is the
 mean of the n_tail smallest scenarios, those at or below that quantile,
-summed in ascending order, so es <= var always.
+summed in ascending order, so es <= var always. VaR is Hyndman-Fan type 7:
+at an integer rank h = alpha (n - 1), a new draw from the n scenarios'
+continuous distribution falls below it with chance (h + 1) / (n + 1) > alpha
+(1.485% at alpha 1%, n = 201).
 
 Estimates are plain (column, alpha) arrays from var_es_columns. Both are
 positively homogeneous, so scaling them by a volatility ratio equals

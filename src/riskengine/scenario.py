@@ -10,10 +10,11 @@ reuse one set of arrays every day; the bits do not depend on it.
 Two GBM discretizations are implemented literally and never mixed. The
 single-asset form is exponential, S_1 = S_0 exp(mu dt + sigma eps
 sqrt(dt)), so prices stay positive by construction. The portfolio form is
-the arithmetic Euler step over one day, S_1 = S_0 (1 + mu) + S_0 sigma xi
-with correlated shocks xi = A eps, where A is the Cholesky factor of the
-shock correlation matrix. The two agree in distribution only up to O(dt),
-which is why neither is expressed through the other.
+the arithmetic Euler step over one day, ln(S_1 / S_0) = ln(1 + mu + sigma
+xi) whatever S_0, with correlated shocks xi = A eps, where A is the Cholesky
+factor of the shock correlation matrix. The two agree in distribution only
+up to O(dt), which is why neither is expressed through the other. A
+portfolio of either is w . r of its log returns, as for every scenario array.
 
 Reproducibility: every simulator takes an integer seed and draws from one
 numpy default Generator seeded with it.
@@ -94,13 +95,13 @@ def simulate_gbm_single(
 
 
 def simulate_gbm_portfolio(
-    s0, mus, sigmas, corr, m: int, seed: int, *, out=None, work=None
+    mus, sigmas, corr, m: int, seed: int, *, out=None, work=None
 ) -> np.ndarray:
     """One arithmetic-Euler GBM day for several correlated assets.
 
-    Returns the log returns ln(S_1 / S_0), shaped (m, n_assets), of the step
-    S_1 = S_0 (1 + mu) + S_0 sigma xi, with xi = A eps, A the Cholesky
-    factor of corr and eps one (m, n_assets) block of standard normals.
+    Returns the log returns ln(S_1 / S_0) = ln(1 + mu + sigma xi), shaped
+    (m, n_assets), with xi = A eps, A the Cholesky factor of corr and eps
+    one (m, n_assets) block of standard normals; the initial price cancels.
     Raises numpy.linalg.LinAlgError when corr cannot be factorized (no
     repair is attempted), NumericError if any path's price hits zero or
     below, which the arithmetic step does not preclude, and ValidationError
@@ -112,18 +113,15 @@ def simulate_gbm_portfolio(
     overlap the other. Without them each call returns a new array; the
     result is the same bits either way.
     """
-    s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
     corr = np.atleast_2d(np.asarray(corr, dtype=float))
-    n = s0.shape[0]
+    n = mus.shape[0]
     if mus.shape != (n,) or sigmas.shape != (n,) or corr.shape != (n, n):
         raise ShapeError(
-            f"parameter shapes disagree: s0 {s0.shape}, mus {mus.shape}, "
+            f"parameter shapes disagree: mus {mus.shape}, "
             f"sigmas {sigmas.shape}, corr {corr.shape}"
         )
-    if np.any(s0 <= 0) or not np.all(np.isfinite(s0)):
-        raise ValidationError("initial prices must be positive and finite")
     if np.any(sigmas < 0) or not np.all(np.isfinite(sigmas)) or not np.all(np.isfinite(mus)):
         raise ValidationError("mus/sigmas must be finite, sigmas non-negative")
     if np.max(np.abs(corr - corr.T)) > 1e-12:
@@ -135,16 +133,15 @@ def simulate_gbm_portfolio(
 
     A = np.linalg.cholesky(corr)
     eps = np.random.default_rng(seed).standard_normal((m, n), out=eps)
-    prices = np.matmul(eps, A.T, out=out)  # xi, turned into prices in place
-    prices *= s0 * sigmas
-    prices += s0 * (1.0 + mus)
-    if np.any(prices <= 0.0):
+    growth = np.matmul(eps, A.T, out=out)  # xi, turned into S_1 / S_0 in place
+    growth *= sigmas
+    growth += 1.0 + mus
+    if np.any(growth <= 0.0):
         raise NumericError(
             "arithmetic Euler step produced a non-positive price; "
             "parameters too coarse for a one-day step"
         )
-    prices /= s0
-    return _finite(np.log(prices, out=prices))
+    return _finite(np.log(growth, out=growth))
 
 
 def rescale(returns, ratios, *, out=None) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import datetime
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,8 +101,9 @@ def load_prices(path_or_buffer) -> PricePanel:
     """Read a close-price CSV into a PricePanel.
 
     Expected layout: header ``date,<ticker>,...``; first column ISO-8601
-    dates, remaining columns prices. Rows may arrive in any order and are
-    sorted by date. Duplicate dates and non-positive prices are rejected.
+    dates written YYYY-MM-DD (else ParseError), remaining columns prices.
+    Rows may arrive in any order and are sorted by date. Duplicate dates and
+    non-positive prices are rejected.
     """
     if hasattr(path_or_buffer, "read"):
         rows = list(csv.reader(path_or_buffer))
@@ -130,8 +132,13 @@ def load_prices(path_or_buffer) -> PricePanel:
                 f"expected {len(header)} fields, got {len(row)}", line_no=line_no
             )
         date = row[0].strip()
-        if not date:
-            raise ParseError("empty date field", line_no=line_no)
+        # only a YYYY-MM-DD date reads back unchanged; such strings sort as the days do
+        try:
+            iso = datetime.date.fromisoformat(date).isoformat() == date
+        except ValueError:
+            iso = False
+        if not iso:
+            raise ParseError(f"date {date!r} is not a YYYY-MM-DD date", line_no=line_no)
         if date in seen:
             raise ValidationError(f"duplicate date {date!r}")
         seen.add(date)

@@ -296,7 +296,7 @@ def test_criterion_09_gbm_moments():
 
     corr = np.array([[1.0, 0.8], [0.8, 1.0]])
     scen2 = simulate_gbm_portfolio(
-        s0=np.array([1.0, 1.0]), mus=np.zeros(2), sigmas=np.array([0.01, 0.01]),
+        mus=np.zeros(2), sigmas=np.array([0.01, 0.01]),
         corr=corr, m=m, seed=8,
     )
     realized = np.corrcoef(scen2[:, 0], scen2[:, 1])[0, 1]

@@ -108,12 +108,6 @@ def test_christoffersen_needs_two_days():
         christoffersen(HitSequence(hits=np.array([True]), alpha=0.05))
 
 
-def test_christoffersen_df_and_level_knobs():
-    seq = HitSequence(hits=HAND_HITS, alpha=0.05)
-    relaxed = christoffersen(seq, reject_level=1e-6)
-    assert relaxed.verdict == VERDICT_NOT_REJECTED
-
-
 def test_christoffersen_matches_direct_formula_random():
     import math
 
@@ -295,17 +289,6 @@ def test_empirical_density_integrates_to_one():
     width = centers[1] - centers[0]
     assert float(np.sum(density) * width) == pytest.approx(1.0, rel=1e-9)
     assert len(density) == len(centers)
-
-
-def test_empirical_density_explicit_grid():
-    rng = np.random.default_rng(4)
-    x = rng.normal(0, 1, 2000)
-    grid = np.linspace(-3, 3, 25)
-    centers, density = empirical_density(x, grid)
-    np.testing.assert_allclose(centers, grid, rtol=1e-12)
-    assert np.all(density >= 0)
-    with pytest.raises(ValidationError):
-        empirical_density(x, np.array([0.0, 1.0, 3.0]))  # uneven spacing
 
 
 def test_empirical_density_gates():

@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskengine import (
-    PortfolioSpec,
     calibrate_gbm,
     gbm_mc_var,
     parametric_columns,
     var_es_columns,
 )
-from riskengine.baselines import price_space_returns
 from riskengine.distributions import normal_pdf, normal_ppf
 from riskengine.errors import (
     DegenerateDataError,
     InsufficientDataError,
+    ShapeError,
     ValidationError,
 )
 
@@ -145,36 +144,15 @@ def test_gbm_mc_var_deterministic():
     assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
 
 
-def test_gbm_mc_var_portfolio_route():
-    rng = np.random.default_rng(5)
-    window = rng.normal(0.0002, 0.012, (252, 2))
-    port = PortfolioSpec(tickers=("A", "B"), weights=np.array([0.5, 0.5]))
-    var, es, _ = gbm_mc_var(window, (0.05,), m=8000, seed=2, portfolio=port)
-    assert es[0, 0] <= var[0, 0]
-    assert var[0, 0] < 0
-
-
-def test_price_space_returns_writes_into_caller_arrays():
-    holding = np.random.default_rng(8).normal(0.0, 0.02, (400, 3))
-    weights = np.array([0.2, 0.5, 0.3])
-    fresh = price_space_returns(holding, weights)
-    out, work = np.full(400, np.nan), np.full(1201, np.nan)
-    assert price_space_returns(holding, weights, out=out, work=work) is out
-    assert out.tobytes() == fresh.tobytes()
-    assert not np.shares_memory(price_space_returns(holding, weights), fresh)
-
-
 def test_gbm_mc_var_multi_asset_requires_portfolio():
+    # gbm_mc_var reads one series: a multi-asset window must first be
+    # aggregated to its portfolio returns w . r, and a one-column window is
+    # the 1-D series
     rng = np.random.default_rng(5)
     window = rng.normal(0.0, 0.01, (100, 2))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ShapeError, match="portfolio series"):
         gbm_mc_var(window, (0.05,), m=1000, seed=0)
-
-
-def test_gbm_mc_var_collinear_assets_hint():
-    rng = np.random.default_rng(6)
-    a = rng.normal(0.0, 0.01, 120)
-    window = np.column_stack([a, 2.0 * a])  # correlation exactly 1
-    port = PortfolioSpec(tickers=("A", "B"), weights=np.array([0.5, 0.5]))
-    with pytest.raises(np.linalg.LinAlgError, match="collinear"):
-        gbm_mc_var(window, (0.05,), m=1000, seed=0, portfolio=port)
+    series = window @ np.array([0.5, 0.5])
+    a = gbm_mc_var(series, (0.05,), m=1000, seed=0)
+    b = gbm_mc_var(series[:, None], (0.05,), m=1000, seed=0)
+    assert [x.tobytes() for x in a] == [x.tobytes() for x in b]

@@ -19,7 +19,7 @@ from riskengine import (
     simulate_gmm,
     var_es_columns,
 )
-from riskengine.baselines import calibrate_gbm, gbm_mc_var, price_space_returns
+from riskengine.baselines import calibrate_gbm, parametric_columns
 from riskengine.engine import (
     PORTFOLIO_TICKER,
     derive_seed,
@@ -219,9 +219,8 @@ def test_run_backtest_hs_estimates_match_direct_computation(small_run):
 
 def test_run_backtest_gbm_portfolio_matches_gbm_mc_var(panel_3assets):
     # the engine's gbm_mc portfolio rows are the full-sort reference of the
-    # price-space portfolio ln(w . exp(H)) of the day's simulated holding;
-    # gbm_mc_var shares that aggregation, so with the same window and seed
-    # it gives the same rows
+    # return-space portfolio H @ w of the day's simulated holding H, which
+    # simulate_gbm_portfolio recomputes from the same window and seed
     spec = PortfolioSpec.equal(("AAA", "BBB", "CCC"))
     cfg = RunConfig(**{**SMALL, "models": ("gbm_mc",)}, portfolio=spec)
     records, _ = run_backtest(panel_3assets, cfg)
@@ -232,12 +231,38 @@ def test_run_backtest_gbm_portfolio_matches_gbm_mc_var(panel_3assets):
         seed = derive_seed(cfg.seed, i, 0, 1)
         assert rec.seeds == (seed,)
         assert rec.realized[-1][0] == PORTFOLIO_TICKER
-        holding = simulate_gbm_portfolio(np.ones(3), *calibrate_gbm(long_w), cfg.paths, seed)
-        expected = _reference_block(np.log(np.exp(holding) @ spec.weights)[:, None], cfg.alphas)
-        direct = gbm_mc_var(long_w, cfg.alphas, m=cfg.paths, seed=seed, portfolio=spec)
+        holding = simulate_gbm_portfolio(*calibrate_gbm(long_w), cfg.paths, seed)
+        expected = _reference_block((holding @ spec.weights)[:, None], cfg.alphas)
         row = [rec.var[0, -1:], rec.es[0, -1:], rec.n_tail[0, -1:]]
         assert [r.tolist() for r in row] == [e.tolist() for e in expected]
-        assert [r.tolist() for r in row] == [d.tolist() for d in direct]
+
+
+def test_every_portfolio_row_reads_the_realized_aggregation(panel_3assets):
+    # the realized PORTFOLIO return is r @ w, and every model's PORTFOLIO row
+    # is its own estimator over M @ w, with M the day's sample matrix: the
+    # long window for hs/param, the holding a scenario writer gets for gmm
+    # and gbm_mc
+    spec = PortfolioSpec.equal(("AAA", "BBB", "CCC"))
+    cfg = RunConfig(**{**SMALL, "eval_days": 4}, portfolio=spec)
+    assert cfg.model_keys() == ["gmm2", "hs", "param", "gbm_mc"]
+    held = {}
+    records, _ = run_backtest(
+        panel_3assets, cfg, scenario_writer=lambda d, k, h: held.setdefault((d, k), h.copy())
+    )
+    returns = log_returns(panel_3assets).returns
+    for rec in records:
+        assert rec.realized[-1] == (PORTFOLIO_TICKER, float(returns[rec.anchor] @ spec.weights))
+        long_w = returns[rec.anchor - cfg.long_len : rec.anchor]
+        for mi, key in enumerate(cfg.model_keys()):
+            matrix = long_w if key in ("hs", "param") else held[rec.date, key]
+            series = (matrix @ spec.weights)[:, None]
+            if key == "param":
+                var, es = parametric_columns(series, cfg.alphas)
+                expected = (var, es, np.zeros(var.shape, dtype=int))
+            else:
+                expected = var_es_columns(series, cfg.alphas)
+            got = (rec.var[mi, -1:], rec.es[mi, -1:], rec.n_tail[mi, -1:])
+            assert [g.tolist() for g in got] == [e.tolist() for e in expected], key
 
 
 def test_run_backtest_deterministic(small_run):
@@ -604,7 +629,7 @@ def test_run_backtest_gbm_mc_dump_is_the_simulation(panel_3assets, tmp_path):
     for i, rec in enumerate(records):
         long_w = returns[i : i + cfg.long_len]
         expected = simulate_gbm_portfolio(
-            np.ones(3), *calibrate_gbm(long_w), cfg.paths, derive_seed(cfg.seed, i, mi, 1)
+            *calibrate_gbm(long_w), cfg.paths, derive_seed(cfg.seed, i, mi, 1)
         )
         dumped = np.load(tmp_path / "scenarios" / f"{rec.date}_gbm_mc.npy")
         assert dumped.shape == (cfg.paths, 3)
@@ -681,11 +706,8 @@ def test_run_backtest_tags_and_days_never_share_scenarios(panel_3assets, tmp_pat
             seed = derive_seed(cfg.seed, i, mi, 1)
             assert rec.seeds[mi] == seed
             if tag == "gbm_mc":
-                holding = simulate_gbm_portfolio(
-                    np.ones(3), *calibrate_gbm(long_w), cfg.paths, seed
-                )
+                holding = simulate_gbm_portfolio(*calibrate_gbm(long_w), cfg.paths, seed)
                 assets = var_es_columns(holding, cfg.alphas)
-                series = price_space_returns(holding, weights)
             else:
                 settings = EmSettings(seed=derive_seed(cfg.seed, i, mi, 0))
                 chains[tag], _ = fit(long_w, int(tag[3:]), init=chains[tag], settings=settings)
@@ -693,8 +715,7 @@ def test_run_backtest_tags_and_days_never_share_scenarios(panel_3assets, tmp_pat
                 var, es, n_tail = var_es_columns(unscaled, cfg.alphas)
                 assets = (var * ratios[:, None], es * ratios[:, None], n_tail)
                 holding = rescale(unscaled, ratios)
-                series = holding @ weights
-            portfolio = var_es_columns(series[:, None], cfg.alphas)
+            portfolio = var_es_columns((holding @ weights)[:, None], cfg.alphas)
             for got, asset_rows, portfolio_row in zip(
                 (rec.var, rec.es, rec.n_tail), assets, portfolio
             ):

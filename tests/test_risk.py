@@ -189,6 +189,23 @@ def test_var_es_columns_overflowing_quantile_has_an_empty_tail():
         var_es_columns(H, (0.5,))
 
 
+@pytest.mark.parametrize("n, windows", [(201, 20_000), (3001, 2_000)])
+def test_var_es_columns_coverage_is_that_of_type_7(n, windows):
+    # at an integer rank h = alpha (n - 1) the type-7 VaR of a window is its
+    # order statistic h + 1, so for any continuous returns the chance that
+    # the next one falls below it is (h + 1) / (n + 1), not alpha: 1.485%
+    # and 5.446% at n = 201. For U(0, 1) returns that chance is the VaR
+    # itself, so the mean VaR over i.i.d. windows estimates the coverage.
+    u = np.random.default_rng(0).random((n, windows))
+    var = var_es_columns(u, (0.01, 0.05))[0]
+    for a, alpha in enumerate((0.01, 0.05)):
+        h = round(alpha * (n - 1))
+        coverage, se = var[:, a].mean(), var[:, a].std() / math.sqrt(windows)
+        assert abs(coverage - (h + 1) / (n + 1)) < 4 * se, (alpha, coverage)
+        if n == 201:
+            assert coverage - alpha > 20 * se
+
+
 def test_var_es_columns_validation():
     H = np.random.default_rng(1).normal(size=(50, 2))
     with pytest.raises(ShapeError):

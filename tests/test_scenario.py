@@ -14,7 +14,6 @@ from riskengine import (
     simulate_gmm,
     var_es_columns,
 )
-from riskengine.baselines import price_space_returns
 from riskengine.errors import NumericError, ShapeError, ValidationError
 from riskengine.scenario import column_std
 
@@ -106,7 +105,6 @@ def test_gbm_single_argument_validation():
 
 def test_gbm_portfolio_shapes_and_independent_case():
     scen = simulate_gbm_portfolio(
-        s0=np.array([1.0, 1.0]),
         mus=np.array([0.0, 0.0]),
         sigmas=np.array([0.01, 0.01]),
         corr=np.eye(2),
@@ -121,7 +119,6 @@ def test_gbm_portfolio_shapes_and_independent_case():
 def test_gbm_portfolio_correlated_shocks():
     corr = np.array([[1.0, 0.8], [0.8, 1.0]])
     scen = simulate_gbm_portfolio(
-        s0=np.array([1.0, 1.0]),
         mus=np.zeros(2),
         sigmas=np.array([0.01, 0.01]),
         corr=corr,
@@ -134,19 +131,18 @@ def test_gbm_portfolio_correlated_shocks():
 
 def test_gbm_portfolio_is_one_closed_form_step():
     # the draw contract: one (m, n) standard-normal block, one Euler step
-    s0 = np.array([1.0, 2.5, 0.7])
     mus = np.array([0.001, -0.002, 0.0005])
     sigmas = np.array([0.01, 0.02, 0.015])
     corr = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.5], [-0.2, 0.5, 1.0]])
-    got = simulate_gbm_portfolio(s0, mus, sigmas, corr, 400, 12)
+    got = simulate_gbm_portfolio(mus, sigmas, corr, 400, 12)
     eps = np.random.default_rng(12).standard_normal((400, 3))
     xi = eps @ np.linalg.cholesky(corr).T
-    expected = np.log((s0 * (1 + mus) + s0 * sigmas * xi) / s0)
+    expected = np.log(1.0 + mus + sigmas * xi)
     assert got.tobytes() == expected.tobytes()
 
 
 def test_gbm_portfolio_writes_into_caller_arrays():
-    args = (np.array([1.0, 2.5]), np.array([0.001, -0.002]), np.array([0.01, 0.02]),
+    args = (np.array([0.001, -0.002]), np.array([0.01, 0.02]),
             np.array([[1.0, 0.4], [0.4, 1.0]]), 300, 5)
     fresh = simulate_gbm_portfolio(*args)
     out, work = np.full((300, 2), np.nan), np.full(601, np.nan)
@@ -159,22 +155,22 @@ def test_gbm_portfolio_validation():
     ok = dict(m=100, seed=0)
     with pytest.raises(ValidationError):
         simulate_gbm_portfolio(
-            s0=np.array([1.0]), mus=np.zeros(1), sigmas=np.array([0.1]),
+            mus=np.zeros(1), sigmas=np.array([0.1]),
             corr=np.array([[0.9]]), **ok,  # diagonal must be 1
         )
     with pytest.raises(ValidationError):
         simulate_gbm_portfolio(
-            s0=np.array([1.0, 1.0]), mus=np.zeros(2), sigmas=np.array([0.1, 0.1]),
+            mus=np.zeros(2), sigmas=np.array([0.1, 0.1]),
             corr=np.array([[1.0, 0.5], [0.4, 1.0]]), **ok,  # asymmetric
         )
     with pytest.raises(ShapeError):
         simulate_gbm_portfolio(
-            s0=np.array([1.0, 1.0]), mus=np.zeros(2), sigmas=np.array([0.1]),
+            mus=np.zeros(2), sigmas=np.array([0.1]),
             corr=np.eye(2), **ok,
         )
     with pytest.raises(np.linalg.LinAlgError):
         simulate_gbm_portfolio(
-            s0=np.array([1.0, 1.0]), mus=np.zeros(2), sigmas=np.array([0.1, 0.1]),
+            mus=np.zeros(2), sigmas=np.array([0.1, 0.1]),
             corr=np.array([[1.0, 1.0], [1.0, 1.0]]), **ok,  # singular
         )
 
@@ -183,7 +179,6 @@ def test_gbm_portfolio_blowup_names_step():
     # enormous volatility drives the arithmetic step negative immediately
     with pytest.raises(NumericError, match="step"):
         simulate_gbm_portfolio(
-            s0=np.array([1.0]),
             mus=np.array([0.0]),
             sigmas=np.array([50.0]),
             corr=np.eye(1),
@@ -193,11 +188,11 @@ def test_gbm_portfolio_blowup_names_step():
 
 
 def test_gbm_portfolio_rejects_overflowing_prices():
-    # finite, valid parameters whose one step overflows the price to inf,
-    # so its log return is not finite
+    # finite, valid parameters whose one step overflows the price to inf on
+    # the paths with a shock above about one, so their log return is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValidationError, match="non-finite"):
-            simulate_gbm_portfolio([1e300], [1e10], [0.0], np.eye(1), 5, 0)
+            simulate_gbm_portfolio([1.7e308], [1e307], np.eye(1), 100, 0)
 
 
 # ------------------------------------------------------------- rescaling
@@ -250,11 +245,10 @@ def test_rescale_rejects_non_finite_returns(bad):
 
 _H = np.random.default_rng(3).normal(0.0, 0.01, (100, 2))
 _MIX = random_mixture(np.random.default_rng(4), 2, 2)
-_GBM = (np.ones(2), np.zeros(2), np.full(2, 0.01), np.eye(2), 100, 5)
+_GBM = (np.zeros(2), np.full(2, 0.01), np.eye(2), 100, 5)
 
 _CALLS = {
     "var_es_columns": lambda **kw: var_es_columns(_H, (0.05,), **kw),
-    "price_space_returns": lambda **kw: price_space_returns(_H, np.array([0.5, 0.5]), **kw),
     "rescale": lambda **kw: rescale(_H, [1.0, 2.0], **kw),
     "sample": lambda **kw: sample(_MIX, 100, np.random.default_rng(0), **kw),
     "simulate_gbm_portfolio": lambda **kw: simulate_gbm_portfolio(*_GBM, **kw),
@@ -262,8 +256,6 @@ _CALLS = {
 # "kernel-keyword": the shape the keyword's array needs; a work= array is flat
 _KEYWORD_ARRAYS = {
     "var_es_columns-work": (200,),
-    "price_space_returns-out": (100,),
-    "price_space_returns-work": (200,),
     "rescale-out": (100, 2),
     "sample-out": (100, 2),
     "sample-work": (200,),

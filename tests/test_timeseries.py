@@ -47,6 +47,17 @@ def test_load_prices_skips_blank_lines():
     assert panel.n_rows == 2
 
 
+@pytest.mark.parametrize("bad, line", [
+    ("2020-2-1", 2),  # not zero-padded: as a string it sorts after 2020-10-1
+    ("2020-02-30", 3),  # no such day
+])
+def test_load_prices_accepts_only_iso_calendar_dates(bad, line):
+    rows = ["2020-01-15,1.0", "2020-02-28,2.0", "2020-10-01,3.0"]
+    rows[line - 2] = f"{bad},4.0"
+    with pytest.raises(ParseError, match=f"line {line}: date '{bad}'"):
+        load_prices(io.StringIO("date,X\n" + "\n".join(rows) + "\n"))
+
+
 def test_load_prices_header_must_lead_with_date():
     with pytest.raises(ParseError):
         load_prices(io.StringIO("timestamp,X\n2020-01-01,1.0\n"))
