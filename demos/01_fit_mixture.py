@@ -8,7 +8,7 @@ indistinguishable from the fitted distribution under a KS test.
 
 import numpy as np
 
-from riskengine import EmSettings, fit, ks_test, mixture_cdf, sample
+from riskengine import fit, ks_test, mixture_cdf, sample
 
 rng = np.random.default_rng(7)
 n = 5000
@@ -19,7 +19,7 @@ returns = np.where(
     rng.normal(0.0005, 0.008, n),
 )
 
-model, rep = fit(returns, 2, settings=EmSettings(seed=0))
+model, rep = fit(returns, 2, seed=0)
 
 order = np.argsort(model.covariances[:, 0, 0])  # calm component first
 print(f"converged={rep.converged} after {rep.iterations} iterations")

@@ -12,7 +12,6 @@ import datetime as dt
 import numpy as np
 
 from riskengine import (
-    EmSettings,
     PricePanel,
     fit,
     gbm_mc_var,
@@ -38,12 +37,11 @@ def build_prices(seed=12):
 
 def main():
     panel = build_prices()
-    rets = log_returns(panel)
     # the last 252 returns estimate VaR for the day after the sample
-    window = rets.returns[-252:, 0]
+    window = log_returns(panel)[-252:, 0]
 
     ratio = np.std(window[-30:]) / np.std(window)
-    model, rep = fit(window, 2, settings=EmSettings(seed=3))
+    model, rep = fit(window, 2, seed=3)
     scen = simulate_gmm(model, m=20000, seed=17)
     scaled = rescale(scen, [ratio])
 

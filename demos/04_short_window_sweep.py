@@ -44,7 +44,7 @@ def main():
     grid = (10, 20, 40, 80, 160, 252)
     results = sweep_sigma_short(panel, config, grid)
 
-    x = log_returns(panel).returns[:, 0]
+    x = log_returns(panel)[:, 0]
     print("mean 95% VaR over the 30 evaluation days, by short-window length")
     print()
     print(f"{'short_len':>9} {'mean ratio':>11} {'mean VaR':>10}")

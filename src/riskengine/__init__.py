@@ -22,12 +22,10 @@ from .errors import (  # noqa: E402
 )
 from .timeseries import (  # noqa: E402
     PricePanel,
-    ReturnPanel,
     load_prices,
     log_returns,
 )
 from .gmm import (  # noqa: E402
-    EmSettings,
     FitReport,
     GaussianMixtureModel,
     covariance_floor,
@@ -60,7 +58,6 @@ from .backtest import (  # noqa: E402
     ChristoffersenResult,
     GofResult,
     HitSequence,
-    LossResult,
     christoffersen,
     empirical_density,
     hits,
@@ -70,7 +67,6 @@ from .backtest import (  # noqa: E402
 )
 from .engine import (  # noqa: E402
     DayRecord,
-    FitDiagnostic,
     RunConfig,
     derive_seed,
     make_scenario_writer,
@@ -88,11 +84,11 @@ __all__ = [
     "InsufficientDataError", "DegenerateDataError", "NumericError",
     "TailEmptyError", "ConfigError", "RunFailureError",
     # timeseries
-    "PricePanel", "ReturnPanel", "load_prices", "log_returns",
+    "PricePanel", "load_prices", "log_returns",
     # gmm
-    "GaussianMixtureModel", "EmSettings", "FitReport", "mixture_density",
-    "mixture_cdf", "log_likelihood", "fit", "kmeans_init", "sample",
-    "stratified_counts", "covariance_floor",
+    "GaussianMixtureModel", "FitReport", "mixture_density", "mixture_cdf",
+    "log_likelihood", "fit", "kmeans_init", "sample", "stratified_counts",
+    "covariance_floor",
     # scenario
     "GbmParams", "simulate_gmm", "simulate_gbm_single",
     "simulate_gbm_portfolio", "rescale",
@@ -101,11 +97,11 @@ __all__ = [
     # baselines
     "parametric_columns", "gbm_mc_var", "calibrate_gbm",
     # backtest
-    "HitSequence", "ChristoffersenResult", "LossResult", "GofResult",
-    "BacktestReport", "hits", "christoffersen", "quadratic_loss", "ks_test",
-    "pdf_rmse", "empirical_density",
+    "HitSequence", "ChristoffersenResult", "GofResult", "BacktestReport",
+    "hits", "christoffersen", "quadratic_loss", "ks_test", "pdf_rmse",
+    "empirical_density",
     # engine
-    "RunConfig", "DayRecord", "FitDiagnostic", "run_backtest",
-    "sweep_sigma_short", "sweep_verdict_rows", "report", "report_sweep",
-    "derive_seed", "make_scenario_writer",
+    "RunConfig", "DayRecord", "run_backtest", "sweep_sigma_short",
+    "sweep_verdict_rows", "report", "report_sweep", "derive_seed",
+    "make_scenario_writer",
 ]

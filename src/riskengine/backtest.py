@@ -20,6 +20,9 @@ are not counted, so the four counts sum to n - 1 minus the number of gaps
 0 * ln 0 = 0 convention, so degenerate sequences (no hits at all) yield
 LR_ind = 0 rather than NaN. LR_cc = LR_uc + LR_ind. Both LR statistics are
 non-negative because each restricted model is nested in its alternative.
+
+The quadratic loss of a VaR series is a plain float, the mean over its days
+of I(hit) * (1 + (r - VaR)^2): a day without a violation scores 0.
 """
 
 from __future__ import annotations
@@ -127,24 +130,6 @@ class ChristoffersenResult:
             raise ValidationError("lr_cc must equal lr_uc + lr_ind")
         if self.verdict not in (VERDICT_REJECTED, VERDICT_NOT_REJECTED):
             raise ValidationError(f"unknown verdict {self.verdict!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class LossResult:
-    """Quadratic loss: per-day I(hit) * (1 + (r - VaR)^2) and its mean."""
-
-    total: float
-    per_day: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.per_day, dtype=float)
-        if p.ndim != 1:
-            raise ShapeError("per_day must be 1-D")
-        if abs(self.total - float(p.mean())) > 1e-12 * max(1.0, abs(self.total)):
-            raise ValidationError("total must be the mean of per_day")
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "per_day", p)
 
 
 @dataclass(frozen=True)
@@ -259,7 +244,7 @@ def christoffersen(seq: HitSequence) -> ChristoffersenResult:
     )
 
 
-def quadratic_loss(realized, var_series) -> LossResult:
+def quadratic_loss(realized, var_series) -> float:
     """Mean quadratic loss; only violation days contribute, 1 + gap^2 each."""
     r = np.asarray(realized, dtype=float).ravel()
     v = np.asarray(var_series, dtype=float).ravel()
@@ -270,8 +255,7 @@ def quadratic_loss(realized, var_series) -> LossResult:
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
         raise ValidationError("realized/VaR series contain non-finite entries")
     gap = r - v
-    per_day = np.where(r <= v, 1.0 + gap * gap, 0.0)
-    return LossResult(total=float(per_day.mean()), per_day=per_day)
+    return float(np.where(r <= v, 1.0 + gap * gap, 0.0).mean())
 
 
 def ks_test(samples, cdf) -> GofResult:
@@ -355,7 +339,7 @@ class BacktestReport:
     alpha: float
     hit_seq: HitSequence
     christoffersen: ChristoffersenResult | None
-    loss: LossResult
+    loss: float
 
     CSV_HEADER = (
         "model_tag,ticker,alpha,n,x,lr_uc,p_uc,lr_ind,p_ind,lr_cc,p_cc,"
@@ -397,6 +381,6 @@ class BacktestReport:
             str(self.n),
             str(self.x),
             *stats,
-            repr(self.loss.total),
+            repr(self.loss),
             self.verdict,
         ]

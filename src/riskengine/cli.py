@@ -33,7 +33,7 @@ from .errors import (
     RunFailureError,
     ValidationError,
 )
-from .gmm import EmSettings, fit, log_likelihood, mixture_cdf, mixture_density
+from .gmm import fit, log_likelihood, mixture_cdf, mixture_density
 from .risk import PortfolioSpec
 from .timeseries import load_prices, log_returns
 
@@ -234,16 +234,14 @@ def _cmd_gof(args) -> int:
     if args.out and not args.out.endswith(".csv"):
         raise ConfigError(f"--out must name a .csv file, got {args.out!r}")
     panel = load_prices(args.prices)
-    returns = log_returns(panel)
+    returns = log_returns(panel)  # (n - 1, assets)
 
     rows = []
     print(f"{'ticker':<12} {'model':<8} {'loglik':>10} {'ks_stat':>9} {'ks_p':>8} {'pdf_rmse':>10}")
-    for c, ticker in enumerate(returns.tickers):
-        data = returns.returns[:, c]
+    for c, ticker in enumerate(panel.tickers):
+        data = returns[:, c]
         for label, n_comp in [("normal", 1)] + [(f"gmm{n}", n) for n in components]:
-            model, _ = fit(
-                data, n_comp, settings=EmSettings(seed=args.seed)
-            )
+            model, _ = fit(data, n_comp, seed=args.seed)
             ll = log_likelihood(model, data)
             gof = ks_test(data, lambda x, m=model: mixture_cdf(m, x))
             rmse = pdf_rmse(lambda x, m=model: mixture_density(m, x), data)

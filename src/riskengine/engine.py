@@ -8,6 +8,11 @@ Every stochastic step draws from a Generator seeded by
 with purpose 0 for fit initialization and 1 for simulation, collapsed to a
 uint64. Streams therefore do not depend on the short window length.
 
+Runs take a validated PricePanel and RunConfig; inside, the day loop works
+on plain arrays: the read-only return matrix log_returns(panel), windows
+sliced from it, and (model, target, alpha) estimate arrays. A day's fit
+diagnostics are the (model tag, FitReport) pairs that fit returned.
+
 One day loop serves plain runs and sigma_short sweeps. Per day it fits,
 simulates and reads every estimate that ignores the short window once; per
 short-window length it scales the gmm asset VaR/ES by the vol ratio
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -45,10 +51,10 @@ from .errors import (
     RunFailureError,
     ValidationError,
 )
-from .gmm import EmSettings, GaussianMixtureModel, fit, sample
+from .gmm import FitReport, GaussianMixtureModel, fit, sample
 from .risk import PortfolioSpec, var_es_columns
 from .scenario import column_std, rescale, simulate_gbm_portfolio
-from .timeseries import PricePanel, ReturnPanel, log_returns
+from .timeseries import PricePanel, log_returns
 
 MODEL_CHOICES = ("gmm", "hs", "param", "gbm_mc")
 _INT_FIELDS = ("long_len", "short_len", "paths", "horizon", "eval_days", "seed")
@@ -132,6 +138,14 @@ class RunConfig:
                 f"need 0 < short_len <= long_len, got {self.short_len}/{self.long_len}")
         if self.paths < 100:
             raise ConfigError(f"paths must be >= 100, got {self.paths}")
+        # var_es_columns reads a tail at alpha from ceil(1/alpha) rows or more
+        alpha = min(self.alphas)
+        need = math.ceil(1.0 / alpha)
+        for name, rows, models in (("paths", self.paths, ("gmm", "gbm_mc")),
+                                   ("long_len", self.long_len, ("hs",))):
+            if rows < need and set(models) & set(self.models):
+                raise ConfigError(f"alpha {alpha} needs {name} >= ceil(1/alpha) = {need} "
+                                  f"for {'/'.join(models)}, got {rows}")
         if self.horizon != 1:
             raise ConfigError(f"backtests score one-day forecasts only; got horizon {self.horizon}")
         if self.eval_days < 1:
@@ -174,17 +188,6 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class FitDiagnostic:
-    """One EM fit's summary inside a run."""
-
-    model_tag: str
-    init_mode: str
-    iterations: int
-    converged: bool
-    final_loglik: float
-
-
 @dataclass(frozen=True, eq=False)
 class DayRecord:
     """Everything produced for one evaluation day.
@@ -192,10 +195,11 @@ class DayRecord:
     realized holds the out-of-sample return per target. var, es and n_tail
     are arrays shaped (model, target, alpha), in config.model_keys() x
     realized x config.alphas order; n_tail is 0 for closed-form estimates.
-    seeds holds each model's simulation seed, -1 for hs and param. A
-    non-None error marks the day invalid: its var, es and n_tail are None
-    and it is left out of backtesting, while fit_diagnostics keeps the fits
-    made that day before the failure.
+    seeds holds each model's simulation seed, -1 for hs and param.
+    fit_diagnostics holds a (model tag, FitReport) pair per EM fit of the
+    day. A non-None error marks the day invalid: its var, es and n_tail are
+    None and it is left out of backtesting, while fit_diagnostics keeps the
+    fits made that day before the failure.
     """
 
     date: str
@@ -205,34 +209,27 @@ class DayRecord:
     es: np.ndarray | None
     n_tail: np.ndarray | None
     seeds: tuple[int, ...]
-    fit_diagnostics: tuple[FitDiagnostic, ...]
+    fit_diagnostics: tuple[tuple[str, FitReport], ...]
     error: str | None = None
 
 
-def _panel_returns(panel) -> ReturnPanel:
-    if isinstance(panel, PricePanel):
-        return log_returns(panel)
-    if isinstance(panel, ReturnPanel):
-        return panel
-    raise ValidationError(f"expected a PricePanel or ReturnPanel, got {type(panel).__name__}")
-
-
 def run_backtest(
-    panel,
+    panel: PricePanel,
     config: RunConfig,
     scenario_writer=None,
     model_sink: dict | None = None,
 ) -> tuple[list[DayRecord], list[BacktestReport]]:
     """Roll a daily out-of-sample backtest across the panel.
 
-    Day i anchors at row long_len + i of the return panel: models calibrate
-    on the long_len rows before the anchor and forecast the anchor row's
-    return. GMM asset VaR/ES is read from the unscaled scenarios and scaled
-    by the short/long volatility ratio (positive homogeneity); the GMM
-    portfolio is re-aggregated from the ratio-scaled holdings. Baselines run
-    on the same window unadjusted. Returns one DayRecord per evaluation day,
-    its VaR/ES as (model, target, alpha) arrays, and one BacktestReport per
-    (model, target, alpha).
+    Day i anchors at row long_len + i of log_returns(panel), the return
+    into panel.dates[long_len + i + 1]: models calibrate on the long_len
+    rows before the anchor and forecast the anchor row's return. GMM asset
+    VaR/ES is read from the unscaled scenarios and scaled by the short/long
+    volatility ratio (positive homogeneity); the GMM portfolio is
+    re-aggregated from the ratio-scaled holdings. Baselines run on the same
+    window unadjusted. Returns one DayRecord per evaluation day, its VaR/ES
+    as (model, target, alpha) arrays, and one BacktestReport per (model,
+    target, alpha).
 
     scenario_writer, when given, is called as writer(date, model_tag,
     holding) for each valid Monte Carlo model-day, with holding the day's
@@ -244,7 +241,7 @@ def run_backtest(
     with the final fitted mixture per gmm tag (warm-start checkpoint state).
     """
     g = config.short_len
-    return _run_days(_panel_returns(panel), config, [g], scenario_writer, model_sink)[g]
+    return _run_days(panel, config, [g], scenario_writer, model_sink)[g]
 
 
 # ValidationError covers the insufficient- and degenerate-data subclasses
@@ -274,7 +271,7 @@ class _Buffers:
                    np.empty(paths), np.empty(paths * n_assets))
 
 
-def _run_days(returns, config, short_lens, scenario_writer, model_sink):
+def _run_days(panel, config, short_lens, scenario_writer, model_sink):
     """The day loop behind run_backtest and sweep_sigma_short.
 
     Once per day, in _day_parts: the long slice and its volatilities, every
@@ -288,13 +285,14 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
     invalidates the day for every g, one in the per-g part only that
     (day, g). Returns {g: (records, reports)}.
     """
-    n_rows = returns.n_rows
+    returns = log_returns(panel)  # row t is the return into panel.dates[t + 1]
+    n_rows = returns.shape[0]
     if config.long_len + config.eval_days > n_rows:
         raise ConfigError(
             f"panel has {n_rows} return rows; need long_len + eval_days = "
             f"{config.long_len + config.eval_days}"
         )
-    tickers = returns.tickers
+    tickers = panel.tickers
     if config.portfolio is not None and config.portfolio.tickers != tickers:
         raise ConfigError(
             "portfolio tickers must match the panel tickers in order; "
@@ -309,9 +307,9 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
 
     for i in range(config.eval_days):
         anchor = config.long_len + i
-        date = returns.dates[anchor]
-        long_w = returns.returns[anchor - config.long_len : anchor]
-        day_returns = returns.returns[anchor]
+        date = panel.dates[anchor + 1]
+        long_w = returns[anchor - config.long_len : anchor]
+        day_returns = returns[anchor]
         realized = tuple((t, float(day_returns[c])) for c, t in enumerate(tickers))
         if config.portfolio is not None:
             realized += ((PORTFOLIO_TICKER, float(day_returns @ config.portfolio.weights)),)
@@ -319,7 +317,7 @@ def _run_days(returns, config, short_lens, scenario_writer, model_sink):
                       for mi, k in enumerate(keys))
 
         parts: list[tuple] = []
-        diags: list[FitDiagnostic] = []
+        diags: list[tuple[str, FitReport]] = []
         error = long_vols = None
         try:
             if needs_gmm:
@@ -386,14 +384,12 @@ def _day_parts(i, long_w, config, seeds, prev_models, diags, parts, buffers):
             )
         else:
             warm = prev_models.get(key) if config.warm_start else None
-            init, settings = warm, None
             if warm is None:  # only a k-means start reads the fit seed
-                init, settings = "kmeans", EmSettings(seed=derive_seed(config.seed, i, mi, 0))
-            model, rep = fit(long_w, int(key[3:]), init=init, settings=settings)
+                model, rep = fit(long_w, int(key[3:]), seed=derive_seed(config.seed, i, mi, 0))
+            else:
+                model, rep = fit(long_w, int(key[3:]), init=warm)
             prev_models[key] = model
-            diags.append(FitDiagnostic(
-                key, rep.init_mode, rep.iterations, rep.converged, rep.final_loglik
-            ))
+            diags.append((key, rep))
             rng = np.random.default_rng(seeds[mi])
             columns = sample(model, config.paths, rng, out=buf.holding, work=buf.work)
         block = _estimate(key, columns, config.alphas, buf)
@@ -482,7 +478,7 @@ def _build_reports(records, config) -> list[BacktestReport]:
 
 
 def sweep_sigma_short(
-    panel, config: RunConfig, grid
+    panel: PricePanel, config: RunConfig, grid
 ) -> dict[int, tuple[list[DayRecord], list[BacktestReport]]]:
     """Backtest every short-window length of a grid in one pass over the days.
 
@@ -501,7 +497,7 @@ def sweep_sigma_short(
             raise ConfigError(
                 f"grid value {g} outside [1, long_len={config.long_len}]"
             )
-    return _run_days(_panel_returns(panel), config, values, None, None)
+    return _run_days(panel, config, values, None, None)
 
 
 def sweep_verdict_rows(results) -> list[list[str]]:
@@ -548,10 +544,10 @@ def _run_files(records, reports, config, wall_clock_seconds=None, final_models=N
         ))
         yield "backtest.csv", (BacktestReport.CSV_HEADER, (rep.to_csv_row() for rep in reports))
         yield "fit_diagnostics.csv", (DIAGNOSTICS_HEADER, (
-            [rec.date, d.model_tag, d.init_mode, str(d.iterations),
-             "true" if d.converged else "false", repr(d.final_loglik)]
+            [rec.date, tag, rep.init_mode, str(rep.iterations),
+             "true" if rep.converged else "false", repr(rep.final_loglik)]
             for rec in records
-            for d in rec.fit_diagnostics
+            for tag, rep in rec.fit_diagnostics
         ))
         for tag in sorted(final_models or ()):
             yield f"models/{tag}.json", final_models[tag].to_dict()

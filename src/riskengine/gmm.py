@@ -26,16 +26,16 @@ means and covariances from responsibility-weighted moments and floors each
 covariance diagonal with eps = max(1e-8 * trace(Sigma)/k, 1e-10), which keeps
 factorizations well posed without visibly perturbing the fit.
 
-Convergence: |delta per-sample log-likelihood| < tol (default 1e-6), at most
-max_iter (default 200) iterations. Cold starts come from a k-means pass
-(k-means++ style seeding, at most 20 Lloyd iterations); warm starts accept a
-previously fitted model, which typically converges in a couple of iterations
-when the data has shifted by one observation.
+Convergence: |delta per-sample log-likelihood| < TOL (1e-6), at most
+MAX_ITER (200) iterations; fit reads both module constants when called.
+Cold starts come from a k-means pass (k-means++ style seeding, at most 20
+Lloyd iterations) seeded by fit's seed; warm starts accept a previously
+fitted model and ignore the seed, and typically converge in a couple of
+iterations when the data has shifted by one observation.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +51,8 @@ from .errors import (
 )
 
 _LOG_2PI = np.log(2.0 * np.pi)
+TOL = 1e-6  # EM has converged once a step gains less per-sample log-likelihood
+MAX_ITER = 200  # and stops after this many iterations either way
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -243,26 +245,6 @@ class GaussianMixtureModel:
             )
         return model
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GaussianMixtureModel":
-        return cls.from_dict(json.loads(text))
-
-
-@dataclass(frozen=True)
-class EmSettings:
-    tol: float = 1e-6
-    max_iter: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValidationError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
-
 
 @dataclass(frozen=True)
 class FitReport:
@@ -446,21 +428,23 @@ def fit(
     data,
     n_components: int,
     init="kmeans",
-    settings: EmSettings | None = None,
+    seed: int = 0,
 ) -> tuple[GaussianMixtureModel, FitReport]:
     """Calibrate a mixture by EM.
 
-    init is either the string "kmeans" (cold start, seeded from
-    settings.seed) or an existing GaussianMixtureModel to warm-start from.
+    init is either the string "kmeans" (cold start, seeded from seed) or an
+    existing GaussianMixtureModel to warm-start from, which ignores seed.
+    EM stops when the per-sample log-likelihood gains less than TOL, or
+    after MAX_ITER iterations.
     Returns the fitted model together with a FitReport whose trace holds the
     per-sample log-likelihood at the top of every iteration; final_loglik,
-    its last entry, is the returned model's, also when max_iter stops it.
+    its last entry, is the returned model's, also when MAX_ITER stops it.
 
     The covariance stabiliser makes each M-step very slightly suboptimal, so
     near convergence the objective can wobble below its previous value.  The
     loop therefore never accepts a downhill step: if an iteration lowers the
     log-likelihood the previous iterate is returned instead, converged when
-    the dip was within tol.  The reported trace is non-decreasing.
+    the dip was within TOL.  The reported trace is non-decreasing.
     """
     X = _as_matrix(data)
     N, k = X.shape
@@ -470,9 +454,6 @@ def fit(
         raise InsufficientDataError(
             f"cannot fit {n_components} components to {N} samples"
         )
-    if settings is None:
-        settings = EmSettings()
-
     if isinstance(init, GaussianMixtureModel):
         if init.dim != k:
             raise ShapeError(f"warm-start model dim {init.dim} != data dim {k}")
@@ -484,7 +465,7 @@ def fit(
         model = init
         init_mode = "warm_start"
     elif init == "kmeans":
-        model = kmeans_init(X, n_components, np.random.default_rng(settings.seed))
+        model = kmeans_init(X, n_components, np.random.default_rng(seed))
         init_mode = "kmeans"
     else:
         raise ValidationError(f"unknown init {init!r}")
@@ -498,7 +479,7 @@ def fit(
     prec_chols, logdets = model._prec_chols, model._logdets
     trace: list[float] = []
     previous = (weights, means, covs)
-    for it in range(1, settings.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         shift, e, s = _logsumexp(
             _log_weighted(Xt, weights, means, prec_chols, logdets),
             f"fit iteration {it}",
@@ -510,13 +491,13 @@ def fit(
             # The diagonal stabiliser shifts each M-step away from the exact
             # maximiser, so once the true EM increment falls below that
             # perturbation the objective can dip slightly.  Keep the previous,
-            # better iterate; a dip below tol is just convergence noise.
+            # better iterate; a dip below TOL is just convergence noise.
             weights, means, covs = previous
-            converged = trace[-1] - ll < settings.tol
+            converged = trace[-1] - ll < TOL
             break
         trace.append(ll)
-        converged = len(trace) >= 2 and trace[-1] - trace[-2] < settings.tol
-        if converged or it == settings.max_iter:  # return the iterate last scored
+        converged = len(trace) >= 2 and trace[-1] - trace[-2] < TOL
+        if converged or it == MAX_ITER:  # return the iterate last scored
             break
         previous = (weights, means, covs)
         weights, means, covs = _m_step(Xt, np.divide(e, s, out=e))

@@ -16,12 +16,6 @@ from .errors import (
 )
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class PricePanel:
     """Aligned close prices: one row per date, one column per ticker."""
@@ -33,8 +27,9 @@ class PricePanel:
     def __post_init__(self):
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(self, "prices", _readonly(self.prices))
-        p = self.prices
+        p = np.array(self.prices, dtype=float)
+        p.setflags(write=False)
+        object.__setattr__(self, "prices", p)
         if p.ndim != 2:
             raise ShapeError(f"prices must be 2-D, got ndim={p.ndim}")
         if p.shape != (len(self.dates), len(self.tickers)):
@@ -59,42 +54,6 @@ class PricePanel:
     @property
     def n_rows(self) -> int:
         return self.prices.shape[0]
-
-    @property
-    def n_assets(self) -> int:
-        return self.prices.shape[1]
-
-
-@dataclass(frozen=True)
-class ReturnPanel:
-    """Log-return panel; row t holds ln(S_t / S_{t-1}) labelled by date t."""
-
-    dates: tuple[str, ...]
-    tickers: tuple[str, ...]
-    returns: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(self, "returns", _readonly(self.returns))
-        r = self.returns
-        if r.ndim != 2:
-            raise ShapeError(f"returns must be 2-D, got ndim={r.ndim}")
-        if r.shape != (len(self.dates), len(self.tickers)):
-            raise ShapeError(
-                f"returns shape {r.shape} does not match "
-                f"{len(self.dates)} dates x {len(self.tickers)} tickers"
-            )
-        if not np.all(np.isfinite(r)):
-            raise ValidationError("returns contain non-finite entries")
-
-    @property
-    def n_rows(self) -> int:
-        return self.returns.shape[0]
-
-    @property
-    def n_assets(self) -> int:
-        return self.returns.shape[1]
 
 
 def load_prices(path_or_buffer) -> PricePanel:
@@ -166,9 +125,13 @@ def load_prices(path_or_buffer) -> PricePanel:
     return PricePanel(dates=dates, tickers=tickers, prices=prices)
 
 
-def log_returns(panel: PricePanel) -> ReturnPanel:
-    """Columnwise log returns ln(S_t / S_{t-1}); drops the first date."""
+def log_returns(panel: PricePanel) -> np.ndarray:
+    """Columnwise log returns ln(S_t / S_{t-1}), read-only, shaped (n - 1, assets).
+
+    Row t is the return into panel.dates[t + 1]; the first date has none.
+    """
     if panel.n_rows < 2:
         raise InsufficientDataError("need at least 2 price rows for returns")
     r = np.diff(np.log(panel.prices), axis=0)
-    return ReturnPanel(dates=panel.dates[1:], tickers=panel.tickers, returns=r)
+    r.setflags(write=False)
+    return r

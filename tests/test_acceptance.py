@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from riskengine import (
-    EmSettings,
     GaussianMixtureModel,
     GbmParams,
     HitSequence,
@@ -71,7 +70,7 @@ def test_criterion_01_em_invariants_on_random_datasets():
             covs[j] = a @ a.T + 0.3 * np.eye(k)
         data = _draw_mixture(rng, w, means, covs, n)
 
-        model, rep = fit(data, n_c, settings=EmSettings(seed=case))
+        model, rep = fit(data, n_c, seed=case)
 
         trace = np.asarray(rep.loglik_trace)
         assert np.all(np.diff(trace) >= -1e-9), f"case {case}: decreasing trace"
@@ -98,7 +97,7 @@ def test_criterion_02_mixture_recovery():
         x = np.where(
             pick, rng.normal(true_mu[1], true_sd[1], n), rng.normal(true_mu[0], true_sd[0], n)
         )
-        model, rep = fit(x, 2, settings=EmSettings(seed=seed))
+        model, rep = fit(x, 2, seed=seed)
         order = np.argsort(model.means[:, 0])
         got_w = model.weights[order]
         got_mu = model.means[order, 0]
@@ -250,10 +249,10 @@ def test_criterion_06_warm_start_cuts_iterations():
     warm_records, _ = run_backtest(panel, RunConfig(**base, warm_start=True))
     cold_records, _ = run_backtest(panel, RunConfig(**base, warm_start=False))
 
-    warm_diag = [d for r in warm_records for d in r.fit_diagnostics]
+    warm_diag = [rep for r in warm_records for _, rep in r.fit_diagnostics]
     assert warm_diag[0].init_mode == "kmeans"  # nothing to warm-start from
     warm_iters = [d.iterations for d in warm_diag if d.init_mode == "warm_start"]
-    cold_iters = [d.iterations for r in cold_records for d in r.fit_diagnostics]
+    cold_iters = [rep.iterations for r in cold_records for _, rep in r.fit_diagnostics]
     assert len(warm_iters) == 199
     ratio = float(np.median(warm_iters)) / float(np.median(cold_iters))
     assert ratio <= 0.25, (

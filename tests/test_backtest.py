@@ -8,7 +8,6 @@ from riskengine import (
     ChristoffersenResult,
     GofResult,
     HitSequence,
-    LossResult,
     christoffersen,
     empirical_density,
     hits,
@@ -234,20 +233,14 @@ def test_christoffersen_result_validates_lr_cc_sum():
 def test_quadratic_loss_oracle():
     realized = np.array([-0.05, 0.01, -0.02, 0.0, -0.08])
     var_series = np.array([-0.03, -0.03, -0.02, -0.01, -0.04])
-    res = quadratic_loss(realized, var_series)
-    np.testing.assert_allclose(res.per_day, [1.0004, 0.0, 1.0, 0.0, 1.0016], rtol=1e-12)
-    assert res.total == pytest.approx(0.6004, rel=1e-12)
+    # per day 1.0004, 0, 1, 0 and 1.0016: only the violation days score
+    loss = quadratic_loss(realized, var_series)
+    assert type(loss) is float
+    assert loss == pytest.approx(0.6004, rel=1e-12)
 
 
 def test_quadratic_loss_no_violations():
-    res = quadratic_loss(np.array([0.01, 0.02]), np.array([-0.05, -0.05]))
-    assert res.total == 0.0
-    assert np.all(res.per_day == 0.0)
-
-
-def test_loss_result_total_must_be_mean():
-    with pytest.raises(ValidationError):
-        LossResult(total=0.9, per_day=np.array([1.0, 1.0]))
+    assert quadratic_loss(np.array([0.01, 0.02]), np.array([-0.05, -0.05])) == 0.0
 
 
 def test_ks_single_point_oracle():

@@ -111,6 +111,20 @@ def test_run_config_errors_exit_2(prices_csv, tmp_path):
     assert code == 2
 
 
+def test_run_alpha_without_a_tail_exits_2_before_any_fit(prices_csv, tmp_path, capsys, monkeypatch):
+    # 500 paths hold no tail at alpha 0.001, so every day would fail its estimate
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit called for a config that cannot estimate")
+
+    monkeypatch.setattr("riskengine.engine.fit", no_fit)
+    out = tmp_path / "o"
+    code = main(["run", "--prices", prices_csv, "--out", str(out), *RUN_FLAGS,
+                 "--alpha", "0.001", "--paths", "500"])
+    assert code == 2
+    assert "alpha 0.001 needs paths" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_multi_day_horizon_exits_2(prices_csv, tmp_path, capsys):
     cfg = tmp_path / "h10.json"
     cfg.write_text(json.dumps({"horizon": 10}))

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from riskengine import (
-    EmSettings,
     PortfolioSpec,
     PricePanel,
     RunConfig,
@@ -94,6 +93,17 @@ def test_run_config_validation():
         RunConfig(seed=-1)
     with pytest.raises(ConfigError):
         RunConfig(n_components=(0,))
+    # a tail at alpha needs ceil(1/alpha) rows: paths for gmm and gbm_mc,
+    # long_len for hs; a config that cannot have one fails before any fit
+    with pytest.raises(ConfigError, match="alpha 0.001 needs paths >= ceil"):
+        RunConfig(models=("gmm",), alphas=(0.001,), paths=500)
+    with pytest.raises(ConfigError, match="= 1000 for gmm/gbm_mc, got 999"):
+        RunConfig(models=("gbm_mc",), alphas=(0.05, 0.001), paths=999)
+    with pytest.raises(ConfigError, match="alpha 0.01 needs long_len >= ceil"):
+        RunConfig(models=("hs",), alphas=(0.01,), long_len=60, short_len=30)
+    RunConfig(models=("gmm",), alphas=(0.001,), paths=1000)
+    RunConfig(models=("hs", "param"), alphas=(0.001,), paths=100, long_len=1000)
+    RunConfig(models=("gmm", "param"), alphas=(0.01,), long_len=60, short_len=30)
 
 
 def test_run_config_model_keys():
@@ -177,14 +187,14 @@ def test_run_backtest_day_bookkeeping(small_run):
     for i, rec in enumerate(records):
         anchor = cfg.long_len + i
         assert rec.anchor == anchor
-        assert rec.date == rets.dates[anchor]
+        assert rec.date == panel.dates[anchor + 1]
         assert rec.error is None
         realized = dict(rec.realized)
         for j, tkr in enumerate(panel.tickers):
-            assert realized[tkr] == pytest.approx(rets.returns[anchor, j], rel=1e-15)
+            assert realized[tkr] == pytest.approx(rets[anchor, j], rel=1e-15)
         # portfolio realization is the weighted sum of the per-asset returns
         assert realized[PORTFOLIO_TICKER] == pytest.approx(
-            float(rets.returns[anchor] @ np.full(3, 1 / 3)), rel=1e-12
+            float(rets[anchor] @ np.full(3, 1 / 3)), rel=1e-12
         )
 
 
@@ -208,7 +218,7 @@ def test_run_backtest_hs_estimates_match_direct_computation(small_run):
     panel, cfg, records, _ = small_run
     rets = log_returns(panel)
     rec = records[4]
-    long_w = rets.returns[rec.anchor - cfg.long_len : rec.anchor]
+    long_w = rets[rec.anchor - cfg.long_len : rec.anchor]
     m = cfg.model_keys().index("hs")
     assert [t for t, _ in rec.realized] == [*panel.tickers, PORTFOLIO_TICKER]
     var, es, n_tail = _reference_block(long_w, cfg.alphas)
@@ -227,7 +237,7 @@ def test_run_backtest_gbm_portfolio_matches_gbm_mc_var(panel_3assets):
     rets = log_returns(panel_3assets)
     for i in (0, 5, 11):
         rec = records[i]
-        long_w = rets.returns[rec.anchor - cfg.long_len : rec.anchor]
+        long_w = rets[rec.anchor - cfg.long_len : rec.anchor]
         seed = derive_seed(cfg.seed, i, 0, 1)
         assert rec.seeds == (seed,)
         assert rec.realized[-1][0] == PORTFOLIO_TICKER
@@ -249,7 +259,7 @@ def test_every_portfolio_row_reads_the_realized_aggregation(panel_3assets):
     records, _ = run_backtest(
         panel_3assets, cfg, scenario_writer=lambda d, k, h: held.setdefault((d, k), h.copy())
     )
-    returns = log_returns(panel_3assets).returns
+    returns = log_returns(panel_3assets)
     for rec in records:
         assert rec.realized[-1] == (PORTFOLIO_TICKER, float(returns[rec.anchor] @ spec.weights))
         long_w = returns[rec.anchor - cfg.long_len : rec.anchor]
@@ -277,13 +287,13 @@ def test_run_backtest_deterministic(small_run):
 def test_run_backtest_warm_start_modes(panel_3assets):
     cfg = RunConfig(**{**SMALL, "models": ("gmm",), "alphas": (0.05,)})
     records, _ = run_backtest(panel_3assets, cfg)
-    modes = [d.init_mode for r in records for d in r.fit_diagnostics]
+    modes = [rep.init_mode for r in records for _, rep in r.fit_diagnostics]
     assert modes[0] == "kmeans"
     assert set(modes[1:]) == {"warm_start"}
 
     cold = RunConfig(**{**SMALL, "models": ("gmm",), "alphas": (0.05,), "warm_start": False})
     records_c, _ = run_backtest(panel_3assets, cold)
-    assert {d.init_mode for r in records_c for d in r.fit_diagnostics} == {"kmeans"}
+    assert {rep.init_mode for r in records_c for _, rep in r.fit_diagnostics} == {"kmeans"}
 
 
 def test_run_backtest_model_sink_collects_final_models(panel_3assets):
@@ -398,7 +408,7 @@ def test_run_backtest_zero_long_vol_invalidates_day_before_fitting():
     assert records[0].error == "DegenerateDataError: long-window volatility is zero"
     # the check runs before any fit, so the failed day starts no warm chain
     assert records[0].fit_diagnostics == ()
-    assert [d.init_mode for d in records[1].fit_diagnostics] == ["kmeans"]
+    assert [(tag, rep.init_mode) for tag, rep in records[1].fit_diagnostics] == [("gmm2", "kmeans")]
     assert all(r.error is None for r in records[1:])
 
 
@@ -431,7 +441,7 @@ def test_sweep_shares_fits_and_scales_single_asset_var():
     anchor = cfg.long_len + day
 
     def ratio(short_len):
-        w = rets.returns[anchor - cfg.long_len : anchor, 0]
+        w = rets[anchor - cfg.long_len : anchor, 0]
         return float(np.std(w[-short_len:]) / np.std(w))
 
     var_by_grid = {}
@@ -624,7 +634,7 @@ def test_run_backtest_gbm_mc_dump_is_the_simulation(panel_3assets, tmp_path):
     records, _ = run_backtest(
         panel_3assets, cfg, scenario_writer=make_scenario_writer(str(tmp_path))
     )
-    returns = log_returns(panel_3assets).returns
+    returns = log_returns(panel_3assets)
     mi = cfg.model_keys().index("gbm_mc")
     for i, rec in enumerate(records):
         long_w = returns[i : i + cfg.long_len]
@@ -651,13 +661,13 @@ def test_run_backtest_gmm_rows_and_dumps_match_a_recomputation(panel_3assets, tm
         panel_3assets, cfg, scenario_writer=make_scenario_writer(str(tmp_path / "run"))
     )
     ref_writer = make_scenario_writer(str(tmp_path / "ref"))
-    returns = log_returns(panel_3assets).returns
+    returns = log_returns(panel_3assets)
     weights = cfg.portfolio.weights
     model = "kmeans"
     for i, rec in enumerate(records):
         assert rec.error is None
         long_w = returns[i : i + cfg.long_len]
-        model, _ = fit(long_w, 2, init=model, settings=EmSettings(seed=derive_seed(cfg.seed, i, 0, 0)))
+        model, _ = fit(long_w, 2, init=model, seed=derive_seed(cfg.seed, i, 0, 0))
         seed = derive_seed(cfg.seed, i, 0, 1)
         holding = simulate_gmm(model, cfg.paths, seed)
         ratios = np.array(
@@ -693,7 +703,7 @@ def test_run_backtest_tags_and_days_never_share_scenarios(panel_3assets, tmp_pat
     records, _ = run_backtest(
         panel_3assets, cfg, scenario_writer=make_scenario_writer(str(tmp_path))
     )
-    returns = log_returns(panel_3assets).returns
+    returns = log_returns(panel_3assets)
     weights = cfg.portfolio.weights
     chains = {"gmm2": "kmeans", "gmm3": "kmeans"}
     for i, rec in enumerate(records):
@@ -709,8 +719,8 @@ def test_run_backtest_tags_and_days_never_share_scenarios(panel_3assets, tmp_pat
                 holding = simulate_gbm_portfolio(*calibrate_gbm(long_w), cfg.paths, seed)
                 assets = var_es_columns(holding, cfg.alphas)
             else:
-                settings = EmSettings(seed=derive_seed(cfg.seed, i, mi, 0))
-                chains[tag], _ = fit(long_w, int(tag[3:]), init=chains[tag], settings=settings)
+                fit_seed = derive_seed(cfg.seed, i, mi, 0)
+                chains[tag], _ = fit(long_w, int(tag[3:]), init=chains[tag], seed=fit_seed)
                 unscaled = simulate_gmm(chains[tag], cfg.paths, seed)
                 var, es, n_tail = var_es_columns(unscaled, cfg.alphas)
                 assets = (var * ratios[:, None], es * ratios[:, None], n_tail)
@@ -764,7 +774,7 @@ def test_sweep_reproduces_plain_runs_byte_for_byte(tmp_path):
     grid = [10, 30, 50]
     results = sweep_sigma_short(panel, cfg, grid)
     report_sweep(results, cfg, str(tmp_path / "sweep"))
-    flat_day = log_returns(panel).dates[132]
+    flat_day = panel.dates[133]
     for g in grid:
         records, reports = results[g]
         invalid = [r.date for r in records if r.error is not None]

@@ -14,7 +14,6 @@ from scipy.linalg import solve_triangular
 
 from riskengine import gmm as gmm_module
 from riskengine import (
-    EmSettings,
     FitReport,
     GaussianMixtureModel,
     covariance_floor,
@@ -96,14 +95,14 @@ def test_model_shape_mismatch():
 
 
 def test_model_json_round_trip():
+    # a run checkpoint, models/<tag>.json, is to_dict written as JSON
     m = two_comp_2d()
-    again = GaussianMixtureModel.from_json(m.to_json())
+    payload = json.loads(json.dumps(m.to_dict(), sort_keys=True))
+    assert set(payload) == {"dim", "weights", "means", "covariances"}
+    again = GaussianMixtureModel.from_dict(payload)
     np.testing.assert_array_equal(again.weights, m.weights)
     np.testing.assert_array_equal(again.means, m.means)
     np.testing.assert_array_equal(again.covariances, m.covariances)
-    # serialized form is plain JSON with stable key order
-    payload = json.loads(m.to_json())
-    assert set(payload) >= {"weights", "means", "covariances"}
 
 
 def test_model_from_dict_dim_mismatch():
@@ -304,7 +303,7 @@ def test_em_path_makes_no_triangular_solve(monkeypatch):
     monkeypatch.setattr(gmm_module, "solve_triangular", forbidden, raising=False)
 
     X, shifted = _desk_windows()
-    model, cold = fit(X, 3, settings=EmSettings(seed=1))
+    model, cold = fit(X, 3, seed=1)
     warm_model, warm = fit(shifted, 3, init=model)
     assert cold.init_mode == "kmeans" and warm.init_mode == "warm_start"
     assert np.isfinite(log_likelihood(warm_model, shifted))
@@ -326,21 +325,22 @@ def test_fit_makes_one_density_pass_and_one_factorization_per_step(monkeypatch):
         monkeypatch.setattr(gmm_module, name, counted)
 
     X, shifted = _desk_windows()
-    settings, capped_settings = EmSettings(seed=1), EmSettings(seed=1, max_iter=3)
-    model, cold = fit(X, 3, settings=settings)
+    model, cold = fit(X, 3, seed=1)
     cold_calls = dict(calls)
     calls.clear()
-    _, warm = fit(shifted, 3, init=model, settings=settings)
+    _, warm = fit(shifted, 3, init=model, seed=1)
     warm_calls = dict(calls)
     calls.clear()
-    _, capped = fit(X, 3, settings=capped_settings)
+    default_max_iter = gmm_module.MAX_ITER
+    monkeypatch.setattr(gmm_module, "MAX_ITER", 3)
+    _, capped = fit(X, 3, seed=1)
     for report, counts, starts, max_iter in (
-        (cold, cold_calls, 1, settings.max_iter),
-        (warm, warm_calls, 0, settings.max_iter),
-        (capped, calls, 1, capped_settings.max_iter),
+        (cold, cold_calls, 1, default_max_iter),
+        (warm, warm_calls, 0, default_max_iter),
+        (capped, calls, 1, 3),
     ):
         trace = report.loglik_trace
-        tol_stop = len(trace) >= 2 and trace[-1] - trace[-2] < settings.tol
+        tol_stop = len(trace) >= 2 and trace[-1] - trace[-2] < gmm_module.TOL
         # a downhill stop evaluates one more iterate and discards it; a stop
         # by tol or max_iter makes no M-step after its last evaluation
         downhill = not tol_stop and report.iterations < max_iter
@@ -556,7 +556,7 @@ def test_fit_recovers_separated_mixture():
     n = 4000
     pick = rng.random(n) < 0.25
     x = np.where(pick, rng.normal(3.0, 0.4, n), rng.normal(-1.0, 0.6, n))
-    model, report = fit(x, 2, settings=EmSettings(seed=0))
+    model, report = fit(x, 2, seed=0)
     assert report.converged
     order = np.argsort(model.means[:, 0])
     w = model.weights[order]
@@ -569,7 +569,7 @@ def test_fit_recovers_separated_mixture():
 def test_fit_trace_monotone_and_consistent():
     rng = np.random.default_rng(12)
     x = rng.standard_t(5, 600) * 0.01
-    model, report = fit(x, 3, settings=EmSettings(seed=2))
+    model, report = fit(x, 3, seed=2)
     trace = np.asarray(report.loglik_trace)
     assert report.iterations == len(trace) >= 1
     assert report.final_loglik == trace[-1]
@@ -582,7 +582,7 @@ def test_fit_trace_monotone_and_consistent():
 def test_fit_warm_start_converges_immediately():
     rng = np.random.default_rng(1)
     x = rng.normal(0.0, 0.01, 500)
-    model, _ = fit(x, 2, settings=EmSettings(seed=1))
+    model, _ = fit(x, 2, seed=1)
     again, report = fit(x, 2, init=model)
     assert report.init_mode == "warm_start"
     assert report.converged
@@ -592,7 +592,7 @@ def test_fit_warm_start_converges_immediately():
 def test_fit_warm_start_shape_guards():
     rng = np.random.default_rng(1)
     x = rng.normal(0.0, 1.0, (100, 2))
-    model, _ = fit(x, 2, settings=EmSettings(seed=1))
+    model, _ = fit(x, 2, seed=1)
     with pytest.raises(ShapeError):
         fit(rng.normal(size=(50, 3)), 2, init=model)  # wrong dim
     with pytest.raises(ShapeError):
@@ -614,27 +614,42 @@ def test_fit_argument_validation():
 def test_fit_deterministic_given_seed():
     rng = np.random.default_rng(33)
     x = rng.normal(0, 1, (300, 2))
-    m1, r1 = fit(x, 2, settings=EmSettings(seed=5))
-    m2, r2 = fit(x, 2, settings=EmSettings(seed=5))
+    m1, r1 = fit(x, 2, seed=5)
+    m2, r2 = fit(x, 2, seed=5)
     np.testing.assert_array_equal(m1.weights, m2.weights)
     np.testing.assert_array_equal(m1.means, m2.means)
     np.testing.assert_array_equal(m1.covariances, m2.covariances)
     assert r1.loglik_trace == r2.loglik_trace
 
 
-def test_fit_respects_max_iter():
+def test_warm_start_fit_ignores_seed():
+    # only a k-means start draws from the seed, so the engine derives a fit
+    # seed for cold starts alone and may pass any seed, or none, when warm
+    X, shifted = _desk_windows()
+    start, _ = fit(X, 3, seed=1)
+    fits = [fit(shifted, 3, init=start, seed=s) for s in (0, 1, 2**63)]
+    for model, report in fits:
+        assert report == fits[0][1] and report.init_mode == "warm_start"
+        for name in ("weights", "means", "covariances"):
+            assert getattr(model, name).tobytes() == getattr(fits[0][0], name).tobytes()
+
+
+def test_fit_respects_max_iter(monkeypatch):
     rng = np.random.default_rng(3)
     x = rng.normal(0, 1, 2000) + rng.normal(0, 0.3, 2000)
-    _, report = fit(x, 3, settings=EmSettings(tol=1e-300, max_iter=4, seed=0))
+    monkeypatch.setattr(gmm_module, "TOL", 1e-300)
+    monkeypatch.setattr(gmm_module, "MAX_ITER", 4)
+    _, report = fit(x, 3, seed=0)
     assert report.iterations <= 4
     assert not report.converged
 
 
-def test_fit_stopped_by_max_iter_returns_the_iterate_it_scored():
+def test_fit_stopped_by_max_iter_returns_the_iterate_it_scored(monkeypatch):
     # the last allowed iteration scores its iterate and stops before another
     # M-step, so the reported log-likelihood is the returned model's
     X, _ = _desk_windows()
-    model, report = fit(X, 3, settings=EmSettings(seed=1, max_iter=3))
+    monkeypatch.setattr(gmm_module, "MAX_ITER", 3)
+    model, report = fit(X, 3, seed=1)
     assert report.iterations == 3 and not report.converged
     assert report.final_loglik == log_likelihood(model, X)
 
@@ -667,8 +682,7 @@ def test_fit_report_validation():
 def test_fit_trace_monotone_valid_and_reproducible(seed, dim, n_components, n_samples):
     rng = np.random.default_rng(seed)
     x = sample(random_mixture(rng, n_components, dim), n_samples, rng)
-    em = EmSettings(seed=seed)
-    model, report = fit(x, n_components, settings=em)
+    model, report = fit(x, n_components, seed=seed)
 
     trace = np.asarray(report.loglik_trace)
     assert np.all(np.diff(trace) >= 0.0)
@@ -678,13 +692,13 @@ def test_fit_trace_monotone_valid_and_reproducible(seed, dim, n_components, n_sa
         # the returned model is the iterate the last trace entry measured
         assert log_likelihood(model, x) == pytest.approx(report.final_loglik, rel=1e-12)
 
-    again, report2 = fit(x, n_components, settings=em)
+    again, report2 = fit(x, n_components, seed=seed)
     assert report2 == report
     for a, b in [(model.weights, again.weights), (model.means, again.means),
                  (model.covariances, again.covariances)]:
         np.testing.assert_array_equal(a, b)
 
-    _, warm = fit(x[1:], n_components, init=model, settings=em)
+    _, warm = fit(x[1:], n_components, init=model, seed=seed)
     assert np.all(np.diff(warm.loglik_trace) >= 0.0)
 
 
@@ -693,7 +707,7 @@ def test_fit_near_degenerate_component_stays_monotone():
     # eigenvalue toward the stabiliser scale; the trace must stay clean
     rng = np.random.default_rng(42)
     x = np.concatenate([rng.normal(0, 1e-4, 12), rng.normal(0.01, 0.02, 188)])
-    model, report = fit(x, 2, settings=EmSettings(seed=3))
+    model, report = fit(x, 2, seed=3)
     trace = np.asarray(report.loglik_trace)
     assert np.all(np.diff(trace) >= -1e-9)
     assert model.weights.sum() == pytest.approx(1.0, abs=1e-12)

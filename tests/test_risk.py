@@ -87,16 +87,26 @@ def test_var_es_es_never_above_var():
         assert n_tail >= 1
 
 
-def test_var_es_columns_positive_homogeneity():
-    # positive homogeneity: scaling the estimates by a volatility ratio
-    # equals estimating from the scaled scenarios
-    rng = np.random.default_rng(8)
-    x = rng.normal(0, 0.01, 400)[:, None]
-    c = 1.37
-    direct = var_es_columns(x * c, (0.05,))
-    var, es, _ = var_es_columns(x, (0.05,))
-    np.testing.assert_allclose(var * c, direct[0], rtol=1e-12)
-    np.testing.assert_allclose(es * c, direct[1], rtol=1e-12)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(100, 600),
+    ratios=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=4),
+    alphas=st.lists(st.sampled_from((0.01, 0.025, 0.05, 0.1, 0.25)),
+                    min_size=1, max_size=3, unique=True),
+)
+@settings(max_examples=150, deadline=None)
+def test_var_es_columns_positive_homogeneity(seed, n, ratios, alphas):
+    # positive homogeneity, column by column: scaling each column's estimates
+    # by its own volatility ratio, as the engine scales the gmm asset block,
+    # equals estimating from the scaled scenarios, with the same tail counts
+    x = np.random.default_rng(seed).normal(0.0, 0.01, (n, len(ratios)))
+    r = np.array(ratios)
+    var, es, n_tail = var_es_columns(x, alphas)
+    direct = var_es_columns(x * r, alphas)
+    tol = 1e-12 * (np.abs(x).max(axis=0) * r)[:, None]  # each scaled column's magnitude
+    assert np.all(np.abs(var * r[:, None] - direct[0]) <= tol)
+    assert np.all(np.abs(es * r[:, None] - direct[1]) <= tol)
+    np.testing.assert_array_equal(n_tail, direct[2])
 
 
 def _check_var_es_columns(H, alphas):
