@@ -36,6 +36,6 @@ for slot, (name, w, mu, sd) in zip(order, truth):
     print(f"{'  (true)':<10} {w:>7.4f} {mu:>+10.6f} {sd:>10.6f}")
 
 draws = sample(model, 20000, np.random.default_rng(1))[:, 0]
-res = ks_test(draws, lambda t: mixture_cdf(model, t))
+ks_stat, ks_p = ks_test(draws, lambda t: mixture_cdf(model, t))
 print()
-print(f"KS resample check: stat={res.ks_stat:.5f} p={res.ks_pvalue:.3f}")
+print(f"KS resample check: stat={ks_stat:.5f} p={ks_p:.3f}")

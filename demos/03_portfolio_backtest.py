@@ -48,10 +48,10 @@ def main():
     for rep in reports:
         if rep.ticker != "PORTFOLIO":
             continue
-        expected = rep.hit_seq.alpha * rep.hit_seq.n
+        expected = rep.alpha * rep.n
         c = rep.christoffersen
         print(
-            f"{rep.model_tag:<8} {rep.hit_seq.alpha:>6.2f} {rep.x:>5d} {expected:>9.1f}"
+            f"{rep.model_tag:<8} {rep.alpha:>6.2f} {rep.x:>5d} {expected:>9.1f}"
             f" {c.p_uc:>8.4f} {c.p_ind:>8.4f}  {rep.verdict}"
         )
 

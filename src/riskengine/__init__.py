@@ -56,8 +56,6 @@ from .baselines import (  # noqa: E402
 from .backtest import (  # noqa: E402
     BacktestReport,
     ChristoffersenResult,
-    GofResult,
-    HitSequence,
     christoffersen,
     empirical_density,
     hits,
@@ -97,9 +95,8 @@ __all__ = [
     # baselines
     "parametric_columns", "gbm_mc_var", "calibrate_gbm",
     # backtest
-    "HitSequence", "ChristoffersenResult", "GofResult", "BacktestReport",
-    "hits", "christoffersen", "quadratic_loss", "ks_test", "pdf_rmse",
-    "empirical_density",
+    "ChristoffersenResult", "BacktestReport", "hits", "christoffersen",
+    "quadratic_loss", "ks_test", "pdf_rmse", "empirical_density",
     # engine
     "RunConfig", "DayRecord", "run_backtest", "sweep_sigma_short",
     "sweep_verdict_rows", "report", "report_sweep", "derive_seed",

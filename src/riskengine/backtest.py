@@ -23,6 +23,8 @@ non-negative because each restricted model is nested in its alternative.
 
 The quadratic loss of a VaR series is a plain float, the mean over its days
 of I(hit) * (1 + (r - VaR)^2): a day without a violation scores 0.
+Results are plain records: hits returns a boolean array and ks_test a
+(statistic, p-value) tuple; only the inputs are checked.
 """
 
 from __future__ import annotations
@@ -46,48 +48,6 @@ VERDICT_NOT_REJECTED = "not_rejected"
 VERDICT_INSUFFICIENT = "insufficient"
 
 
-@dataclass(frozen=True, eq=False)
-class HitSequence:
-    """Boolean violation indicators, hit_t = (r_t <= VaR_t), plus the level.
-
-    adjacent[t] says whether observations t and t + 1 fall on adjacent days;
-    None means every consecutive pair does (a sequence without gaps).
-    """
-
-    hits: np.ndarray
-    alpha: float
-    adjacent: np.ndarray | None = None
-
-    def __post_init__(self):
-        h = np.asarray(self.hits)
-        if h.dtype != bool:
-            raise ValidationError("hits must be a boolean array")
-        if h.ndim != 1 or h.size < 1:
-            raise ShapeError("hits must be a non-empty 1-D array")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
-        h = h.copy()
-        h.setflags(write=False)
-        object.__setattr__(self, "hits", h)
-        if self.adjacent is not None:
-            adj = np.array(self.adjacent)
-            if adj.dtype != bool or adj.shape != (h.size - 1,):
-                raise ShapeError(
-                    f"adjacent must be a boolean array of n - 1 = {h.size - 1} "
-                    f"entries, got dtype {adj.dtype} shape {adj.shape}"
-                )
-            adj.setflags(write=False)
-            object.__setattr__(self, "adjacent", adj)
-
-    @property
-    def n(self) -> int:
-        return self.hits.size
-
-    @property
-    def x(self) -> int:
-        return int(self.hits.sum())
-
-
 @dataclass(frozen=True)
 class ChristoffersenResult:
     """Coverage test statistics for one hit sequence."""
@@ -109,63 +69,23 @@ class ChristoffersenResult:
     p_cc: float
     verdict: str
 
-    def __post_init__(self):
-        counts = (self.n00, self.n01, self.n10, self.n11)
-        if min(counts) < 0 or sum(counts) > self.n - 1:
-            raise ValidationError(
-                "transition counts must be non-negative and sum to at most n - 1"
-            )
-        for name in ("pi01", "pi11", "pi2"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} = {v} outside [0, 1]")
-        for name in ("lr_uc", "lr_ind", "lr_cc"):
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"{name} must be >= 0")
-        for name in ("p_uc", "p_ind", "p_cc"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} = {v} outside [0, 1]")
-        if abs(self.lr_cc - (self.lr_uc + self.lr_ind)) > 1e-9:
-            raise ValidationError("lr_cc must equal lr_uc + lr_ind")
-        if self.verdict not in (VERDICT_REJECTED, VERDICT_NOT_REJECTED):
-            raise ValidationError(f"unknown verdict {self.verdict!r}")
 
-
-@dataclass(frozen=True)
-class GofResult:
-    """Kolmogorov-Smirnov fit summary; pdf_rmse scores a density separately."""
-
-    ks_stat: float
-    ks_pvalue: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.ks_stat <= 1.0 + 1e-12:
-            raise ValidationError(f"ks_stat {self.ks_stat} outside [0, 1]")
-        if not 0.0 <= self.ks_pvalue <= 1.0:
-            raise ValidationError(f"ks_pvalue {self.ks_pvalue} outside [0, 1]")
-
-
-def hits(realized, var_series, alpha: float, adjacent=None) -> HitSequence:
-    """Violation indicators for a realized return series against its VaRs.
-
-    adjacent is passed on to the HitSequence: which consecutive observations
-    fall on adjacent days (None when the series has no gaps).
-    """
+def hits(realized, var_series) -> np.ndarray:
+    """Violation indicators hit_t = (r_t <= VaR_t) as a boolean array."""
     r = np.asarray(realized, dtype=float).ravel()
     v = np.asarray(var_series, dtype=float).ravel()
     if r.shape != v.shape:
         raise ShapeError(f"{r.size} realized returns but {v.size} VaR values")
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
         raise ValidationError("realized/VaR series contain non-finite entries")
-    return HitSequence(hits=r <= v, alpha=alpha, adjacent=adjacent)
+    return r <= v
 
 
-def _transitions(seq: HitSequence) -> tuple[int, int, int, int]:
-    prev = seq.hits[:-1]
-    cur = seq.hits[1:]
-    if seq.adjacent is not None:
-        prev, cur = prev[seq.adjacent], cur[seq.adjacent]
+def _transitions(h, adjacent) -> tuple[int, int, int, int]:
+    prev = h[:-1]
+    cur = h[1:]
+    if adjacent is not None:
+        prev, cur = prev[adjacent], cur[adjacent]
     n00 = int(np.sum(~prev & ~cur))
     n01 = int(np.sum(~prev & cur))
     n10 = int(np.sum(prev & ~cur))
@@ -178,30 +98,39 @@ def _xlogy(x, y) -> float:
     return 0.0 if x == 0 else x * math.log(y)
 
 
-def christoffersen(seq: HitSequence) -> ChristoffersenResult:
+def christoffersen(hits, alpha: float, adjacent=None) -> ChristoffersenResult:
     """Unconditional-coverage, independence and combined LR tests.
+
+    hits holds n >= 2 booleans at VaR level alpha. adjacent[t] says whether
+    observations t and t + 1 fall on adjacent days (None: all do); only
+    those pairs count as transitions, and with none LR_ind is 0.
 
     LR_uc and LR_ind are chi-squared with 1 degree of freedom and LR_cc
     with 2, by construction (Christoffersen 1998). The verdict is "rejected"
     when min(p_uc, p_ind) < 0.01, a fixed level; the combined statistic is
-    reported but does not join the verdict. Requires at least two observations;
-    transitions are counted only between adjacent days (seq.adjacent), and
-    with none LR_ind is 0.
+    reported but does not join the verdict.
     """
-    if seq.n < 2:
-        raise InsufficientDataError(
-            f"independence statistics need n >= 2 days, got {seq.n}"
-        )
-    n, x = seq.n, seq.x
-    p = seq.alpha
+    h = np.asarray(hits)
+    if h.dtype != bool or h.ndim != 1:
+        raise ValidationError("hits must be a 1-D boolean array")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    n, x = h.size, int(h.sum())
+    if n < 2:
+        raise InsufficientDataError(f"independence statistics need n >= 2 days, got {n}")
+    if adjacent is not None:
+        adjacent = np.asarray(adjacent)
+        if adjacent.dtype != bool or adjacent.shape != (n - 1,):
+            raise ShapeError(f"adjacent must be n - 1 = {n - 1} booleans, "
+                             f"got dtype {adjacent.dtype} shape {adjacent.shape}")
 
     phat = x / n
-    lr_uc = -2.0 * (_xlogy(n - x, 1.0 - p) + _xlogy(x, p)) + 2.0 * (
+    lr_uc = -2.0 * (_xlogy(n - x, 1.0 - alpha) + _xlogy(x, alpha)) + 2.0 * (
         _xlogy(n - x, 1.0 - phat) + _xlogy(x, phat)
     )
     lr_uc = max(float(lr_uc), 0.0)
 
-    n00, n01, n10, n11 = _transitions(seq)
+    n00, n01, n10, n11 = _transitions(h, adjacent)
     pairs = n00 + n01 + n10 + n11
     pi01 = n01 / (n00 + n01) if n00 + n01 > 0 else 0.0
     pi11 = n11 / (n10 + n11) if n10 + n11 > 0 else 0.0
@@ -258,12 +187,13 @@ def quadratic_loss(realized, var_series) -> float:
     return float(np.where(r <= v, 1.0 + gap * gap, 0.0).mean())
 
 
-def ks_test(samples, cdf) -> GofResult:
+def ks_test(samples, cdf) -> tuple[float, float]:
     """One-sample Kolmogorov-Smirnov test against a model CDF callable.
 
-    D_n = max(D+, D-) over the order statistics, with the p-value from the
-    asymptotic Kolmogorov distribution of sqrt(n) D_n. The callable must be
-    a proper CDF on the sample range: values in [0, 1], non-decreasing.
+    Returns (ks_stat, ks_pvalue): D_n = max(D+, D-) over the order
+    statistics, with the p-value from the asymptotic Kolmogorov distribution
+    of sqrt(n) D_n. The callable must be a proper CDF on the sample range:
+    values in [0, 1] within 1e-9, non-decreasing.
     """
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = x.size
@@ -286,7 +216,7 @@ def ks_test(samples, cdf) -> GofResult:
     d_plus = float(np.max(i / n - f))
     d_minus = float(np.max(f - (i - 1) / n))
     d = max(d_plus, d_minus, 0.0)
-    return GofResult(ks_stat=d, ks_pvalue=kolmogorov_sf(np.sqrt(n) * d))
+    return d, kolmogorov_sf(np.sqrt(n) * d)
 
 
 def empirical_density(data) -> tuple[np.ndarray, np.ndarray]:
@@ -332,12 +262,13 @@ def pdf_rmse(model_pdf, data) -> float:
 
 @dataclass(frozen=True, eq=False)
 class BacktestReport:
-    """Backtest outcome for one (model, target, level) combination."""
+    """Backtest outcome for one (model, target, level): x violations in n days."""
 
     model_tag: str
     ticker: str
     alpha: float
-    hit_seq: HitSequence
+    n: int
+    x: int
     christoffersen: ChristoffersenResult | None
     loss: float
 
@@ -345,14 +276,6 @@ class BacktestReport:
         "model_tag,ticker,alpha,n,x,lr_uc,p_uc,lr_ind,p_ind,lr_cc,p_cc,"
         "quadratic_loss,verdict"
     )
-
-    @property
-    def n(self) -> int:
-        return self.hit_seq.n
-
-    @property
-    def x(self) -> int:
-        return self.hit_seq.x
 
     @property
     def verdict(self) -> str:

@@ -243,14 +243,12 @@ def _cmd_gof(args) -> int:
         for label, n_comp in [("normal", 1)] + [(f"gmm{n}", n) for n in components]:
             model, _ = fit(data, n_comp, seed=args.seed)
             ll = log_likelihood(model, data)
-            gof = ks_test(data, lambda x, m=model: mixture_cdf(m, x))
+            ks_stat, ks_p = ks_test(data, lambda x, m=model: mixture_cdf(m, x))
             rmse = pdf_rmse(lambda x, m=model: mixture_density(m, x), data)
-            rows.append(
-                [ticker, label, repr(ll), repr(gof.ks_stat), repr(gof.ks_pvalue), repr(rmse)]
-            )
+            rows.append([ticker, label, repr(ll), repr(ks_stat), repr(ks_p), repr(rmse)])
             print(
-                f"{ticker:<12} {label:<8} {ll:>10.4f} {gof.ks_stat:>9.5f} "
-                f"{gof.ks_pvalue:>8.4f} {rmse:>10.5f}"
+                f"{ticker:<12} {label:<8} {ll:>10.4f} {ks_stat:>9.5f} "
+                f"{ks_p:>8.4f} {rmse:>10.5f}"
             )
     if args.out:
         # staged like a run report: the directory is created, the write is all or nothing

@@ -133,9 +133,10 @@ class RunConfig:
             raise ConfigError("n_components must be ints >= 1")
         if any(not 0.0 < a < 1.0 for a in self.alphas):
             raise ConfigError("alphas must lie inside (0, 1)")
-        if not 0 < self.short_len <= self.long_len:
+        # one row has zero standard deviation, so every vol ratio would be 0
+        if not 2 <= self.short_len <= self.long_len:
             raise ConfigError(
-                f"need 0 < short_len <= long_len, got {self.short_len}/{self.long_len}")
+                f"need 2 <= short_len <= long_len, got {self.short_len}/{self.long_len}")
         if self.paths < 100:
             raise ConfigError(f"paths must be >= 100, got {self.paths}")
         # var_es_columns reads a tail at alpha from ceil(1/alpha) rows or more
@@ -467,11 +468,11 @@ def _build_reports(records, config) -> list[BacktestReport]:
         for c, (target, _) in enumerate(valid[0].realized):
             for a, alpha in enumerate(config.alphas):
                 r, v = realized[:, c], var[:, m, c, a]
-                seq = hits(r, v, alpha, adjacent=adjacent)
+                h = hits(r, v)
                 # one evaluation day leaves the independence statistics undefined
-                result = christoffersen(seq) if seq.n >= 2 else None
+                result = christoffersen(h, alpha, adjacent) if h.size >= 2 else None
                 reports.append(BacktestReport(
-                    model_tag=key, ticker=target, alpha=alpha, hit_seq=seq,
+                    model_tag=key, ticker=target, alpha=alpha, n=h.size, x=int(h.sum()),
                     christoffersen=result, loss=quadratic_loss(r, v),
                 ))
     return reports
@@ -487,15 +488,15 @@ def sweep_sigma_short(
     the vol ratios, the scaled gmm asset rows and the gmm portfolio row are
     recomputed. Seeds do not depend on the short window, so each grid value
     reproduces a plain run with that short_len byte for byte. Grid values
-    must lie in [1, long_len].
+    must lie in [2, long_len].
     """
     values = sorted(set(int(g) for g in grid))
     if not values:
         raise ConfigError("sweep grid is empty")
     for g in values:
-        if not 1 <= g <= config.long_len:
+        if not 2 <= g <= config.long_len:
             raise ConfigError(
-                f"grid value {g} outside [1, long_len={config.long_len}]"
+                f"grid value {g} outside [2, long_len={config.long_len}]"
             )
     return _run_days(panel, config, values, None, None)
 

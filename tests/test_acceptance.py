@@ -15,7 +15,6 @@ import pytest
 from riskengine import (
     GaussianMixtureModel,
     GbmParams,
-    HitSequence,
     PortfolioSpec,
     PricePanel,
     RunConfig,
@@ -119,8 +118,8 @@ def test_criterion_03_stratified_sampling_ks():
     )
     for seed in range(10):
         draws = sample(mix, 50000, np.random.default_rng(seed))[:, 0]
-        res = ks_test(draws, lambda t: mixture_cdf(mix, t))
-        assert res.ks_pvalue > 0.01, f"seed {seed}: p={res.ks_pvalue:.4f}"
+        _, ks_p = ks_test(draws, lambda t: mixture_cdf(mix, t))
+        assert ks_p > 0.01, f"seed {seed}: p={ks_p:.4f}"
     print("ACCEPTANCE 3 PASS")
 
 
@@ -158,7 +157,7 @@ def test_criterion_04_christoffersen_oracle_equivalence():
         h = rng.random(1000) < a * float(rng.uniform(0.3, 3.0))
         if not h.any():
             h[int(rng.integers(0, 1000))] = True
-        res = christoffersen(HitSequence(hits=h, alpha=a))
+        res = christoffersen(h, a)
         ref_uc, ref_ind = _direct_lrs(h, a)
         assert abs(res.lr_uc - ref_uc) <= 1e-9, f"case {case}"
         assert abs(res.lr_ind - ref_ind) <= 1e-9, f"case {case}"
@@ -166,7 +165,7 @@ def test_criterion_04_christoffersen_oracle_equivalence():
     # hit frequency equal to alpha collapses the coverage statistic to zero
     h = np.zeros(1000, dtype=bool)
     h[::20] = True  # 50 hits in 1000 days at the 5% level
-    res = christoffersen(HitSequence(hits=h, alpha=0.05))
+    res = christoffersen(h, 0.05)
     assert res.lr_uc == 0.0
     print("ACCEPTANCE 4 PASS")
 
@@ -213,7 +212,7 @@ def test_criterion_05_coverage_calibration(desk_run):
     _, reports, cfg, _ = desk_run
     assert len(reports) == 2 * 16  # two models, 15 stocks plus the portfolio
     for rep in reports:
-        assert rep.hit_seq.n == 1000
+        assert rep.n == 1000
         assert 31 <= rep.x <= 70, f"{rep.model_tag}/{rep.ticker}: x={rep.x}"
         assert rep.verdict == VERDICT_NOT_REJECTED, (
             f"{rep.model_tag}/{rep.ticker}: {rep.verdict}"

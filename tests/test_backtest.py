@@ -2,12 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskengine import (
     BacktestReport,
-    ChristoffersenResult,
-    GofResult,
-    HitSequence,
     christoffersen,
     empirical_density,
     hits,
@@ -37,29 +36,29 @@ HAND_HITS = np.array(
 def test_hits_inclusive_comparison():
     realized = np.array([-0.05, 0.01, -0.02])
     var_series = np.array([-0.03, -0.03, -0.02])
-    seq = hits(realized, var_series, 0.05)
-    np.testing.assert_array_equal(seq.hits, [True, False, True])
-    assert seq.n == 3 and seq.x == 2
-    assert seq.alpha == 0.05
+    h = hits(realized, var_series)
+    assert h.dtype == bool
+    np.testing.assert_array_equal(h, [True, False, True])
 
 
 def test_hits_shape_mismatch():
     with pytest.raises(ShapeError):
-        hits(np.zeros(3), np.zeros(4), 0.05)
+        hits(np.zeros(3), np.zeros(4))
 
 
-def test_hit_sequence_validation():
+def test_christoffersen_input_validation():
     with pytest.raises(ValidationError):
-        HitSequence(hits=np.array([1, 0, 1]), alpha=0.05)  # ints, not bools
+        christoffersen(np.array([1, 0, 1]), 0.05)  # ints, not bools
     with pytest.raises(ValidationError):
-        HitSequence(hits=np.array([], dtype=bool), alpha=0.05)
+        christoffersen(np.ones((2, 2), dtype=bool), 0.05)  # not 1-D
+    with pytest.raises(InsufficientDataError):
+        christoffersen(np.array([], dtype=bool), 0.05)
     with pytest.raises(ValidationError):
-        HitSequence(hits=np.array([True]), alpha=1.5)
+        christoffersen(np.array([True]), 1.5)
 
 
 def test_christoffersen_hand_oracle():
-    seq = HitSequence(hits=HAND_HITS, alpha=0.05)
-    res = christoffersen(seq)
+    res = christoffersen(HAND_HITS, 0.05)
     assert (res.n, res.x) == (20, 6)
     assert (res.n00, res.n01, res.n10, res.n11) == (10, 4, 3, 2)
     assert res.pi01 == pytest.approx(0.28571428571428571, rel=1e-14)
@@ -77,14 +76,14 @@ def test_christoffersen_hand_oracle():
 def test_christoffersen_exact_coverage_zero_statistic():
     h = np.zeros(40, dtype=bool)
     h[[10, 30]] = True  # 2 hits in 40 days at alpha = 0.05
-    res = christoffersen(HitSequence(hits=h, alpha=0.05))
+    res = christoffersen(h, 0.05)
     assert res.lr_uc == 0.0
     assert res.p_uc == 1.0
     assert res.verdict == VERDICT_NOT_REJECTED
 
 
 def test_christoffersen_no_hits():
-    res = christoffersen(HitSequence(hits=np.zeros(30, dtype=bool), alpha=0.05))
+    res = christoffersen(np.zeros(30, dtype=bool), 0.05)
     assert res.x == 0
     assert res.lr_uc == pytest.approx(3.077597663253032, rel=1e-12)
     assert res.p_uc == pytest.approx(0.079377691816641746, rel=1e-11)
@@ -96,7 +95,7 @@ def test_christoffersen_no_hits():
 
 
 def test_christoffersen_all_hits():
-    res = christoffersen(HitSequence(hits=np.ones(10, dtype=bool), alpha=0.05))
+    res = christoffersen(np.ones(10, dtype=bool), 0.05)
     assert res.lr_uc == pytest.approx(-2 * 10 * np.log(0.05), rel=1e-12)
     assert res.lr_ind == 0.0
     assert res.verdict == VERDICT_REJECTED
@@ -104,7 +103,7 @@ def test_christoffersen_all_hits():
 
 def test_christoffersen_needs_two_days():
     with pytest.raises(InsufficientDataError):
-        christoffersen(HitSequence(hits=np.array([True]), alpha=0.05))
+        christoffersen(np.array([True]), 0.05)
 
 
 def test_christoffersen_matches_direct_formula_random():
@@ -118,8 +117,7 @@ def test_christoffersen_matches_direct_formula_random():
         h = rng.random(200) < a * rng.uniform(0.5, 2.0)
         if h.sum() == 0:
             h[5] = True
-        seq = HitSequence(hits=h, alpha=a)
-        res = christoffersen(seq)
+        res = christoffersen(h, a)
 
         n, x = len(h), int(h.sum())
         pi = x / n
@@ -147,19 +145,19 @@ def test_christoffersen_matches_direct_formula_random():
         assert res.p_cc == pytest.approx(scipy.stats.chi2.sf(res.lr_cc, 2), rel=1e-9)
 
 
-def _christoffersen_lr_with_scipy_xlogy(seq):
+def _christoffersen_lr_with_scipy_xlogy(h, p, adjacent):
     """LR_uc, LR_ind and LR_cc in christoffersen's order of operations, on xlogy."""
     from scipy.special import xlogy
 
     from riskengine.backtest import _transitions
 
-    n, x, p = seq.n, seq.x, seq.alpha
+    n, x = h.size, int(h.sum())
     phat = x / n
     lr_uc = -2.0 * (xlogy(n - x, 1.0 - p) + xlogy(x, p)) + 2.0 * (
         xlogy(n - x, 1.0 - phat) + xlogy(x, phat)
     )
     lr_uc = max(float(lr_uc), 0.0)
-    n00, n01, n10, n11 = _transitions(seq)
+    n00, n01, n10, n11 = _transitions(h, adjacent)
     pairs = n00 + n01 + n10 + n11
     pi01 = n01 / (n00 + n01) if n00 + n01 > 0 else 0.0
     pi11 = n11 / (n10 + n11) if n10 + n11 > 0 else 0.0
@@ -180,9 +178,8 @@ def test_christoffersen_lr_statistics_match_scipy_xlogy_bit_for_bit():
         a = float(rng.choice([0.01, 0.025, 0.05, 0.1]))
         h = rng.random(n) < a * rng.choice([0.0, 0.5, 1.0, 3.0, 30.0])
         adjacent = rng.random(n - 1) < 0.9 if rng.random() < 0.3 else None
-        seq = HitSequence(hits=h, alpha=a, adjacent=adjacent)
-        res = christoffersen(seq)
-        assert (res.lr_uc, res.lr_ind, res.lr_cc) == _christoffersen_lr_with_scipy_xlogy(seq)
+        res = christoffersen(h, a, adjacent)
+        assert (res.lr_uc, res.lr_ind, res.lr_cc) == _christoffersen_lr_with_scipy_xlogy(h, a, adjacent)
 
 
 def test_christoffersen_counts_no_transition_across_a_gap():
@@ -190,13 +187,13 @@ def test_christoffersen_counts_no_transition_across_a_gap():
     # observations 2 and 3 straddles the gap and must not count as n11
     h = np.array([False, True, True, True, False, False, True])
     adjacent = np.array([True, True, False, True, True, True])
-    res = christoffersen(HitSequence(hits=h, alpha=0.05, adjacent=adjacent))
+    res = christoffersen(h, 0.05, adjacent)
     # pairs: (F,T) (T,T) | (T,F) (F,F) (F,T)
     assert (res.n00, res.n01, res.n10, res.n11) == (1, 2, 1, 1)
     assert res.pi01 == 2 / 3
     assert res.pi11 == 1 / 2
     assert res.pi2 == 3 / 5  # (n01 + n11) over the 5 counted pairs
-    gapless = christoffersen(HitSequence(hits=h, alpha=0.05))
+    gapless = christoffersen(h, 0.05)
     assert (gapless.n00, gapless.n01, gapless.n10, gapless.n11) == (1, 2, 1, 2)
     assert gapless.pi2 == 4 / 6
     assert res.lr_uc == gapless.lr_uc  # coverage ignores the gap
@@ -204,30 +201,43 @@ def test_christoffersen_counts_no_transition_across_a_gap():
 
 def test_christoffersen_all_adjacent_mask_matches_no_mask():
     h = np.random.default_rng(3).random(120) < 0.08
-    plain = christoffersen(HitSequence(hits=h, alpha=0.05))
-    masked = christoffersen(
-        HitSequence(hits=h, alpha=0.05, adjacent=np.ones(119, dtype=bool))
-    )
+    plain = christoffersen(h, 0.05)
+    masked = christoffersen(h, 0.05, np.ones(119, dtype=bool))
     assert plain == masked
 
 
-def test_hit_sequence_rejects_bad_adjacency_mask():
+@st.composite
+def _hit_inputs(draw):
+    n = draw(st.integers(2, 400))
+    h = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    alpha = draw(st.floats(1e-4, 1 - 1e-4))
+    adjacent = draw(st.none() | st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    return h, alpha, None if adjacent is None else np.array(adjacent, dtype=bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hit_inputs())
+def test_christoffersen_result_invariants(inputs):
+    h, alpha, adjacent = inputs
+    res = christoffersen(h, alpha, adjacent)
+    gaps = 0 if adjacent is None else int((~adjacent).sum())
+    counts = (res.n00, res.n01, res.n10, res.n11)
+    assert min(counts) >= 0 and sum(counts) == h.size - 1 - gaps
+    assert (res.n, res.x) == (h.size, int(h.sum()))
+    for v in (res.pi01, res.pi11, res.pi2, res.p_uc, res.p_ind, res.p_cc):
+        assert 0.0 <= v <= 1.0
+    assert res.lr_uc >= 0.0 and res.lr_ind >= 0.0 and res.lr_cc >= 0.0
+    assert res.lr_cc == res.lr_uc + res.lr_ind
+    assert (res.verdict == VERDICT_REJECTED) == (min(res.p_uc, res.p_ind) < 0.01)
+    assert res.verdict in (VERDICT_REJECTED, VERDICT_NOT_REJECTED)
+
+
+def test_christoffersen_rejects_bad_adjacency_mask():
     h = np.array([False, True, False])
     with pytest.raises(ShapeError):
-        HitSequence(hits=h, alpha=0.05, adjacent=np.array([True]))
+        christoffersen(h, 0.05, np.array([True]))
     with pytest.raises(ShapeError):
-        HitSequence(hits=h, alpha=0.05, adjacent=np.array([1, 1]))
-
-
-def test_christoffersen_result_validates_lr_cc_sum():
-    with pytest.raises(ValidationError):
-        ChristoffersenResult(
-            n=10, x=1, n00=8, n01=1, n10=1, n11=0,
-            pi01=1 / 9, pi11=0.0, pi2=1 / 9,
-            lr_uc=1.0, lr_ind=1.0, lr_cc=5.0,  # not the sum of the parts
-            p_uc=0.3, p_ind=0.3, p_cc=0.1,
-            verdict=VERDICT_NOT_REJECTED,
-        )
+        christoffersen(h, 0.05, np.array([1, 1]))
 
 
 def test_quadratic_loss_oracle():
@@ -244,15 +254,15 @@ def test_quadratic_loss_no_violations():
 
 
 def test_ks_single_point_oracle():
-    res = ks_test(np.array([0.0]), normal_cdf)
-    assert res.ks_stat == pytest.approx(0.5, rel=1e-14)
-    assert res.ks_pvalue == pytest.approx(0.96394524366487509, rel=1e-12)
+    stat, p = ks_test(np.array([0.0]), normal_cdf)
+    assert stat == pytest.approx(0.5, rel=1e-14)
+    assert p == pytest.approx(0.96394524366487509, rel=1e-12)
 
 
 def test_ks_four_point_oracle():
-    res = ks_test(np.array([-1.5, -0.2, 0.3, 1.1]), normal_cdf)
-    assert res.ks_stat == pytest.approx(0.18319279873114193, rel=1e-13)
-    assert res.ks_pvalue == pytest.approx(0.99930204923441167, rel=1e-12)
+    stat, p = ks_test(np.array([-1.5, -0.2, 0.3, 1.1]), normal_cdf)
+    assert stat == pytest.approx(0.18319279873114193, rel=1e-13)
+    assert p == pytest.approx(0.99930204923441167, rel=1e-12)
 
 
 def test_ks_matches_scipy_asymptotic():
@@ -261,10 +271,10 @@ def test_ks_matches_scipy_asymptotic():
     rng = np.random.default_rng(23)
     for n in (50, 400, 1000):
         s = rng.normal(0, 1, n)
-        ours = ks_test(s, normal_cdf)
+        stat, p = ks_test(s, normal_cdf)
         ref = scipy.stats.kstest(s, "norm", mode="asymp")
-        assert ours.ks_stat == pytest.approx(ref.statistic, rel=1e-12)
-        assert ours.ks_pvalue == pytest.approx(ref.pvalue, rel=1e-9)
+        assert stat == pytest.approx(ref.statistic, rel=1e-12)
+        assert p == pytest.approx(ref.pvalue, rel=1e-9)
 
 
 def test_ks_rejects_broken_cdf():
@@ -273,6 +283,14 @@ def test_ks_rejects_broken_cdf():
         ks_test(s, lambda x: np.full_like(np.asarray(x, dtype=float), 2.0))
     with pytest.raises(ValidationError):
         ks_test(s, lambda x: -np.asarray(x, dtype=float))  # decreasing
+
+
+def test_ks_accepts_cdf_within_its_tolerance():
+    # a CDF may dip 1e-9 below 0; D_n then exceeds 1 by as much, and the
+    # result is returned, not rejected
+    stat, p = ks_test(np.array([0.0]), lambda x: np.full_like(x, -5e-10))
+    assert stat == pytest.approx(1.0, abs=1e-9)
+    assert 0.0 <= p <= 1.0
 
 
 def test_empirical_density_integrates_to_one():
@@ -315,20 +333,12 @@ def test_pdf_rmse_orders_models_sensibly():
     assert pdf_rmse(right, x) < pdf_rmse(wrong, x)
 
 
-def test_gof_result_validation():
-    with pytest.raises(ValidationError):
-        GofResult(ks_stat=1.5, ks_pvalue=0.3)
-    with pytest.raises(ValidationError):
-        GofResult(ks_stat=0.2, ks_pvalue=-0.1)
-
-
 def test_backtest_report_csv_row():
-    seq = HitSequence(hits=HAND_HITS, alpha=0.05)
-    res = christoffersen(seq)
+    res = christoffersen(HAND_HITS, 0.05)
     loss = quadratic_loss(np.zeros(20) - HAND_HITS * 0.02, np.full(20, -0.01))
     rep = BacktestReport(
         model_tag="gmm3", ticker="AAA", alpha=0.05,
-        hit_seq=seq, christoffersen=res, loss=loss,
+        n=20, x=6, christoffersen=res, loss=loss,
     )
     fields = rep.to_csv_row()
     assert fields[0] == "gmm3"
@@ -340,11 +350,10 @@ def test_backtest_report_csv_row():
 
 
 def test_backtest_report_without_statistics():
-    seq = HitSequence(hits=np.array([True, False]), alpha=0.05)
     loss = quadratic_loss(np.array([-0.02, 0.0]), np.array([-0.01, -0.01]))
     rep = BacktestReport(
         model_tag="hs", ticker="B", alpha=0.05,
-        hit_seq=seq, christoffersen=None, loss=loss,
+        n=2, x=1, christoffersen=None, loss=loss,
     )
     fields = rep.to_csv_row()
     assert fields[5] == "" and fields[10] == ""

@@ -83,6 +83,11 @@ def test_run_config_validation():
         RunConfig(paths=99)
     with pytest.raises(ConfigError):
         RunConfig(long_len=50, short_len=70)
+    # one row has zero standard deviation, so a gmm vol ratio would be 0
+    for short_len in (1, 0):
+        with pytest.raises(ConfigError, match="need 2 <= short_len"):
+            RunConfig(short_len=short_len)
+    RunConfig(short_len=2)
     with pytest.raises(ConfigError):
         RunConfig(alphas=())
     with pytest.raises(ConfigError):
@@ -204,7 +209,7 @@ def test_run_backtest_report_grid(small_run):
     expected = len(cfg.model_keys()) * targets * len(cfg.alphas)
     assert len(reports) == expected
     for rep in reports:
-        assert rep.hit_seq.n == cfg.eval_days
+        assert rep.n == cfg.eval_days
         assert rep.christoffersen is not None
 
 
@@ -352,7 +357,7 @@ def test_run_backtest_tolerates_rare_invalid_days():
     assert records[0].var is None and records[0].es is None and records[0].n_tail is None
     assert all(r.error is None for r in records[1:])
     # reports aggregate only the valid days
-    assert reports[0].hit_seq.n == 20
+    assert reports[0].n == 20
 
 
 def test_run_backtest_es_above_var_invalidates_only_that_day(panel_3assets, monkeypatch):
@@ -373,7 +378,7 @@ def test_run_backtest_es_above_var_invalidates_only_that_day(panel_3assets, monk
     assert "exceeds var" in records[3].error
     assert records[3].var is None
     assert all(r.error is None for i, r in enumerate(records) if i != 3)
-    assert reports[0].hit_seq.n == 19
+    assert reports[0].n == 19
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -458,6 +463,9 @@ def test_sweep_grid_validation(panel_3assets):
         sweep_sigma_short(panel_3assets, cfg, [0])
     with pytest.raises(ConfigError):
         sweep_sigma_short(panel_3assets, cfg, [500])  # beyond long_len
+    # a one-row short window has zero volatility: rejected before any fit
+    with pytest.raises(ConfigError, match=r"grid value 1 outside \[2, long_len"):
+        sweep_sigma_short(panel_3assets, cfg, [1, 30])
     with pytest.raises(ConfigError):
         sweep_sigma_short(panel_3assets, cfg, [])
 

@@ -14,7 +14,6 @@ from scipy.linalg import solve_triangular
 
 from riskengine import gmm as gmm_module
 from riskengine import (
-    FitReport,
     GaussianMixtureModel,
     covariance_floor,
     fit,
@@ -652,24 +651,6 @@ def test_fit_stopped_by_max_iter_returns_the_iterate_it_scored(monkeypatch):
     model, report = fit(X, 3, seed=1)
     assert report.iterations == 3 and not report.converged
     assert report.final_loglik == log_likelihood(model, X)
-
-
-def test_fit_report_validation():
-    with pytest.raises(ValidationError):
-        FitReport(
-            iterations=2, converged=True, final_loglik=1.0,
-            loglik_trace=(2.0, 1.0), init_mode="kmeans",  # decreasing
-        )
-    with pytest.raises(ValidationError):
-        FitReport(
-            iterations=2, converged=True, final_loglik=9.0,
-            loglik_trace=(1.0, 2.0), init_mode="kmeans",  # final mismatch
-        )
-    with pytest.raises(ValidationError):
-        FitReport(
-            iterations=3, converged=False, final_loglik=2.0,
-            loglik_trace=(1.0, 2.0), init_mode="kmeans",  # wrong count
-        )
 
 
 @given(
