@@ -14,11 +14,14 @@ sliced from it, and (model, target, alpha) estimate arrays. A day's fit
 diagnostics are the (model tag, FitReport) pairs that fit returned.
 
 One day loop serves plain runs and sigma_short sweeps. Per day it fits,
-simulates and reads every estimate that ignores the short window once; per
-short-window length it scales the gmm asset VaR/ES by the vol ratio
-(positive homogeneity) and re-aggregates the gmm portfolio from the scaled
-holdings. A plain run is a one-value sweep, so each sweep point reproduces
-the plain run with its short_len byte for byte.
+simulates and reads every estimate that ignores the short window once; then
+one grid step covers every short-window length: it scales the gmm asset
+VaR/ES by each length's vol ratios (positive homogeneity), forms each
+length's gmm portfolio series as holding @ (ratios * w) from the unscaled
+holding, and reads all of those series in one estimator call. A plain run
+is a one-value sweep, and the estimators read each column as they would
+alone, so each sweep point reproduces the plain run with its short_len byte
+for byte.
 
 Report CSVs format floats with repr() (shortest round-trip),
 so identical runs produce identical bytes; only the manifest's timestamp
@@ -226,20 +229,22 @@ def run_backtest(
     into panel.dates[long_len + i + 1]: models calibrate on the long_len
     rows before the anchor and forecast the anchor row's return. GMM asset
     VaR/ES is read from the unscaled scenarios and scaled by the short/long
-    volatility ratio (positive homogeneity); the GMM portfolio is
-    re-aggregated from the ratio-scaled holdings. Baselines run on the same
+    volatility ratios (positive homogeneity); the GMM portfolio row reads
+    the series holding @ (ratios * w) of the unscaled holding, equal to the
+    ratio-scaled holding's w . r up to rounding. Baselines run on the same
     window unadjusted. Returns one DayRecord per evaluation day, its VaR/ES
     as (model, target, alpha) arrays, and one BacktestReport per (model,
     target, alpha).
 
     scenario_writer, when given, is called as writer(date, model_tag,
     holding) for each valid Monte Carlo model-day, with holding the day's
-    (paths, assets) simulated log returns in panel ticker order; gmm
-    holdings are rescaled by the vol ratios first; the CLI builds one for
-    run --dump-scenarios. holding is valid only during the call: the run
-    writes the next day's scenarios into the same array, so a writer that
-    keeps one must copy it (np.save does). model_sink, when given, is filled
-    with the final fitted mixture per gmm tag (warm-start checkpoint state).
+    (paths, assets) simulated log returns in panel ticker order; a gmm
+    holding is rescaled by the vol ratios for the writer alone. The CLI
+    builds one for run --dump-scenarios. holding is valid only during the
+    call: the run writes the next day's scenarios into the same array, so a
+    writer that keeps one must copy it (np.save does). model_sink, when
+    given, is filled with the final fitted mixture per gmm tag (warm-start
+    checkpoint state).
     """
     g = config.short_len
     return _run_days(panel, config, [g], scenario_writer, model_sink)[g]
@@ -256,9 +261,10 @@ class _Buffers:
     Every day overwrites them, so a day allocates no array of paths rows and
     the allocator has no pages to hand back and fault in again. holding
     receives the day's (paths, assets) draws; rescaled a gmm holding scaled
-    by the vol ratios (gbm_mc never writes it, so its pages are never
-    touched); series the portfolio return of every path; work the kernels'
-    scratch of paths * assets entries. Tags never share a set.
+    by the vol ratios for a scenario writer (without one, its pages are
+    never touched); series the portfolio return of every path, one row per
+    short-window length (gbm_mc uses row 0); work the kernels' scratch of
+    paths * max(assets, grid) entries. Tags never share a set.
     """
 
     holding: np.ndarray
@@ -267,9 +273,9 @@ class _Buffers:
     work: np.ndarray
 
     @classmethod
-    def allocate(cls, paths: int, n_assets: int) -> "_Buffers":
+    def allocate(cls, paths: int, n_assets: int, n_grid: int) -> "_Buffers":
         return cls(np.empty((paths, n_assets)), np.empty((paths, n_assets)),
-                   np.empty(paths), np.empty(paths * n_assets))
+                   np.empty((n_grid, paths)), np.empty(paths * max(n_assets, n_grid)))
 
 
 def _run_days(panel, config, short_lens, scenario_writer, model_sink):
@@ -277,14 +283,15 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
 
     Once per day, in _day_parts: the long slice and its volatilities, every
     fit, one draw per Monte Carlo tag (a gmm holding is one sample() call)
-    and one VaR/ES block per tag, gmm's on the unscaled holdings. Once per
-    (day, g), in _short_rows: the vol ratios, the rescaled gmm holdings, the
-    gmm blocks the ratios scale, the gmm portfolio and the rows; a scenario
-    writer gets the same holdings. Each Monte Carlo tag simulates into its
-    own _Buffers, allocated here once for the run, so the holding a writer
-    gets is overwritten by the next g or day. An error in the per-day part
-    invalidates the day for every g, one in the per-g part only that
-    (day, g). Returns {g: (records, reports)}.
+    and one VaR/ES block per tag, gmm's on the unscaled holdings. Then one
+    grid step, _grid_rows, builds every short-window length's rows at once
+    from the unscaled holdings. A scenario writer gets each valid (day, g)'s
+    holdings, a gmm one rescaled by that g's vol ratios into its tag's
+    buffers. Each Monte Carlo tag simulates into its own _Buffers, allocated
+    here once for the run, so the holding a writer gets is overwritten by
+    the next g or day. An error in the per-day part invalidates the day for every
+    g, one in the grid step only that (day, g). Returns {g: (records,
+    reports)}.
     """
     returns = log_returns(panel)  # row t is the return into panel.dates[t + 1]
     n_rows = returns.shape[0]
@@ -301,7 +308,7 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
         )
     keys = config.model_keys()
     needs_gmm = any(k.startswith("gmm") for k in keys)
-    buffers = {k: _Buffers.allocate(config.paths, len(tickers))
+    buffers = {k: _Buffers.allocate(config.paths, len(tickers), len(short_lens))
                for k in keys if k not in ("hs", "param")}
     prev_models: dict[str, GaussianMixtureModel] = {}
     records: dict[int, list[DayRecord]] = {g: [] for g in short_lens}
@@ -331,17 +338,16 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
         except _DAY_ERRORS as exc:
             error = f"{type(exc).__name__}: {exc}"
 
-        for g in short_lens:
-            var = es = n_tail = None
-            holdings, day_error = (), error
-            if error is None:
-                try:
-                    var, es, n_tail, holdings = _short_rows(parts, long_w, long_vols, g, config)
-                except _DAY_ERRORS as exc:
-                    day_error = f"{type(exc).__name__}: {exc}"
-            if scenario_writer is not None:
-                for key, holding in holdings:
-                    scenario_writer(date, key, holding)
+        rows = ([(None, None, None, error)] * len(short_lens) if error is not None
+                else _grid_rows(parts, long_w, long_vols, short_lens, config))
+        for g, (var, es, n_tail, day_error) in zip(short_lens, rows):
+            if scenario_writer is not None and day_error is None:
+                for key, *_, buf in parts:
+                    if key.startswith("gmm"):
+                        ratios = _vol_ratios(long_w, long_vols, [g])[0]
+                        scenario_writer(date, key, rescale(buf.holding, ratios, out=buf.rescaled))
+                    elif buf is not None:
+                        scenario_writer(date, key, buf.holding)
             records[g].append(DayRecord(
                 date, anchor, realized, var, es, n_tail, seeds, tuple(diags), day_error
             ))
@@ -365,12 +371,12 @@ def _day_parts(i, long_w, config, seeds, prev_models, diags, parts, buffers):
     estimator: for hs/param the long window, for gmm and gbm_mc the
     simulated holding returns. hs, param and gbm_mc add the portfolio row
     through _with_portfolio, the same estimator over the matrix's w . r.
-    gmm portfolio rows depend on the short window; _short_rows adds them.
+    gmm portfolio rows depend on the short window; _grid_rows adds them.
 
     Appends (key, var, es, n_tail, buf) to parts, with var/es/n_tail shaped
     [target, alpha]. buf is buffers[key] for a Monte Carlo tag, whose
     holding now holds the day's (paths, assets) simulated matrix, and None
-    otherwise; a gmm holding and its asset block are still unscaled.
+    otherwise; a gmm holding and its asset block are unscaled, and stay so.
     Monte Carlo tags simulate with seeds[mi]; a fit seed is derived only for
     a cold start. Fits extend the warm-start chain in prev_models and go to
     diags as they happen, so a later failure on the same day keeps them.
@@ -411,43 +417,74 @@ def _estimate(key, columns, alphas, buf):
 def _with_portfolio(key, block, columns, config, buf):
     """block plus the model's estimate of columns @ w, the per-row portfolio
     return that the realized row also reads; each column is read alone."""
-    series = np.matmul(columns, config.portfolio.weights, out=None if buf is None else buf.series)
+    series = np.matmul(columns, config.portfolio.weights,
+                       out=None if buf is None else buf.series[0])
     portfolio = _estimate(key, series[:, None], config.alphas, buf)
     return tuple(np.vstack(pair) for pair in zip(block, portfolio))
 
 
-def _short_rows(parts, long_w, long_vols, g, config):
-    """(var, es, n_tail, (key, holding) per Monte Carlo tag) at short length g.
+def _vol_ratios(long_w, long_vols, short_lens):
+    """(grid, assets) short/long volatility ratios, one row per short length."""
+    return np.stack([column_std(long_w[-g:]) for g in short_lens]) / long_vols
+
+
+def _grid_rows(parts, long_w, long_vols, short_lens, config):
+    """(var, es, n_tail, error) of the day at each short length in short_lens.
 
     var, es and n_tail stack the models' [target, alpha] blocks into
-    (model, target, alpha) arrays. Each gmm holding is rescaled by the vol
-    ratios once, into its tag's buffers; that array feeds the gmm portfolio
-    row and the scenario dump. VaR and ES are positively homogeneous, so
-    scaling the unscaled gmm asset block by the ratios gives the estimates
-    of the rescaled scenarios, up to rounding. ValidationError if any var or es is not finite or an es
-    sits above its var (beyond 1e-12 relative).
+    (model, target, alpha) arrays. The vol ratios are one (grid, assets)
+    array. VaR and ES are positively homogeneous, so the unscaled gmm asset
+    blocks, scaled by every row of it in one broadcast, give the estimates
+    of the rescaled scenarios, up to rounding. Grid point g's gmm portfolio
+    series is holding @ (ratios_g * w), one matrix-vector product into row g
+    of the tag's buffers, as a plain run with short length g computes it;
+    one var_es_columns call reads every row, each column as it would alone.
+    Non-gmm blocks are the same at every g. A failure anywhere in the grid
+    (ratios not all positive and finite, a var or es not finite, an es above
+    its var beyond 1e-12 relative) sends each g through the step alone, so
+    that only the failing (day, g) gets an error, with None for its arrays.
     """
-    blocks, holdings, ratios = [], [], None
-    for key, var, es, n_tail, buf in parts:
-        holding = None if buf is None else buf.holding
-        if key.startswith("gmm"):
-            if ratios is None:
-                ratios = column_std(long_w[-g:]) / long_vols
-            holding = rescale(holding, ratios, out=buf.rescaled)
-            var, es = var * ratios[:, None], es * ratios[:, None]
-            if config.portfolio is not None:
-                var, es, n_tail = _with_portfolio(key, (var, es, n_tail), holding, config, buf)
-        blocks.append((var, es, n_tail))
-        if holding is not None:
-            holdings.append((key, holding))
-    var, es, n_tail = (np.stack(b) for b in zip(*blocks))
+    try:
+        arrays = _grid_arrays(parts, long_w, long_vols, short_lens, config)
+    except _DAY_ERRORS as exc:
+        if len(short_lens) == 1:
+            return [(None, None, None, f"{type(exc).__name__}: {exc}")]
+        return [row for g in short_lens for row in _grid_rows(parts, long_w, long_vols, [g], config)]
+    return [(*rows, None) for rows in zip(*arrays)]
+
+
+def _grid_arrays(parts, long_w, long_vols, short_lens, config):
+    """(var, es, n_tail) shaped (grid, model, target, alpha); raises on any
+    invalid grid point, as _grid_rows describes."""
+    n_targets = long_w.shape[1] + (config.portfolio is not None)
+    shape = (len(short_lens), len(parts), n_targets, len(config.alphas))
+    var, es, n_tail = np.empty(shape), np.empty(shape), np.empty(shape, dtype=int)
+    ratios = None
+    for mi, (key, v, e, n, buf) in enumerate(parts):
+        if not key.startswith("gmm"):
+            var[:, mi], es[:, mi], n_tail[:, mi] = v, e, n
+            continue
+        if ratios is None:
+            ratios = _vol_ratios(long_w, long_vols, short_lens)
+            if not (np.all(ratios > 0) and np.all(np.isfinite(ratios))):
+                raise ValidationError("rescale factors must be positive and finite")
+        k = ratios.shape[1]
+        np.multiply(v, ratios[:, :, None], out=var[:, mi, :k])
+        np.multiply(e, ratios[:, :, None], out=es[:, mi, :k])
+        n_tail[:, mi, :k] = n
+        if config.portfolio is not None:
+            series = buf.series[: len(short_lens)]
+            for row, g_ratios in zip(series, ratios):
+                np.matmul(buf.holding, g_ratios * config.portfolio.weights, out=row)
+            var[:, mi, k], es[:, mi, k], n_tail[:, mi, k] = var_es_columns(
+                series.T, config.alphas, work=buf.work)
     if not (np.all(np.isfinite(var)) and np.all(np.isfinite(es))):
         raise ValidationError("var/es must be finite")
     above = es > var + 1e-12 * np.maximum(1.0, np.abs(var))
     if above.any():
         e, v = es[above][0], var[above][0]
         raise ValidationError(f"es {e} exceeds var {v}; tail mean cannot sit above its quantile")
-    return var, es, n_tail, holdings
+    return var, es, n_tail
 
 
 def _build_reports(records, config) -> list[BacktestReport]:
@@ -484,11 +521,14 @@ def sweep_sigma_short(
     """Backtest every short-window length of a grid in one pass over the days.
 
     Fits, simulations and every estimate that ignores the short window are
-    computed once per day and shared by the whole grid; per grid value only
-    the vol ratios, the scaled gmm asset rows and the gmm portfolio row are
-    recomputed. Seeds do not depend on the short window, so each grid value
-    reproduces a plain run with that short_len byte for byte. Grid values
-    must lie in [2, long_len].
+    computed once per day and shared by the whole grid. One grid step per
+    day then builds every grid value's rows: the (grid, assets) vol ratios,
+    the gmm asset rows they scale, and one gmm portfolio series per grid
+    value, all read by one estimator call. Seeds do not depend on the short
+    window and the estimators read each series as they would alone, so each
+    grid value reproduces a plain run with that short_len byte for byte. A
+    grid value whose rows fail a check (a zero short-window volatility, say)
+    invalidates only its own day. Grid values must lie in [2, long_len].
     """
     values = sorted(set(int(g) for g in grid))
     if not values:

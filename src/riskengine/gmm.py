@@ -232,19 +232,6 @@ class GaussianMixtureModel:
             "covariances": self.covariances.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianMixtureModel":
-        model = cls(
-            weights=np.asarray(d["weights"], dtype=float),
-            means=np.asarray(d["means"], dtype=float),
-            covariances=np.asarray(d["covariances"], dtype=float),
-        )
-        if "dim" in d and int(d["dim"]) != model.dim:
-            raise ValidationError(
-                f"declared dim {d['dim']} does not match means dim {model.dim}"
-            )
-        return model
-
 
 @dataclass(frozen=True)
 class FitReport:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from riskengine import (
@@ -93,6 +93,30 @@ def test_parametric_columns_matches_per_column_reference_bit_for_bit(
         for j, a in enumerate(alphas):
             assert (var[c, j], es[c, j]) == _reference_parametric(W[:, c], a)
 
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(2, 400),
+    cols=st.integers(2, 16),
+    scale=st.floats(-4.0, 1.0),
+    decimals=st.one_of(st.none(), st.integers(0, 4)),
+    alphas=st.lists(st.floats(0.001, 0.5), min_size=1, max_size=3, unique=True),
+)
+@settings(max_examples=150, deadline=None)
+def test_parametric_columns_reads_each_column_as_its_one_column_call(
+    seed, rows, cols, scale, decimals, alphas
+):
+    # a multi-column call gives each column the bits of its one-column call;
+    # rounding to a few decimals makes ties
+    W = np.random.default_rng(seed).normal(0.0, 10.0 ** scale, (rows, cols))
+    if decimals is not None:
+        W = np.round(W * 10.0**4, decimals)
+    assume(np.all(W.min(axis=0) < W.max(axis=0)))  # a constant column has no normal fit
+    together = parametric_columns(W, alphas)
+    for c in range(cols):
+        alone = parametric_columns(W[:, c : c + 1], alphas)
+        assert [a[c : c + 1].tobytes() for a in together] == [a.tobytes() for a in alone], c
 
 def test_parametric_columns_errors():
     W = np.random.default_rng(2).normal(size=(30, 3))

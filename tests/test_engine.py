@@ -255,8 +255,9 @@ def test_run_backtest_gbm_portfolio_matches_gbm_mc_var(panel_3assets):
 def test_every_portfolio_row_reads_the_realized_aggregation(panel_3assets):
     # the realized PORTFOLIO return is r @ w, and every model's PORTFOLIO row
     # is its own estimator over M @ w, with M the day's sample matrix: the
-    # long window for hs/param, the holding a scenario writer gets for gmm
-    # and gbm_mc
+    # long window for hs/param, the holding a scenario writer gets for
+    # gbm_mc, and for gmm the vol-ratio-scaled holding, computed as
+    # holding @ (ratios * w) from the unscaled holding of the fit chain
     spec = PortfolioSpec.equal(("AAA", "BBB", "CCC"))
     cfg = RunConfig(**{**SMALL, "eval_days": 4}, portfolio=spec)
     assert cfg.model_keys() == ["gmm2", "hs", "param", "gbm_mc"]
@@ -265,12 +266,21 @@ def test_every_portfolio_row_reads_the_realized_aggregation(panel_3assets):
         panel_3assets, cfg, scenario_writer=lambda d, k, h: held.setdefault((d, k), h.copy())
     )
     returns = log_returns(panel_3assets)
-    for rec in records:
+    chain = "kmeans"
+    for i, rec in enumerate(records):
         assert rec.realized[-1] == (PORTFOLIO_TICKER, float(returns[rec.anchor] @ spec.weights))
         long_w = returns[rec.anchor - cfg.long_len : rec.anchor]
+        ratios = np.array(
+            [np.std(long_w[-cfg.short_len :, c]) / np.std(long_w[:, c]) for c in range(3)]
+        )
+        chain, _ = fit(long_w, 2, init=chain, seed=derive_seed(cfg.seed, i, 0, 0))
+        unscaled = simulate_gmm(chain, cfg.paths, derive_seed(cfg.seed, i, 0, 1))
         for mi, key in enumerate(cfg.model_keys()):
-            matrix = long_w if key in ("hs", "param") else held[rec.date, key]
-            series = (matrix @ spec.weights)[:, None]
+            if key == "gmm2":
+                series = (unscaled @ (ratios * spec.weights))[:, None]
+            else:
+                matrix = long_w if key in ("hs", "param") else held[rec.date, key]
+                series = (matrix @ spec.weights)[:, None]
             if key == "param":
                 var, es = parametric_columns(series, cfg.alphas)
                 expected = (var, es, np.zeros(var.shape, dtype=int))
@@ -682,7 +692,7 @@ def test_run_backtest_gmm_rows_and_dumps_match_a_recomputation(panel_3assets, tm
             [np.std(long_w[-cfg.short_len :, c]) / np.std(long_w[:, c]) for c in range(3)]
         )
         var, es, n_tail = _reference_block(holding, cfg.alphas)
-        pv, pe, pn = _reference_block(((holding * ratios) @ weights)[:, None], cfg.alphas)
+        pv, pe, pn = _reference_block((holding @ (ratios * weights))[:, None], cfg.alphas)
         assert [t for t, _ in rec.realized] == [*tickers, PORTFOLIO_TICKER]
         assert rec.seeds == (seed,)
         assert rec.var[0].tolist() == np.vstack((var * ratios[:, None], pv)).tolist()
@@ -726,6 +736,7 @@ def test_run_backtest_tags_and_days_never_share_scenarios(panel_3assets, tmp_pat
             if tag == "gbm_mc":
                 holding = simulate_gbm_portfolio(*calibrate_gbm(long_w), cfg.paths, seed)
                 assets = var_es_columns(holding, cfg.alphas)
+                series = holding @ weights
             else:
                 fit_seed = derive_seed(cfg.seed, i, mi, 0)
                 chains[tag], _ = fit(long_w, int(tag[3:]), init=chains[tag], seed=fit_seed)
@@ -733,7 +744,8 @@ def test_run_backtest_tags_and_days_never_share_scenarios(panel_3assets, tmp_pat
                 var, es, n_tail = var_es_columns(unscaled, cfg.alphas)
                 assets = (var * ratios[:, None], es * ratios[:, None], n_tail)
                 holding = rescale(unscaled, ratios)
-            portfolio = var_es_columns((holding @ weights)[:, None], cfg.alphas)
+                series = unscaled @ (ratios * weights)
+            portfolio = var_es_columns(series[:, None], cfg.alphas)
             for got, asset_rows, portfolio_row in zip(
                 (rec.var, rec.es, rec.n_tail), assets, portfolio
             ):
@@ -801,3 +813,23 @@ def test_sweep_reproduces_plain_runs_byte_for_byte(tmp_path):
         for name in ("estimates.csv", "backtest.csv", "fit_diagnostics.csv"):
             swept = tmp_path / "sweep" / f"short_{g:03d}" / name
             assert swept.read_bytes() == (plain / name).read_bytes(), (g, name)
+
+
+def test_zero_short_vol_invalidates_only_that_grid_point(tmp_path):
+    # only the 10-day window of the day anchored at row 132 is flat, so that
+    # day fails at grid point 10 alone, with the rescale message, and a plain
+    # run at short_len 10 writes no scenario dump for it
+    panel = _panel_with_flat_stretch()
+    cfg = RunConfig(
+        models=("gmm",), n_components=(2,), alphas=(0.05,), long_len=120, short_len=10,
+        paths=200, eval_days=24, seed=4, portfolio=PortfolioSpec.equal(("A", "B", "C")),
+    )
+    flat_day = panel.dates[133]
+    results = sweep_sigma_short(panel, cfg, [10, 30])
+    errors = {g: {r.date: r.error for r in recs if r.error} for g, (recs, _) in results.items()}
+    assert errors == {
+        10: {flat_day: "ValidationError: rescale factors must be positive and finite"}, 30: {}
+    }
+    run_backtest(panel, cfg, scenario_writer=make_scenario_writer(str(tmp_path)))
+    dumps = os.listdir(tmp_path / "scenarios")
+    assert len(dumps) == 23 and f"{flat_day}_gmm2.npy" not in dumps

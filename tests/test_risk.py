@@ -155,6 +155,20 @@ def test_var_es_columns_matches_per_column_reference_bit_for_bit(case):
     _check_var_es_columns(*case)
 
 
+
+@given(sample_matrices())
+@settings(max_examples=150, deadline=None)
+def test_var_es_columns_reads_each_column_as_its_one_column_call(case):
+    # the engine reads every sigma_short grid point's portfolio series in one
+    # call, where a plain run reads its one series alone: each column's var,
+    # es and n_tail are the same bits either way, also beside a tied or
+    # constant column whose tail makes the call sort some columns in full
+    H, alphas = case
+    together = var_es_columns(H, alphas)
+    for c in range(H.shape[1]):
+        alone = var_es_columns(H[:, c : c + 1], alphas)
+        assert [a[c : c + 1].tobytes() for a in together] == [a.tobytes() for a in alone], c
+
 def _tie_run_past_the_sorted_ranks():
     # alpha 0.05 at 100 rows reads ranks 4 and 5; ranks 3..22 of column 0
     # tie at -1, so its tail runs 17 ranks past the sorted head
