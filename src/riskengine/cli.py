@@ -117,14 +117,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_prices(path):
+    """load_prices(path); a file that cannot be read or decoded is a data
+    error that names it."""
+    try:
+        return load_prices(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read price file {path}: {exc}") from exc
+
+
 def _load_config(args) -> RunConfig:
     base: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            try:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
                 base = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(base, dict):
             raise ConfigError("config file must hold a JSON object")
     if args.models is not None:
@@ -179,7 +190,7 @@ def _print_report_table(reports) -> None:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    panel = load_prices(args.prices)
+    panel = _read_prices(args.prices)
     config = _finalize_portfolio(config, args, panel.tickers)
     writer = make_scenario_writer(args.out) if args.dump_scenarios else None
     sink: dict = {}
@@ -209,7 +220,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
     grid = _parse_grid(args.grid)
-    panel = load_prices(args.prices)
+    panel = _read_prices(args.prices)
     config = _finalize_portfolio(config, args, panel.tickers)
     t0 = time.monotonic()
     results = sweep_sigma_short(panel, config, grid)
@@ -233,7 +244,7 @@ def _cmd_gof(args) -> int:
         raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.out and not args.out.endswith(".csv"):
         raise ConfigError(f"--out must name a .csv file, got {args.out!r}")
-    panel = load_prices(args.prices)
+    panel = _read_prices(args.prices)
     returns = log_returns(panel)  # (n - 1, assets)
 
     rows = []
@@ -266,9 +277,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
     except (ParseError, ValidationError) as exc:
         # covers insufficient/degenerate data subclasses as well
         print(f"data error: {exc}", file=sys.stderr)

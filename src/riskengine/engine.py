@@ -13,15 +13,16 @@ on plain arrays: the read-only return matrix log_returns(panel), windows
 sliced from it, and (model, target, alpha) estimate arrays. A day's fit
 diagnostics are the (model tag, FitReport) pairs that fit returned.
 
-One day loop serves plain runs and sigma_short sweeps. Per day it fits,
-simulates and reads every estimate that ignores the short window once; then
-one grid step covers every short-window length: it scales the gmm asset
-VaR/ES by each length's vol ratios (positive homogeneity), forms each
-length's gmm portfolio series as holding @ (ratios * w) from the unscaled
-holding, and reads all of those series in one estimator call. A plain run
-is a one-value sweep, and the estimators read each column as they would
-alone, so each sweep point reproduces the plain run with its short_len byte
-for byte.
+One day loop serves plain runs and sigma_short sweeps, with one day step
+for every model kind. Per day it computes the (grid, assets) short/long
+vol ratios once, then fits, simulates and reads each model's asset block
+once. A model's rows at every short-window length are that block times a
+scale, the vol ratios for gmm (positive homogeneity) and a row of ones for
+hs, param and gbm_mc, plus the same estimator over its portfolio series
+holding @ (scale row * w), one series per scale row, read in one call. A
+plain run is a one-value sweep, and the estimators read each column as
+they would alone, so each sweep point reproduces the plain run with its
+short_len byte for byte.
 
 Report CSVs format floats with repr() (shortest round-trip),
 so identical runs produce identical bytes; only the manifest's timestamp
@@ -234,7 +235,9 @@ def run_backtest(
     ratio-scaled holding's w . r up to rounding. Baselines run on the same
     window unadjusted. Returns one DayRecord per evaluation day, its VaR/ES
     as (model, target, alpha) arrays, and one BacktestReport per (model,
-    target, alpha).
+    target, alpha). A day whose vol ratios are not all positive and finite,
+    or whose estimates are not finite or put an es above its var, or that
+    raises (a failed fit, say), carries an error instead of estimates.
 
     scenario_writer, when given, is called as writer(date, model_tag,
     holding) for each valid Monte Carlo model-day, with holding the day's
@@ -278,19 +281,26 @@ class _Buffers:
                    np.empty((n_grid, paths)), np.empty(paths * max(n_assets, n_grid)))
 
 
+def _parse_tag(tag: str) -> tuple[str, int | None]:
+    """(kind, components) of a model tag: ("gmm", c) for gmm<c>, (tag, None)
+    for hs, param and gbm_mc. The one place that reads a tag's spelling."""
+    if tag.startswith("gmm"):
+        return "gmm", int(tag[3:])
+    return tag, None
+
+
 def _run_days(panel, config, short_lens, scenario_writer, model_sink):
     """The day loop behind run_backtest and sweep_sigma_short.
 
-    Once per day, in _day_parts: the long slice and its volatilities, every
-    fit, one draw per Monte Carlo tag (a gmm holding is one sample() call)
-    and one VaR/ES block per tag, gmm's on the unscaled holdings. Then one
-    grid step, _grid_rows, builds every short-window length's rows at once
-    from the unscaled holdings. A scenario writer gets each valid (day, g)'s
-    holdings, a gmm one rescaled by that g's vol ratios into its tag's
+    Once per day: the long-window checks and the (grid, assets) vol ratios
+    when a gmm tag runs, then _fill_day, which fits, simulates and reads
+    every model's estimates for the whole grid, then _grid_errors, which
+    checks each grid point. A scenario writer gets each valid (day, g)'s
+    holdings, a gmm one rescaled by row g of the ratios into its tag's
     buffers. Each Monte Carlo tag simulates into its own _Buffers, allocated
     here once for the run, so the holding a writer gets is overwritten by
-    the next g or day. An error in the per-day part invalidates the day for every
-    g, one in the grid step only that (day, g). Returns {g: (records,
+    the next g or day. An exception raised during the day invalidates it for
+    every g, a failed check only that (day, g). Returns {g: (records,
     reports)}.
     """
     returns = log_returns(panel)  # row t is the return into panel.dates[t + 1]
@@ -306,10 +316,12 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
             "portfolio tickers must match the panel tickers in order; "
             f"got {config.portfolio.tickers} vs {tickers}"
         )
-    keys = config.model_keys()
-    needs_gmm = any(k.startswith("gmm") for k in keys)
-    buffers = {k: _Buffers.allocate(config.paths, len(tickers), len(short_lens))
-               for k in keys if k not in ("hs", "param")}
+    specs = [(tag, *_parse_tag(tag)) for tag in config.model_keys()]  # (tag, kind, components)
+    needs_gmm = any(kind == "gmm" for _, kind, _ in specs)
+    buffers = {tag: _Buffers.allocate(config.paths, len(tickers), len(short_lens))
+               for tag, kind, _ in specs if kind not in ("hs", "param")}
+    shape = (len(short_lens), len(specs), len(tickers) + (config.portfolio is not None),
+             len(config.alphas))
     prev_models: dict[str, GaussianMixtureModel] = {}
     records: dict[int, list[DayRecord]] = {g: [] for g in short_lens}
 
@@ -321,12 +333,12 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
         realized = tuple((t, float(day_returns[c])) for c, t in enumerate(tickers))
         if config.portfolio is not None:
             realized += ((PORTFOLIO_TICKER, float(day_returns @ config.portfolio.weights)),)
-        seeds = tuple(-1 if k in ("hs", "param") else derive_seed(config.seed, i, mi, 1)
-                      for mi, k in enumerate(keys))
+        seeds = tuple(-1 if kind in ("hs", "param") else derive_seed(config.seed, i, mi, 1)
+                      for mi, (_, kind, _) in enumerate(specs))
 
-        parts: list[tuple] = []
+        arrays = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=int))
         diags: list[tuple[str, FitReport]] = []
-        error = long_vols = None
+        ratios = None
         try:
             if needs_gmm:
                 long_vols = column_std(long_w)
@@ -334,23 +346,22 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
                     raise ValidationError("volatilities must be finite")
                 if np.any(long_vols == 0.0):
                     raise DegenerateDataError("long-window volatility is zero")
-            _day_parts(i, long_w, config, seeds, prev_models, diags, parts, buffers)
+                ratios = np.stack([column_std(long_w[-g:]) for g in short_lens]) / long_vols
+            _fill_day(i, long_w, ratios, config, specs, seeds, prev_models, diags, buffers, arrays)
+            errors = _grid_errors(ratios, arrays[0], arrays[1])
         except _DAY_ERRORS as exc:
-            error = f"{type(exc).__name__}: {exc}"
+            errors = [f"{type(exc).__name__}: {exc}"] * len(short_lens)
 
-        rows = ([(None, None, None, error)] * len(short_lens) if error is not None
-                else _grid_rows(parts, long_w, long_vols, short_lens, config))
-        for g, (var, es, n_tail, day_error) in zip(short_lens, rows):
-            if scenario_writer is not None and day_error is None:
-                for key, *_, buf in parts:
-                    if key.startswith("gmm"):
-                        ratios = _vol_ratios(long_w, long_vols, [g])[0]
-                        scenario_writer(date, key, rescale(buf.holding, ratios, out=buf.rescaled))
+        for gi, (g, error) in enumerate(zip(short_lens, errors)):
+            if scenario_writer is not None and error is None:
+                for tag, kind, _ in specs:
+                    buf = buffers.get(tag)
+                    if kind == "gmm":
+                        scenario_writer(date, tag, rescale(buf.holding, ratios[gi], out=buf.rescaled))
                     elif buf is not None:
-                        scenario_writer(date, key, buf.holding)
-            records[g].append(DayRecord(
-                date, anchor, realized, var, es, n_tail, seeds, tuple(diags), day_error
-            ))
+                        scenario_writer(date, tag, buf.holding)
+            day = (None,) * 3 if error is not None else (a[gi] for a in arrays)
+            records[g].append(DayRecord(date, anchor, realized, *day, seeds, tuple(diags), error))
 
     for g in short_lens:
         invalid = [r for r in records[g] if r.error is not None]
@@ -364,127 +375,91 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
     return {g: (recs, _build_reports(recs, config)) for g, recs in records.items()}
 
 
-def _day_parts(i, long_w, config, seeds, prev_models, diags, parts, buffers):
-    """Day i's estimates that ignore the short window, in model-key order.
+def _fill_day(i, long_w, ratios, config, specs, seeds, prev_models, diags, buffers, arrays):
+    """Write day i's estimates into arrays, its (grid, model, target, alpha)
+    var, es and n_tail, one model after another in specs order.
 
-    Each model is one sample matrix with a column per asset, read by its
-    estimator: for hs/param the long window, for gmm and gbm_mc the
-    simulated holding returns. hs, param and gbm_mc add the portfolio row
-    through _with_portfolio, the same estimator over the matrix's w . r.
-    gmm portfolio rows depend on the short window; _grid_rows adds them.
-
-    Appends (key, var, es, n_tail, buf) to parts, with var/es/n_tail shaped
-    [target, alpha]. buf is buffers[key] for a Monte Carlo tag, whose
-    holding now holds the day's (paths, assets) simulated matrix, and None
-    otherwise; a gmm holding and its asset block are unscaled, and stay so.
-    Monte Carlo tags simulate with seeds[mi]; a fit seed is derived only for
-    a cold start. Fits extend the warm-start chain in prev_models and go to
-    diags as they happen, so a later failure on the same day keeps them.
+    Each model is one sample matrix M with a column per asset: for hs and
+    param the long window, for gmm and gbm_mc the day's simulated returns,
+    unscaled, in buffers[tag].holding. The model's estimator reads the asset
+    block of M once and, with a portfolio, the series M @ (s * w) for each
+    row s of the model's scale, each column as it would alone. The scale is
+    the (grid, assets) vol ratios for gmm and one row of ones for the rest.
+    The asset block times the scale fills every grid point: for gmm by
+    positive homogeneity of VaR/ES (equal to the rescaled scenarios' up to
+    rounding), for the rest exactly, since x * 1.0 == x. Monte Carlo tags
+    simulate with seeds[mi]; a fit seed is derived only for a cold start.
+    Fits extend the warm-start chain in prev_models and go to diags as they
+    happen, so a later failure on the same day keeps them.
     """
-    for mi, key in enumerate(config.model_keys()):
-        buf = buffers.get(key)
-        if key in ("hs", "param"):
+    var, es, n_tail = arrays
+    k = long_w.shape[1]
+    ones = np.ones((1, k))
+    for mi, (tag, kind, components) in enumerate(specs):
+        buf = buffers.get(tag)
+        if kind in ("hs", "param"):
             columns = long_w
-        elif key == "gbm_mc":
+        elif kind == "gbm_mc":
             columns = simulate_gbm_portfolio(
                 *calibrate_gbm(long_w), config.paths, seeds[mi], out=buf.holding, work=buf.work
             )
         else:
-            warm = prev_models.get(key) if config.warm_start else None
+            warm = prev_models.get(tag) if config.warm_start else None
             if warm is None:  # only a k-means start reads the fit seed
-                model, rep = fit(long_w, int(key[3:]), seed=derive_seed(config.seed, i, mi, 0))
+                model, rep = fit(long_w, components, seed=derive_seed(config.seed, i, mi, 0))
             else:
-                model, rep = fit(long_w, int(key[3:]), init=warm)
-            prev_models[key] = model
-            diags.append((key, rep))
+                model, rep = fit(long_w, components, init=warm)
+            prev_models[tag] = model
+            diags.append((tag, rep))
             rng = np.random.default_rng(seeds[mi])
             columns = sample(model, config.paths, rng, out=buf.holding, work=buf.work)
-        block = _estimate(key, columns, config.alphas, buf)
-        if config.portfolio is not None and not key.startswith("gmm"):
-            block = _with_portfolio(key, block, columns, config, buf)
-        parts.append((key, *block, buf))
+        scale = ratios if kind == "gmm" else ones
+        v, e, n = _estimate(kind, columns, config.alphas, buf)
+        np.multiply(v, scale[:, :, None], out=var[:, mi, :k])
+        np.multiply(e, scale[:, :, None], out=es[:, mi, :k])
+        n_tail[:, mi, :k] = n
+        if config.portfolio is not None:
+            series = np.empty((len(scale), len(columns))) if buf is None else buf.series[: len(scale)]
+            for row, s in zip(series, scale):
+                np.matmul(columns, s * config.portfolio.weights, out=row)
+            var[:, mi, k], es[:, mi, k], n_tail[:, mi, k] = _estimate(
+                kind, series.T, config.alphas, buf)
 
 
-def _estimate(key, columns, alphas, buf):
+def _estimate(kind, columns, alphas, buf):
     """(var, es, n_tail) of every sample column by the model's estimator:
     closed-form normal for param (n_tail 0), else empirical in buf's work."""
-    if key == "param":
+    if kind == "param":
         var, es = parametric_columns(columns, alphas)
         return var, es, np.zeros(var.shape, dtype=int)
     return var_es_columns(columns, alphas, work=None if buf is None else buf.work)
 
 
-def _with_portfolio(key, block, columns, config, buf):
-    """block plus the model's estimate of columns @ w, the per-row portfolio
-    return that the realized row also reads; each column is read alone."""
-    series = np.matmul(columns, config.portfolio.weights,
-                       out=None if buf is None else buf.series[0])
-    portfolio = _estimate(key, series[:, None], config.alphas, buf)
-    return tuple(np.vstack(pair) for pair in zip(block, portfolio))
+def _grid_errors(ratios, var, es):
+    """Each grid point's error, or None, from checks run along the grid axis.
 
-
-def _vol_ratios(long_w, long_vols, short_lens):
-    """(grid, assets) short/long volatility ratios, one row per short length."""
-    return np.stack([column_std(long_w[-g:]) for g in short_lens]) / long_vols
-
-
-def _grid_rows(parts, long_w, long_vols, short_lens, config):
-    """(var, es, n_tail, error) of the day at each short length in short_lens.
-
-    var, es and n_tail stack the models' [target, alpha] blocks into
-    (model, target, alpha) arrays. The vol ratios are one (grid, assets)
-    array. VaR and ES are positively homogeneous, so the unscaled gmm asset
-    blocks, scaled by every row of it in one broadcast, give the estimates
-    of the rescaled scenarios, up to rounding. Grid point g's gmm portfolio
-    series is holding @ (ratios_g * w), one matrix-vector product into row g
-    of the tag's buffers, as a plain run with short length g computes it;
-    one var_es_columns call reads every row, each column as it would alone.
-    Non-gmm blocks are the same at every g. A failure anywhere in the grid
-    (ratios not all positive and finite, a var or es not finite, an es above
-    its var beyond 1e-12 relative) sends each g through the step alone, so
-    that only the failing (day, g) gets an error, with None for its arrays.
+    A grid point fails, in this order, when its vol ratios are not all
+    positive and finite (ratios is None without a gmm tag), when a var or es
+    is not finite, or when an es sits above its var beyond 1e-12 relative;
+    the first failing check names the error.
     """
-    try:
-        arrays = _grid_arrays(parts, long_w, long_vols, short_lens, config)
-    except _DAY_ERRORS as exc:
-        if len(short_lens) == 1:
-            return [(None, None, None, f"{type(exc).__name__}: {exc}")]
-        return [row for g in short_lens for row in _grid_rows(parts, long_w, long_vols, [g], config)]
-    return [(*rows, None) for rows in zip(*arrays)]
-
-
-def _grid_arrays(parts, long_w, long_vols, short_lens, config):
-    """(var, es, n_tail) shaped (grid, model, target, alpha); raises on any
-    invalid grid point, as _grid_rows describes."""
-    n_targets = long_w.shape[1] + (config.portfolio is not None)
-    shape = (len(short_lens), len(parts), n_targets, len(config.alphas))
-    var, es, n_tail = np.empty(shape), np.empty(shape), np.empty(shape, dtype=int)
-    ratios = None
-    for mi, (key, v, e, n, buf) in enumerate(parts):
-        if not key.startswith("gmm"):
-            var[:, mi], es[:, mi], n_tail[:, mi] = v, e, n
-            continue
-        if ratios is None:
-            ratios = _vol_ratios(long_w, long_vols, short_lens)
-            if not (np.all(ratios > 0) and np.all(np.isfinite(ratios))):
-                raise ValidationError("rescale factors must be positive and finite")
-        k = ratios.shape[1]
-        np.multiply(v, ratios[:, :, None], out=var[:, mi, :k])
-        np.multiply(e, ratios[:, :, None], out=es[:, mi, :k])
-        n_tail[:, mi, :k] = n
-        if config.portfolio is not None:
-            series = buf.series[: len(short_lens)]
-            for row, g_ratios in zip(series, ratios):
-                np.matmul(buf.holding, g_ratios * config.portfolio.weights, out=row)
-            var[:, mi, k], es[:, mi, k], n_tail[:, mi, k] = var_es_columns(
-                series.T, config.alphas, work=buf.work)
-    if not (np.all(np.isfinite(var)) and np.all(np.isfinite(es))):
-        raise ValidationError("var/es must be finite")
+    var, es = var.reshape(len(var), -1), es.reshape(len(es), -1)
+    scaled = (np.ones(len(var), dtype=bool) if ratios is None
+              else ((ratios > 0) & np.isfinite(ratios)).all(axis=1))
+    finite = (np.isfinite(var) & np.isfinite(es)).all(axis=1)
     above = es > var + 1e-12 * np.maximum(1.0, np.abs(var))
-    if above.any():
-        e, v = es[above][0], var[above][0]
-        raise ValidationError(f"es {e} exceeds var {v}; tail mean cannot sit above its quantile")
-    return var, es, n_tail
+    errors = []
+    for g, j in enumerate(np.argmax(above, axis=1)):
+        if not scaled[g]:
+            errors.append("ValidationError: rescale factors must be positive and finite")
+        elif not finite[g]:
+            errors.append("ValidationError: var/es must be finite")
+        elif above[g, j]:
+            errors.append(f"ValidationError: es {es[g, j]} exceeds var {var[g, j]}; "
+                          "tail mean cannot sit above its quantile")
+        else:
+            errors.append(None)
+    return errors
 
 
 def _build_reports(records, config) -> list[BacktestReport]:
@@ -520,15 +495,17 @@ def sweep_sigma_short(
 ) -> dict[int, tuple[list[DayRecord], list[BacktestReport]]]:
     """Backtest every short-window length of a grid in one pass over the days.
 
-    Fits, simulations and every estimate that ignores the short window are
-    computed once per day and shared by the whole grid. One grid step per
-    day then builds every grid value's rows: the (grid, assets) vol ratios,
-    the gmm asset rows they scale, and one gmm portfolio series per grid
-    value, all read by one estimator call. Seeds do not depend on the short
-    window and the estimators read each series as they would alone, so each
-    grid value reproduces a plain run with that short_len byte for byte. A
-    grid value whose rows fail a check (a zero short-window volatility, say)
-    invalidates only its own day. Grid values must lie in [2, long_len].
+    Each day runs the day step of a plain run once for the whole grid: the
+    fits, the simulations and each model's asset block are shared, the gmm
+    asset rows are scaled by every grid value's vol ratios, and the gmm
+    portfolio series of every grid value are read in one estimator call.
+    Seeds do not depend on the short window and the estimators read each
+    series as they would alone, so each grid value reproduces a plain run
+    with that short_len byte for byte. The checks run per grid value: one
+    that fails (a zero short-window volatility, an es above its var)
+    invalidates only that value's day, while an exception raised during the
+    day (a failed fit) invalidates the day at every value. Grid values must
+    lie in [2, long_len].
     """
     values = sorted(set(int(g) for g in grid))
     if not values:

@@ -59,15 +59,16 @@ class PricePanel:
 def load_prices(path_or_buffer) -> PricePanel:
     """Read a close-price CSV into a PricePanel.
 
-    Expected layout: header ``date,<ticker>,...``; first column ISO-8601
-    dates written YYYY-MM-DD (else ParseError), remaining columns prices.
+    Expected layout: UTF-8 text with header ``date,<ticker>,...``; first
+    column ISO-8601 dates written YYYY-MM-DD (else ParseError), remaining
+    columns prices.
     Rows may arrive in any order and are sorted by date. Duplicate dates and
     non-positive prices are rejected.
     """
     if hasattr(path_or_buffer, "read"):
         rows = list(csv.reader(path_or_buffer))
     else:
-        with open(path_or_buffer, newline="") as fh:
+        with open(path_or_buffer, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     if not rows:
         raise ParseError("empty price file", line_no=1)

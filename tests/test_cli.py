@@ -99,6 +99,48 @@ def test_run_malformed_csv(tmp_path):
     assert code == 3
 
 
+# Latin-1 bytes that are not UTF-8: a ticker and a config value spelled with an e-acute
+NOT_UTF8_PRICES = "date,CAF\xc9\n2020-01-01,1.0\n".encode("latin-1")
+NOT_UTF8_CONFIG = '{"models": ["hs"], "seed": 1} \xe9'.encode("latin-1")
+
+
+@pytest.mark.parametrize("command", ["run", "gof"])
+def test_price_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys, command):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(NOT_UTF8_PRICES)
+    out = ["--out", str(tmp_path / ("o" if command == "run" else "o.csv"))]
+    code = main([command, "--prices", str(bad), *out, *(RUN_FLAGS if command == "run" else [])])
+    assert code == 3
+    assert f"data error: cannot read price file {bad}" in capsys.readouterr().err
+
+
+def test_price_path_naming_a_directory_is_a_data_error(tmp_path, capsys):
+    code = main(["run", "--prices", str(tmp_path), "--out", str(tmp_path / "o"), *RUN_FLAGS])
+    assert code == 3
+    assert f"data error: cannot read price file {tmp_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["not utf-8", "directory", "missing"])
+def test_unreadable_config_file_is_a_config_error(prices_csv, tmp_path, capsys, case):
+    path = {"not utf-8": tmp_path / "cfg.json", "directory": tmp_path,
+            "missing": tmp_path / "nope.json"}[case]
+    if case == "not utf-8":
+        path.write_bytes(NOT_UTF8_CONFIG)
+    code = main(["run", "--prices", prices_csv, "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config error: cannot read config file {path}" in capsys.readouterr().err
+
+
+def test_report_write_failure_still_exits_4(prices_csv, tmp_path, capsys):
+    # --out names a regular file, so the report directory cannot be created
+    out = tmp_path / "taken"
+    out.write_text("")
+    code = main(["run", "--prices", prices_csv, "--out", str(out), *RUN_FLAGS])
+    assert code == 4
+    assert "run failed" in capsys.readouterr().err
+
+
 def test_run_config_errors_exit_2(prices_csv, tmp_path):
     # window longer than the panel
     code = main(["run", "--prices", prices_csv, "--out", str(tmp_path / "o"),

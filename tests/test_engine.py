@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskengine import (
     PortfolioSpec,
@@ -20,6 +22,7 @@ from riskengine import (
 )
 from riskengine.baselines import calibrate_gbm, parametric_columns
 from riskengine.engine import (
+    MODEL_CHOICES,
     PORTFOLIO_TICKER,
     derive_seed,
     make_scenario_writer,
@@ -833,3 +836,87 @@ def test_zero_short_vol_invalidates_only_that_grid_point(tmp_path):
     run_backtest(panel, cfg, scenario_writer=make_scenario_writer(str(tmp_path)))
     dumps = os.listdir(tmp_path / "scenarios")
     assert len(dumps) == 23 and f"{flat_day}_gmm2.npy" not in dumps
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    models=st.lists(st.sampled_from(MODEL_CHOICES), min_size=1, max_size=4, unique=True),
+    n_assets=st.integers(1, 3),
+    grid=st.lists(st.integers(2, 40), min_size=1, max_size=4, unique=True),
+    portfolio=st.booleans(),
+    flat=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_every_grid_point_equals_its_plain_run(models, n_assets, grid, portfolio, flat, seed):
+    # with flat, the g0 = min(grid) return rows before row 45 are zero in
+    # every column, so with a gmm tag the day anchored at row 45 fails at
+    # g0 alone (at every g when g0 = long_len: its long window is flat)
+    tickers = tuple("ABC"[:n_assets])
+    panel = make_panel(62, tickers, seed)
+    if flat:
+        steps = np.diff(np.log(panel.prices), axis=0)
+        steps[45 - min(grid) : 45] = 0.0
+        prices = 100 * np.exp(np.vstack([np.zeros(n_assets), np.cumsum(steps, axis=0)]))
+        panel = PricePanel(dates=panel.dates, tickers=tickers, prices=prices)
+    cfg = RunConfig(
+        models=tuple(models), n_components=(2,), alphas=(0.05,), long_len=40, short_len=40,
+        paths=100, eval_days=21, seed=seed,
+        portfolio=PortfolioSpec.equal(tickers) if portfolio else None,
+    )
+    results = sweep_sigma_short(panel, cfg, grid)
+    for g in grid:
+        plain, _ = run_backtest(panel, replace(cfg, short_len=g))
+        swept = results[g][0]
+        assert [r.error for r in swept] == [r.error for r in plain]
+        for r, p in zip(swept, plain):
+            assert r.seeds == p.seeds
+            if r.error is None:
+                for a, b in ((r.var, p.var), (r.es, p.es), (r.n_tail, p.n_tail)):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("fault", ["es above var", "nan var"])
+def test_failed_estimate_check_invalidates_only_its_grid_point(monkeypatch, fault):
+    # day 3's grid point 30 gets a corrupted gmm portfolio estimate; the
+    # column is found by its content, however many columns a call reads
+    panel = make_panel(200, ("AAA", "BBB", "CCC"), seed=3)
+    cfg = RunConfig(
+        models=("gmm",), n_components=(2,), alphas=(0.05,), long_len=120, short_len=30,
+        paths=200, eval_days=20, seed=7, portfolio=PortfolioSpec.equal(("AAA", "BBB", "CCC")),
+    )
+    calls = []
+
+    def record(samples, alphas, **scratch):
+        calls.append(np.array(samples))
+        return var_es_columns(samples, alphas, **scratch)
+
+    monkeypatch.setattr("riskengine.engine.var_es_columns", record)
+    clean = sweep_sigma_short(panel, cfg, [10, 30])
+    # per day: the asset block, then one portfolio column per grid point
+    target = calls[2 * 3 + 1][:, 1].copy()
+    corrupted = []
+
+    def corrupt(samples, alphas, **scratch):
+        var, es, n_tail = var_es_columns(samples, alphas, **scratch)
+        for j in range(samples.shape[1]):
+            if np.array_equal(samples[:, j], target):
+                if fault == "nan var":
+                    var[j] = np.nan
+                else:
+                    es[j] = var[j] + 0.5
+                corrupted.append((es[j, 0], var[j, 0]))
+        return var, es, n_tail
+
+    monkeypatch.setattr("riskengine.engine.var_es_columns", corrupt)
+    results = sweep_sigma_short(panel, cfg, [10, 30])
+    assert corrupted
+    e, v = corrupted[-1]
+    expected = ("ValidationError: var/es must be finite" if fault == "nan var" else
+                f"ValidationError: es {e} exceeds var {v}; tail mean cannot sit above its quantile")
+    for g in (10, 30):
+        for day, (r, c) in enumerate(zip(results[g][0], clean[g][0])):
+            if (day, g) == (3, 30):
+                assert r.error == expected and r.var is None
+            else:
+                assert r.error is None
+                assert r.var.tobytes() == c.var.tobytes() and r.es.tobytes() == c.es.tobytes()
