@@ -3,8 +3,9 @@
 Each calibrates on a rolling window of log returns and returns VaR/ES as
 plain (column, alpha) arrays. Historical simulation is risk.var_es_columns
 over the window itself, so there is exactly one quantile implementation in
-the package; parametric_columns is the closed-form normal. A portfolio is
-one more series, w . r per window day or path, like its realized return.
+the package; parametric_columns is the closed-form normal, a checking
+wrapper over the row kernel _parametric_rows. A portfolio is one more
+series, w . r per window day or path, like its realized return.
 """
 
 from __future__ import annotations
@@ -22,25 +23,32 @@ def parametric_columns(window, alphas):
 
     var = mu + sigma z_alpha, es = mu - sigma phi(z_alpha)/alpha, with mu and
     sigma a column's population moments; returns (cols, len(alphas)) arrays.
-    The moments come from one pass over the transposed window, whose rows
-    numpy reduces in the same order as a 1-D column, so every entry is the
-    closed form of that column's own np.mean and np.std bit for bit.
+    Checks the window's shape, then reads a transposed copy with
+    _parametric_rows.
     """
     x = np.asarray(window, dtype=float)
     if x.ndim != 2:
         raise ValidationError(f"expected a (rows, cols) window, got ndim={x.ndim}")
-    cols = np.ascontiguousarray(x.T)
-    if not np.all(np.isfinite(cols)):
+    return _parametric_rows(np.ascontiguousarray(x.T), alphas)
+
+
+def _parametric_rows(rows, alphas):
+    """parametric_columns of every row of a C-contiguous float array: one
+    pass over the rows, which numpy reduces in the same order as a 1-D
+    series, so every entry is the closed form of that row's own np.mean and
+    np.std bit for bit. Needs finite rows of 2 points or more, not constant.
+    """
+    if not np.all(np.isfinite(rows)):
         raise ValidationError("window contains non-finite returns")
-    if cols.shape[1] < 2:
+    if rows.shape[1] < 2:
         raise InsufficientDataError(
-            f"parametric window needs at least 2 points, got {cols.shape[1]}"
+            f"parametric window needs at least 2 points, got {rows.shape[1]}"
         )
-    mu = np.mean(cols, axis=1)
-    sigma = np.std(cols, axis=1)
+    mu = np.mean(rows, axis=1)
+    sigma = np.std(rows, axis=1)
     if np.any(sigma == 0.0):
         raise DegenerateDataError("window has zero variance")
-    shape = (cols.shape[0], len(alphas))
+    shape = (rows.shape[0], len(alphas))
     var, es = np.empty(shape), np.empty(shape)
     for a, alpha in enumerate(alphas):
         z = normal_ppf(alpha)

@@ -15,13 +15,14 @@ diagnostics are the (model tag, FitReport) pairs that fit returned.
 
 One day loop serves plain runs and sigma_short sweeps, with one day step
 for every model kind. Per day it computes the (grid, assets) short/long
-vol ratios once, then fits, simulates and reads each model's asset block
-once. A model's rows at every short-window length are that block times a
-scale, the vol ratios for gmm (positive homogeneity) and a row of ones for
-hs, param and gbm_mc, plus the same estimator over its portfolio series
-holding @ (scale row * w), one series per scale row, read in one call. A
-plain run is a one-value sweep, and the estimators read each column as
-they would alone, so each sweep point reproduces the plain run with its
+vol ratios once, then fits and simulates each model and reads its VaR/ES
+with one estimator call, over one block whose rows are the asset columns
+of its sample matrix and, with a portfolio, its series holding @ (scale
+row * w), one per scale row. A model's asset rows at every short-window
+length are the asset estimates times the scale, the vol ratios for gmm
+(positive homogeneity) and a row of ones for hs, param and gbm_mc. A
+plain run is a one-value sweep, and the estimators read each row as it
+would alone, so each sweep point reproduces the plain run with its
 short_len byte for byte.
 
 Report CSVs format floats with repr() (shortest round-trip),
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import __version__
 from .backtest import BacktestReport, christoffersen, hits, quadratic_loss
-from .baselines import calibrate_gbm, parametric_columns
+from .baselines import _parametric_rows, calibrate_gbm
 from .errors import (
     ConfigError,
     DegenerateDataError,
@@ -56,7 +57,7 @@ from .errors import (
     ValidationError,
 )
 from .gmm import FitReport, GaussianMixtureModel, fit, sample
-from .risk import PortfolioSpec, var_es_columns
+from .risk import PortfolioSpec, _var_es_rows
 from .scenario import column_std, rescale, simulate_gbm_portfolio
 from .timeseries import PricePanel, log_returns
 
@@ -242,12 +243,12 @@ def run_backtest(
     scenario_writer, when given, is called as writer(date, model_tag,
     holding) for each valid Monte Carlo model-day, with holding the day's
     (paths, assets) simulated log returns in panel ticker order; a gmm
-    holding is rescaled by the vol ratios for the writer alone. The CLI
-    builds one for run --dump-scenarios. holding is valid only during the
-    call: the run writes the next day's scenarios into the same array, so a
-    writer that keeps one must copy it (np.save does). model_sink, when
-    given, is filled with the final fitted mixture per gmm tag (warm-start
-    checkpoint state).
+    holding is rescaled by the vol ratios into a new array for the writer
+    alone. The CLI builds one for run --dump-scenarios. holding is valid
+    only during the call: the run may write the next day's scenarios into
+    the same array, so a writer that keeps one must copy it (np.save does).
+    model_sink, when given, is filled with the final fitted mixture per gmm
+    tag (warm-start checkpoint state).
     """
     g = config.short_len
     return _run_days(panel, config, [g], scenario_writer, model_sink)[g]
@@ -255,30 +256,6 @@ def run_backtest(
 
 # ValidationError covers the insufficient- and degenerate-data subclasses
 _DAY_ERRORS = (ValidationError, NumericError, np.linalg.LinAlgError)
-
-
-@dataclass(frozen=True)
-class _Buffers:
-    """One Monte Carlo tag's scenario arrays, allocated once per run.
-
-    Every day overwrites them, so a day allocates no array of paths rows and
-    the allocator has no pages to hand back and fault in again. holding
-    receives the day's (paths, assets) draws; rescaled a gmm holding scaled
-    by the vol ratios for a scenario writer (without one, its pages are
-    never touched); series the portfolio return of every path, one row per
-    short-window length (gbm_mc uses row 0); work the kernels' scratch of
-    paths * max(assets, grid) entries. Tags never share a set.
-    """
-
-    holding: np.ndarray
-    rescaled: np.ndarray
-    series: np.ndarray
-    work: np.ndarray
-
-    @classmethod
-    def allocate(cls, paths: int, n_assets: int, n_grid: int) -> "_Buffers":
-        return cls(np.empty((paths, n_assets)), np.empty((paths, n_assets)),
-                   np.empty((n_grid, paths)), np.empty(paths * max(n_assets, n_grid)))
 
 
 def _parse_tag(tag: str) -> tuple[str, int | None]:
@@ -295,11 +272,13 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
     Once per day: the long-window checks and the (grid, assets) vol ratios
     when a gmm tag runs, then _fill_day, which fits, simulates and reads
     every model's estimates for the whole grid, then _grid_errors, which
-    checks each grid point. A scenario writer gets each valid (day, g)'s
-    holdings, a gmm one rescaled by row g of the ratios into its tag's
-    buffers. Each Monte Carlo tag simulates into its own _Buffers, allocated
-    here once for the run, so the holding a writer gets is overwritten by
-    the next g or day. An exception raised during the day invalidates it for
+    checks each grid point. Each Monte Carlo tag owns a (holding, scratch)
+    pair of arrays, allocated here once for the run: holding receives the
+    day's (paths, assets) draws, and scratch, flat, serves the simulator as
+    its work array and then holds the model-day's sample block. A scenario
+    writer gets each valid (day, g)'s holdings: a gbm_mc holding itself,
+    overwritten the next day, and a gmm one rescaled by row g of the ratios
+    into a new array. An exception raised during the day invalidates it for
     every g, a failed check only that (day, g). Returns {g: (records,
     reports)}.
     """
@@ -318,7 +297,8 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
         )
     specs = [(tag, *_parse_tag(tag)) for tag in config.model_keys()]  # (tag, kind, components)
     needs_gmm = any(kind == "gmm" for _, kind, _ in specs)
-    buffers = {tag: _Buffers.allocate(config.paths, len(tickers), len(short_lens))
+    buffers = {tag: (np.empty((config.paths, len(tickers))),
+                     np.empty(config.paths * (len(tickers) + len(short_lens))))
                for tag, kind, _ in specs if kind not in ("hs", "param")}
     shape = (len(short_lens), len(specs), len(tickers) + (config.portfolio is not None),
              len(config.alphas))
@@ -355,11 +335,10 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
         for gi, (g, error) in enumerate(zip(short_lens, errors)):
             if scenario_writer is not None and error is None:
                 for tag, kind, _ in specs:
-                    buf = buffers.get(tag)
                     if kind == "gmm":
-                        scenario_writer(date, tag, rescale(buf.holding, ratios[gi], out=buf.rescaled))
-                    elif buf is not None:
-                        scenario_writer(date, tag, buf.holding)
+                        scenario_writer(date, tag, rescale(buffers[tag][0], ratios[gi]))
+                    elif tag in buffers:
+                        scenario_writer(date, tag, buffers[tag][0])
             day = (None,) * 3 if error is not None else (a[gi] for a in arrays)
             records[g].append(DayRecord(date, anchor, realized, *day, seeds, tuple(diags), error))
 
@@ -381,27 +360,29 @@ def _fill_day(i, long_w, ratios, config, specs, seeds, prev_models, diags, buffe
 
     Each model is one sample matrix M with a column per asset: for hs and
     param the long window, for gmm and gbm_mc the day's simulated returns,
-    unscaled, in buffers[tag].holding. The model's estimator reads the asset
-    block of M once and, with a portfolio, the series M @ (s * w) for each
-    row s of the model's scale, each column as it would alone. The scale is
-    the (grid, assets) vol ratios for gmm and one row of ones for the rest.
-    The asset block times the scale fills every grid point: for gmm by
-    positive homogeneity of VaR/ES (equal to the rescaled scenarios' up to
-    rounding), for the rest exactly, since x * 1.0 == x. Monte Carlo tags
-    simulate with seeds[mi]; a fit seed is derived only for a cold start.
-    Fits extend the warm-start chain in prev_models and go to diags as they
-    happen, so a later failure on the same day keeps them.
+    unscaled, in the tag's holding. Its sample block has the columns of M as
+    rows, then, with a portfolio, the series M @ (s * w) for each row s of
+    the model's scale, each the same gemv into a contiguous row. The scale
+    is the (grid, assets) vol ratios for gmm and one row of ones for the
+    rest. The block lives in the tag's scratch (a new array for hs and
+    param), and the model's estimator reads it in one call, each row as it
+    would alone. The asset rows times the scale fill every grid point: for
+    gmm by positive homogeneity of VaR/ES (equal to the rescaled scenarios'
+    up to rounding), for the rest exactly, since x * 1.0 == x. Monte Carlo
+    tags simulate with seeds[mi]; a fit seed is derived only for a cold
+    start. Fits extend the warm-start chain in prev_models and go to diags
+    as they happen, so a later failure on the same day keeps them.
     """
     var, es, n_tail = arrays
     k = long_w.shape[1]
     ones = np.ones((1, k))
     for mi, (tag, kind, components) in enumerate(specs):
-        buf = buffers.get(tag)
+        holding, scratch = buffers.get(tag, (None, None))
         if kind in ("hs", "param"):
             columns = long_w
         elif kind == "gbm_mc":
             columns = simulate_gbm_portfolio(
-                *calibrate_gbm(long_w), config.paths, seeds[mi], out=buf.holding, work=buf.work
+                *calibrate_gbm(long_w), config.paths, seeds[mi], out=holding, work=scratch
             )
         else:
             warm = prev_models.get(tag) if config.warm_start else None
@@ -412,27 +393,23 @@ def _fill_day(i, long_w, ratios, config, specs, seeds, prev_models, diags, buffe
             prev_models[tag] = model
             diags.append((tag, rep))
             rng = np.random.default_rng(seeds[mi])
-            columns = sample(model, config.paths, rng, out=buf.holding, work=buf.work)
+            columns = sample(model, config.paths, rng, out=holding, work=scratch)
         scale = ratios if kind == "gmm" else ones
-        v, e, n = _estimate(kind, columns, config.alphas, buf)
-        np.multiply(v, scale[:, :, None], out=var[:, mi, :k])
-        np.multiply(e, scale[:, :, None], out=es[:, mi, :k])
-        n_tail[:, mi, :k] = n
+        shape = (k + (len(scale) if config.portfolio is not None else 0), len(columns))
+        block = np.empty(shape) if scratch is None else scratch[: shape[0] * shape[1]].reshape(shape)
+        np.copyto(block[:k], columns.T)
+        for row, s in zip(block[k:], scale):
+            np.matmul(columns, s * config.portfolio.weights, out=row)
+        if kind == "param":
+            v, e = _parametric_rows(block, config.alphas)
+            n = np.zeros(v.shape, dtype=int)
+        else:
+            v, e, n = _var_es_rows(block, config.alphas)
+        np.multiply(v[:k], scale[:, :, None], out=var[:, mi, :k])
+        np.multiply(e[:k], scale[:, :, None], out=es[:, mi, :k])
+        n_tail[:, mi, :k] = n[:k]
         if config.portfolio is not None:
-            series = np.empty((len(scale), len(columns))) if buf is None else buf.series[: len(scale)]
-            for row, s in zip(series, scale):
-                np.matmul(columns, s * config.portfolio.weights, out=row)
-            var[:, mi, k], es[:, mi, k], n_tail[:, mi, k] = _estimate(
-                kind, series.T, config.alphas, buf)
-
-
-def _estimate(kind, columns, alphas, buf):
-    """(var, es, n_tail) of every sample column by the model's estimator:
-    closed-form normal for param (n_tail 0), else empirical in buf's work."""
-    if kind == "param":
-        var, es = parametric_columns(columns, alphas)
-        return var, es, np.zeros(var.shape, dtype=int)
-    return var_es_columns(columns, alphas, work=None if buf is None else buf.work)
+            var[:, mi, k], es[:, mi, k], n_tail[:, mi, k] = v[k:], e[k:], n[k:]
 
 
 def _grid_errors(ratios, var, es):
@@ -498,15 +475,20 @@ def sweep_sigma_short(
     Each day runs the day step of a plain run once for the whole grid: the
     fits, the simulations and each model's asset block are shared, the gmm
     asset rows are scaled by every grid value's vol ratios, and the gmm
-    portfolio series of every grid value are read in one estimator call.
-    Seeds do not depend on the short window and the estimators read each
-    series as they would alone, so each grid value reproduces a plain run
-    with that short_len byte for byte. The checks run per grid value: one
-    that fails (a zero short-window volatility, an es above its var)
-    invalidates only that value's day, while an exception raised during the
-    day (a failed fit) invalidates the day at every value. Grid values must
-    lie in [2, long_len].
+    portfolio series of every grid value are read in the same estimator
+    call as the assets. Seeds do not depend on the short window and the
+    estimators read each series as they would alone, so each grid value
+    reproduces a plain run with that short_len byte for byte. The checks
+    run per grid value: one that fails (a zero short-window volatility, an
+    es above its var) invalidates only that value's day, while an exception
+    raised during the day (a failed fit) invalidates the day at every
+    value. Grid values must be integers (a float, a string or a bool is a
+    ConfigError, as for RunConfig.short_len) in [2, long_len].
     """
+    grid = list(grid)
+    bad = [g for g in grid if not _is_int(g)]
+    if bad:
+        raise ConfigError(f"grid values must be integers, got {bad[0]!r}")
     values = sorted(set(int(g) for g in grid))
     if not values:
         raise ConfigError("sweep grid is empty")
@@ -668,10 +650,10 @@ def make_scenario_writer(out_dir: str):
     Each call saves the (paths, assets) array of simulated one-day log
     returns, its columns in panel ticker order, to
     <out_dir>/scenarios/<date>_<model>.npy; np.load reads it back. The
-    array is valid only during the call, since a run reuses it for the next
-    day; np.save writes it out before returning. The directory is created
-    by the first write, so a run that fails before its first valid Monte
-    Carlo day leaves none behind.
+    array is valid only during the call, since a run may reuse it for the
+    next day; np.save writes it out before returning. The directory is
+    created by the first write, so a run that fails before its first valid
+    Monte Carlo day leaves none behind.
     """
     scen_dir = os.path.join(out_dir, "scenarios")
 

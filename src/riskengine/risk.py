@@ -9,9 +9,10 @@ at an integer rank h = alpha (n - 1), a new draw from the n scenarios'
 continuous distribution falls below it with chance (h + 1) / (n + 1) > alpha
 (1.485% at alpha 1%, n = 201).
 
-Estimates are plain (column, alpha) arrays from var_es_columns. Both are
-positively homogeneous, so scaling them by a volatility ratio equals
-re-estimating from the scaled scenarios.
+Estimates are plain (column, alpha) arrays from var_es_columns, a checking
+wrapper over _var_es_rows, the row kernel the engine calls once per
+model-day. Both are positively homogeneous, so scaling them by a volatility
+ratio equals re-estimating from the scaled scenarios.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InsufficientDataError,
-    ShapeError,
-    TailEmptyError,
-    ValidationError,
-    _scratch,
-)
+from .errors import InsufficientDataError, ShapeError, TailEmptyError, ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,20 +89,14 @@ def _quantiles(rows: np.ndarray, alphas):
     return top, var
 
 
-def var_es_columns(samples, alphas, *, work=None):
+def var_es_columns(samples, alphas):
     """Empirical VaR, ES and tail counts of every column of a sample matrix.
 
     samples is (n, cols); returns float arrays var and es and an int array
-    n_tail, each shaped (cols, len(alphas)). One copy of the columns is
-    partitioned once and sorted up to the largest rank any alpha reads, so
-    VaR is the full-sort quantile. ES is the mean of the n_tail smallest
-    scenarios, those <= VaR (inclusive), summed in ascending order; a column
-    whose ties run past the sorted ranks is sorted in full. A single series
-    is the one-column case, samples[:, None]. Needs ceil(1/alpha) rows per
-    alpha; TailEmptyError marks a nan VaR, from an overflowing gap between
-    ranks. work, when given, is a flat float64 array of at least n * cols
-    entries that holds the copy and is overwritten; else the copy is a new
-    array.
+    n_tail, each shaped (cols, len(alphas)). A single series is the
+    one-column case, samples[:, None]. Needs ceil(1/alpha) rows per alpha.
+    Checks its input, then reads a transposed copy with _var_es_rows, so
+    samples is left untouched.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
@@ -121,15 +110,27 @@ def var_es_columns(samples, alphas, *, work=None):
                 f"need at least ceil(1/alpha) = {need} scenarios for "
                 f"alpha={alpha}, got {x.shape[0]}"
             )
-    ordered = np.empty(x.shape[::-1]) if work is None else _scratch(work, x.shape[::-1], "work")
-    np.copyto(ordered, x.T)
+    return _var_es_rows(x.T.copy(), alphas)
+
+
+def _var_es_rows(ordered, alphas):
+    """var, es and n_tail, each (rows, len(alphas)), of every row of a
+    C-contiguous float array, read in place: each row is partitioned once
+    and sorted up to the largest rank any alpha reads, so VaR is the
+    full-sort quantile. ES is the mean of the n_tail smallest scenarios,
+    those <= VaR (inclusive), summed in ascending order; a row whose ties
+    run past the sorted ranks is sorted in full. Each row reads as it would
+    alone. The caller has checked alphas and the row length; a non-finite
+    entry is a ValidationError, and TailEmptyError marks a nan VaR, from an
+    overflowing gap between ranks.
+    """
     if not np.isfinite(ordered).all():
         raise ValidationError("samples contain non-finite entries")
     top, var = _quantiles(ordered, alphas)
     head = ordered[:, None, : top + 1]
     below = head <= var[:, :, None]
     n_tail = below.sum(axis=-1)
-    # entries past rank top are >= it, so only a column whose whole head is
+    # entries past rank top are >= it, so only a row whose whole head is
     # tail can have more, through ties: sort those in full, read every rank
     if n_tail.max(initial=0) > top:
         spill = (n_tail > top).any(axis=-1)

@@ -3,8 +3,9 @@
 Scenarios are one-day log returns in plain float arrays shaped (paths,
 assets). Every simulator rejects non-finite output with ValidationError,
 and rescale multiplies the last axis of any array by one positive ratio per
-asset, returning a new array. The kernels that make large arrays also
-write into caller-owned ones through a keyword-only out=, so that a run can
+asset, returning a new array. The simulators that make the engine's
+scenario arrays (gmm.sample and simulate_gbm_portfolio) also write into
+caller-owned ones through a keyword-only out= and work=, so that a run can
 reuse one set of arrays every day; the bits do not depend on it.
 
 Two GBM discretizations are implemented literally and never mixed. The
@@ -144,14 +145,13 @@ def simulate_gbm_portfolio(
     return _finite(np.log(growth, out=growth))
 
 
-def rescale(returns, ratios, *, out=None) -> np.ndarray:
+def rescale(returns, ratios) -> np.ndarray:
     """Multiply the last axis of returns by one volatility ratio per asset.
 
     returns is any array whose last axis holds the assets, such as a
     (paths, assets) scenario array. ratios holds one positive, finite float
     per asset; returns must be finite. Returns a new array and leaves the
-    input untouched; out, when given, is a float64 array shaped like returns
-    that receives the product and is returned instead.
+    input untouched.
     """
     returns = np.asarray(returns, dtype=float)
     factors = np.asarray(ratios, dtype=float)
@@ -161,4 +161,4 @@ def rescale(returns, ratios, *, out=None) -> np.ndarray:
         )
     if np.any(factors <= 0) or not np.all(np.isfinite(factors)):
         raise ValidationError("rescale factors must be positive and finite")
-    return np.multiply(_finite(returns), factors, out=_scratch(out, returns.shape, "out"))
+    return _finite(returns) * factors

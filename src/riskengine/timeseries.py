@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .errors import (
 
 @dataclass(frozen=True)
 class PricePanel:
-    """Aligned close prices: one row per date, one column per ticker."""
+    """Aligned close prices: one row per date, one column per distinct ticker."""
 
     dates: tuple[str, ...]
     tickers: tuple[str, ...]
@@ -27,6 +28,9 @@ class PricePanel:
     def __post_init__(self):
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "tickers", tuple(self.tickers))
+        dup = [t for i, t in enumerate(self.tickers) if t in self.tickers[:i]]
+        if dup:
+            raise ValidationError(f"duplicate ticker {dup[0]!r}")
         p = np.array(self.prices, dtype=float)
         p.setflags(write=False)
         object.__setattr__(self, "prices", p)
@@ -59,17 +63,20 @@ class PricePanel:
 def load_prices(path_or_buffer) -> PricePanel:
     """Read a close-price CSV into a PricePanel.
 
-    Expected layout: UTF-8 text with header ``date,<ticker>,...``; first
-    column ISO-8601 dates written YYYY-MM-DD (else ParseError), remaining
-    columns prices.
+    Expected layout: UTF-8 text, with or without a byte-order mark, with
+    header ``date,<ticker>,...``; first column ISO-8601 dates written
+    YYYY-MM-DD (else ParseError), remaining columns prices.
     Rows may arrive in any order and are sorted by date. Duplicate dates and
-    non-positive prices are rejected.
+    non-positive prices are rejected, and PricePanel rejects duplicate
+    tickers.
     """
     if hasattr(path_or_buffer, "read"):
-        rows = list(csv.reader(path_or_buffer))
+        text = path_or_buffer.read()
     else:
         with open(path_or_buffer, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            text = fh.read()
+    # Excel's "CSV UTF-8" export starts with a byte-order mark
+    rows = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
     if not rows:
         raise ParseError("empty price file", line_no=1)
 
@@ -79,8 +86,6 @@ def load_prices(path_or_buffer) -> PricePanel:
             "header must be 'date' followed by at least one ticker", line_no=1
         )
     tickers = tuple(header[1:])
-    if len(set(tickers)) != len(tickers):
-        raise ValidationError("duplicate ticker in header")
 
     parsed: list[tuple[str, list[float]]] = []
     seen: set[str] = set()

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskengine import (
@@ -20,7 +20,7 @@ from riskengine import (
     simulate_gmm,
     var_es_columns,
 )
-from riskengine.baselines import calibrate_gbm, parametric_columns
+from riskengine.baselines import _parametric_rows, calibrate_gbm, parametric_columns
 from riskengine.engine import (
     MODEL_CHOICES,
     PORTFOLIO_TICKER,
@@ -33,6 +33,7 @@ from riskengine.engine import (
 )
 from riskengine.errors import ConfigError, RunFailureError
 from riskengine.gmm import GaussianMixtureModel
+from riskengine.risk import _var_es_rows
 from riskengine.scenario import simulate_gbm_portfolio
 
 from conftest import _reference_var_es, make_panel
@@ -378,12 +379,12 @@ def test_run_backtest_es_above_var_invalidates_only_that_day(panel_3assets, monk
     # marks that one day invalid and leaves the others valid
     calls = []
 
-    def es_above_var_on_day_3(samples, alphas, **scratch):
-        var, es, n_tail = var_es_columns(samples, alphas, **scratch)
+    def es_above_var_on_day_3(rows, alphas):
+        var, es, n_tail = _var_es_rows(rows, alphas)
         calls.append(None)
         return (es, var, n_tail) if len(calls) == 4 else (var, es, n_tail)
 
-    monkeypatch.setattr("riskengine.engine.var_es_columns", es_above_var_on_day_3)
+    monkeypatch.setattr("riskengine.engine._var_es_rows", es_above_var_on_day_3)
     cfg = RunConfig(**{**SMALL, "models": ("hs",), "alphas": (0.05,), "eval_days": 20})
     records, reports = run_backtest(panel_3assets, cfg)
     assert len(calls) == 20
@@ -402,14 +403,14 @@ def test_run_backtest_non_finite_estimate_invalidates_only_that_day(
     # a var or es block that is not finite marks that one day invalid
     calls = []
 
-    def non_finite_on_day_3(samples, alphas, **scratch):
-        var, es, n_tail = var_es_columns(samples, alphas, **scratch)
+    def non_finite_on_day_3(rows, alphas):
+        var, es, n_tail = _var_es_rows(rows, alphas)
         calls.append(None)
         if len(calls) == 4:
             {"var": var, "es": es}[field][0, 0] = bad
         return var, es, n_tail
 
-    monkeypatch.setattr("riskengine.engine.var_es_columns", non_finite_on_day_3)
+    monkeypatch.setattr("riskengine.engine._var_es_rows", non_finite_on_day_3)
     cfg = RunConfig(**{**SMALL, "models": ("hs",), "alphas": (0.05,), "eval_days": 20})
     records, _ = run_backtest(panel_3assets, cfg)
     assert records[3].error == "ValidationError: var/es must be finite"
@@ -481,6 +482,24 @@ def test_sweep_grid_validation(panel_3assets):
         sweep_sigma_short(panel_3assets, cfg, [1, 30])
     with pytest.raises(ConfigError):
         sweep_sigma_short(panel_3assets, cfg, [])
+
+
+@pytest.mark.parametrize("grid", [[20.9, 30], [30.0], ["25"], [True, 30]],
+                         ids=["float", "integral float", "str", "bool"])
+def test_sweep_grid_values_must_be_integers(panel_3assets, grid):
+    # as for RunConfig.short_len, a value is never truncated or coerced
+    cfg = RunConfig(**SMALL)
+    with pytest.raises(ConfigError, match=f"grid values must be integers, got {grid[0]!r}"):
+        sweep_sigma_short(panel_3assets, cfg, grid)
+
+
+def test_sweep_grid_accepts_numpy_integers(panel_3assets):
+    cfg = RunConfig(**{**SMALL, "models": ("hs",), "eval_days": 2})
+    results = sweep_sigma_short(panel_3assets, cfg, np.array([30, 20]))
+    assert list(results) == [20, 30] and all(type(g) is int for g in results)
+    plain = sweep_sigma_short(panel_3assets, cfg, [20, 30])
+    assert [r.var.tobytes() for g in results for r in results[g][0]] == [
+        r.var.tobytes() for g in plain for r in plain[g][0]]
 
 
 def test_sweep_verdict_rows_shape():
@@ -636,9 +655,9 @@ def test_run_backtest_calls_a_writer_without_dump_scenarios(panel_3assets):
 
 
 def test_scenario_writer_array_is_valid_only_during_the_call(panel_3assets):
-    # the run simulates each day into the array the writer got the day
-    # before, so a writer that keeps one must copy it
-    cfg = RunConfig(**{**SMALL, "models": ("gmm",), "eval_days": 2})
+    # the run simulates each gbm_mc day into the array the writer got the
+    # day before, so a writer that keeps one must copy it
+    cfg = RunConfig(**{**SMALL, "models": ("gbm_mc",), "eval_days": 2})
     kept = []
     run_backtest(panel_3assets, cfg, scenario_writer=lambda d, t, h: kept.append((h, h.copy())))
     (first, first_copy), (second, second_copy) = kept
@@ -847,6 +866,11 @@ def test_zero_short_vol_invalidates_only_that_grid_point(tmp_path):
     flat=st.booleans(),
     seed=st.integers(0, 2**16),
 )
+# the flat stretch leaves gbm_mc a rank-1 window on a few days, whose
+# correlation matrix has no Cholesky factor: the run fails as a whole
+@example(models=["gmm", "hs", "param", "gbm_mc"], n_assets=2, grid=[39], portfolio=False,
+         flat=True, seed=0)
+@example(models=["gbm_mc"], n_assets=2, grid=[40], portfolio=False, flat=True, seed=0)
 def test_every_grid_point_equals_its_plain_run(models, n_assets, grid, portfolio, flat, seed):
     # with flat, the g0 = min(grid) return rows before row 45 are zero in
     # every column, so with a gmm tag the day anchored at row 45 fails at
@@ -863,7 +887,18 @@ def test_every_grid_point_equals_its_plain_run(models, n_assets, grid, portfolio
         paths=100, eval_days=21, seed=seed,
         portfolio=PortfolioSpec.equal(tickers) if portfolio else None,
     )
-    results = sweep_sigma_short(panel, cfg, grid)
+    try:
+        results = sweep_sigma_short(panel, cfg, grid)
+    except RunFailureError as exc:
+        # a sweep fails as a whole with its first grid value whose days are
+        # too often invalid, and so does that value's plain run
+        for g in sorted(grid):
+            try:
+                run_backtest(panel, replace(cfg, short_len=g))
+            except RunFailureError as plain:
+                assert str(plain) == str(exc)
+                return
+        raise AssertionError(f"the sweep failed but no plain run did: {exc}") from exc
     for g in grid:
         plain, _ = run_backtest(panel, replace(cfg, short_len=g))
         swept = results[g][0]
@@ -875,10 +910,35 @@ def test_every_grid_point_equals_its_plain_run(models, n_assets, grid, portfolio
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("grid", [None, [10, 20, 30]], ids=["run", "sweep"])
+def test_one_estimator_call_per_model_day(monkeypatch, grid):
+    # each model-day's asset columns and portfolio series are one block,
+    # read by its estimator in one call, however many grid points a sweep has
+    panel = make_panel(160, ("AAA", "BBB", "CCC"), seed=3)
+    cfg = RunConfig(**{**SMALL, "eval_days": 5}, portfolio=PortfolioSpec.equal(("AAA", "BBB", "CCC")))
+    calls = []
+
+    def counted(kernel):
+        def call(rows, alphas):
+            calls.append(rows.shape)
+            return kernel(rows, alphas)
+        return call
+
+    monkeypatch.setattr("riskengine.engine._var_es_rows", counted(_var_es_rows))
+    monkeypatch.setattr("riskengine.engine._parametric_rows", counted(_parametric_rows))
+    if grid is None:
+        run_backtest(panel, cfg)
+    else:
+        sweep_sigma_short(panel, cfg, grid)
+    series = 1 if grid is None else len(grid)
+    # per day, in model order gmm2, hs, param, gbm_mc: 3 asset rows and the portfolio series
+    assert calls == [(3 + series, 150), (4, 120), (4, 120), (4, 150)] * 5
+
+
 @pytest.mark.parametrize("fault", ["es above var", "nan var"])
 def test_failed_estimate_check_invalidates_only_its_grid_point(monkeypatch, fault):
     # day 3's grid point 30 gets a corrupted gmm portfolio estimate; the
-    # column is found by its content, however many columns a call reads
+    # row is found by its content, however many rows a call reads
     panel = make_panel(200, ("AAA", "BBB", "CCC"), seed=3)
     cfg = RunConfig(
         models=("gmm",), n_components=(2,), alphas=(0.05,), long_len=120, short_len=30,
@@ -886,28 +946,28 @@ def test_failed_estimate_check_invalidates_only_its_grid_point(monkeypatch, faul
     )
     calls = []
 
-    def record(samples, alphas, **scratch):
-        calls.append(np.array(samples))
-        return var_es_columns(samples, alphas, **scratch)
+    def record(rows, alphas):
+        calls.append(rows.copy())  # the kernel reorders its rows in place
+        return _var_es_rows(rows, alphas)
 
-    monkeypatch.setattr("riskengine.engine.var_es_columns", record)
+    monkeypatch.setattr("riskengine.engine._var_es_rows", record)
     clean = sweep_sigma_short(panel, cfg, [10, 30])
-    # per day: the asset block, then one portfolio column per grid point
-    target = calls[2 * 3 + 1][:, 1].copy()
+    # one block per day: the three asset rows, then one portfolio row per grid point
+    target = calls[3][3 + 1].copy()
     corrupted = []
 
-    def corrupt(samples, alphas, **scratch):
-        var, es, n_tail = var_es_columns(samples, alphas, **scratch)
-        for j in range(samples.shape[1]):
-            if np.array_equal(samples[:, j], target):
-                if fault == "nan var":
-                    var[j] = np.nan
-                else:
-                    es[j] = var[j] + 0.5
-                corrupted.append((es[j, 0], var[j, 0]))
+    def corrupt(rows, alphas):
+        hit = [j for j in range(len(rows)) if np.array_equal(rows[j], target)]
+        var, es, n_tail = _var_es_rows(rows, alphas)
+        for j in hit:
+            if fault == "nan var":
+                var[j] = np.nan
+            else:
+                es[j] = var[j] + 0.5
+            corrupted.append((es[j, 0], var[j, 0]))
         return var, es, n_tail
 
-    monkeypatch.setattr("riskengine.engine.var_es_columns", corrupt)
+    monkeypatch.setattr("riskengine.engine._var_es_rows", corrupt)
     results = sweep_sigma_short(panel, cfg, [10, 30])
     assert corrupted
     e, v = corrupted[-1]

@@ -12,7 +12,6 @@ from riskengine import (
     simulate_gbm_portfolio,
     simulate_gbm_single,
     simulate_gmm,
-    var_es_columns,
 )
 from riskengine.errors import NumericError, ShapeError, ValidationError
 from riskengine.scenario import column_std
@@ -211,16 +210,6 @@ def test_rescale_multiplies_per_asset():
         assert np.array_equal(base, before)
 
 
-def test_rescale_writes_into_out():
-    returns = np.random.default_rng(2).normal(0.0, 0.01, (200, 3))
-    ratios = np.array([0.5, 1.0, 1.7])
-    fresh = rescale(returns, ratios)
-    out = np.full_like(returns, np.nan)
-    assert rescale(returns, ratios, out=out) is out
-    assert out.tobytes() == fresh.tobytes()
-    assert not np.shares_memory(rescale(returns, ratios), fresh)
-
-
 def test_rescale_validation():
     base = np.zeros((4, 1, 2))
     with pytest.raises(ShapeError):
@@ -243,20 +232,15 @@ def test_rescale_rejects_non_finite_returns(bad):
 
 # ---------------------------------------------------- caller scratch arrays
 
-_H = np.random.default_rng(3).normal(0.0, 0.01, (100, 2))
 _MIX = random_mixture(np.random.default_rng(4), 2, 2)
 _GBM = (np.zeros(2), np.full(2, 0.01), np.eye(2), 100, 5)
 
 _CALLS = {
-    "var_es_columns": lambda **kw: var_es_columns(_H, (0.05,), **kw),
-    "rescale": lambda **kw: rescale(_H, [1.0, 2.0], **kw),
     "sample": lambda **kw: sample(_MIX, 100, np.random.default_rng(0), **kw),
     "simulate_gbm_portfolio": lambda **kw: simulate_gbm_portfolio(*_GBM, **kw),
 }
 # "kernel-keyword": the shape the keyword's array needs; a work= array is flat
 _KEYWORD_ARRAYS = {
-    "var_es_columns-work": (200,),
-    "rescale-out": (100, 2),
     "sample-out": (100, 2),
     "sample-work": (200,),
     "simulate_gbm_portfolio-out": (100, 2),

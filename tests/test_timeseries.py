@@ -84,6 +84,28 @@ def test_load_prices_duplicate_date():
         load_prices(io.StringIO(csv_text))
 
 
+def test_load_prices_rejects_duplicate_tickers():
+    with pytest.raises(ValidationError, match="duplicate ticker 'X'"):
+        load_prices(io.StringIO("date,X,Y,X\n2020-01-01,1.0,2.0,3.0\n"))
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["bare", "quoted"])
+@pytest.mark.parametrize("source", ["path", "buffer"])
+def test_load_prices_accepts_a_byte_order_mark(tmp_path, source, quoted):
+    # Excel's "CSV UTF-8" export starts the file with one; another tool may
+    # quote the header after it
+    text = CSV_OK.replace("date", '"date"') if quoted else CSV_OK
+    if source == "path":
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        panel = load_prices(str(path))
+    else:
+        panel = load_prices(io.StringIO("\ufeff" + text))
+    plain = load_prices(io.StringIO(CSV_OK))
+    assert (panel.dates, panel.tickers) == (plain.dates, plain.tickers)
+    assert panel.prices.tobytes() == plain.prices.tobytes()
+
+
 def test_load_prices_rejects_non_positive():
     with pytest.raises(ValidationError, match="X"):
         load_prices(io.StringIO("date,X\n2020-01-01,0.0\n"))
@@ -115,6 +137,12 @@ def test_price_panel_rejects_non_positive_and_non_finite():
         PricePanel(dates=("2020-01-01",), tickers=("X",), prices=np.array([[-1.0]]))
     with pytest.raises(ValidationError):
         PricePanel(dates=("2020-01-01",), tickers=("X",), prices=np.array([[np.inf]]))
+
+
+def test_price_panel_rejects_duplicate_tickers():
+    # two columns of one name would be scored as two indistinguishable targets
+    with pytest.raises(ValidationError, match="duplicate ticker 'A'"):
+        PricePanel(dates=("2020-01-01", "2020-01-02"), tickers=("A", "A"), prices=np.ones((2, 2)))
 
 
 def test_price_panel_shape_mismatch():
