@@ -18,7 +18,7 @@ from riskengine import (
     log_returns,
     parametric_columns,
     rescale,
-    simulate_gmm,
+    sample,
     var_es_columns,
 )
 
@@ -42,7 +42,7 @@ def main():
 
     ratio = np.std(window[-30:]) / np.std(window)
     model, rep = fit(window, 2, seed=3)
-    scen = simulate_gmm(model, m=20000, seed=17)
+    scen = sample(model, 20000, np.random.default_rng(17))
     scaled = rescale(scen, [ratio])
 
     print(f"short/long vol ratio: {ratio:.3f}  (fit {rep.iterations} iters)")

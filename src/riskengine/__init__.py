@@ -42,7 +42,6 @@ from .scenario import (  # noqa: E402
     rescale,
     simulate_gbm_portfolio,
     simulate_gbm_single,
-    simulate_gmm,
 )
 from .risk import (  # noqa: E402
     PortfolioSpec,
@@ -88,8 +87,7 @@ __all__ = [
     "log_likelihood", "fit", "kmeans_init", "sample", "stratified_counts",
     "covariance_floor",
     # scenario
-    "GbmParams", "simulate_gmm", "simulate_gbm_single",
-    "simulate_gbm_portfolio", "rescale",
+    "GbmParams", "simulate_gbm_single", "simulate_gbm_portfolio", "rescale",
     # risk
     "PortfolioSpec", "var_es_columns",
     # baselines

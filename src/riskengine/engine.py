@@ -56,9 +56,9 @@ from .errors import (
     RunFailureError,
     ValidationError,
 )
-from .gmm import FitReport, GaussianMixtureModel, fit, sample
+from .gmm import FitReport, GaussianMixtureModel, _sample_into, fit
 from .risk import PortfolioSpec, _var_es_rows
-from .scenario import column_std, rescale, simulate_gbm_portfolio
+from .scenario import _gbm_day_into, column_std, rescale
 from .timeseries import PricePanel, log_returns
 
 MODEL_CHOICES = ("gmm", "hs", "param", "gbm_mc")
@@ -82,8 +82,18 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _list_items(name, value, kind, ok) -> tuple:
+    """The items of value, which must be a non-empty list of items that ok
+    accepts, else a ConfigError naming name; a bare string, a JSON object or
+    a scalar is not such a list, an iterator or a numpy array is."""
+    items = None if isinstance(value, (str, dict)) or not np.iterable(value) else tuple(value)
+    if not items or not all(ok(v) for v in items):
+        raise ConfigError(f"{name} must be a non-empty list of {kind}, got {value!r}")
+    return items
+
+
 # (name, item type, item check) of the fields holding a non-empty list of
-# distinct items; a bare string or a JSON object is not such a list
+# distinct items
 _LIST_FIELDS = (
     ("models", str, lambda v: isinstance(v, str)),
     ("n_components", int, _is_int),
@@ -121,11 +131,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         for name, cast, ok in _LIST_FIELDS:
-            value = getattr(self, name)
-            items = None if isinstance(value, (str, dict)) or not np.iterable(value) else tuple(value)
-            if not items or not all(ok(v) for v in items):
-                raise ConfigError(
-                    f"{name} must be a non-empty list of {cast.__name__}, got {value!r}")
+            items = _list_items(name, getattr(self, name), cast.__name__, ok)
             if len(set(items)) != len(items):
                 raise ConfigError(f"duplicate entries in {name}")
             object.__setattr__(self, name, tuple(cast(v) for v in items))
@@ -274,13 +280,13 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
     every model's estimates for the whole grid, then _grid_errors, which
     checks each grid point. Each Monte Carlo tag owns a (holding, scratch)
     pair of arrays, allocated here once for the run: holding receives the
-    day's (paths, assets) draws, and scratch, flat, serves the simulator as
-    its work array and then holds the model-day's sample block. A scenario
-    writer gets each valid (day, g)'s holdings: a gbm_mc holding itself,
-    overwritten the next day, and a gmm one rescaled by row g of the ratios
-    into a new array. An exception raised during the day invalidates it for
-    every g, a failed check only that (day, g). Returns {g: (records,
-    reports)}.
+    day's (paths, assets) draws, and scratch, flat, first holds the
+    simulator's shocks or unshuffled draws, then the model-day's sample
+    block. A scenario writer gets each valid (day, g)'s holdings: a gbm_mc
+    holding itself, overwritten the next day, and a gmm one rescaled by row
+    g of the ratios into a new array. An exception raised during the day
+    invalidates it for every g, a failed check only that (day, g). Returns
+    {g: (records, reports)}.
     """
     returns = log_returns(panel)  # row t is the return into panel.dates[t + 1]
     n_rows = returns.shape[0]
@@ -295,6 +301,9 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
             "portfolio tickers must match the panel tickers in order; "
             f"got {config.portfolio.tickers} vs {tickers}"
         )
+    if config.portfolio is not None and PORTFOLIO_TICKER in tickers:
+        raise ConfigError(f"ticker {PORTFOLIO_TICKER!r} would share its report rows "
+                          "with the portfolio; rename it or run without a portfolio")
     specs = [(tag, *_parse_tag(tag)) for tag in config.model_keys()]  # (tag, kind, components)
     needs_gmm = any(kind == "gmm" for _, kind, _ in specs)
     buffers = {tag: (np.empty((config.paths, len(tickers))),
@@ -346,7 +355,7 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
         invalid = [r for r in records[g] if r.error is not None]
         if len(invalid) > 0.05 * len(records[g]):
             raise RunFailureError(
-                f"{len(invalid)} of {len(records[g])} evaluation days invalid "
+                f"short_len {g}: {len(invalid)} of {len(records[g])} evaluation days invalid "
                 f"(> 5%); first failure on {invalid[0].date}: {invalid[0].error}"
             )
     if model_sink is not None:
@@ -360,30 +369,31 @@ def _fill_day(i, long_w, ratios, config, specs, seeds, prev_models, diags, buffe
 
     Each model is one sample matrix M with a column per asset: for hs and
     param the long window, for gmm and gbm_mc the day's simulated returns,
-    unscaled, in the tag's holding. Its sample block has the columns of M as
-    rows, then, with a portfolio, the series M @ (s * w) for each row s of
-    the model's scale, each the same gemv into a contiguous row. The scale
-    is the (grid, assets) vol ratios for gmm and one row of ones for the
-    rest. The block lives in the tag's scratch (a new array for hs and
-    param), and the model's estimator reads it in one call, each row as it
-    would alone. The asset rows times the scale fill every grid point: for
-    gmm by positive homogeneity of VaR/ES (equal to the rescaled scenarios'
-    up to rounding), for the rest exactly, since x * 1.0 == x. Monte Carlo
-    tags simulate with seeds[mi]; a fit seed is derived only for a cold
-    start. Fits extend the warm-start chain in prev_models and go to diags
-    as they happen, so a later failure on the same day keeps them.
+    unscaled, which the kernels _sample_into and _gbm_day_into write into
+    the tag's holding, with a (paths, assets) view of its scratch for their
+    shocks. Its sample block has the columns of M as rows, then, with a
+    portfolio, the series M @ (s * w) for each row s of the model's scale,
+    each the same gemv into a contiguous row. The scale is the (grid,
+    assets) vol ratios for gmm and one row of ones for the rest. The block
+    lives in the tag's scratch (a new array for hs and param), and the
+    model's estimator reads it in one call, each row as it would alone. The
+    asset rows times the scale fill every grid point: for gmm by positive
+    homogeneity of VaR/ES (equal to the rescaled scenarios' up to
+    rounding), for the rest exactly, since x * 1.0 == x. Monte Carlo tags
+    simulate with seeds[mi]; a fit seed is derived only for a cold start.
+    Fits extend the warm-start chain in prev_models and go to diags as they
+    happen, so a later failure on the same day keeps them.
     """
     var, es, n_tail = arrays
     k = long_w.shape[1]
     ones = np.ones((1, k))
     for mi, (tag, kind, components) in enumerate(specs):
         holding, scratch = buffers.get(tag, (None, None))
+        draws = None if scratch is None else scratch[: holding.size].reshape(holding.shape)
         if kind in ("hs", "param"):
             columns = long_w
         elif kind == "gbm_mc":
-            columns = simulate_gbm_portfolio(
-                *calibrate_gbm(long_w), config.paths, seeds[mi], out=holding, work=scratch
-            )
+            columns = _gbm_day_into(*calibrate_gbm(long_w), seeds[mi], holding, draws)
         else:
             warm = prev_models.get(tag) if config.warm_start else None
             if warm is None:  # only a k-means start reads the fit seed
@@ -392,8 +402,7 @@ def _fill_day(i, long_w, ratios, config, specs, seeds, prev_models, diags, buffe
                 model, rep = fit(long_w, components, init=warm)
             prev_models[tag] = model
             diags.append((tag, rep))
-            rng = np.random.default_rng(seeds[mi])
-            columns = sample(model, config.paths, rng, out=holding, work=scratch)
+            columns = _sample_into(model, np.random.default_rng(seeds[mi]), holding, draws)
         scale = ratios if kind == "gmm" else ones
         shape = (k + (len(scale) if config.portfolio is not None else 0), len(columns))
         block = np.empty(shape) if scratch is None else scratch[: shape[0] * shape[1]].reshape(shape)
@@ -482,16 +491,11 @@ def sweep_sigma_short(
     run per grid value: one that fails (a zero short-window volatility, an
     es above its var) invalidates only that value's day, while an exception
     raised during the day (a failed fit) invalidates the day at every
-    value. Grid values must be integers (a float, a string or a bool is a
-    ConfigError, as for RunConfig.short_len) in [2, long_len].
+    value. The grid must be a non-empty list of integers in [2, long_len],
+    checked as RunConfig checks its list fields: a bare integer or string,
+    or a float, a string or a bool among the values, is a ConfigError.
     """
-    grid = list(grid)
-    bad = [g for g in grid if not _is_int(g)]
-    if bad:
-        raise ConfigError(f"grid values must be integers, got {bad[0]!r}")
-    values = sorted(set(int(g) for g in grid))
-    if not values:
-        raise ConfigError("sweep grid is empty")
+    values = sorted(set(int(g) for g in _list_items("grid", grid, "int", _is_int)))
     for g in values:
         if not 2 <= g <= config.long_len:
             raise ConfigError(

@@ -1,12 +1,9 @@
-"""Exception hierarchy shared across the package, and _scratch, the one
-check of the caller-owned out= and work= arrays that kernels take.
+"""Exception hierarchy shared across the package.
 
 Numerical linear-algebra failures (non positive definite matrices and the
 like) are deliberately left as ``numpy.linalg.LinAlgError``; everything the
 package raises on its own derives from :class:`RiskEngineError`.
 """
-
-import numpy as np
 
 
 class RiskEngineError(Exception):
@@ -57,31 +54,3 @@ class ConfigError(RiskEngineError, ValueError):
 
 class RunFailureError(RiskEngineError):
     """A backtest run failed as a whole (too many invalid days)."""
-
-
-def _scratch(array, shape, name: str):
-    """A caller's out= or work= array as a float64 array shaped shape.
-
-    None stays None. out must be a float64 array of exactly that shape and
-    is returned; work a flat float64 array of at least prod(shape)
-    entries, whose leading entries are returned reshaped. Either must be
-    writable and C-contiguous, or a kernel would fail inside numpy or, for a
-    strided work, write into a copy. Another dtype, which numpy would cast
-    into silently, a read-only or a strided array is a ValidationError; a
-    wrong shape or too few entries a ShapeError.
-    """
-    if array is None:
-        return None
-    if not isinstance(array, np.ndarray) or array.dtype != np.float64:
-        got = getattr(array, "dtype", type(array).__name__)
-        raise ValidationError(f"{name} must be a float64 array, got {got}")
-    if not (array.flags.writeable and array.flags.c_contiguous):
-        raise ValidationError(f"{name} must be a writable C-contiguous array")
-    if name == "out":
-        if array.shape != shape:
-            raise ShapeError(f"out must be shaped {shape}, got {array.shape}")
-        return array
-    size = int(np.prod(shape))
-    if array.ndim != 1 or array.size < size:
-        raise ShapeError(f"{name} must be flat with {size} entries or more, got {array.shape}")
-    return array[:size].reshape(shape)

@@ -32,6 +32,10 @@ Cold starts come from a k-means pass (k-means++ style seeding, at most 20
 Lloyd iterations) seeded by fit's seed; warm starts accept a previously
 fitted model and ignore the seed, and typically converge in a couple of
 iterations when the data has shifted by one observation.
+
+sample returns a new array of stratified draws. Its kernel _sample_into
+writes the same bits into two arrays the caller owns and checks neither;
+the engine's day loop calls it to reuse one pair of arrays per model.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .errors import (
     NumericError,
     ShapeError,
     ValidationError,
-    _scratch,
 )
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -503,9 +506,7 @@ def stratified_counts(weights, n_total: int) -> np.ndarray:
     return base
 
 
-def sample(
-    model: GaussianMixtureModel, n_total: int, rng, *, out=None, work=None
-) -> np.ndarray:
+def sample(model: GaussianMixtureModel, n_total: int, rng) -> np.ndarray:
     """Draw n_total points from the mixture, stratified by component.
 
     Allocates round(w_j * n_total) draws per component by largest
@@ -513,21 +514,21 @@ def sample(
     the rows. Draw order given one Generator: one (n_total, dim) block of
     standard normals, whose rows go to the components in index order, then
     one permutation. The single block holds the same stream as one block
-    per component drawn in turn.
-
-    out, when given, is a float64 (n_total, dim) array that receives the
-    draws and is returned. work, when given, is a flat float64 array of at
-    least n_total * dim entries that holds the unshuffled rows and is
-    overwritten. Neither may overlap the other. Without them each call
-    returns a new array; the draws are the same bits either way.
+    per component drawn in turn. Returns a new (n_total, dim) array.
     """
     if n_total < 1:
         raise ValidationError(f"n_total must be >= 1, got {n_total}")
-    gen = np.random.default_rng(rng)
     shape = (n_total, model.dim)
-    out, work = _scratch(out, shape, "out"), _scratch(work, shape, "work")
-    z = gen.standard_normal(shape, out=out)  # the shuffle below overwrites it
-    rows = np.empty(shape) if work is None else work
+    return _sample_into(model, np.random.default_rng(rng), np.empty(shape), np.empty(shape))
+
+
+def _sample_into(model, gen, z, rows):
+    """sample's draws from Generator gen, written into z and returned; rows
+    holds the unshuffled draws and is overwritten. z and rows are distinct
+    C-contiguous float64 (n_total, dim) arrays, which are not checked.
+    """
+    n_total = len(z)
+    z = gen.standard_normal(z.shape, out=z)  # the shuffle below overwrites it
     stop = 0
     for j, c in enumerate(stratified_counts(model.weights, n_total)):
         start, stop = stop, stop + int(c)

@@ -1,12 +1,12 @@
-"""Scenario generation: mixture draws, GBM steps, volatility rescaling.
+"""Scenario generation: GBM steps and volatility rescaling.
 
 Scenarios are one-day log returns in plain float arrays shaped (paths,
-assets). Every simulator rejects non-finite output with ValidationError,
-and rescale multiplies the last axis of any array by one positive ratio per
-asset, returning a new array. The simulators that make the engine's
-scenario arrays (gmm.sample and simulate_gbm_portfolio) also write into
-caller-owned ones through a keyword-only out= and work=, so that a run can
-reuse one set of arrays every day; the bits do not depend on it.
+assets); mixture scenarios are gmm.sample's draws. The GBM simulators
+reject non-finite output with ValidationError, and rescale multiplies the
+last axis of any array by one positive ratio per asset. Every public
+function returns a new array. simulate_gbm_portfolio checks its parameters
+and calls _gbm_day_into, the kernel that writes the same bits into arrays
+the caller owns and that the engine's day loop calls with its own.
 
 Two GBM discretizations are implemented literally and never mixed. The
 single-asset form is exponential, S_1 = S_0 exp(mu dt + sigma eps
@@ -17,7 +17,7 @@ factor of the shock correlation matrix. The two agree in distribution only
 up to O(dt), which is why neither is expressed through the other. A
 portfolio of either is w . r of its log returns, as for every scenario array.
 
-Reproducibility: every simulator takes an integer seed and draws from one
+Reproducibility: every GBM simulator takes an integer seed and draws from one
 numpy default Generator seeded with it.
 """
 
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gmm as _gmm
-from .errors import NumericError, ShapeError, ValidationError, _scratch
+from .errors import NumericError, ShapeError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -70,15 +69,6 @@ def _finite(returns: np.ndarray) -> np.ndarray:
     return returns
 
 
-def simulate_gmm(model: _gmm.GaussianMixtureModel, m: int, seed: int) -> np.ndarray:
-    """Draw m i.i.d. one-day returns from a fitted mixture.
-
-    Returns an (m, dim) array: one stratified sample() call on a Generator
-    seeded from ``seed``.
-    """
-    return _finite(_gmm.sample(model, m, np.random.default_rng(seed)))
-
-
 def simulate_gbm_single(
     s0: float, params: GbmParams, m: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -95,9 +85,7 @@ def simulate_gbm_single(
     return _finite(log_step[:, None]), s0 * np.exp(log_step)
 
 
-def simulate_gbm_portfolio(
-    mus, sigmas, corr, m: int, seed: int, *, out=None, work=None
-) -> np.ndarray:
+def simulate_gbm_portfolio(mus, sigmas, corr, m: int, seed: int) -> np.ndarray:
     """One arithmetic-Euler GBM day for several correlated assets.
 
     Returns the log returns ln(S_1 / S_0) = ln(1 + mu + sigma xi), shaped
@@ -107,12 +95,6 @@ def simulate_gbm_portfolio(
     repair is attempted), NumericError if any path's price hits zero or
     below, which the arithmetic step does not preclude, and ValidationError
     if a price overflows, so that a log return is not finite.
-
-    out, when given, is a float64 (m, n_assets) array that receives the log
-    returns and is returned. work, when given, is a flat float64 array of at
-    least m * n_assets entries that holds eps and is overwritten. Neither may
-    overlap the other. Without them each call returns a new array; the
-    result is the same bits either way.
     """
     mus = np.atleast_1d(np.asarray(mus, dtype=float))
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
@@ -130,10 +112,17 @@ def simulate_gbm_portfolio(
     if np.max(np.abs(np.diag(corr) - 1.0)) > 1e-12:
         raise ValidationError("correlation matrix must have a unit diagonal")
     _check_paths(m)
-    eps, out = _scratch(work, (m, n), "work"), _scratch(out, (m, n), "out")
+    return _gbm_day_into(mus, sigmas, corr, seed, np.empty((m, n)), np.empty((m, n)))
 
+
+def _gbm_day_into(mus, sigmas, corr, seed, out, eps):
+    """simulate_gbm_portfolio's log returns for float arrays mus and sigmas
+    (n,) and corr (n, n), written into out and returned; eps holds the
+    shocks and is overwritten. out and eps are distinct C-contiguous float64
+    (m, n) arrays, and no argument is checked; the price errors still raise.
+    """
     A = np.linalg.cholesky(corr)
-    eps = np.random.default_rng(seed).standard_normal((m, n), out=eps)
+    eps = np.random.default_rng(seed).standard_normal(eps.shape, out=eps)
     growth = np.matmul(eps, A.T, out=out)  # xi, turned into S_1 / S_0 in place
     growth *= sigmas
     growth += 1.0 + mus

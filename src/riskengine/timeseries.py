@@ -19,7 +19,7 @@ from .errors import (
 
 @dataclass(frozen=True)
 class PricePanel:
-    """Aligned close prices: one row per date, one column per distinct ticker."""
+    """Aligned close prices: one row per date, one column per distinct named ticker."""
 
     dates: tuple[str, ...]
     tickers: tuple[str, ...]
@@ -28,6 +28,8 @@ class PricePanel:
     def __post_init__(self):
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "tickers", tuple(self.tickers))
+        if not all(str(t).strip() for t in self.tickers):
+            raise ValidationError(f"ticker names must not be empty, got {self.tickers}")
         dup = [t for i, t in enumerate(self.tickers) if t in self.tickers[:i]]
         if dup:
             raise ValidationError(f"duplicate ticker {dup[0]!r}")
@@ -67,8 +69,8 @@ def load_prices(path_or_buffer) -> PricePanel:
     header ``date,<ticker>,...``; first column ISO-8601 dates written
     YYYY-MM-DD (else ParseError), remaining columns prices.
     Rows may arrive in any order and are sorted by date. Duplicate dates and
-    non-positive prices are rejected, and PricePanel rejects duplicate
-    tickers.
+    non-positive prices are rejected, and PricePanel rejects empty and
+    duplicate tickers.
     """
     if hasattr(path_or_buffer, "read"):
         text = path_or_buffer.read()

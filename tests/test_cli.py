@@ -63,6 +63,29 @@ def test_run_without_portfolio(prices_csv, tmp_path):
     assert "PORTFOLIO" not in est
 
 
+def test_run_ticker_named_like_the_portfolio_exits_2(tmp_path, capsys):
+    # with a portfolio its backtest rows would be indistinguishable from the
+    # PORTFOLIO ticker's; without one the ticker is an ordinary column
+    prices = tmp_path / "prices.csv"
+    write_prices(prices, tickers=("AA", "PORTFOLIO"))
+    code = main(["run", "--prices", str(prices), "--out", str(tmp_path / "p"), *RUN_FLAGS,
+                 "--portfolio", "equal"])
+    assert code == 2
+    assert "ticker 'PORTFOLIO'" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+    assert main(["run", "--prices", str(prices), "--out", str(tmp_path / "o"), *RUN_FLAGS]) == 0
+
+
+def test_run_empty_ticker_exits_3(tmp_path, capsys):
+    # the header "date,AA," names its second price column ""
+    prices = tmp_path / "prices.csv"
+    write_prices(prices)
+    prices.write_text(prices.read_text().replace("date,AA,BB\n", "date,AA,\n", 1))
+    code = main(["run", "--prices", str(prices), "--out", str(tmp_path / "o"), *RUN_FLAGS])
+    assert code == 3
+    assert "ticker names must not be empty" in capsys.readouterr().err
+
+
 def test_run_deterministic_bytes(prices_csv, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--prices", prices_csv, "--out", str(a), *RUN_FLAGS]) == 0

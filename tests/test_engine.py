@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from riskengine import (
     log_returns,
     rescale,
     run_backtest,
-    simulate_gmm,
+    sample,
     var_es_columns,
 )
 from riskengine.baselines import _parametric_rows, calibrate_gbm, parametric_columns
@@ -278,7 +279,7 @@ def test_every_portfolio_row_reads_the_realized_aggregation(panel_3assets):
             [np.std(long_w[-cfg.short_len :, c]) / np.std(long_w[:, c]) for c in range(3)]
         )
         chain, _ = fit(long_w, 2, init=chain, seed=derive_seed(cfg.seed, i, 0, 0))
-        unscaled = simulate_gmm(chain, cfg.paths, derive_seed(cfg.seed, i, 0, 1))
+        unscaled = sample(chain, cfg.paths, np.random.default_rng(derive_seed(cfg.seed, i, 0, 1)))
         for mi, key in enumerate(cfg.model_keys()):
             if key == "gmm2":
                 series = (unscaled @ (ratios * spec.weights))[:, None]
@@ -484,12 +485,15 @@ def test_sweep_grid_validation(panel_3assets):
         sweep_sigma_short(panel_3assets, cfg, [])
 
 
-@pytest.mark.parametrize("grid", [[20.9, 30], [30.0], ["25"], [True, 30]],
-                         ids=["float", "integral float", "str", "bool"])
+@pytest.mark.parametrize(
+    "grid", [[20.9, 30], [30.0], ["25"], [True, 30], 30, "30", {"a": 1}],
+    ids=["float", "integral float", "str", "bool", "bare int", "bare str", "dict"])
 def test_sweep_grid_values_must_be_integers(panel_3assets, grid):
-    # as for RunConfig.short_len, a value is never truncated or coerced
+    # as for RunConfig.short_len, a value is never truncated or coerced, and
+    # as for RunConfig's list fields, a bare value is not read item by item
     cfg = RunConfig(**SMALL)
-    with pytest.raises(ConfigError, match=f"grid values must be integers, got {grid[0]!r}"):
+    message = f"grid must be a non-empty list of int, got {grid!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
         sweep_sigma_short(panel_3assets, cfg, grid)
 
 
@@ -497,9 +501,41 @@ def test_sweep_grid_accepts_numpy_integers(panel_3assets):
     cfg = RunConfig(**{**SMALL, "models": ("hs",), "eval_days": 2})
     results = sweep_sigma_short(panel_3assets, cfg, np.array([30, 20]))
     assert list(results) == [20, 30] and all(type(g) is int for g in results)
+    assert list(sweep_sigma_short(panel_3assets, cfg, (g for g in [30, 20]))) == [20, 30]
     plain = sweep_sigma_short(panel_3assets, cfg, [20, 30])
     assert [r.var.tobytes() for g in results for r in results[g][0]] == [
         r.var.tobytes() for g in plain for r in plain[g][0]]
+
+
+def test_run_failure_names_its_short_window():
+    # return rows 42-44 are zero, so a 2-row short window is flat on the
+    # days anchored at 44 and 45: 2 of 21 days invalid fail g = 2 and with it
+    # the whole sweep, whose message must say which grid value failed
+    base = make_panel(62, ("A", "B"), seed=0)
+    steps = np.diff(np.log(base.prices), axis=0)
+    steps[42:45] = 0.0
+    prices = 100 * np.exp(np.vstack([np.zeros(2), np.cumsum(steps, axis=0)]))
+    panel = PricePanel(dates=base.dates, tickers=base.tickers, prices=prices)
+    cfg = RunConfig(models=("gmm",), n_components=(2,), alphas=(0.05,), long_len=40,
+                    short_len=30, paths=100, eval_days=21, seed=0)
+    results = sweep_sigma_short(panel, cfg, [30])
+    assert [r.error for r in results[30][0]] == [None] * 21
+    expected = r"^short_len 2: 2 of 21 evaluation days invalid \(> 5%\)"
+    with pytest.raises(RunFailureError, match=expected):
+        sweep_sigma_short(panel, cfg, [2, 30])
+    with pytest.raises(RunFailureError, match=expected):
+        run_backtest(panel, replace(cfg, short_len=2))
+
+
+def test_run_backtest_rejects_a_ticker_named_portfolio():
+    # its rows would be indistinguishable from the portfolio's in every report
+    tickers = ("AAA", PORTFOLIO_TICKER)
+    panel = make_panel(161, tickers, seed=3)
+    cfg = RunConfig(**{**SMALL, "models": ("hs",), "eval_days": 2})
+    with pytest.raises(ConfigError, match=f"ticker '{PORTFOLIO_TICKER}'"):
+        run_backtest(panel, replace(cfg, portfolio=PortfolioSpec.equal(tickers)))
+    records, _ = run_backtest(panel, cfg)
+    assert [t for t, _ in records[0].realized] == list(tickers)
 
 
 def test_sweep_verdict_rows_shape():
@@ -688,7 +724,7 @@ def test_run_backtest_gbm_mc_dump_is_the_simulation(panel_3assets, tmp_path):
 
 
 def test_run_backtest_gmm_rows_and_dumps_match_a_recomputation(panel_3assets, tmp_path):
-    # per day, from the warm-start fit chain and simulate_gmm: the asset rows
+    # per day, from the warm-start fit chain and sample: the asset rows
     # are the full-sort reference of the unscaled scenarios times the vol
     # ratios, the portfolio row that of the ratio-scaled portfolio, and the
     # dump holds the ratio-scaled scenarios
@@ -709,7 +745,7 @@ def test_run_backtest_gmm_rows_and_dumps_match_a_recomputation(panel_3assets, tm
         long_w = returns[i : i + cfg.long_len]
         model, _ = fit(long_w, 2, init=model, seed=derive_seed(cfg.seed, i, 0, 0))
         seed = derive_seed(cfg.seed, i, 0, 1)
-        holding = simulate_gmm(model, cfg.paths, seed)
+        holding = sample(model, cfg.paths, np.random.default_rng(seed))
         ratios = np.array(
             [np.std(long_w[-cfg.short_len :, c]) / np.std(long_w[:, c]) for c in range(3)]
         )
@@ -762,7 +798,7 @@ def test_run_backtest_tags_and_days_never_share_scenarios(panel_3assets, tmp_pat
             else:
                 fit_seed = derive_seed(cfg.seed, i, mi, 0)
                 chains[tag], _ = fit(long_w, int(tag[3:]), init=chains[tag], seed=fit_seed)
-                unscaled = simulate_gmm(chains[tag], cfg.paths, seed)
+                unscaled = sample(chains[tag], cfg.paths, np.random.default_rng(seed))
                 var, es, n_tail = var_es_columns(unscaled, cfg.alphas)
                 assets = (var * ratios[:, None], es * ratios[:, None], n_tail)
                 holding = rescale(unscaled, ratios)

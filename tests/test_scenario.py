@@ -11,12 +11,9 @@ from riskengine import (
     sample,
     simulate_gbm_portfolio,
     simulate_gbm_single,
-    simulate_gmm,
 )
 from riskengine.errors import NumericError, ShapeError, ValidationError
-from riskengine.scenario import column_std
-
-from conftest import random_mixture
+from riskengine.scenario import _gbm_day_into, column_std
 
 
 # ------------------------------------------------------------- vol ratios
@@ -41,26 +38,18 @@ def test_column_std_equals_per_column_std_bit_for_bit(n_rows, n_cols, scale, see
 
 
 def test_simulate_gmm_shape_and_determinism(mix_1d):
-    scen = simulate_gmm(mix_1d, m=300, seed=77)
+    # mixture scenarios are sample's draws on a Generator seeded once
+    scen = sample(mix_1d, 300, np.random.default_rng(77))
     assert type(scen) is np.ndarray and scen.dtype == float
     assert scen.shape == (300, 1)
-    again = simulate_gmm(mix_1d, m=300, seed=77)
+    again = sample(mix_1d, 300, np.random.default_rng(77))
     np.testing.assert_array_equal(scen, again)
-    other = simulate_gmm(mix_1d, m=300, seed=78)
+    other = sample(mix_1d, 300, np.random.default_rng(78))
     assert not np.array_equal(scen, other)
 
 
-@pytest.mark.parametrize("dim", [1, 3])
-def test_simulate_gmm_is_one_sample_call(dim):
-    # the draw contract: one stratified sample() on a Generator seeded once
-    model = random_mixture(np.random.default_rng(dim), 3, dim)
-    got = simulate_gmm(model, 500, 41)
-    expected = sample(model, 500, np.random.default_rng(41))
-    assert got.tobytes() == expected.tobytes()
-
-
 def test_simulate_gmm_moments(mix_1d):
-    scen = simulate_gmm(mix_1d, m=20000, seed=5)
+    scen = sample(mix_1d, 20000, np.random.default_rng(5))
     flat = scen.reshape(-1)
     true_mean = float(mix_1d.weights @ mix_1d.means[:, 0])
     assert flat.mean() == pytest.approx(true_mean, abs=0.05)
@@ -138,16 +127,10 @@ def test_gbm_portfolio_is_one_closed_form_step():
     xi = eps @ np.linalg.cholesky(corr).T
     expected = np.log(1.0 + mus + sigmas * xi)
     assert got.tobytes() == expected.tobytes()
-
-
-def test_gbm_portfolio_writes_into_caller_arrays():
-    args = (np.array([0.001, -0.002]), np.array([0.01, 0.02]),
-            np.array([[1.0, 0.4], [0.4, 1.0]]), 300, 5)
-    fresh = simulate_gbm_portfolio(*args)
-    out, work = np.full((300, 2), np.nan), np.full(601, np.nan)
-    assert simulate_gbm_portfolio(*args, out=out, work=work) is out
-    assert out.tobytes() == fresh.tobytes()
-    assert not np.shares_memory(simulate_gbm_portfolio(*args), fresh)
+    # the kernel the engine calls gives the same bits in arrays it is handed
+    out, eps = np.full((400, 3), np.nan), np.full((400, 3), np.nan)
+    assert _gbm_day_into(mus, sigmas, corr, 12, out, eps) is out
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_gbm_portfolio_validation():
@@ -228,42 +211,3 @@ def test_rescale_rejects_non_finite_returns(bad):
     returns[3, 1] = bad
     with pytest.raises(ValidationError, match="non-finite"):
         rescale(returns, [1.0, 1.0])
-
-
-# ---------------------------------------------------- caller scratch arrays
-
-_MIX = random_mixture(np.random.default_rng(4), 2, 2)
-_GBM = (np.zeros(2), np.full(2, 0.01), np.eye(2), 100, 5)
-
-_CALLS = {
-    "sample": lambda **kw: sample(_MIX, 100, np.random.default_rng(0), **kw),
-    "simulate_gbm_portfolio": lambda **kw: simulate_gbm_portfolio(*_GBM, **kw),
-}
-# "kernel-keyword": the shape the keyword's array needs; a work= array is flat
-_KEYWORD_ARRAYS = {
-    "sample-out": (100, 2),
-    "sample-work": (200,),
-    "simulate_gbm_portfolio-out": (100, 2),
-    "simulate_gbm_portfolio-work": (200,),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_KEYWORD_ARRAYS))
-def test_caller_scratch_arrays_are_checked(case):
-    # unchecked, numpy casts into a float32 array, so the figures change or
-    # come back float32, or fails inside with a bare ValueError or TypeError;
-    # a read-only array fails inside numpy, and a strided one does too or is
-    # silently copied, so the kernel never writes into the caller's memory
-    kernel, name = case.split("-")
-    call, shape = _CALLS[kernel], _KEYWORD_ARRAYS[case]
-    call(**{name: np.zeros(shape)})
-    with pytest.raises(ValidationError, match="float64"):
-        call(**{name: np.zeros(shape, dtype=np.float32)})
-    with pytest.raises(ShapeError):
-        call(**{name: np.zeros((shape[0] - 1, *shape[1:]))})
-    read_only = np.zeros(shape)
-    read_only.setflags(write=False)
-    strided = np.zeros((*shape[:-1], 2 * shape[-1]))[..., ::2]
-    for array in (read_only, strided):
-        with pytest.raises(ValidationError, match=f"{name} must be a writable C-contiguous"):
-            call(**{name: array})

@@ -145,6 +145,15 @@ def test_price_panel_rejects_duplicate_tickers():
         PricePanel(dates=("2020-01-01", "2020-01-02"), tickers=("A", "A"), prices=np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("blank", ["", "  "], ids=["empty", "whitespace"])
+def test_price_panel_rejects_empty_tickers(blank):
+    # an empty ticker would write report rows whose ticker field is empty
+    with pytest.raises(ValidationError, match="ticker names must not be empty"):
+        PricePanel(dates=("2020-01-01",), tickers=("A", blank), prices=np.ones((1, 2)))
+    with pytest.raises(ValidationError, match="ticker names must not be empty"):
+        load_prices(io.StringIO(f"date,A,{blank}\n2020-01-01,1.0,2.0\n"))
+
+
 def test_price_panel_shape_mismatch():
     with pytest.raises(ShapeError):
         PricePanel(
