@@ -28,14 +28,11 @@ from .timeseries import (  # noqa: E402
 from .gmm import (  # noqa: E402
     FitReport,
     GaussianMixtureModel,
-    covariance_floor,
     fit,
-    kmeans_init,
     log_likelihood,
     mixture_cdf,
     mixture_density,
     sample,
-    stratified_counts,
 )
 from .scenario import (  # noqa: E402
     GbmParams,
@@ -56,7 +53,6 @@ from .backtest import (  # noqa: E402
     BacktestReport,
     ChristoffersenResult,
     christoffersen,
-    empirical_density,
     hits,
     ks_test,
     pdf_rmse,
@@ -65,13 +61,11 @@ from .backtest import (  # noqa: E402
 from .engine import (  # noqa: E402
     DayRecord,
     RunConfig,
-    derive_seed,
     make_scenario_writer,
     report,
     report_sweep,
     run_backtest,
     sweep_sigma_short,
-    sweep_verdict_rows,
 )
 
 __all__ = [
@@ -84,8 +78,7 @@ __all__ = [
     "PricePanel", "load_prices", "log_returns",
     # gmm
     "GaussianMixtureModel", "FitReport", "mixture_density", "mixture_cdf",
-    "log_likelihood", "fit", "kmeans_init", "sample", "stratified_counts",
-    "covariance_floor",
+    "log_likelihood", "fit", "sample",
     # scenario
     "GbmParams", "simulate_gbm_single", "simulate_gbm_portfolio", "rescale",
     # risk
@@ -94,9 +87,8 @@ __all__ = [
     "parametric_columns", "gbm_mc_var", "calibrate_gbm",
     # backtest
     "ChristoffersenResult", "BacktestReport", "hits", "christoffersen",
-    "quadratic_loss", "ks_test", "pdf_rmse", "empirical_density",
+    "quadratic_loss", "ks_test", "pdf_rmse",
     # engine
     "RunConfig", "DayRecord", "run_backtest", "sweep_sigma_short",
-    "sweep_verdict_rows", "report", "report_sweep", "derive_seed",
-    "make_scenario_writer",
+    "report", "report_sweep", "make_scenario_writer",
 ]

@@ -219,7 +219,7 @@ def ks_test(samples, cdf) -> tuple[float, float]:
     return d, kolmogorov_sf(np.sqrt(n) * d)
 
 
-def empirical_density(data) -> tuple[np.ndarray, np.ndarray]:
+def _empirical_density(data) -> tuple[np.ndarray, np.ndarray]:
     """Histogram density estimate evaluated at bin centers.
 
     The bin width follows the Freedman-Diaconis rule (2 IQR / n^(1/3)) over
@@ -248,7 +248,7 @@ def empirical_density(data) -> tuple[np.ndarray, np.ndarray]:
 
 def pdf_rmse(model_pdf, data) -> float:
     """RMSE between a model density and the histogram estimate of the data."""
-    centers, emp = empirical_density(data)
+    centers, emp = _empirical_density(data)
     mod = np.asarray(model_pdf(centers), dtype=float)
     if mod.shape != centers.shape:
         raise ValidationError(

@@ -70,7 +70,7 @@ DIAGNOSTICS_HEADER = "date,model_tag,init_mode,iterations,converged,final_loglik
 SWEEP_HEADER = "sigma_short,model_tag,ticker,alpha,n,x,verdict"
 
 
-def derive_seed(root_seed: int, *path: int) -> int:
+def _derive_seed(root_seed: int, *path: int) -> int:
     """Collapse (root, path...) into one integer seed for default_rng."""
     ss = np.random.SeedSequence(
         entropy=int(root_seed), spawn_key=tuple(int(p) for p in path)
@@ -322,7 +322,7 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
         realized = tuple((t, float(day_returns[c])) for c, t in enumerate(tickers))
         if config.portfolio is not None:
             realized += ((PORTFOLIO_TICKER, float(day_returns @ config.portfolio.weights)),)
-        seeds = tuple(-1 if kind in ("hs", "param") else derive_seed(config.seed, i, mi, 1)
+        seeds = tuple(-1 if kind in ("hs", "param") else _derive_seed(config.seed, i, mi, 1)
                       for mi, (_, kind, _) in enumerate(specs))
 
         arrays = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=int))
@@ -331,8 +331,6 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
         try:
             if needs_gmm:
                 long_vols = column_std(long_w)
-                if not np.all(np.isfinite(long_vols)):
-                    raise ValidationError("volatilities must be finite")
                 if np.any(long_vols == 0.0):
                     raise DegenerateDataError("long-window volatility is zero")
                 ratios = np.stack([column_std(long_w[-g:]) for g in short_lens]) / long_vols
@@ -397,7 +395,7 @@ def _fill_day(i, long_w, ratios, config, specs, seeds, prev_models, diags, buffe
         else:
             warm = prev_models.get(tag) if config.warm_start else None
             if warm is None:  # only a k-means start reads the fit seed
-                model, rep = fit(long_w, components, seed=derive_seed(config.seed, i, mi, 0))
+                model, rep = fit(long_w, components, seed=_derive_seed(config.seed, i, mi, 0))
             else:
                 model, rep = fit(long_w, components, init=warm)
             prev_models[tag] = model
@@ -502,16 +500,6 @@ def sweep_sigma_short(
                 f"grid value {g} outside [2, long_len={config.long_len}]"
             )
     return _run_days(panel, config, values, None, None)
-
-
-def sweep_verdict_rows(results) -> list[list[str]]:
-    """Flatten sweep results into (sigma_short, model, ticker, alpha) rows."""
-    return [
-        [str(g), rep.model_tag, rep.ticker, repr(rep.alpha), str(rep.n),
-         str(rep.x), rep.verdict]
-        for g in sorted(results)
-        for rep in results[g][1]
-    ]
 
 
 def _manifest(config: RunConfig, wall_clock_seconds, **entries) -> dict:
@@ -642,7 +630,11 @@ def report_sweep(
         for g, (records, reports) in sorted(results.items()):
             for rel, content in _run_files(records, reports, replace(config, short_len=g)):
                 yield f"short_{g:03d}/{rel}", content
-        yield "sweep_verdicts.csv", (SWEEP_HEADER, sweep_verdict_rows(results))
+        yield "sweep_verdicts.csv", (SWEEP_HEADER, (
+            [str(g), rep.model_tag, rep.ticker, repr(rep.alpha), str(rep.n), str(rep.x), rep.verdict]
+            for g, (_, reports) in sorted(results.items())
+            for rep in reports
+        ))
         yield "sweep_manifest.json", _manifest(config, wall_clock_seconds, grid=sorted(results))
 
     return _commit(out_dir, files())

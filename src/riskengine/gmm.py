@@ -72,23 +72,14 @@ def _as_matrix(data) -> np.ndarray:
     return X
 
 
-def covariance_floor(cov: np.ndarray):
-    """Diagonal floor added after each M-step: max(1e-8 * tr/k, 1e-10).
-
-    A float for one (k, k) covariance, an array for a (n, k, k) stack.
-    """
-    k = cov.shape[-1]
-    floor = np.maximum(1e-8 * np.trace(cov, axis1=-2, axis2=-1) / k, 1e-10)
-    return float(floor) if floor.ndim == 0 else floor
-
-
 def _floored(cov: np.ndarray) -> np.ndarray:
-    """Add its floor to the diagonal of cov, in place; returns cov.
+    """Add the floor max(1e-8 * tr/k, 1e-10) to the diagonal of cov, in place.
 
-    cov is a (k, k) or (n, k, k) array that the caller owns.
+    cov is a (k, k) or (n, k, k) array that the caller owns; returns cov.
     """
+    floor = np.maximum(1e-8 * np.trace(cov, axis1=-2, axis2=-1) / cov.shape[-1], 1e-10)
     diagonal = np.einsum("...ii->...i", cov)  # a writable view, for any strides
-    diagonal += np.asarray(covariance_floor(cov))[..., None]
+    diagonal += floor[..., None]
     return cov
 
 
@@ -256,34 +247,18 @@ class FitReport:
         return self.loglik_trace[-1]
 
 
-def mixture_density(model: GaussianMixtureModel, x):
-    """Mixture density at a point (vector of length dim).
+def mixture_density(model: GaussianMixtureModel, x) -> np.ndarray:
+    """Mixture density at each of N points, as an (N,) array.
 
-    Convenience: for 1-D models an array of scalars is treated as a batch of
-    points and an array is returned; likewise an (N, dim) matrix for any dim.
+    x is read as log_likelihood reads its data: an (N, dim) matrix, or an
+    (N,) array of points for a 1-D model.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = False
-    if x.ndim == 0:
-        x = x.reshape(1, 1)
-        scalar = True
-    elif x.ndim == 1:
-        if model.dim == 1:
-            x = x[:, None]
-            scalar = x.shape[0] == 1
-        else:
-            if x.shape[0] != model.dim:
-                raise ShapeError(
-                    f"point has dim {x.shape[0]}, model has dim {model.dim}"
-                )
-            x = x[None, :]
-            scalar = True
-    if x.shape[1] != model.dim:
-        raise ShapeError(f"points have dim {x.shape[1]}, model has dim {model.dim}")
+    X = _as_matrix(x)
+    if X.shape[1] != model.dim:
+        raise ShapeError(f"points have dim {X.shape[1]}, model has dim {model.dim}")
     # a point where every component density is 0 gets shift 0 and s = 0
-    shift, _, s = _logsumexp(model._log_weighted_densities(x))
-    dens = np.exp(shift) * s
-    return float(dens[0]) if scalar else dens
+    shift, _, s = _logsumexp(model._log_weighted_densities(X))
+    return np.exp(shift) * s
 
 
 def log_likelihood(model: GaussianMixtureModel, data) -> float:
@@ -301,7 +276,7 @@ def _m_step(Xt: np.ndarray, r: np.ndarray):
     Xt is (k, N), one sample per column, and r (n, N), the responsibilities,
     each column summing to one. Returns (weights, means, covariances): w_j =
     sum_i r_ji / N, mu_j the weighted mean and Sigma_j the weighted scatter
-    plus the diagonal floor (see covariance_floor). A component whose total
+    plus the diagonal floor (see _floored). A component whose total
     responsibility falls below 1e-8 * N is considered collapsed and is
     re-seeded at the sample the surviving components explain least, with
     weight 1/N and the global covariance; weights are renormalized.
@@ -348,24 +323,18 @@ def _m_step(Xt: np.ndarray, r: np.ndarray):
     return weights, means, covs
 
 
-def kmeans_init(X, n_components: int, rng) -> GaussianMixtureModel:
+def _kmeans_init(X, n_components: int, gen) -> GaussianMixtureModel:
     """Cold-start parameters from a short k-means pass.
 
-    Seeding picks centers with probability proportional to squared distance
-    from the chosen set (first one uniform); Lloyd then runs for at most 20
-    iterations or until labels stop moving. Empty clusters are re-seeded at
-    the point farthest from its current center. Component weights are
-    cluster fractions, covariances per-cluster scatter plus the floor.
+    X is fit's validated (N, k) matrix with N >= n_components >= 1, and gen
+    the Generator to draw from. Seeding picks centers with probability
+    proportional to squared distance from the chosen set (first one
+    uniform); Lloyd then runs for at most 20 iterations or until labels stop
+    moving. Empty clusters are re-seeded at the point farthest from its
+    current center. Component weights are cluster fractions, covariances
+    per-cluster scatter plus the floor.
     """
-    X = _as_matrix(X)
     N, k = X.shape
-    if n_components < 1:
-        raise ValidationError(f"n_components must be >= 1, got {n_components}")
-    if N < n_components:
-        raise InsufficientDataError(
-            f"{N} samples cannot seed {n_components} components"
-        )
-    gen = np.random.default_rng(rng)
 
     centers = np.empty((n_components, k))
     centers[0] = X[int(gen.integers(N))]
@@ -451,7 +420,7 @@ def fit(
         model = init
         init_mode = "warm_start"
     elif init == "kmeans":
-        model = kmeans_init(X, n_components, np.random.default_rng(seed))
+        model = _kmeans_init(X, n_components, np.random.default_rng(seed))
         init_mode = "kmeans"
     else:
         raise ValidationError(f"unknown init {init!r}")
@@ -495,7 +464,7 @@ def fit(
     return GaussianMixtureModel(weights=weights, means=means, covariances=covs), report
 
 
-def stratified_counts(weights, n_total: int) -> np.ndarray:
+def _stratified_counts(weights, n_total: int) -> np.ndarray:
     """Largest-remainder allocation of n_total draws across components."""
     ideal = np.asarray(weights, dtype=float) * n_total
     base = np.floor(ideal).astype(int)
@@ -530,7 +499,7 @@ def _sample_into(model, gen, z, rows):
     n_total = len(z)
     z = gen.standard_normal(z.shape, out=z)  # the shuffle below overwrites it
     stop = 0
-    for j, c in enumerate(stratified_counts(model.weights, n_total)):
+    for j, c in enumerate(_stratified_counts(model.weights, n_total)):
         start, stop = stop, stop + int(c)
         if c:
             block = rows[start:stop]

@@ -68,9 +68,9 @@ def load_prices(path_or_buffer) -> PricePanel:
     Expected layout: UTF-8 text, with or without a byte-order mark, with
     header ``date,<ticker>,...``; first column ISO-8601 dates written
     YYYY-MM-DD (else ParseError), remaining columns prices.
-    Rows may arrive in any order and are sorted by date. Duplicate dates and
-    non-positive prices are rejected, and PricePanel rejects empty and
-    duplicate tickers.
+    Rows may arrive in any order and are sorted by date. Duplicate dates are
+    rejected, and PricePanel rejects prices that are not positive and finite,
+    and empty and duplicate tickers.
     """
     if hasattr(path_or_buffer, "read"):
         text = path_or_buffer.read()
@@ -117,11 +117,6 @@ def load_prices(path_or_buffer) -> PricePanel:
                 raise ParseError(
                     f"non-numeric price {cell!r} for {ticker}", line_no=line_no
                 ) from None
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValidationError(
-                    f"price for {ticker} on {date} must be positive and "
-                    f"finite, got {cell!r}"
-                )
             values.append(value)
         parsed.append((date, values))
 

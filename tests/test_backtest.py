@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from riskengine import (
     BacktestReport,
     christoffersen,
-    empirical_density,
     hits,
     ks_test,
     pdf_rmse,
@@ -18,6 +17,7 @@ from riskengine.backtest import (
     VERDICT_INSUFFICIENT,
     VERDICT_NOT_REJECTED,
     VERDICT_REJECTED,
+    _empirical_density,
 )
 from riskengine.distributions import normal_cdf
 from riskengine.errors import (
@@ -296,7 +296,7 @@ def test_ks_accepts_cdf_within_its_tolerance():
 def test_empirical_density_integrates_to_one():
     rng = np.random.default_rng(3)
     x = rng.normal(0, 1, 5000)
-    centers, density = empirical_density(x)
+    centers, density = _empirical_density(x)
     width = centers[1] - centers[0]
     assert float(np.sum(density) * width) == pytest.approx(1.0, rel=1e-9)
     assert len(density) == len(centers)
@@ -304,15 +304,15 @@ def test_empirical_density_integrates_to_one():
 
 def test_empirical_density_gates():
     with pytest.raises(InsufficientDataError):
-        empirical_density(np.arange(7.0))
+        _empirical_density(np.arange(7.0))
     with pytest.raises(DegenerateDataError):
-        empirical_density(np.full(100, 2.0))
+        _empirical_density(np.full(100, 2.0))
 
 
 def test_pdf_rmse_zero_for_perfect_model():
     rng = np.random.default_rng(5)
     x = rng.normal(0, 1, 4000)
-    centers, density = empirical_density(x)
+    centers, density = _empirical_density(x)
 
     def perfect(t):
         return np.interp(t, centers, density)

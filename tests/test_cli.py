@@ -400,3 +400,19 @@ def test_gof_mixture_beats_normal_on_mixture_data(tmp_path, capsys):
     rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
     ll = {r[1]: float(r[2]) for r in rows}
     assert ll["gmm2"] > ll["normal"]
+
+
+def test_gof_on_a_one_bin_histogram(tmp_path, capsys):
+    # prices alternating 100/110 give 8 returns of two values, whose
+    # histogram has a single bin: the model density must still come back as
+    # one value per bin center, not as a bare float
+    p = tmp_path / "alternating.csv"
+    p.write_text("date,A\n" + "".join(
+        f"2020-01-{day:02d},{100.0 if day % 2 else 110.0!r}\n" for day in range(1, 10)
+    ))
+    out = tmp_path / "gof.csv"
+    assert main(["gof", "--prices", str(p), "--components", "2", "--out", str(out)]) == 0
+    assert "normal" in capsys.readouterr().out
+    with open(out, newline="") as fh:
+        rows = {row["model"]: row for row in csv.DictReader(fh)}
+    assert np.isfinite(float(rows["normal"]["pdf_rmse"]))

@@ -4,6 +4,8 @@ The package computes these on the standard library alone; scipy.special is
 the test-only reference for the accuracy contracts in the module docstring.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import special
@@ -98,16 +100,31 @@ def test_normal_ppf_matches_scipy():
 
 def test_chi2_sf_matches_scipy_for_integer_df():
     x = np.concatenate([np.logspace(-8, 0, 200), np.linspace(0.0, 400.0, 1601)[1:]])
-    for df in range(1, 41):
+    for df in (1, 2):
         ref = special.gammaincc(df / 2.0, x / 2.0)
         got = np.array([chi2_sf(float(v), df) for v in x])
         assert np.max(np.abs(got - ref) / ref) <= 1e-13, df
+
+
+def test_chi2_sf_is_the_closed_forms():
+    # df 1: erfc(sqrt(x/2)); df 2: exp(-x/2); both reach 0 at inf
+    for x in (1e-300, 1e-8, 0.5, 3.2, 50.0, 700.0, 1500.0, math.inf):
+        assert chi2_sf(x, 1) == math.erfc(math.sqrt(0.5 * x))
+        assert chi2_sf(x, 2) == math.exp(-0.5 * x)
+    assert chi2_sf(math.inf, 1) == 0.0 and chi2_sf(math.inf, 2) == 0.0
 
 
 @pytest.mark.parametrize("bad", [1.5, 0, -2, float("nan"), float("inf")])
 def test_chi2_sf_needs_positive_integer_df(bad):
     with pytest.raises(ValidationError):
         chi2_sf(3.0, bad)
+
+
+@pytest.mark.parametrize("df", [3, 4, 40])
+def test_chi2_sf_takes_df_1_or_2_only(df):
+    # the backtest reads df 1 (LR_uc, LR_ind) and df 2 (LR_cc) alone
+    with pytest.raises(ValidationError, match="1 or 2"):
+        chi2_sf(3.0, df)
 
 
 def test_kolmogorov_sf_matches_scipy():

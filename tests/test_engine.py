@@ -1,5 +1,6 @@
 """Rolling backtest orchestration: day loop, seeds, sweeps, report files."""
 
+import csv
 import json
 import os
 import re
@@ -25,12 +26,12 @@ from riskengine.baselines import _parametric_rows, calibrate_gbm, parametric_col
 from riskengine.engine import (
     MODEL_CHOICES,
     PORTFOLIO_TICKER,
-    derive_seed,
+    _derive_seed,
+    _manifest,
     make_scenario_writer,
     report,
     report_sweep,
     sweep_sigma_short,
-    sweep_verdict_rows,
 )
 from riskengine.errors import ConfigError, RunFailureError
 from riskengine.gmm import GaussianMixtureModel
@@ -73,11 +74,11 @@ def small_run(panel_3assets):
 
 
 def test_derive_seed_deterministic_and_distinct():
-    a = derive_seed(7, 3, 0, 1)
-    assert a == derive_seed(7, 3, 0, 1)
-    assert a != derive_seed(7, 3, 0, 0)
-    assert a != derive_seed(7, 4, 0, 1)
-    assert a != derive_seed(8, 3, 0, 1)
+    a = _derive_seed(7, 3, 0, 1)
+    assert a == _derive_seed(7, 3, 0, 1)
+    assert a != _derive_seed(7, 3, 0, 0)
+    assert a != _derive_seed(7, 4, 0, 1)
+    assert a != _derive_seed(8, 3, 0, 1)
     assert 0 <= a < 2**64
 
 
@@ -248,7 +249,7 @@ def test_run_backtest_gbm_portfolio_matches_gbm_mc_var(panel_3assets):
     for i in (0, 5, 11):
         rec = records[i]
         long_w = rets[rec.anchor - cfg.long_len : rec.anchor]
-        seed = derive_seed(cfg.seed, i, 0, 1)
+        seed = _derive_seed(cfg.seed, i, 0, 1)
         assert rec.seeds == (seed,)
         assert rec.realized[-1][0] == PORTFOLIO_TICKER
         holding = simulate_gbm_portfolio(*calibrate_gbm(long_w), cfg.paths, seed)
@@ -278,8 +279,8 @@ def test_every_portfolio_row_reads_the_realized_aggregation(panel_3assets):
         ratios = np.array(
             [np.std(long_w[-cfg.short_len :, c]) / np.std(long_w[:, c]) for c in range(3)]
         )
-        chain, _ = fit(long_w, 2, init=chain, seed=derive_seed(cfg.seed, i, 0, 0))
-        unscaled = sample(chain, cfg.paths, np.random.default_rng(derive_seed(cfg.seed, i, 0, 1)))
+        chain, _ = fit(long_w, 2, init=chain, seed=_derive_seed(cfg.seed, i, 0, 0))
+        unscaled = sample(chain, cfg.paths, np.random.default_rng(_derive_seed(cfg.seed, i, 0, 1)))
         for mi, key in enumerate(cfg.model_keys()):
             if key == "gmm2":
                 series = (unscaled @ (ratios * spec.weights))[:, None]
@@ -538,18 +539,25 @@ def test_run_backtest_rejects_a_ticker_named_portfolio():
     assert [t for t, _ in records[0].realized] == list(tickers)
 
 
-def test_sweep_verdict_rows_shape():
+def test_sweep_verdict_rows_shape(tmp_path):
     panel = make_panel(170, ("A", "B"), seed=2)
     cfg = RunConfig(
         models=("gmm",), n_components=(2,), alphas=(0.05,), long_len=120,
         short_len=30, paths=150, eval_days=10, seed=1,
     )
-    results = sweep_sigma_short(panel, cfg, [15, 30])
-    rows = sweep_verdict_rows(results)
-    # one row per (grid value, model, target, alpha)
-    assert len(rows) == 2 * 1 * 2 * 1
-    assert all(len(r) == 7 for r in rows)
-    assert {r[0] for r in rows} == {"15", "30"}
+    results = sweep_sigma_short(panel, cfg, [30, 15])
+    report_sweep(results, cfg, str(tmp_path))
+    with open(tmp_path / "sweep_verdicts.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["sigma_short", "model_tag", "ticker", "alpha", "n", "x", "verdict"]
+    # one row per (grid value, model, target, alpha), grid values ascending,
+    # each read off that value's backtest report
+    assert rows[1:] == [
+        [str(g), rep.model_tag, rep.ticker, repr(rep.alpha), str(rep.n), str(rep.x), rep.verdict]
+        for g in (15, 30)
+        for rep in results[g][1]
+    ]
+    assert len(rows) == 1 + 2 * 1 * 2 * 1
 
 
 # ----------------------------------------------------------------- report
@@ -641,8 +649,9 @@ def test_report_sweep_layout(tmp_path):
 
 
 def test_report_sweep_failure_leaves_no_file(tmp_path, monkeypatch):
-    # the verdict matrix fails after both grid values' reports went to
-    # temporaries: the sweep is written all or nothing, like a run
+    # the sweep manifest fails after both grid values' reports and the
+    # verdict matrix went to temporaries: the sweep is written all or
+    # nothing, like a run
     panel = make_panel(170, ("A", "B"), seed=2)
     cfg = RunConfig(
         models=("gmm",), n_components=(2,), alphas=(0.05,), long_len=120,
@@ -650,10 +659,12 @@ def test_report_sweep_failure_leaves_no_file(tmp_path, monkeypatch):
     )
     results = sweep_sigma_short(panel, cfg, [15, 30])
 
-    def fail(results):
-        raise OSError("disk full")
+    def fail(config, wall_clock_seconds, **entries):
+        if "grid" in entries:
+            raise OSError("disk full")
+        return _manifest(config, wall_clock_seconds, **entries)
 
-    monkeypatch.setattr("riskengine.engine.sweep_verdict_rows", fail)
+    monkeypatch.setattr("riskengine.engine._manifest", fail)
     out = tmp_path / "sw"
     with pytest.raises(OSError, match="disk full"):
         report_sweep(results, cfg, str(out))
@@ -715,7 +726,7 @@ def test_run_backtest_gbm_mc_dump_is_the_simulation(panel_3assets, tmp_path):
     for i, rec in enumerate(records):
         long_w = returns[i : i + cfg.long_len]
         expected = simulate_gbm_portfolio(
-            *calibrate_gbm(long_w), cfg.paths, derive_seed(cfg.seed, i, mi, 1)
+            *calibrate_gbm(long_w), cfg.paths, _derive_seed(cfg.seed, i, mi, 1)
         )
         dumped = np.load(tmp_path / "scenarios" / f"{rec.date}_gbm_mc.npy")
         assert dumped.shape == (cfg.paths, 3)
@@ -743,8 +754,8 @@ def test_run_backtest_gmm_rows_and_dumps_match_a_recomputation(panel_3assets, tm
     for i, rec in enumerate(records):
         assert rec.error is None
         long_w = returns[i : i + cfg.long_len]
-        model, _ = fit(long_w, 2, init=model, seed=derive_seed(cfg.seed, i, 0, 0))
-        seed = derive_seed(cfg.seed, i, 0, 1)
+        model, _ = fit(long_w, 2, init=model, seed=_derive_seed(cfg.seed, i, 0, 0))
+        seed = _derive_seed(cfg.seed, i, 0, 1)
         holding = sample(model, cfg.paths, np.random.default_rng(seed))
         ratios = np.array(
             [np.std(long_w[-cfg.short_len :, c]) / np.std(long_w[:, c]) for c in range(3)]
@@ -789,14 +800,14 @@ def test_run_backtest_tags_and_days_never_share_scenarios(panel_3assets, tmp_pat
             [np.std(long_w[-cfg.short_len :, c]) / np.std(long_w[:, c]) for c in range(3)]
         )
         for mi, tag in enumerate(cfg.model_keys()):
-            seed = derive_seed(cfg.seed, i, mi, 1)
+            seed = _derive_seed(cfg.seed, i, mi, 1)
             assert rec.seeds[mi] == seed
             if tag == "gbm_mc":
                 holding = simulate_gbm_portfolio(*calibrate_gbm(long_w), cfg.paths, seed)
                 assets = var_es_columns(holding, cfg.alphas)
                 series = holding @ weights
             else:
-                fit_seed = derive_seed(cfg.seed, i, mi, 0)
+                fit_seed = _derive_seed(cfg.seed, i, mi, 0)
                 chains[tag], _ = fit(long_w, int(tag[3:]), init=chains[tag], seed=fit_seed)
                 unscaled = sample(chains[tag], cfg.paths, np.random.default_rng(seed))
                 var, es, n_tail = var_es_columns(unscaled, cfg.alphas)

@@ -15,15 +15,13 @@ from scipy.linalg import solve_triangular
 from riskengine import gmm as gmm_module
 from riskengine import (
     GaussianMixtureModel,
-    covariance_floor,
     fit,
-    kmeans_init,
     log_likelihood,
     mixture_cdf,
     mixture_density,
     sample,
-    stratified_counts,
 )
+from riskengine.gmm import _floored, _kmeans_init, _stratified_counts
 from riskengine.errors import (
     InsufficientDataError,
     ShapeError,
@@ -113,13 +111,14 @@ def _one_component(mean, cov):
 
 def test_component_density_1d_standard_normal():
     model = _one_component(np.zeros(1), np.eye(1))
-    assert mixture_density(model, 0.0) == pytest.approx(0.3989422804014327, rel=1e-14)
+    assert mixture_density(model, [0.0])[0] == pytest.approx(0.3989422804014327, rel=1e-14)
 
 
 def test_component_density_2d_reference():
     model = _one_component(np.array([0.5, -0.25]), np.array([[2.0, 0.6], [0.6, 1.0]]))
-    val = mixture_density(model, np.array([1.0, 0.5]))
-    assert val == pytest.approx(0.0937393348269034, rel=1e-13)
+    val = mixture_density(model, np.array([[1.0, 0.5]]))
+    assert val.shape == (1,)
+    assert val[0] == pytest.approx(0.0937393348269034, rel=1e-13)
 
 
 def test_component_density_matches_scipy():
@@ -133,7 +132,8 @@ def test_component_density_matches_scipy():
         mean = rng.normal(size=dim)
         x = rng.normal(size=dim)
         ref = scipy.stats.multivariate_normal(mean=mean, cov=cov).pdf(x)
-        assert mixture_density(_one_component(mean, cov), x) == pytest.approx(ref, rel=1e-10)
+        got = mixture_density(_one_component(mean, cov), x[None, :])
+        assert got[0] == pytest.approx(ref, rel=1e-10)
 
 
 def test_mixture_density_reference():
@@ -142,8 +142,8 @@ def test_mixture_density_reference():
         means=np.array([[-1.0], [2.0]]),
         covariances=np.array([[[0.25]], [[4.0]]]),
     )
-    assert mixture_density(m, 0.2) == pytest.approx(0.10656655564146993, rel=1e-13)
     batch = mixture_density(m, np.array([0.2, 0.2]))
+    assert batch.shape == (2,)
     np.testing.assert_allclose(batch, 0.10656655564146993, rtol=1e-13)
 
 
@@ -157,11 +157,29 @@ def test_mixture_density_is_zero_where_every_component_underflows():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert mixture_density(m, 1e200) == 0.0
         batch = mixture_density(m, np.array([1e200, 0.2, -1e200]))
-        assert mixture_density(two_comp_2d(), [1e200, 0.0]) == 0.0
+        assert mixture_density(two_comp_2d(), [[1e200, 0.0]])[0] == 0.0
     assert batch[0] == 0.0 and batch[2] == 0.0
     assert batch[1] == pytest.approx(0.10656655564146993, rel=1e-13)
+
+
+def test_mixture_density_reads_points_as_log_likelihood_does():
+    # one point is still a batch: (1,) out, as pdf_rmse needs for a one-bin histogram
+    m = _one_component(np.zeros(1), np.eye(1))
+    assert mixture_density(m, [0.0]).shape == (1,)
+    assert mixture_density(m, [[0.0]]).shape == (1,)
+    m2 = two_comp_2d()
+    assert mixture_density(m2, np.zeros((3, 2))).shape == (3,)
+    with pytest.raises(ShapeError):
+        mixture_density(m, 0.0)  # a scalar is not a batch
+    with pytest.raises(ShapeError):
+        mixture_density(m2, [0.0, 0.0])  # a 1-D array is a batch of 1-D points
+    with pytest.raises(ShapeError):
+        mixture_density(m, np.zeros((2, 2)))
+    with pytest.raises(ValidationError):
+        mixture_density(m, [0.0, np.nan])
+    with pytest.raises(InsufficientDataError):
+        mixture_density(m, np.zeros(0))
 
 
 def test_mixture_cdf_reference():
@@ -383,6 +401,11 @@ def test_e_step_rows_sum_to_one_random():
         assert np.all(r >= 0)
 
 
+def _floor(cov):
+    """The M-step's diagonal floor for one (k, k) covariance: max(1e-8 * tr/k, 1e-10)."""
+    return max(1e-8 * np.trace(cov) / cov.shape[0], 1e-10)
+
+
 def test_m_step_weighted_moment_oracle():
     x = np.array([[0.0], [1.0], [2.0], [5.0]])
     r = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
@@ -390,8 +413,8 @@ def test_m_step_weighted_moment_oracle():
     np.testing.assert_allclose(weights, [0.5, 0.5], rtol=1e-15)
     np.testing.assert_allclose(means, [[0.5], [3.5]], rtol=1e-15)
     # population variances 0.25 and 2.25, plus the diagonal stabiliser
-    expected0 = 0.25 + covariance_floor(np.array([[0.25]]))
-    expected1 = 2.25 + covariance_floor(np.array([[2.25]]))
+    expected0 = 0.25 + _floor(np.array([[0.25]]))
+    expected1 = 2.25 + _floor(np.array([[2.25]]))
     assert covs[0, 0, 0] == pytest.approx(expected0, rel=1e-14)
     assert covs[1, 0, 0] == pytest.approx(expected1, rel=1e-14)
 
@@ -404,7 +427,7 @@ def test_m_step_single_component_recovers_global_moments():
     np.testing.assert_allclose(means[0], x.mean(axis=0), rtol=1e-12)
     cov = np.cov(x.T, bias=True)
     np.testing.assert_allclose(
-        covs[0], cov + covariance_floor(cov) * np.eye(2), rtol=1e-10
+        covs[0], cov + _floor(cov) * np.eye(2), rtol=1e-10
     )
 
 
@@ -421,7 +444,7 @@ def test_m_step_reseeds_starved_component():
     assert np.any(np.isclose(x[:, 0], means[1, 0]))
     gcov = np.cov(x[:, 0], bias=True)
     assert covs[1, 0, 0] == pytest.approx(
-        gcov + covariance_floor(np.atleast_2d(gcov)), rel=1e-10
+        gcov + _floor(np.atleast_2d(gcov)), rel=1e-10
     )
 
 
@@ -451,7 +474,7 @@ def _assert_exact_moments(X, r, weights, means, covs):
         S = np.array(
             [[math.fsum(rj * D[:, a] * D[:, b]) for b in range(k)] for a in range(k)]
         ) / col[j]
-        expected = S + covariance_floor(S) * np.eye(k)
+        expected = S + _floor(S) * np.eye(k)
         assert weights[j] == pytest.approx(col[j] / total, rel=1e-12, abs=0.0)
         assert np.all(np.abs(means[j] - mu) <= 1e-12 * rms)
         scale = np.sqrt(np.outer(np.diag(S), np.diag(S)))
@@ -471,7 +494,7 @@ def _assert_exact_moments(X, r, weights, means, covs):
     G = np.array(
         [[math.fsum(D[:, a] * D[:, b]) for b in range(k)] for a in range(k)]
     ) / N
-    expected = G + covariance_floor(G) * np.eye(k)
+    expected = G + _floor(G) * np.eye(k)
     scale = np.sqrt(np.outer(np.diag(G), np.diag(G)))
     for pick, j in enumerate(np.flatnonzero(~healthy)):
         np.testing.assert_array_equal(means[j], X[order[pick]])
@@ -507,11 +530,14 @@ def test_m_step_matches_exact_weighted_moments(
 
 
 def test_covariance_floor_scales():
-    assert covariance_floor(np.eye(2)) == pytest.approx(1e-8, rel=1e-12)
-    assert covariance_floor(np.array([[1e-6]])) == 1e-10  # absolute floor wins
+    # _floored adds max(1e-8 * tr/k, 1e-10) to the diagonal, in place
+    cov = np.eye(2)
+    assert _floored(cov) is cov
+    np.testing.assert_array_equal(cov, (1.0 + 1e-8) * np.eye(2))
+    assert _floored(np.array([[1e-6]]))[0, 0] == 1e-6 + 1e-10  # absolute floor wins
     stack = np.stack([np.eye(2), 1e-6 * np.eye(2)])
     np.testing.assert_array_equal(
-        covariance_floor(stack), [covariance_floor(c) for c in stack]
+        _floored(stack.copy()), [_floored(c.copy()) for c in stack]
     )
 
 
@@ -521,8 +547,8 @@ def test_covariance_floor_scales():
 def test_kmeans_init_deterministic_and_valid():
     rng = np.random.default_rng(4)
     x = np.vstack([rng.normal(-3, 1, (60, 2)), rng.normal(3, 1, (60, 2))])
-    a = kmeans_init(x, 2, np.random.default_rng(1))
-    b = kmeans_init(x, 2, np.random.default_rng(1))
+    a = _kmeans_init(x, 2, np.random.default_rng(1))
+    b = _kmeans_init(x, 2, np.random.default_rng(1))
     np.testing.assert_array_equal(a.means, b.means)
     np.testing.assert_array_equal(a.weights, b.weights)
     assert a.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -535,7 +561,7 @@ def test_kmeans_init_deterministic_and_valid():
 def test_kmeans_init_single_component():
     rng = np.random.default_rng(8)
     x = rng.normal(2.0, 0.5, (100, 1))
-    m = kmeans_init(x, 1, np.random.default_rng(0))
+    m = _kmeans_init(x, 1, np.random.default_rng(0))
     assert m.means[0, 0] == pytest.approx(x.mean(), rel=1e-10)
 
 
@@ -692,11 +718,11 @@ def test_fit_near_degenerate_component_stays_monotone():
 
 def test_stratified_counts_largest_remainder():
     np.testing.assert_array_equal(
-        stratified_counts(np.array([0.5, 0.3, 0.2]), 7), [4, 2, 1]
+        _stratified_counts(np.array([0.5, 0.3, 0.2]), 7), [4, 2, 1]
     )
     # remainder tie resolved toward the earlier component (stable order)
     np.testing.assert_array_equal(
-        stratified_counts(np.array([0.5, 0.25, 0.25]), 2), [1, 1, 0]
+        _stratified_counts(np.array([0.5, 0.25, 0.25]), 2), [1, 1, 0]
     )
 
 
@@ -706,7 +732,7 @@ def test_stratified_counts_properties():
         k = int(rng.integers(1, 7))
         w = rng.dirichlet(np.ones(k))
         n = int(rng.integers(1, 5000))
-        c = stratified_counts(w, n)
+        c = _stratified_counts(w, n)
         assert c.sum() == n
         assert np.all(c >= 0)
         assert np.all(np.abs(c - w * n) < 1.0)  # largest remainder never drifts far
@@ -716,7 +742,7 @@ def _reference_sample(model, n_total, rng):
     """sample before the single draw: one block of normals per component."""
     gen = np.random.default_rng(rng)
     blocks = []
-    for j, c in enumerate(stratified_counts(model.weights, n_total)):
+    for j, c in enumerate(_stratified_counts(model.weights, n_total)):
         if c == 0:
             continue
         z = gen.standard_normal((int(c), model.dim))
@@ -758,7 +784,7 @@ def test_sample_stratified_composition_exact(mix_1d):
     s = sample(mix_1d, 1000, np.random.default_rng(0))
     assert s.shape == (1000, 1)
     n_right = int(np.sum(s[:, 0] > 0))
-    expected = stratified_counts(mix_1d.weights, 1000)
+    expected = _stratified_counts(mix_1d.weights, 1000)
     assert n_right == expected[1]
 
 
