@@ -281,7 +281,7 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
     checks each grid point. Each Monte Carlo tag owns a (holding, scratch)
     pair of arrays, allocated here once for the run: holding receives the
     day's (paths, assets) draws, and scratch, flat, first holds the
-    simulator's shocks or unshuffled draws, then the model-day's sample
+    simulator's standard-normal shocks, then the model-day's sample
     block. A scenario writer gets each valid (day, g)'s holdings: a gbm_mc
     holding itself, overwritten the next day, and a gmm one rescaled by row
     g of the ratios into a new array. An exception raised during the day

@@ -33,9 +33,9 @@ Lloyd iterations) seeded by fit's seed; warm starts accept a previously
 fitted model and ignore the seed, and typically converge in a couple of
 iterations when the data has shifted by one observation.
 
-sample returns a new array of stratified draws. Its kernel _sample_into
-writes the same bits into two arrays the caller owns and checks neither;
-the engine's day loop calls it to reuse one pair of arrays per model.
+sample returns a new array of draws grouped by component. Its kernel
+_sample_into writes the same bits into two arrays the caller owns and checks
+neither; the engine's day loop calls it to reuse one pair of arrays per model.
 """
 
 from __future__ import annotations
@@ -479,11 +479,11 @@ def sample(model: GaussianMixtureModel, n_total: int, rng) -> np.ndarray:
     """Draw n_total points from the mixture, stratified by component.
 
     Allocates round(w_j * n_total) draws per component by largest
-    remainder, turns the rows of block j into mu_j + L_j z, then shuffles
-    the rows. Draw order given one Generator: one (n_total, dim) block of
-    standard normals, whose rows go to the components in index order, then
-    one permutation. The single block holds the same stream as one block
-    per component drawn in turn. Returns a new (n_total, dim) array.
+    remainder and turns the rows of block j into mu_j + L_j z, so the rows
+    come grouped by component in index order. Draw order given one
+    Generator: one (n_total, dim) block of standard normals and nothing
+    else, the same stream as one block per component drawn in turn.
+    Returns a new (n_total, dim) array.
     """
     if n_total < 1:
         raise ValidationError(f"n_total must be >= 1, got {n_total}")
@@ -491,31 +491,29 @@ def sample(model: GaussianMixtureModel, n_total: int, rng) -> np.ndarray:
     return _sample_into(model, np.random.default_rng(rng), np.empty(shape), np.empty(shape))
 
 
-def _sample_into(model, gen, z, rows):
-    """sample's draws from Generator gen, written into z and returned; rows
-    holds the unshuffled draws and is overwritten. z and rows are distinct
+def _sample_into(model, gen, out, z):
+    """sample's draws from Generator gen, written into out and returned; z
+    holds the standard normals and is overwritten. out and z are distinct
     C-contiguous float64 (n_total, dim) arrays, which are not checked.
     """
-    n_total = len(z)
-    z = gen.standard_normal(z.shape, out=z)  # the shuffle below overwrites it
+    gen.standard_normal(z.shape, out=z)
     stop = 0
-    for j, c in enumerate(_stratified_counts(model.weights, n_total)):
+    for j, c in enumerate(_stratified_counts(model.weights, len(z))):
         start, stop = stop, stop + int(c)
         if c:
-            block = rows[start:stop]
+            block = out[start:stop]
             np.matmul(z[start:stop], model._chols[j].T, out=block)
             block += model.means[j]
-    # mode="clip" writes straight into z: the default mode="raise" copies an
-    # out= array first, and a permutation is never out of range
-    return np.take(rows, gen.permutation(n_total), axis=0, out=z, mode="clip")
+    return out
 
 
-def mixture_cdf(model: GaussianMixtureModel, x):
-    """CDF of a univariate mixture: sum_j w_j Phi((x - mu_j) / sigma_j)."""
+def mixture_cdf(model: GaussianMixtureModel, x) -> np.ndarray:
+    """CDF sum_j w_j Phi((x - mu_j) / sigma_j) of a 1-D mixture at each x of an (N,) array."""
     if model.dim != 1:
         raise ShapeError(f"mixture_cdf needs a 1-D model, got dim {model.dim}")
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ShapeError(f"mixture_cdf takes an (N,) array of points, got shape {x.shape}")
     sds = np.sqrt(model.covariances[:, 0, 0])
-    z = (x[..., None] - model.means[:, 0]) / sds
-    out = np.sum(model.weights * normal_cdf(z), axis=-1)
-    return float(out) if out.ndim == 0 else out
+    z = (x[:, None] - model.means[:, 0]) / sds
+    return np.sum(model.weights * normal_cdf(z), axis=1)

@@ -188,7 +188,7 @@ def test_mixture_cdf_reference():
         means=np.array([[-1.0], [2.0]]),
         covariances=np.array([[[0.25]], [[4.0]]]),
     )
-    assert mixture_cdf(m, 0.0) == pytest.approx(0.40423363816756617, rel=1e-13)
+    assert mixture_cdf(m, [0.0]) == pytest.approx([0.40423363816756617], rel=1e-13)
     grid = np.linspace(-6, 10, 50)
     vals = mixture_cdf(m, grid)
     assert np.all(np.diff(vals) > 0)
@@ -197,7 +197,14 @@ def test_mixture_cdf_reference():
 
 def test_mixture_cdf_needs_univariate_model():
     with pytest.raises(ShapeError):
-        mixture_cdf(two_comp_2d(), 0.0)
+        mixture_cdf(two_comp_2d(), [0.0])
+
+
+def test_mixture_cdf_takes_batches_only(mix_1d):
+    assert mixture_cdf(mix_1d, [0.5]).shape == (1,)
+    for x in (0.5, np.zeros((3, 1))):
+        with pytest.raises(ShapeError):
+            mixture_cdf(mix_1d, x)
 
 
 def test_log_likelihood_is_mean_log_density():
@@ -747,8 +754,7 @@ def _reference_sample(model, n_total, rng):
             continue
         z = gen.standard_normal((int(c), model.dim))
         blocks.append(model.means[j] + z @ model._chols[j].T)
-    out = np.concatenate(blocks, axis=0)
-    return out[gen.permutation(n_total)]
+    return np.concatenate(blocks, axis=0)
 
 
 @given(
@@ -774,9 +780,9 @@ def test_sample_single_draw_matches_block_draws_bit_for_bit(
     np.testing.assert_array_equal(got, _reference_sample(model, n_total, ref_gen))
     assert gen.random() == ref_gen.random()  # both consumed the same stream
     # the kernel the engine calls gives the same bits in arrays it is handed
-    z, rows = np.full((n_total, dim), np.nan), np.full((n_total, dim), np.nan)
-    assert gmm_module._sample_into(model, np.random.default_rng(seed), z, rows) is z
-    assert z.tobytes() == got.tobytes()
+    out, z = np.full((n_total, dim), np.nan), np.full((n_total, dim), np.nan)
+    assert gmm_module._sample_into(model, np.random.default_rng(seed), out, z) is out
+    assert out.tobytes() == got.tobytes()
 
 
 def test_sample_stratified_composition_exact(mix_1d):
@@ -786,6 +792,8 @@ def test_sample_stratified_composition_exact(mix_1d):
     n_right = int(np.sum(s[:, 0] > 0))
     expected = _stratified_counts(mix_1d.weights, 1000)
     assert n_right == expected[1]
+    # rows come grouped by component, in index order
+    assert np.all(s[: expected[0], 0] < 0) and np.all(s[expected[0] :, 0] > 0)
 
 
 def test_sample_deterministic_and_allocation_modes(mix_1d):

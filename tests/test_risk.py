@@ -165,6 +165,22 @@ def test_var_es_columns_reads_each_column_as_its_one_column_call(case):
         alone = var_es_columns(H[:, c : c + 1], alphas)
         assert [a[c : c + 1].tobytes() for a in together] == [a.tobytes() for a in alone], c
 
+
+@given(sample_matrices(), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_var_es_columns_ignores_row_order(case, seed, tied):
+    # the mixture sampler leaves its rows grouped by component, so no estimate
+    # may read the row order: var, es and n_tail are the same bits for every
+    # row permutation. Rounding to 3 decimals ties often enough, signed zeros
+    # included, that columns take the full-sort spill path.
+    H, alphas = case
+    if tied:
+        H = np.round(H, 3)
+    shuffled = H[np.random.default_rng(seed).permutation(len(H))]
+    got, again = var_es_columns(H, alphas), var_es_columns(shuffled, alphas)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in again]
+
+
 def _tie_run_past_the_sorted_ranks():
     # alpha 0.05 at 100 rows reads ranks 4 and 5; ranks 3..22 of column 0
     # tie at -1, so its tail runs 17 ranks past the sorted head
