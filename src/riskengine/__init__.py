@@ -35,10 +35,8 @@ from .gmm import (  # noqa: E402
     sample,
 )
 from .scenario import (  # noqa: E402
-    GbmParams,
     rescale,
     simulate_gbm_portfolio,
-    simulate_gbm_single,
 )
 from .risk import (  # noqa: E402
     PortfolioSpec,
@@ -80,7 +78,7 @@ __all__ = [
     "GaussianMixtureModel", "FitReport", "mixture_density", "mixture_cdf",
     "log_likelihood", "fit", "sample",
     # scenario
-    "GbmParams", "simulate_gbm_single", "simulate_gbm_portfolio", "rescale",
+    "simulate_gbm_portfolio", "rescale",
     # risk
     "PortfolioSpec", "var_es_columns",
     # baselines

@@ -223,7 +223,9 @@ def _empirical_density(data) -> tuple[np.ndarray, np.ndarray]:
     """Histogram density estimate evaluated at bin centers.
 
     The bin width follows the Freedman-Diaconis rule (2 IQR / n^(1/3)) over
-    the data range.
+    the data range. Data that spread with a zero IQR, such as returns that
+    are mostly zero, get Sturges' ceil(log2 n) + 1 bins instead, as numpy's
+    "auto" rule falls back to.
     """
     x = np.asarray(data, dtype=float).ravel()
     if x.size < 8:
@@ -235,11 +237,14 @@ def _empirical_density(data) -> tuple[np.ndarray, np.ndarray]:
     q25, q75 = _quantiles(x.copy(), (0.25, 0.75))[1]  # it sorts in place
     width = 2.0 * (q75 - q25) / x.size ** (1.0 / 3.0)
     span = float(x.max() - x.min())
-    if width <= 0.0 or span <= 0.0:
+    if span <= 0.0:
         raise DegenerateDataError(
             "data has no spread; histogram bin width is zero"
         )
-    nbins = max(int(np.ceil(span / width)), 1)
+    if width > 0.0:
+        nbins = max(int(np.ceil(span / width)), 1)
+    else:
+        nbins = int(np.ceil(np.log2(x.size))) + 1
     edges = np.linspace(x.min(), x.max(), nbins + 1)
     density, _ = np.histogram(x, bins=edges, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])

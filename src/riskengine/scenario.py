@@ -1,50 +1,28 @@
-"""Scenario generation: GBM steps and volatility rescaling.
+"""Scenario generation: the GBM step and volatility rescaling.
 
 Scenarios are one-day log returns in plain float arrays shaped (paths,
-assets); mixture scenarios are gmm.sample's draws. The GBM simulators
-reject non-finite output with ValidationError, and rescale multiplies the
+assets); mixture scenarios are gmm.sample's draws. simulate_gbm_portfolio
+rejects non-finite output with ValidationError, and rescale multiplies the
 last axis of any array by one positive ratio per asset. Every public
 function returns a new array. simulate_gbm_portfolio checks its parameters
 and calls _gbm_day_into, the kernel that writes the same bits into arrays
 the caller owns and that the engine's day loop calls with its own.
 
-Two GBM discretizations are implemented literally and never mixed. The
-single-asset form is exponential, S_1 = S_0 exp(mu dt + sigma eps
-sqrt(dt)), so prices stay positive by construction. The portfolio form is
-the arithmetic Euler step over one day, ln(S_1 / S_0) = ln(1 + mu + sigma
-xi) whatever S_0, with correlated shocks xi = A eps, where A is the Cholesky
-factor of the shock correlation matrix. The two agree in distribution only
-up to O(dt), which is why neither is expressed through the other. A
-portfolio of either is w . r of its log returns, as for every scenario array.
+The one GBM discretization is the arithmetic Euler step over one day,
+ln(S_1 / S_0) = ln(1 + mu + sigma xi) whatever S_0, with correlated shocks
+xi = A eps, where A is the Cholesky factor of the shock correlation matrix;
+a single asset is its one-column case. A portfolio is w . r of the log
+returns, as for every scenario array.
 
-Reproducibility: every GBM simulator takes an integer seed and draws from one
-numpy default Generator seeded with it.
+Reproducibility: simulate_gbm_portfolio takes an integer seed and draws
+from one numpy default Generator seeded with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericError, ShapeError, ValidationError
-
-
-@dataclass(frozen=True)
-class GbmParams:
-    """Drift and volatility per unit time, plus the step size dt."""
-
-    mu: float
-    sigma: float
-    dt: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.mu) and np.isfinite(self.sigma) and np.isfinite(self.dt)):
-            raise ValidationError("GBM parameters must be finite")
-        if self.sigma < 0:
-            raise ValidationError(f"sigma must be >= 0, got {self.sigma}")
-        if self.dt <= 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
 
 
 def column_std(w: np.ndarray) -> np.ndarray:
@@ -67,22 +45,6 @@ def _finite(returns: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(returns)):
         raise ValidationError("scenario returns contain non-finite entries")
     return returns
-
-
-def simulate_gbm_single(
-    s0: float, params: GbmParams, m: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One exponential-form GBM step of length params.dt for one asset.
-
-    Returns the log returns (m, 1) and the end prices (m,). The Generator
-    yields m standard normals.
-    """
-    if not np.isfinite(s0) or s0 <= 0:
-        raise ValidationError(f"initial price must be positive, got {s0}")
-    _check_paths(m)
-    eps = np.random.default_rng(seed).standard_normal(m)
-    log_step = params.mu * params.dt + params.sigma * np.sqrt(params.dt) * eps
-    return _finite(log_step[:, None]), s0 * np.exp(log_step)
 
 
 def simulate_gbm_portfolio(mus, sigmas, corr, m: int, seed: int) -> np.ndarray:

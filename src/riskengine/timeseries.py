@@ -19,7 +19,8 @@ from .errors import (
 
 @dataclass(frozen=True)
 class PricePanel:
-    """Aligned close prices: one row per date, one column per distinct named ticker."""
+    """Aligned close prices: one row per date, one column per distinct named
+    ticker; with two rows or more, no column's price is constant."""
 
     dates: tuple[str, ...]
     tickers: tuple[str, ...]
@@ -56,6 +57,12 @@ class PricePanel:
                 f"price for {self.tickers[bad[1]]} on {self.dates[bad[0]]} "
                 f"is not a positive finite number"
             )
+        flat = np.all(p == p[0], axis=0)
+        if len(p) > 1 and np.any(flat):
+            raise ValidationError(
+                f"price of {self.tickers[np.argmax(flat)]!r} is constant over all "
+                f"{len(p)} rows, so it has no returns to model"
+            )
 
     @property
     def n_rows(self) -> int:
@@ -70,7 +77,7 @@ def load_prices(path_or_buffer) -> PricePanel:
     YYYY-MM-DD (else ParseError), remaining columns prices.
     Rows may arrive in any order and are sorted by date. Duplicate dates are
     rejected, and PricePanel rejects prices that are not positive and finite,
-    and empty and duplicate tickers.
+    a constant price column, and empty and duplicate tickers.
     """
     if hasattr(path_or_buffer, "read"):
         text = path_or_buffer.read()

@@ -14,7 +14,6 @@ import pytest
 
 from riskengine import (
     GaussianMixtureModel,
-    GbmParams,
     PortfolioSpec,
     PricePanel,
     RunConfig,
@@ -25,7 +24,6 @@ from riskengine import (
     run_backtest,
     sample,
     simulate_gbm_portfolio,
-    simulate_gbm_single,
     var_es_columns,
 )
 from riskengine.backtest import VERDICT_NOT_REJECTED
@@ -281,12 +279,15 @@ def test_criterion_08_volatility_adjustment_homogeneity():
 
 
 def test_criterion_09_gbm_moments():
+    # The engine's GBM is one arithmetic Euler step, so the simple return
+    # exp(r) - 1 = mu delta + sigma sqrt(delta) xi is exactly normal; the log
+    # return would carry the step's -sigma^2 delta / 2 bias instead.
     mu, sigma, delta = 0.05, 0.2, 1 / 252
     m = 100000
-    scen, _ = simulate_gbm_single(
-        s0=100.0, params=GbmParams(mu=mu, sigma=sigma, dt=delta), m=m, seed=4
+    scen = simulate_gbm_portfolio(
+        mus=[mu * delta], sigmas=[sigma * np.sqrt(delta)], corr=[[1.0]], m=m, seed=4,
     )
-    steps = scen[:, 0]
+    steps = np.expm1(scen[:, 0])
     se_mean = sigma * np.sqrt(delta) / np.sqrt(m)
     se_std = sigma * np.sqrt(delta) / np.sqrt(2 * m)
     assert abs(steps.mean() - mu * delta) <= 3 * se_mean

@@ -309,6 +309,20 @@ def test_empirical_density_gates():
         _empirical_density(np.full(100, 2.0))
 
 
+def test_pdf_rmse_on_data_with_a_zero_iqr():
+    # 80% zeros: the interquartile range is zero but the data spread, so the
+    # histogram takes Sturges' ceil(log2 n) + 1 bins over the data's span
+    rng = np.random.default_rng(8)
+    x = np.where(rng.random(299) < 0.8, 0.0, rng.normal(0.0, 0.01, 299))
+    centers, density = _empirical_density(x)
+    assert centers.size == 10
+    assert centers[0] > x.min() and centers[-1] < x.max()
+    width = centers[1] - centers[0]
+    assert float(np.sum(density) * width) == pytest.approx(1.0, rel=1e-9)
+    rmse = pdf_rmse(lambda t: np.exp(-t * t / 2e-4) / np.sqrt(2e-4 * np.pi), x)
+    assert np.isfinite(rmse) and rmse > 0.0
+
+
 def test_pdf_rmse_zero_for_perfect_model():
     rng = np.random.default_rng(5)
     x = rng.normal(0, 1, 4000)

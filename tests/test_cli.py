@@ -1,6 +1,7 @@
 """Command-line entry points: run, sweep, gof; exit codes and file outputs."""
 
 import csv
+import datetime as dt
 import json
 
 import numpy as np
@@ -11,13 +12,19 @@ from riskengine.cli import main
 from conftest import make_panel
 
 
-def write_prices(path, n_rows=200, tickers=("AA", "BB"), seed=7):
-    panel = make_panel(n_rows, tickers, seed)
+def write_rows(path, tickers, prices):
+    """A price CSV with one row per line of prices, dated by calendar day from 2018-01-01."""
+    d0 = dt.date(2018, 1, 1)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["date", *panel.tickers])
-        for i, d in enumerate(panel.dates):
-            w.writerow([d, *[repr(float(v)) for v in panel.prices[i]]])
+        w.writerow(["date", *tickers])
+        w.writerows([(d0 + dt.timedelta(days=i)).isoformat(), *map(repr, row)]
+                    for i, row in enumerate(prices.tolist()))
+
+
+def write_prices(path, n_rows=200, tickers=("AA", "BB"), seed=7):
+    panel = make_panel(n_rows, tickers, seed)
+    write_rows(path, panel.tickers, panel.prices)
     return panel
 
 
@@ -385,14 +392,7 @@ def test_gof_mixture_beats_normal_on_mixture_data(tmp_path, capsys):
     steps = np.where(pick, rng.normal(0.001, 0.006, n), rng.normal(-0.002, 0.03, n))
     prices = 100 * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
     p = tmp_path / "mix.csv"
-    import datetime as dt
-
-    d0 = dt.date(2017, 1, 1)
-    with open(p, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["date", "MIX"])
-        for i, v in enumerate(prices):
-            w.writerow([(d0 + dt.timedelta(days=i)).isoformat(), repr(float(v))])
+    write_rows(p, ("MIX",), prices[:, None])
     out = tmp_path / "gof.csv"
     assert main(["gof", "--prices", str(p), "--components", "2", "--seed", "0",
                  "--out", str(out)]) == 0
@@ -416,3 +416,52 @@ def test_gof_on_a_one_bin_histogram(tmp_path, capsys):
     with open(out, newline="") as fh:
         rows = {row["model"]: row for row in csv.DictReader(fh)}
     assert np.isfinite(float(rows["normal"]["pdf_rmse"]))
+
+
+def test_gof_on_mostly_unchanged_closes(tmp_path, capsys):
+    # 80% of B's closes repeat the day before, so the interquartile range of
+    # its returns is zero while the returns still spread: the density RMSE
+    # must come back finite for every model instead of failing the table
+    rng = np.random.default_rng(11)
+    n = 300
+    steps = rng.normal(0.0, 0.01, (n - 1, 2))
+    steps[rng.random(n - 1) < 0.8, 1] = 0.0
+    prices = 100.0 * np.exp(np.vstack([np.zeros(2), np.cumsum(steps, axis=0)]))
+    p = tmp_path / "stale.csv"
+    write_rows(p, ("A", "B"), prices)
+    out = tmp_path / "gof.csv"
+    assert main(["gof", "--prices", str(p), "--components", "2", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["ticker"], r["model"]) for r in rows] == [
+        (t, m) for t in ("A", "B") for m in ("normal", "gmm2")
+    ]
+    assert all(np.isfinite(float(r["pdf_rmse"])) for r in rows)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "gof"])
+def test_constant_price_column_exits_3_before_any_fit(tmp_path, capsys, monkeypatch, command):
+    # a ticker whose price never changes has no return to model: the panel
+    # is rejected with one error naming it, before any EM fit runs
+    panel = make_panel(160, ("AA", "BB"), seed=7)
+    prices = np.column_stack([panel.prices, np.full(160, 42.0)])
+    p = tmp_path / "flat.csv"
+    write_rows(p, ("AA", "BB", "CC"), prices)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit ran on a panel with a constant column")
+
+    monkeypatch.setattr("riskengine.engine.fit", no_fit)
+    monkeypatch.setattr("riskengine.cli.fit", no_fit)
+    flags = {
+        "run": ["--out", str(tmp_path / "r"), "--models", "gmm,hs,param", "--window-long", "120",
+                "--window-short", "20", "--paths", "200", "--days", "20"],
+        "sweep": ["--out", str(tmp_path / "s"), "--grid", "20,40", "--window-long", "120",
+                  "--paths", "200", "--days", "20"],
+        "gof": ["--components", "2"],
+    }[command]
+    assert main([command, "--prices", str(p), *flags]) == 3
+    captured = capsys.readouterr()
+    assert "data error" in captured.err and "'CC'" in captured.err and "constant" in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.glob("[rs]"))

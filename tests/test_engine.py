@@ -3,7 +3,9 @@
 import csv
 import json
 import os
+import pathlib
 import re
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -622,6 +624,48 @@ def test_report_csv_bytes_stable(small_run, tmp_path):
     report(records, reports, cfg, str(tmp_path / "b"))
     for name in ("estimates.csv", "backtest.csv", "fit_diagnostics.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _written(root):
+    """Every file under root by relative path: its bytes, or for a manifest
+    its JSON without the creation time."""
+    files = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name.endswith("manifest.json"):
+            data = json.loads(data)
+            del data["created_at"]
+        files[str(path.relative_to(root))] = data
+    return files
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    grid=st.lists(st.integers(5, 60), min_size=2, max_size=2, unique=True),
+    portfolio=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_reruns_write_the_same_bytes(grid, portfolio, seed):
+    # two in-process reruns of a run and of a sweep, each with its report,
+    # write the same CSVs and model checkpoints, and the same manifests
+    # but for their creation time
+    tickers = ("A", "B", "C")
+    panel = make_panel(101, tickers, seed)
+    cfg = RunConfig(
+        models=("gmm", "hs", "param", "gbm_mc"), n_components=(2,), alphas=(0.05,),
+        long_len=60, short_len=20, paths=200, eval_days=40, seed=seed,
+        portfolio=PortfolioSpec.equal(tickers) if portfolio else None,
+    )
+    written = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for rerun in ("a", "b"):
+            sink = {}
+            records, reports = run_backtest(panel, cfg, model_sink=sink)
+            report(records, reports, cfg, f"{tmp}/{rerun}/run", final_models=sink)
+            report_sweep(sweep_sigma_short(panel, cfg, grid), cfg, f"{tmp}/{rerun}/sweep")
+            written.append(_written(pathlib.Path(tmp, rerun)))
+    assert written[0] == written[1]
+    assert {"run/estimates.csv", "run/models/gmm2.json", "sweep/sweep_verdicts.csv"} <= set(written[0])
 
 
 def test_report_sweep_layout(tmp_path):

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskengine import (
-    GbmParams,
     rescale,
     sample,
     simulate_gbm_portfolio,
-    simulate_gbm_single,
 )
 from riskengine.errors import NumericError, ShapeError, ValidationError
 from riskengine.scenario import _gbm_day_into, column_std
@@ -53,39 +51,6 @@ def test_simulate_gmm_moments(mix_1d):
     flat = scen.reshape(-1)
     true_mean = float(mix_1d.weights @ mix_1d.means[:, 0])
     assert flat.mean() == pytest.approx(true_mean, abs=0.05)
-
-
-# ------------------------------------------------------------ single GBM
-
-
-def test_gbm_single_price_identity():
-    params = GbmParams(mu=0.05, sigma=0.2, dt=1 / 252)
-    scen, prices = simulate_gbm_single(s0=50.0, params=params, m=200, seed=3)
-    assert scen.shape == (200, 1) and prices.shape == (200,)
-    np.testing.assert_allclose(
-        scen[:, 0], np.log(prices / 50.0), rtol=1e-12, atol=1e-14
-    )
-
-
-def test_gbm_single_draw_consumption_contract():
-    # one standard-normal block of size m for the one step
-    params = GbmParams(mu=0.1, sigma=0.3, dt=0.5)
-    scen, _ = simulate_gbm_single(s0=1.0, params=params, m=40, seed=9)
-    eps = np.random.default_rng(9).standard_normal(40)
-    expected = params.mu * params.dt + params.sigma * eps * np.sqrt(params.dt)
-    np.testing.assert_allclose(scen[:, 0], expected, rtol=1e-12)
-
-
-def test_gbm_single_argument_validation():
-    params = GbmParams(mu=0.0, sigma=0.1)
-    with pytest.raises(ValidationError):
-        simulate_gbm_single(s0=0.0, params=params, m=10, seed=0)
-    with pytest.raises(ValidationError):
-        GbmParams(mu=0.0, sigma=-0.1)
-    with pytest.raises(ValidationError):
-        GbmParams(mu=0.0, sigma=0.1, dt=0.0)
-    with pytest.raises(ValidationError):
-        simulate_gbm_single(s0=1.0, params=params, m=0, seed=0)
 
 
 # --------------------------------------------------------- portfolio GBM
@@ -155,6 +120,8 @@ def test_gbm_portfolio_validation():
             mus=np.zeros(2), sigmas=np.array([0.1, 0.1]),
             corr=np.array([[1.0, 1.0], [1.0, 1.0]]), **ok,  # singular
         )
+    with pytest.raises(ValidationError, match="at least one path"):
+        simulate_gbm_portfolio(mus=np.zeros(1), sigmas=np.array([0.1]), corr=np.eye(1), m=0, seed=0)
 
 
 def test_gbm_portfolio_blowup_names_step():

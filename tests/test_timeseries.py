@@ -154,6 +154,18 @@ def test_price_panel_rejects_empty_tickers(blank):
         load_prices(io.StringIO(f"date,A,{blank}\n2020-01-01,1.0,2.0\n"))
 
 
+def test_price_panel_rejects_a_constant_column():
+    # a price that never changes gives only zero returns, which no model can
+    # be fitted to; the one error names the ticker before any fit runs
+    prices = np.array([[10.0, 5.0, 7.0], [11.0, 5.0, 7.0], [12.0, 5.0, 7.5]])
+    dates = ("2020-01-01", "2020-01-02", "2020-01-03")
+    with pytest.raises(ValidationError, match="price of 'B' is constant over all 3 rows"):
+        PricePanel(dates=dates, tickers=("A", "B", "C"), prices=prices)
+    # a column that moves once is not constant, and one row stays a legal panel
+    PricePanel(dates=dates, tickers=("A", "C"), prices=prices[:, [0, 2]])
+    PricePanel(dates=dates[:1], tickers=("A", "B", "C"), prices=prices[:1])
+
+
 def test_price_panel_shape_mismatch():
     with pytest.raises(ShapeError):
         PricePanel(
