@@ -223,9 +223,9 @@ def _empirical_density(data) -> tuple[np.ndarray, np.ndarray]:
     """Histogram density estimate evaluated at bin centers.
 
     The bin width follows the Freedman-Diaconis rule (2 IQR / n^(1/3)) over
-    the data range. Data that spread with a zero IQR, such as returns that
-    are mostly zero, get Sturges' ceil(log2 n) + 1 bins instead, as numpy's
-    "auto" rule falls back to.
+    the data range. Where that asks for more bins than points, as when returns
+    are mostly unchanged and the IQR is zero or float noise, the data get
+    Sturges' ceil(log2 n) + 1 bins instead, numpy's fallback for a zero IQR.
     """
     x = np.asarray(data, dtype=float).ravel()
     if x.size < 8:
@@ -241,7 +241,7 @@ def _empirical_density(data) -> tuple[np.ndarray, np.ndarray]:
         raise DegenerateDataError(
             "data has no spread; histogram bin width is zero"
         )
-    if width > 0.0:
+    if span <= x.size * width:  # compared before span / width can overflow
         nbins = max(int(np.ceil(span / width)), 1)
     else:
         nbins = int(np.ceil(np.log2(x.size))) + 1

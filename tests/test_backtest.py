@@ -323,6 +323,28 @@ def test_pdf_rmse_on_data_with_a_zero_iqr():
     assert np.isfinite(rmse) and rmse > 0.0
 
 
+def test_empirical_density_never_asks_for_more_bins_than_points(monkeypatch):
+    # 80% float noise of about 1e-12, as an adjusted close that repeats up to
+    # rounding leaves, and 20% 1% moves: an IQR of about 2e-12 would ask
+    # Freedman-Diaconis for some 1e11 bins, so the data get Sturges' instead.
+    # The guard fails a larger request before numpy allocates it.
+    rng = np.random.default_rng(8)
+    x = np.where(rng.random(300) < 0.8, rng.normal(0.0, 1e-12, 300),
+                 rng.normal(0.0, 0.01, 300))
+    linspace = np.linspace
+
+    def guarded(start, stop, num, **kwargs):
+        if num > x.size + 1:
+            raise AssertionError(f"linspace asked for {num} points")
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", guarded)
+    centers, _ = _empirical_density(x)
+    assert centers.size == 10
+    rmse = pdf_rmse(lambda t: np.exp(-t * t / 2e-4) / np.sqrt(2e-4 * np.pi), x)
+    assert np.isfinite(rmse)
+
+
 def test_pdf_rmse_zero_for_perfect_model():
     rng = np.random.default_rng(5)
     x = rng.normal(0, 1, 4000)
