@@ -16,7 +16,9 @@ array operations along the long sample axis, instead of many operations
 whose inner loops run over only the n components or k dimensions; with
 N = 252, k = 15 and n = 3 that per-call overhead, not arithmetic, is what
 an EM iteration spends most of its time on. The public functions take and
-return samples as (N, k) rows, and transpose once at that boundary.
+return samples as (N, k) rows, and transpose once at that boundary. One
+weighted log-density kernel, _log_weighted, serves fit's E-step, the
+M-step's re-seed and the model's density methods.
 
 EM runs in log space. The E-step shifts each sample's column by its max
 before exponentiating, so responsibilities stay finite even when every
@@ -29,9 +31,11 @@ factorizations well posed without visibly perturbing the fit.
 Convergence: |delta per-sample log-likelihood| < TOL (1e-6), at most
 MAX_ITER (200) iterations; fit reads both module constants when called.
 Cold starts come from a k-means pass (k-means++ style seeding, at most 20
-Lloyd iterations) seeded by fit's seed; warm starts accept a previously
-fitted model and ignore the seed, and typically converge in a couple of
-iterations when the data has shifted by one observation.
+Lloyd iterations) seeded by fit's seed, whose hard labels, as one-hot
+responsibilities, go through one M-step, so a cluster left empty gets the
+M-step's re-seed; warm starts accept a previously fitted model and ignore
+the seed, and typically converge in a couple of iterations when the data
+has shifted by one observation.
 
 sample returns a new array of draws grouped by component. Its kernel
 _sample_into writes the same bits into two arrays the caller owns and checks
@@ -103,8 +107,8 @@ def _factorize(covs: np.ndarray):
     return chols, prec_chols, logdets
 
 
-def _log_densities(Xt, means, prec_chols, logdets) -> np.ndarray:
-    """Log N(x_i | mu_j, Sigma_j) for every component/sample pair: (n, N).
+def _log_weighted(Xt, weights, means, prec_chols, logdets) -> np.ndarray:
+    """ln w_j + ln N(x_i | mu_j, Sigma_j) for every component/sample pair: (n, N).
 
     Xt is (k, N), one sample per column. z_ji = L_j^-1 (x_i - mu_j) for all
     pairs comes out of one GEMM, [L_1^-1; ...; L_n^-1] @ Xt - b with
@@ -118,15 +122,9 @@ def _log_densities(Xt, means, prec_chols, logdets) -> np.ndarray:
     Z = (prec_chols.reshape(n * k, k) @ Xt).reshape(n, k, -1)
     Z -= prec_chols @ means[:, :, None]
     # einsum, unlike Z * Z, stays silent when a far-away point overflows z'z
-    return -0.5 * (k * _LOG_2PI + logdets[:, None] + np.einsum("jci,jci->ji", Z, Z))
-
-
-def _log_weighted(Xt, weights, means, prec_chols, logdets) -> np.ndarray:
-    """ln w_j + ln N(x_i | mu_j, Sigma_j) for every pair: (n, N)."""
+    logj = -0.5 * (k * _LOG_2PI + logdets[:, None] + np.einsum("jci,jci->ji", Z, Z))
     with np.errstate(divide="ignore"):  # log(0) for zero weights is fine
-        logw = np.log(weights)
-    logj = _log_densities(Xt, means, prec_chols, logdets)
-    logj += logw[:, None]
+        logj += np.log(weights)[:, None]
     return logj
 
 
@@ -323,17 +321,21 @@ def _m_step(Xt: np.ndarray, r: np.ndarray):
     return weights, means, covs
 
 
-def _kmeans_init(X, n_components: int, gen) -> GaussianMixtureModel:
-    """Cold-start parameters from a short k-means pass.
+def _kmeans_init(Xt, n_components: int, gen) -> GaussianMixtureModel:
+    """Cold-start parameters: k-means hard labels, then one M-step on them.
 
-    X is fit's validated (N, k) matrix with N >= n_components >= 1, and gen
-    the Generator to draw from. Seeding picks centers with probability
-    proportional to squared distance from the chosen set (first one
-    uniform); Lloyd then runs for at most 20 iterations or until labels stop
-    moving. Empty clusters are re-seeded at the point farthest from its
-    current center. Component weights are cluster fractions, covariances
-    per-cluster scatter plus the floor.
+    Xt is fit's (k, N) matrix, one sample per column, with N >= n_components
+    >= 1, and gen the Generator to draw from. Seeding picks centers with
+    probability proportional to squared distance from the chosen set (first
+    one uniform); Lloyd then runs for at most 20 iterations or until labels
+    stop moving, re-seeding a cluster left empty by an assignment at the
+    point farthest from its current center. The final labels, as one-hot
+    responsibilities, go through _m_step, as in scikit-learn's
+    GaussianMixture: weights are cluster fractions, means cluster centroids
+    and covariances floored cluster scatter, and a cluster that is still
+    empty gets _m_step's re-seed.
     """
+    X = Xt.T  # Lloyd reads samples as rows
     N, k = X.shape
 
     centers = np.empty((n_components, k))
@@ -364,19 +366,8 @@ def _kmeans_init(X, n_components: int, gen) -> GaussianMixtureModel:
             if members.shape[0]:  # stealing a point above may empty a cluster
                 centers[j] = members.mean(axis=0)
 
-    weights = np.bincount(labels, minlength=n_components).astype(float) / N
-    covs = np.empty((n_components, k, k))
-    for j in range(n_components):
-        members = X[labels == j]
-        if members.shape[0] == 0:
-            members = centers[j][None, :]
-        d = members - centers[j]
-        covs[j] = _floored(d.T @ d / d.shape[0])
-    if np.any(weights == 0.0):
-        # an empty cluster at the last Lloyd pass gets a nominal seat so the
-        # model stays a valid simplex; EM reassigns mass immediately
-        weights = (weights * N + 1.0) / (N + n_components)
-    return GaussianMixtureModel(weights=weights, means=centers, covariances=covs)
+    onehot = (labels == np.arange(n_components)[:, None]).astype(float)
+    return GaussianMixtureModel(*_m_step(Xt, onehot))
 
 
 def fit(
@@ -409,6 +400,7 @@ def fit(
         raise InsufficientDataError(
             f"cannot fit {n_components} components to {N} samples"
         )
+    Xt = np.ascontiguousarray(X.T)
     if isinstance(init, GaussianMixtureModel):
         if init.dim != k:
             raise ShapeError(f"warm-start model dim {init.dim} != data dim {k}")
@@ -420,7 +412,7 @@ def fit(
         model = init
         init_mode = "warm_start"
     elif init == "kmeans":
-        model = _kmeans_init(X, n_components, np.random.default_rng(seed))
+        model = _kmeans_init(Xt, n_components, np.random.default_rng(seed))
         init_mode = "kmeans"
     else:
         raise ValidationError(f"unknown init {init!r}")
@@ -429,7 +421,6 @@ def fit(
     # built once, at exit. The responsibilities e / s need no check: every
     # sample's column has a finite maximum (checked by _logsumexp), so they
     # lie in [0, 1] with columns summing to one.
-    Xt = np.ascontiguousarray(X.T)
     weights, means, covs = model.weights, model.means, model.covariances
     prec_chols, logdets = model._prec_chols, model._logdets
     trace: list[float] = []

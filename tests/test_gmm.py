@@ -270,12 +270,14 @@ def ill_conditioned_mixtures(draw):
 def test_gemm_kernel_matches_triangular_solves(case):
     model, X = case
     ref, size = _reference_log_densities(model, X)
-    # the kernel is component-major: samples in columns, densities (n, N)
-    new = gmm_module._log_densities(X.T, model.means, model._prec_chols, model._logdets)
-    assert new.shape == (model.n_components, len(X))
-    assert np.all(np.abs(new.T - ref) <= 1e-10 * size)
-
     logj = ref + np.log(model.weights)
+    # the kernel is component-major: samples in columns, densities (n, N)
+    new = gmm_module._log_weighted(
+        X.T, model.weights, model.means, model._prec_chols, model._logdets
+    )
+    assert new.shape == (model.n_components, len(X))
+    assert np.all(np.abs(new.T - logj) <= 1e-10 * size)
+
     lse = np.logaddexp.reduce(logj, axis=1)
     own = size[np.arange(len(X)), np.argmax(logj, axis=1)]
     assert log_likelihood(model, X) == pytest.approx(
@@ -330,10 +332,11 @@ def test_em_path_makes_no_triangular_solve(monkeypatch):
 def test_fit_makes_one_density_pass_and_one_factorization_per_step(monkeypatch):
     # fit evaluates the density kernel once per log-likelihood it computes and
     # factorizes once per M-step, plus once for the model it returns (and,
-    # cold, once for the k-means start): no second density pass for the
-    # responsibilities, no second factorization of one iterate
+    # cold, once more for the k-means start, which is one M-step on the
+    # k-means labels): no second density pass for the responsibilities, no
+    # second factorization of one iterate
     calls = collections.Counter()
-    for name in ("_log_densities", "_factorize", "_m_step"):
+    for name in ("_log_weighted", "_factorize", "_m_step"):
         def counted(*args, _name=name, _original=getattr(gmm_module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
@@ -361,8 +364,8 @@ def test_fit_makes_one_density_pass_and_one_factorization_per_step(monkeypatch):
         # by tol or max_iter makes no M-step after its last evaluation
         downhill = not tol_stop and report.iterations < max_iter
         m_steps = report.iterations - (tol_stop or report.iterations == max_iter)
-        assert counts["_log_densities"] == report.iterations + downhill
-        assert counts["_m_step"] == m_steps
+        assert counts["_log_weighted"] == report.iterations + downhill
+        assert counts["_m_step"] == m_steps + starts
         assert counts["_factorize"] == m_steps + 1 + starts
     assert cold.iterations > 5 and warm.init_mode == "warm_start"
 
@@ -554,8 +557,8 @@ def test_covariance_floor_scales():
 def test_kmeans_init_deterministic_and_valid():
     rng = np.random.default_rng(4)
     x = np.vstack([rng.normal(-3, 1, (60, 2)), rng.normal(3, 1, (60, 2))])
-    a = _kmeans_init(x, 2, np.random.default_rng(1))
-    b = _kmeans_init(x, 2, np.random.default_rng(1))
+    a = _kmeans_init(x.T, 2, np.random.default_rng(1))
+    b = _kmeans_init(x.T, 2, np.random.default_rng(1))
     np.testing.assert_array_equal(a.means, b.means)
     np.testing.assert_array_equal(a.weights, b.weights)
     assert a.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -568,8 +571,45 @@ def test_kmeans_init_deterministic_and_valid():
 def test_kmeans_init_single_component():
     rng = np.random.default_rng(8)
     x = rng.normal(2.0, 0.5, (100, 1))
-    m = _kmeans_init(x, 1, np.random.default_rng(0))
+    m = _kmeans_init(x.T, 1, np.random.default_rng(0))
     assert m.means[0, 0] == pytest.approx(x.mean(), rel=1e-10)
+
+
+@pytest.mark.parametrize("case", ["two_modes", "empty_cluster"])
+def test_kmeans_init_is_one_m_step_on_its_labels(case, monkeypatch):
+    # the cold start computes no moments of its own: it hands its final hard
+    # labels, as one-hot responsibilities, to _m_step and returns exactly
+    # what that returns. Three equal points for three components leave a
+    # cluster empty (stealing a point for one empty cluster empties the
+    # next), which _m_step re-seeds.
+    calls = []
+
+    def recorded(Xt, r):
+        out = original(Xt, r)
+        calls.append((Xt, r.copy(), out))
+        return out
+
+    original = gmm_module._m_step
+    monkeypatch.setattr(gmm_module, "_m_step", recorded)
+    if case == "two_modes":
+        rng = np.random.default_rng(4)
+        x = np.vstack([rng.normal(-3, 1, (60, 2)), rng.normal(3, 1, (60, 2))])
+        n = 2
+    else:
+        x, n = np.full((3, 2), 0.01), 3
+    Xt = np.ascontiguousarray(x.T)
+    model = _kmeans_init(Xt, n, np.random.default_rng(1))
+
+    assert len(calls) == 1
+    seen, r, (weights, means, covs) = calls[0]
+    assert seen is Xt
+    assert r.shape == (n, len(x)) and set(np.unique(r)) <= {0.0, 1.0}
+    np.testing.assert_array_equal(r.sum(axis=0), 1.0)
+    for got, want in ((model.weights, weights), (model.means, means), (model.covariances, covs)):
+        np.testing.assert_array_equal(got, want)
+    if case == "empty_cluster":
+        assert sorted(r.sum(axis=1)) == [0.0, 1.0, 2.0]
+        assert sorted(model.weights) == [0.25, 0.25, 0.5]
 
 
 # --------------------------------------------------------------------- fit

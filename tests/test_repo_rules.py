@@ -362,6 +362,41 @@ def test_reports_byte_stable_across_blas_threads(tmp_path):
             f"{f} differs between the default BLAS threads and one thread"
 
 
+_FAILING_GIVEN = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_after():
+    pass
+"""
+
+_CHILD_PYTEST = """
+import sys
+
+import pytest
+
+print(int(pytest.main(["-q", "-p", "no:cacheprovider", "-c", sys.argv[1], "--rootdir", ".",
+                       "test_two.py"])))
+"""
+
+
+def test_failing_hypothesis_test_does_not_stop_the_suite(tmp_path):
+    # To explain a failing @given test Hypothesis imports libcst, which warns
+    # DeprecationWarning about mypy_extensions.TypedDict; under the
+    # repository's filterwarnings that warning must not end the run. A child
+    # pytest with pyproject.toml's settings runs a failing @given test and a
+    # passing one: it must exit 1 (tests failed), not 3 (internal error), and
+    # still run the second test.
+    (tmp_path / "test_two.py").write_text(_FAILING_GIVEN)
+    out = _python("-c", _CHILD_PYTEST, str(_REPO / "pyproject.toml"), cwd=tmp_path)
+    assert out.splitlines()[-1] == "1" and "1 failed, 1 passed" in out, out[-600:]
+
+
 # quick start and demos run with these as errors, as tier-1 does
 _STRICT = ("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning")
 
