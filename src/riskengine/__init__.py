@@ -34,18 +34,16 @@ from .gmm import (  # noqa: E402
     mixture_density,
     sample,
 )
-from .scenario import (  # noqa: E402
-    rescale,
-    simulate_gbm_portfolio,
-)
 from .risk import (  # noqa: E402
     PortfolioSpec,
+    rescale,
     var_es_columns,
 )
 from .baselines import (  # noqa: E402
     calibrate_gbm,
     gbm_mc_var,
     parametric_columns,
+    simulate_gbm_portfolio,
 )
 from .backtest import (  # noqa: E402
     BacktestReport,
@@ -59,7 +57,6 @@ from .backtest import (  # noqa: E402
 from .engine import (  # noqa: E402
     DayRecord,
     RunConfig,
-    make_scenario_writer,
     report,
     report_sweep,
     run_backtest,
@@ -77,16 +74,14 @@ __all__ = [
     # gmm
     "GaussianMixtureModel", "FitReport", "mixture_density", "mixture_cdf",
     "log_likelihood", "fit", "sample",
-    # scenario
-    "simulate_gbm_portfolio", "rescale",
     # risk
-    "PortfolioSpec", "var_es_columns",
+    "PortfolioSpec", "var_es_columns", "rescale",
     # baselines
-    "parametric_columns", "gbm_mc_var", "calibrate_gbm",
+    "parametric_columns", "gbm_mc_var", "calibrate_gbm", "simulate_gbm_portfolio",
     # backtest
     "ChristoffersenResult", "BacktestReport", "hits", "christoffersen",
     "quadratic_loss", "ks_test", "pdf_rmse",
     # engine
     "RunConfig", "DayRecord", "run_backtest", "sweep_sigma_short",
-    "report", "report_sweep", "make_scenario_writer",
+    "report", "report_sweep",
 ]

@@ -20,7 +20,6 @@ from .backtest import ks_test, pdf_rmse
 from .engine import (
     RunConfig,
     _commit,
-    make_scenario_writer,
     report,
     report_sweep,
     run_backtest,
@@ -192,11 +191,11 @@ def _cmd_run(args) -> int:
     config = _load_config(args)
     panel = _read_prices(args.prices)
     config = _finalize_portfolio(config, args, panel.tickers)
-    writer = make_scenario_writer(args.out) if args.dump_scenarios else None
+    scenario_dir = os.path.join(args.out, "scenarios") if args.dump_scenarios else None
     sink: dict = {}
     t0 = time.monotonic()
     records, reports = run_backtest(
-        panel, config, scenario_writer=writer, model_sink=sink
+        panel, config, scenario_dir=scenario_dir, model_sink=sink
     )
     elapsed = time.monotonic() - t0
     report(

@@ -15,15 +15,16 @@ diagnostics are the (model tag, FitReport) pairs that fit returned.
 
 One day loop serves plain runs and sigma_short sweeps, with one day step
 for every model kind. Per day it computes the (grid, assets) short/long
-vol ratios once, then fits and simulates each model and reads its VaR/ES
-with one estimator call, over one block whose rows are the asset columns
-of its sample matrix and, with a portfolio, its series holding @ (scale
-row * w), one per scale row. A model's asset rows at every short-window
-length are the asset estimates times the scale, the vol ratios for gmm
-(positive homogeneity) and a row of ones for hs, param and gbm_mc. A
-plain run is a one-value sweep, and the estimators read each row as it
-would alone, so each sweep point reproduces the plain run with its
-short_len byte for byte.
+vol ratios once with column_std, then fits and simulates each model and
+reads its VaR/ES with one estimator call, over one block whose rows are
+the asset columns of its sample matrix and, with a portfolio, its series
+holding @ (scale row * w), one per scale row. A model's asset rows at
+every short-window length are the asset estimates times the scale, the
+vol ratios for gmm (positive homogeneity) and a row of ones for hs, param
+and gbm_mc. A plain run is a one-value sweep, and the estimators read each
+row as it would alone, so each sweep point reproduces the plain run with
+its short_len byte for byte. A plain run given a scenario directory also
+saves each valid Monte Carlo model-day's scenarios there as .npy files.
 
 Report CSVs format floats with repr() (shortest round-trip),
 so identical runs produce identical bytes; only the manifest's timestamp
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .backtest import BacktestReport, christoffersen, hits, quadratic_loss
-from .baselines import _parametric_rows, calibrate_gbm
+from .baselines import _gbm_day_into, _parametric_rows, calibrate_gbm
 from .errors import (
     ConfigError,
     DegenerateDataError,
@@ -58,7 +59,6 @@ from .errors import (
 )
 from .gmm import FitReport, GaussianMixtureModel, _sample_into, fit
 from .risk import PortfolioSpec, _var_es_rows
-from .scenario import _gbm_day_into, column_std, rescale
 from .timeseries import PricePanel, log_returns
 
 MODEL_CHOICES = ("gmm", "hs", "param", "gbm_mc")
@@ -83,12 +83,14 @@ def _is_int(value) -> bool:
 
 
 def _list_items(name, value, kind, ok) -> tuple:
-    """The items of value, which must be a non-empty list of items that ok
-    accepts, else a ConfigError naming name; a bare string, a JSON object or
-    a scalar is not such a list, an iterator or a numpy array is."""
+    """The items of value, which must be a non-empty list of distinct items
+    that ok accepts, else a ConfigError naming name; a bare string, a JSON
+    object or a scalar is not such a list, an iterator or a numpy array is."""
     items = None if isinstance(value, (str, dict)) or not np.iterable(value) else tuple(value)
     if not items or not all(ok(v) for v in items):
         raise ConfigError(f"{name} must be a non-empty list of {kind}, got {value!r}")
+    if len(set(items)) != len(items):
+        raise ConfigError(f"duplicate entries in {name}")
     return items
 
 
@@ -132,8 +134,6 @@ class RunConfig:
             object.__setattr__(self, name, int(value))
         for name, cast, ok in _LIST_FIELDS:
             items = _list_items(name, getattr(self, name), cast.__name__, ok)
-            if len(set(items)) != len(items):
-                raise ConfigError(f"duplicate entries in {name}")
             object.__setattr__(self, name, tuple(cast(v) for v in items))
         if not isinstance(self.warm_start, bool):
             raise ConfigError(f"warm_start must be true or false, got {self.warm_start!r}")
@@ -228,7 +228,7 @@ class DayRecord:
 def run_backtest(
     panel: PricePanel,
     config: RunConfig,
-    scenario_writer=None,
+    scenario_dir: str | None = None,
     model_sink: dict | None = None,
 ) -> tuple[list[DayRecord], list[BacktestReport]]:
     """Roll a daily out-of-sample backtest across the panel.
@@ -246,18 +246,16 @@ def run_backtest(
     or whose estimates are not finite or put an es above its var, or that
     raises (a failed fit, say), carries an error instead of estimates.
 
-    scenario_writer, when given, is called as writer(date, model_tag,
-    holding) for each valid Monte Carlo model-day, with holding the day's
-    (paths, assets) simulated log returns in panel ticker order; a gmm
-    holding is rescaled by the vol ratios into a new array for the writer
-    alone. The CLI builds one for run --dump-scenarios. holding is valid
-    only during the call: the run may write the next day's scenarios into
-    the same array, so a writer that keeps one must copy it (np.save does).
-    model_sink, when given, is filled with the final fitted mixture per gmm
-    tag (warm-start checkpoint state).
+    With scenario_dir, each valid Monte Carlo model-day's (paths, assets)
+    simulated log returns, in panel ticker order and for gmm scaled by the
+    vol ratios, are saved to <scenario_dir>/<date>_<model_tag>.npy, which
+    np.load reads back; the directory is created at the first save, so a
+    run that fails before one leaves none. run --dump-scenarios passes
+    <out>/scenarios. model_sink, when given, is filled with the final
+    fitted mixture per gmm tag (warm-start checkpoint state).
     """
     g = config.short_len
-    return _run_days(panel, config, [g], scenario_writer, model_sink)[g]
+    return _run_days(panel, config, [g], scenario_dir, model_sink)[g]
 
 
 # ValidationError covers the insufficient- and degenerate-data subclasses
@@ -272,7 +270,18 @@ def _parse_tag(tag: str) -> tuple[str, int | None]:
     return tag, None
 
 
-def _run_days(panel, config, short_lens, scenario_writer, model_sink):
+def column_std(w: np.ndarray) -> np.ndarray:
+    """Population std of each column of a 2-D array, in one reduction.
+
+    Equal bit for bit to np.std of each column on its own: the transposed
+    copy puts every column in one contiguous row, which numpy reduces in
+    the same order as a 1-D array. np.std(w, axis=0) sums in another order
+    and can differ in the last bit.
+    """
+    return np.std(np.ascontiguousarray(w.T), axis=1)
+
+
+def _run_days(panel, config, short_lens, scenario_dir, model_sink):
     """The day loop behind run_backtest and sweep_sigma_short.
 
     Once per day: the long-window checks and the (grid, assets) vol ratios
@@ -282,11 +291,12 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
     pair of arrays, allocated here once for the run: holding receives the
     day's (paths, assets) draws, and scratch, flat, first holds the
     simulator's standard-normal shocks, then the model-day's sample
-    block. A scenario writer gets each valid (day, g)'s holdings: a gbm_mc
-    holding itself, overwritten the next day, and a gmm one rescaled by row
-    g of the ratios into a new array. An exception raised during the day
-    invalidates it for every g, a failed check only that (day, g). Returns
-    {g: (records, reports)}.
+    block. With a scenario_dir, each valid (day, g) saves its holdings: a
+    gbm_mc holding itself and a gmm one times row g of the ratios, which
+    _grid_errors (positive, finite ratios) and _var_es_rows (finite
+    samples) have checked. An exception raised during the day invalidates
+    it for every g, a failed check only that (day, g). Returns {g:
+    (records, reports)}.
     """
     returns = log_returns(panel)  # row t is the return into panel.dates[t + 1]
     n_rows = returns.shape[0]
@@ -340,12 +350,13 @@ def _run_days(panel, config, short_lens, scenario_writer, model_sink):
             errors = [f"{type(exc).__name__}: {exc}"] * len(short_lens)
 
         for gi, (g, error) in enumerate(zip(short_lens, errors)):
-            if scenario_writer is not None and error is None:
+            if scenario_dir is not None and error is None:
                 for tag, kind, _ in specs:
-                    if kind == "gmm":
-                        scenario_writer(date, tag, rescale(buffers[tag][0], ratios[gi]))
-                    elif tag in buffers:
-                        scenario_writer(date, tag, buffers[tag][0])
+                    if tag in buffers:
+                        holding = buffers[tag][0]
+                        os.makedirs(scenario_dir, exist_ok=True)
+                        np.save(os.path.join(scenario_dir, f"{date}_{tag}.npy"),
+                                holding * ratios[gi] if kind == "gmm" else holding)
             day = (None,) * 3 if error is not None else (a[gi] for a in arrays)
             records[g].append(DayRecord(date, anchor, realized, *day, seeds, tuple(diags), error))
 
@@ -489,11 +500,12 @@ def sweep_sigma_short(
     run per grid value: one that fails (a zero short-window volatility, an
     es above its var) invalidates only that value's day, while an exception
     raised during the day (a failed fit) invalidates the day at every
-    value. The grid must be a non-empty list of integers in [2, long_len],
-    checked as RunConfig checks its list fields: a bare integer or string,
-    or a float, a string or a bool among the values, is a ConfigError.
+    value. The grid must be a non-empty list of distinct integers in [2,
+    long_len], checked as RunConfig checks its list fields: a bare integer
+    or string, a float, a string or a bool among the values, or a repeated
+    value, is a ConfigError.
     """
-    values = sorted(set(int(g) for g in _list_items("grid", grid, "int", _is_int)))
+    values = sorted(int(g) for g in _list_items("grid", grid, "int", _is_int))
     for g in values:
         if not 2 <= g <= config.long_len:
             raise ConfigError(
@@ -638,23 +650,3 @@ def report_sweep(
         yield "sweep_manifest.json", _manifest(config, wall_clock_seconds, grid=sorted(results))
 
     return _commit(out_dir, files())
-
-
-def make_scenario_writer(out_dir: str):
-    """Writer callback saving each Monte Carlo model-day's scenarios.
-
-    Each call saves the (paths, assets) array of simulated one-day log
-    returns, its columns in panel ticker order, to
-    <out_dir>/scenarios/<date>_<model>.npy; np.load reads it back. The
-    array is valid only during the call, since a run may reuse it for the
-    next day; np.save writes it out before returning. The directory is
-    created by the first write, so a run that fails before its first valid
-    Monte Carlo day leaves none behind.
-    """
-    scen_dir = os.path.join(out_dir, "scenarios")
-
-    def write(date: str, model_tag: str, holding: np.ndarray) -> None:
-        os.makedirs(scen_dir, exist_ok=True)
-        np.save(os.path.join(scen_dir, f"{date}_{model_tag}.npy"), holding)
-
-    return write

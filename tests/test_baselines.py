@@ -9,12 +9,15 @@ from riskengine import (
     calibrate_gbm,
     gbm_mc_var,
     parametric_columns,
+    simulate_gbm_portfolio,
     var_es_columns,
 )
+from riskengine.baselines import _gbm_day_into
 from riskengine.distributions import normal_pdf, normal_ppf
 from riskengine.errors import (
     DegenerateDataError,
     InsufficientDataError,
+    NumericError,
     ShapeError,
     ValidationError,
 )
@@ -149,6 +152,94 @@ def test_calibrate_gbm_constant_column_named():
 def test_calibrate_gbm_single_asset_corr():
     _, _, corr = calibrate_gbm(np.arange(10.0)[:, None])
     np.testing.assert_array_equal(corr, [[1.0]])
+
+
+def test_gbm_portfolio_shapes_and_independent_case():
+    scen = simulate_gbm_portfolio(
+        mus=np.array([0.0, 0.0]),
+        sigmas=np.array([0.01, 0.01]),
+        corr=np.eye(2),
+        m=5000,
+        seed=21,
+    )
+    assert type(scen) is np.ndarray and scen.shape == (5000, 2)
+    c = np.corrcoef(scen[:, 0], scen[:, 1])[0, 1]
+    assert abs(c) < 0.05
+
+
+def test_gbm_portfolio_correlated_shocks():
+    corr = np.array([[1.0, 0.8], [0.8, 1.0]])
+    scen = simulate_gbm_portfolio(
+        mus=np.zeros(2),
+        sigmas=np.array([0.01, 0.01]),
+        corr=corr,
+        m=20000,
+        seed=33,
+    )
+    c = np.corrcoef(scen[:, 0], scen[:, 1])[0, 1]
+    assert c == pytest.approx(0.8, abs=0.05)
+
+
+def test_gbm_portfolio_is_one_closed_form_step():
+    # the draw contract: one (m, n) standard-normal block, one Euler step
+    mus = np.array([0.001, -0.002, 0.0005])
+    sigmas = np.array([0.01, 0.02, 0.015])
+    corr = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.5], [-0.2, 0.5, 1.0]])
+    got = simulate_gbm_portfolio(mus, sigmas, corr, 400, 12)
+    eps = np.random.default_rng(12).standard_normal((400, 3))
+    xi = eps @ np.linalg.cholesky(corr).T
+    expected = np.log(1.0 + mus + sigmas * xi)
+    assert got.tobytes() == expected.tobytes()
+    # the kernel the engine calls gives the same bits in arrays it is handed
+    out, eps = np.full((400, 3), np.nan), np.full((400, 3), np.nan)
+    assert _gbm_day_into(mus, sigmas, corr, 12, out, eps) is out
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_gbm_portfolio_validation():
+    ok = dict(m=100, seed=0)
+    with pytest.raises(ValidationError):
+        simulate_gbm_portfolio(
+            mus=np.zeros(1), sigmas=np.array([0.1]),
+            corr=np.array([[0.9]]), **ok,  # diagonal must be 1
+        )
+    with pytest.raises(ValidationError):
+        simulate_gbm_portfolio(
+            mus=np.zeros(2), sigmas=np.array([0.1, 0.1]),
+            corr=np.array([[1.0, 0.5], [0.4, 1.0]]), **ok,  # asymmetric
+        )
+    with pytest.raises(ShapeError):
+        simulate_gbm_portfolio(
+            mus=np.zeros(2), sigmas=np.array([0.1]),
+            corr=np.eye(2), **ok,
+        )
+    with pytest.raises(np.linalg.LinAlgError):
+        simulate_gbm_portfolio(
+            mus=np.zeros(2), sigmas=np.array([0.1, 0.1]),
+            corr=np.array([[1.0, 1.0], [1.0, 1.0]]), **ok,  # singular
+        )
+    with pytest.raises(ValidationError, match="at least one path"):
+        simulate_gbm_portfolio(mus=np.zeros(1), sigmas=np.array([0.1]), corr=np.eye(1), m=0, seed=0)
+
+
+def test_gbm_portfolio_blowup_names_step():
+    # enormous volatility drives the arithmetic step negative immediately
+    with pytest.raises(NumericError, match="step"):
+        simulate_gbm_portfolio(
+            mus=np.array([0.0]),
+            sigmas=np.array([50.0]),
+            corr=np.eye(1),
+            m=2000,
+            seed=1,
+        )
+
+
+def test_gbm_portfolio_rejects_overflowing_prices():
+    # finite, valid parameters whose one step overflows the price to inf on
+    # the paths with a shock above about one, so their log return is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match="non-finite"):
+            simulate_gbm_portfolio([1.7e308], [1e307], np.eye(1), 100, 0)
 
 
 def test_gbm_mc_var_close_to_parametric_on_gaussian_window():

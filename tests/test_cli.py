@@ -334,6 +334,16 @@ def test_sweep_bad_grid(prices_csv, tmp_path):
     assert code == 2
 
 
+
+def test_sweep_repeated_grid_value(prices_csv, tmp_path, capsys):
+    out = tmp_path / "s"
+    code = main(["sweep", "--prices", prices_csv, "--out", str(out),
+                 "--grid", "30,30,20",
+                 "--window-long", "120", "--paths", "200", "--days", "5"])
+    assert code == 2
+    assert "config error: duplicate entries in grid" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_gof_table_and_csv(prices_csv, tmp_path, capsys):
     out = tmp_path / "gof.csv"
     code = main(["gof", "--prices", prices_csv, "--components", "2,3",

@@ -22,6 +22,7 @@ from riskengine import (
     rescale,
     run_backtest,
     sample,
+    simulate_gbm_portfolio,
     var_es_columns,
 )
 from riskengine.baselines import _parametric_rows, calibrate_gbm, parametric_columns
@@ -30,7 +31,7 @@ from riskengine.engine import (
     PORTFOLIO_TICKER,
     _derive_seed,
     _manifest,
-    make_scenario_writer,
+    column_std,
     report,
     report_sweep,
     sweep_sigma_short,
@@ -38,7 +39,6 @@ from riskengine.engine import (
 from riskengine.errors import ConfigError, RunFailureError
 from riskengine.gmm import GaussianMixtureModel
 from riskengine.risk import _var_es_rows
-from riskengine.scenario import simulate_gbm_portfolio
 
 from conftest import _reference_var_es, make_panel
 
@@ -193,6 +193,21 @@ def test_portfolio_weights_accept_python_and_numpy_numbers(weights):
     assert PortfolioSpec.equal(("A", "B")).weights.tolist() == [0.5, 0.5]
 
 
+@given(
+    n_rows=st.sampled_from([10, 70, 252]),
+    n_cols=st.integers(1, 15),
+    scale=st.sampled_from([1e-4, 0.01, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_column_std_equals_per_column_std_bit_for_bit(n_rows, n_cols, scale, seed):
+    w = np.random.default_rng(seed).normal(0.0003, scale, (n_rows, n_cols))
+    # a trailing slice, as the engine takes the short window of the long one
+    for block in (w, w[n_rows // 2 :]):
+        got = column_std(block)
+        assert got.tolist() == [float(np.std(block[:, c])) for c in range(n_cols)]
+
+
 def test_run_backtest_day_bookkeeping(small_run):
     panel, cfg, records, reports = small_run
     rets = log_returns(panel)
@@ -260,19 +275,16 @@ def test_run_backtest_gbm_portfolio_matches_gbm_mc_var(panel_3assets):
         assert [r.tolist() for r in row] == [e.tolist() for e in expected]
 
 
-def test_every_portfolio_row_reads_the_realized_aggregation(panel_3assets):
+def test_every_portfolio_row_reads_the_realized_aggregation(panel_3assets, tmp_path):
     # the realized PORTFOLIO return is r @ w, and every model's PORTFOLIO row
     # is its own estimator over M @ w, with M the day's sample matrix: the
-    # long window for hs/param, the holding a scenario writer gets for
-    # gbm_mc, and for gmm the vol-ratio-scaled holding, computed as
+    # long window for hs/param, the holding the run saves for gbm_mc, and
+    # for gmm the vol-ratio-scaled holding, computed as
     # holding @ (ratios * w) from the unscaled holding of the fit chain
     spec = PortfolioSpec.equal(("AAA", "BBB", "CCC"))
     cfg = RunConfig(**{**SMALL, "eval_days": 4}, portfolio=spec)
     assert cfg.model_keys() == ["gmm2", "hs", "param", "gbm_mc"]
-    held = {}
-    records, _ = run_backtest(
-        panel_3assets, cfg, scenario_writer=lambda d, k, h: held.setdefault((d, k), h.copy())
-    )
+    records, _ = run_backtest(panel_3assets, cfg, scenario_dir=str(tmp_path))
     returns = log_returns(panel_3assets)
     chain = "kmeans"
     for i, rec in enumerate(records):
@@ -287,7 +299,8 @@ def test_every_portfolio_row_reads_the_realized_aggregation(panel_3assets):
             if key == "gmm2":
                 series = (unscaled @ (ratios * spec.weights))[:, None]
             else:
-                matrix = long_w if key in ("hs", "param") else held[rec.date, key]
+                matrix = (long_w if key in ("hs", "param")
+                          else np.load(tmp_path / f"{rec.date}_{key}.npy"))
                 series = (matrix @ spec.weights)[:, None]
             if key == "param":
                 var, es = parametric_columns(series, cfg.alphas)
@@ -486,6 +499,15 @@ def test_sweep_grid_validation(panel_3assets):
         sweep_sigma_short(panel_3assets, cfg, [1, 30])
     with pytest.raises(ConfigError):
         sweep_sigma_short(panel_3assets, cfg, [])
+
+
+def test_sweep_grid_rejects_a_repeated_value(panel_3assets):
+    # as RunConfig rejects a repeated alpha, a repeated grid value is an
+    # error, not merged into one grid point; a numpy integer repeats an int
+    cfg = RunConfig(**SMALL)
+    for grid in ([30, 30, 20], [np.int64(30), 30]):
+        with pytest.raises(ConfigError, match="duplicate entries in grid"):
+            sweep_sigma_short(panel_3assets, cfg, grid)
 
 
 @pytest.mark.parametrize(
@@ -715,45 +737,26 @@ def test_report_sweep_failure_leaves_no_file(tmp_path, monkeypatch):
     assert [p for p in out.rglob("*")] == []
 
 
-def test_make_scenario_writer_round_trips_through_np_load(tmp_path):
-    writer = make_scenario_writer(str(tmp_path))
-    holding = np.array([[0.01, -0.02], [0.03, 0.04], [0.1 / 3, -1e-300]])
-    writer("2020-05-01", "gmm2", holding)
-    loaded = np.load(tmp_path / "scenarios" / "2020-05-01_gmm2.npy")
-    assert loaded.dtype == np.float64 and loaded.shape == (3, 2)
-    assert loaded.tobytes() == holding.tobytes()
-
-
 def test_run_backtest_scenario_writer_called(panel_3assets, tmp_path):
+    # the directory does not exist yet: the first save creates it
     cfg = RunConfig(
         **{**SMALL, "models": ("gmm",), "alphas": (0.05,), "eval_days": 2}
     )
-    writer = make_scenario_writer(str(tmp_path))
-    run_backtest(panel_3assets, cfg, scenario_writer=writer)
+    run_backtest(panel_3assets, cfg, scenario_dir=str(tmp_path / "scenarios"))
     files = sorted(os.listdir(tmp_path / "scenarios"))
     assert len(files) == 2  # one per evaluation day for the single model
     assert files[0].endswith("_gmm2.npy")
 
 
-def test_run_backtest_calls_a_writer_without_dump_scenarios(panel_3assets):
-    # the scenario_writer argument alone decides; no config field enters
+def test_run_backtest_calls_a_writer_without_dump_scenarios(panel_3assets, tmp_path):
+    # the scenario_dir argument alone decides; no config field enters, and
+    # hs, which simulates nothing, saves nothing
     cfg = RunConfig(**{**SMALL, "models": ("gmm", "hs", "gbm_mc"), "eval_days": 2})
-    calls = []
-    run_backtest(panel_3assets, cfg, scenario_writer=lambda *a: calls.append(a))
-    assert [(tag, holding.shape) for _, tag, holding in calls] == [
-        (tag, (cfg.paths, 3)) for _ in range(2) for tag in ("gmm2", "gbm_mc")
-    ]
-
-
-def test_scenario_writer_array_is_valid_only_during_the_call(panel_3assets):
-    # the run simulates each gbm_mc day into the array the writer got the
-    # day before, so a writer that keeps one must copy it
-    cfg = RunConfig(**{**SMALL, "models": ("gbm_mc",), "eval_days": 2})
-    kept = []
-    run_backtest(panel_3assets, cfg, scenario_writer=lambda d, t, h: kept.append((h, h.copy())))
-    (first, first_copy), (second, second_copy) = kept
-    assert np.shares_memory(first, second)
-    assert first.tobytes() == second_copy.tobytes() != first_copy.tobytes()
+    records, _ = run_backtest(panel_3assets, cfg, scenario_dir=str(tmp_path))
+    saved = {name: np.load(tmp_path / name).shape for name in os.listdir(tmp_path)}
+    assert saved == {
+        f"{rec.date}_{tag}.npy": (cfg.paths, 3) for rec in records for tag in ("gmm2", "gbm_mc")
+    }
 
 
 def test_run_backtest_gbm_mc_dump_is_the_simulation(panel_3assets, tmp_path):
@@ -762,9 +765,7 @@ def test_run_backtest_gbm_mc_dump_is_the_simulation(panel_3assets, tmp_path):
         **{**SMALL, "models": ("hs", "gbm_mc"), "eval_days": 3},
         portfolio=PortfolioSpec.equal(tickers),
     )
-    records, _ = run_backtest(
-        panel_3assets, cfg, scenario_writer=make_scenario_writer(str(tmp_path))
-    )
+    records, _ = run_backtest(panel_3assets, cfg, scenario_dir=str(tmp_path / "scenarios"))
     returns = log_returns(panel_3assets)
     mi = cfg.model_keys().index("gbm_mc")
     for i, rec in enumerate(records):
@@ -788,10 +789,7 @@ def test_run_backtest_gmm_rows_and_dumps_match_a_recomputation(panel_3assets, tm
         **{**SMALL, "models": ("gmm",), "eval_days": 4},
         portfolio=PortfolioSpec.equal(tickers),
     )
-    records, _ = run_backtest(
-        panel_3assets, cfg, scenario_writer=make_scenario_writer(str(tmp_path / "run"))
-    )
-    ref_writer = make_scenario_writer(str(tmp_path / "ref"))
+    records, _ = run_backtest(panel_3assets, cfg, scenario_dir=str(tmp_path))
     returns = log_returns(panel_3assets)
     weights = cfg.portfolio.weights
     model = "kmeans"
@@ -811,14 +809,9 @@ def test_run_backtest_gmm_rows_and_dumps_match_a_recomputation(panel_3assets, tm
         assert rec.var[0].tolist() == np.vstack((var * ratios[:, None], pv)).tolist()
         assert rec.es[0].tolist() == np.vstack((es * ratios[:, None], pe)).tolist()
         assert rec.n_tail[0].tolist() == np.vstack((n_tail, pn)).tolist()
-        ref_writer(rec.date, "gmm2", holding * ratios)
-
-    names = sorted(os.listdir(tmp_path / "run" / "scenarios"))
-    assert len(names) == 4
-    assert names == sorted(os.listdir(tmp_path / "ref" / "scenarios"))
-    for name in names:
-        dumped = (tmp_path / "run" / "scenarios" / name).read_bytes()
-        assert dumped == (tmp_path / "ref" / "scenarios" / name).read_bytes(), name
+        dumped = np.load(tmp_path / f"{rec.date}_gmm2.npy")
+        assert dumped.tobytes() == (holding * ratios).tobytes(), rec.date
+    assert len(os.listdir(tmp_path)) == 4
 
 
 def test_run_backtest_tags_and_days_never_share_scenarios(panel_3assets, tmp_path):
@@ -831,9 +824,7 @@ def test_run_backtest_tags_and_days_never_share_scenarios(panel_3assets, tmp_pat
         portfolio=PortfolioSpec.equal(tickers),
     )
     assert cfg.warm_start and cfg.model_keys() == ["gmm2", "gmm3", "gbm_mc"]
-    records, _ = run_backtest(
-        panel_3assets, cfg, scenario_writer=make_scenario_writer(str(tmp_path))
-    )
+    records, _ = run_backtest(panel_3assets, cfg, scenario_dir=str(tmp_path))
     returns = log_returns(panel_3assets)
     weights = cfg.portfolio.weights
     chains = {"gmm2": "kmeans", "gmm3": "kmeans"}
@@ -863,9 +854,9 @@ def test_run_backtest_tags_and_days_never_share_scenarios(panel_3assets, tmp_pat
                 (rec.var, rec.es, rec.n_tail), assets, portfolio
             ):
                 assert got[mi].tolist() == np.vstack((asset_rows, portfolio_row)).tolist(), tag
-            dumped = np.load(tmp_path / "scenarios" / f"{rec.date}_{tag}.npy")
+            dumped = np.load(tmp_path / f"{rec.date}_{tag}.npy")
             assert dumped.tobytes() == holding.tobytes(), (rec.date, tag)
-    assert len(os.listdir(tmp_path / "scenarios")) == 4 * 3
+    assert len(os.listdir(tmp_path)) == 4 * 3
 
 
 def test_runs_and_reports_build_no_per_row_estimate_objects(panel_3assets, tmp_path):
@@ -943,8 +934,8 @@ def test_zero_short_vol_invalidates_only_that_grid_point(tmp_path):
     assert errors == {
         10: {flat_day: "ValidationError: rescale factors must be positive and finite"}, 30: {}
     }
-    run_backtest(panel, cfg, scenario_writer=make_scenario_writer(str(tmp_path)))
-    dumps = os.listdir(tmp_path / "scenarios")
+    run_backtest(panel, cfg, scenario_dir=str(tmp_path))
+    dumps = os.listdir(tmp_path)
     assert len(dumps) == 23 and f"{flat_day}_gmm2.npy" not in dumps
 
 

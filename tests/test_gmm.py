@@ -856,6 +856,24 @@ def test_sample_moments_match_mixture(mix_1d):
     assert s.std() == pytest.approx(true_std, rel=0.02)
 
 
+def test_sample_shape_and_determinism(mix_1d):
+    # mixture scenarios are sample's draws on a Generator seeded once
+    scen = sample(mix_1d, 300, np.random.default_rng(77))
+    assert type(scen) is np.ndarray and scen.dtype == float
+    assert scen.shape == (300, 1)
+    again = sample(mix_1d, 300, np.random.default_rng(77))
+    np.testing.assert_array_equal(scen, again)
+    other = sample(mix_1d, 300, np.random.default_rng(78))
+    assert not np.array_equal(scen, other)
+
+
+def test_sample_mean_matches_mixture_mean(mix_1d):
+    scen = sample(mix_1d, 20000, np.random.default_rng(5))
+    flat = scen.reshape(-1)
+    true_mean = float(mix_1d.weights @ mix_1d.means[:, 0])
+    assert flat.mean() == pytest.approx(true_mean, abs=0.05)
+
+
 def test_sample_multivariate_covariance():
     m = two_comp_2d()
     s = sample(m, 60000, np.random.default_rng(11))

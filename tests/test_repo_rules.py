@@ -218,6 +218,14 @@ def test_public_methods_have_a_caller():
     assert not bad, "\n".join(bad)
 
 
+def test_readme_names_only_existing_modules():
+    # A module retired from the package must leave the README with it.
+    named = set(re.findall(r"\briskengine\.(\w+)", (_REPO / "README.md").read_text()))
+    bad = [f"README.md names riskengine.{name}, but src/riskengine/{name}.py does not exist"
+           for name in sorted(named) if not (_REPO / "src" / "riskengine" / f"{name}.py").is_file()]
+    assert not bad, "\n".join(bad)
+
+
 def test_model_tags_parsed_in_one_place():
     # engine._parse_tag turns a model tag into (kind, components); no other
     # code reads a tag's spelling. Fail on a startswith call given a
