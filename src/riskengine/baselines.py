@@ -12,10 +12,20 @@ simulate_gbm_portfolio: the arithmetic Euler step over one day,
 ln(S_1 / S_0) = ln(1 + mu + sigma xi) whatever S_0, with correlated shocks
 xi = A eps, where A is the Cholesky factor of the shock correlation matrix;
 a single asset is its one-column case. simulate_gbm_portfolio checks its
-parameters, returns a new array and draws from one numpy default Generator
-seeded with its integer seed; it calls _gbm_day_into, the kernel that
-writes the same bits into arrays the caller owns and that the engine's day
-loop calls with its own.
+parameters, draws its shocks from one numpy default Generator seeded with
+its integer seed and calls _gbm_day_into, the kernel that turns given
+shocks into log returns in an array the caller owns. The engine's day loop
+calls it on its own thread, on shocks that one worker thread drew up to
+two days ahead into a ring of three buffers (engine._run_days).
+
+The kernel's product eps @ A' runs in blocks of rows, each the largest
+power of two of rows, at least 16, whose size m n n stays below 2^19.
+OpenBLAS 0.3.31 runs a dgemm of that size or more on its thread pool, whose
+threads then spin after the call returns; at 10000 paths and 15 assets
+they held the second CPU, which the shock worker needs, through every
+baselines day. Each block starts on a multiple of the GEMM kernels' unroll
+widths, and a property test checks that every row gets the one-shot
+product's bits.
 """
 
 from __future__ import annotations
@@ -126,18 +136,28 @@ def simulate_gbm_portfolio(mus, sigmas, corr, m: int, seed: int) -> np.ndarray:
         raise ValidationError("correlation matrix must have a unit diagonal")
     if m < 1:
         raise ValidationError(f"need at least one path, got {m}")
-    return _gbm_day_into(mus, sigmas, corr, seed, np.empty((m, n)), np.empty((m, n)))
+    eps = np.random.default_rng(seed).standard_normal((m, n))
+    return _gbm_day_into(mus, sigmas, corr, eps, np.empty((m, n)))
 
 
-def _gbm_day_into(mus, sigmas, corr, seed, out, eps):
-    """simulate_gbm_portfolio's log returns for float arrays mus and sigmas
-    (n,) and corr (n, n), written into out and returned; eps holds the
-    shocks and is overwritten. out and eps are distinct C-contiguous float64
-    (m, n) arrays, and no argument is checked; the price errors still raise.
+# the product size m n k from which OpenBLAS 0.3.31 runs a dgemm threaded
+_GEMM_THREADED_MNK = 1 << 19
+
+
+def _gbm_day_into(mus, sigmas, corr, eps, out):
+    """simulate_gbm_portfolio's log returns on the shocks eps for float
+    arrays mus and sigmas (n,) and corr (n, n), written into out and
+    returned. eps and out are distinct C-contiguous float64 (m, n) arrays;
+    eps is only read, and no argument is checked; the price errors still
+    raise.
     """
     A = np.linalg.cholesky(corr)
-    eps = np.random.default_rng(seed).standard_normal(eps.shape, out=eps)
-    growth = np.matmul(eps, A.T, out=out)  # xi, turned into S_1 / S_0 in place
+    rows = 16
+    while 2 * rows * A.size < _GEMM_THREADED_MNK:
+        rows *= 2
+    for r in range(0, len(eps), rows):  # xi, turned into S_1 / S_0 in place
+        np.matmul(eps[r : r + rows], A.T, out=out[r : r + rows])
+    growth = out
     growth *= sigmas
     growth += 1.0 + mus
     if np.any(growth <= 0.0):

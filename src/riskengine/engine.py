@@ -289,14 +289,25 @@ def _run_days(panel, config, short_lens, scenario_dir, model_sink):
     every model's estimates for the whole grid, then _grid_errors, which
     checks each grid point. Each Monte Carlo tag owns a (holding, scratch)
     pair of arrays, allocated here once for the run: holding receives the
-    day's (paths, assets) draws, and scratch, flat, first holds the
-    simulator's standard-normal shocks, then the model-day's sample
-    block. With a scenario_dir, each valid (day, g) saves its holdings: a
-    gbm_mc holding itself and a gmm one times row g of the ratios, which
-    _grid_errors (positive, finite ratios) and _var_es_rows (finite
-    samples) have checked. An exception raised during the day invalidates
-    it for every g, a failed check only that (day, g). Returns {g:
-    (records, reports)}.
+    day's (paths, assets) draws, and scratch, flat, holds the model-day's
+    sample block, after the standard-normal shocks for gmm. With a
+    scenario_dir, each valid (day, g) saves its holdings: a gbm_mc holding
+    itself and a gmm one times row g of the ratios, which _grid_errors
+    (positive, finite ratios) and _var_es_rows (finite samples) have
+    checked. An exception raised during the day invalidates it for every g,
+    a failed check only that (day, g). Returns {g: (records, reports)}.
+
+    A gbm_mc tag's shocks depend on nothing but the day's seed, so a pool
+    of one worker thread draws them up to two days ahead into a ring of
+    three (paths, assets) buffers, allocated once per run: day d's go to
+    buffer d % 3, which day d - 3 has finished reading when day d - 2
+    submits the draw. numpy releases the interpreter lock while it draws,
+    so the draw overlaps this thread's work on the days before; day d
+    takes its shocks from the draw's future, which re-raises on this thread
+    whatever the draw raised. A run without gbm_mc makes no pool; the pool
+    is shut down in the finally below, however the loop ends. gmm tags
+    draw their own shocks on this thread, after the fit that decides their
+    split across components.
     """
     returns = log_returns(panel)  # row t is the return into panel.dates[t + 1]
     n_rows = returns.shape[0]
@@ -323,42 +334,62 @@ def _run_days(panel, config, short_lens, scenario_dir, model_sink):
              len(config.alphas))
     prev_models: dict[str, GaussianMixtureModel] = {}
     records: dict[int, list[DayRecord]] = {g: [] for g in short_lens}
+    gbm = [mi for mi, (_, kind, _) in enumerate(specs) if kind == "gbm_mc"]
+    pool, drawn = None, []
+    if gbm:
+        # imported only for gbm_mc runs: it loads logging, about 4 ms of import
+        from concurrent.futures import ThreadPoolExecutor
 
-    for i in range(config.eval_days):
-        anchor = config.long_len + i
-        date = panel.dates[anchor + 1]
-        long_w = returns[anchor - config.long_len : anchor]
-        day_returns = returns[anchor]
-        realized = tuple((t, float(day_returns[c])) for c, t in enumerate(tickers))
-        if config.portfolio is not None:
-            realized += ((PORTFOLIO_TICKER, float(day_returns @ config.portfolio.weights)),)
-        seeds = tuple(-1 if kind in ("hs", "param") else _derive_seed(config.seed, i, mi, 1)
-                      for mi, (_, kind, _) in enumerate(specs))
+        pool, ring = ThreadPoolExecutor(1), np.empty((3, config.paths, len(tickers)))
 
-        arrays = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=int))
-        diags: list[tuple[str, FitReport]] = []
-        ratios = None
-        try:
-            if needs_gmm:
-                long_vols = column_std(long_w)
-                if np.any(long_vols == 0.0):
-                    raise DegenerateDataError("long-window volatility is zero")
-                ratios = np.stack([column_std(long_w[-g:]) for g in short_lens]) / long_vols
-            _fill_day(i, long_w, ratios, config, specs, seeds, prev_models, diags, buffers, arrays)
-            errors = _grid_errors(ratios, arrays[0], arrays[1])
-        except _DAY_ERRORS as exc:
-            errors = [f"{type(exc).__name__}: {exc}"] * len(short_lens)
+        def draw(d):  # day d's gbm_mc shocks, on the pool's thread
+            seed = _derive_seed(config.seed, d, gbm[0], 1)
+            return np.random.default_rng(seed).standard_normal(out=ring[d % 3])
 
-        for gi, (g, error) in enumerate(zip(short_lens, errors)):
-            if scenario_dir is not None and error is None:
-                for tag, kind, _ in specs:
-                    if tag in buffers:
-                        holding = buffers[tag][0]
-                        os.makedirs(scenario_dir, exist_ok=True)
-                        np.save(os.path.join(scenario_dir, f"{date}_{tag}.npy"),
-                                holding * ratios[gi] if kind == "gmm" else holding)
-            day = (None,) * 3 if error is not None else (a[gi] for a in arrays)
-            records[g].append(DayRecord(date, anchor, realized, *day, seeds, tuple(diags), error))
+    try:
+        for i in range(config.eval_days):
+            anchor = config.long_len + i
+            date = panel.dates[anchor + 1]
+            long_w = returns[anchor - config.long_len : anchor]
+            day_returns = returns[anchor]
+            realized = tuple((t, float(day_returns[c])) for c, t in enumerate(tickers))
+            if config.portfolio is not None:
+                realized += ((PORTFOLIO_TICKER, float(day_returns @ config.portfolio.weights)),)
+            seeds = tuple(-1 if kind in ("hs", "param") else _derive_seed(config.seed, i, mi, 1)
+                          for mi, (_, kind, _) in enumerate(specs))
+            while gbm and len(drawn) < min(i + 3, config.eval_days):
+                drawn.append(pool.submit(draw, len(drawn)))
+            shocks = drawn[i].result() if gbm else None
+
+            arrays = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=int))
+            diags: list[tuple[str, FitReport]] = []
+            ratios = None
+            try:
+                if needs_gmm:
+                    long_vols = column_std(long_w)
+                    if np.any(long_vols == 0.0):
+                        raise DegenerateDataError("long-window volatility is zero")
+                    ratios = np.stack([column_std(long_w[-g:]) for g in short_lens]) / long_vols
+                _fill_day(i, long_w, ratios, config, specs, seeds, shocks, prev_models, diags,
+                          buffers, arrays)
+                errors = _grid_errors(ratios, arrays[0], arrays[1])
+            except _DAY_ERRORS as exc:
+                errors = [f"{type(exc).__name__}: {exc}"] * len(short_lens)
+
+            for gi, (g, error) in enumerate(zip(short_lens, errors)):
+                if scenario_dir is not None and error is None:
+                    for tag, kind, _ in specs:
+                        if tag in buffers:
+                            holding = buffers[tag][0]
+                            os.makedirs(scenario_dir, exist_ok=True)
+                            np.save(os.path.join(scenario_dir, f"{date}_{tag}.npy"),
+                                    holding * ratios[gi] if kind == "gmm" else holding)
+                day = (None,) * 3 if error is not None else (a[gi] for a in arrays)
+                records[g].append(
+                    DayRecord(date, anchor, realized, *day, seeds, tuple(diags), error))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     for g in short_lens:
         invalid = [r for r in records[g] if r.error is not None]
@@ -372,18 +403,20 @@ def _run_days(panel, config, short_lens, scenario_dir, model_sink):
     return {g: (recs, _build_reports(recs, config)) for g, recs in records.items()}
 
 
-def _fill_day(i, long_w, ratios, config, specs, seeds, prev_models, diags, buffers, arrays):
+def _fill_day(i, long_w, ratios, config, specs, seeds, shocks, prev_models, diags, buffers,
+              arrays):
     """Write day i's estimates into arrays, its (grid, model, target, alpha)
     var, es and n_tail, one model after another in specs order.
 
     Each model is one sample matrix M with a column per asset: for hs and
     param the long window, for gmm and gbm_mc the day's simulated returns,
     unscaled, which the kernels _sample_into and _gbm_day_into write into
-    the tag's holding, with a (paths, assets) view of its scratch for their
-    shocks. Its sample block has the columns of M as rows, then, with a
-    portfolio, the series M @ (s * w) for each row s of the model's scale,
-    each the same gemv into a contiguous row. The scale is the (grid,
-    assets) vol ratios for gmm and one row of ones for the rest. The block
+    the tag's holding from the shocks: gmm's drawn here into a (paths,
+    assets) view of its scratch, gbm_mc's the ones the caller hands in. Its
+    sample block has the columns of M as rows, then, with a portfolio, the
+    series M @ (s * w) for each row s of the model's scale, each the same
+    gemv into a contiguous row. The scale is the (grid, assets) vol ratios
+    for gmm and one row of ones for the rest. The block
     lives in the tag's scratch (a new array for hs and param), and the
     model's estimator reads it in one call, each row as it would alone. The
     asset rows times the scale fill every grid point: for gmm by positive
@@ -402,7 +435,7 @@ def _fill_day(i, long_w, ratios, config, specs, seeds, prev_models, diags, buffe
         if kind in ("hs", "param"):
             columns = long_w
         elif kind == "gbm_mc":
-            columns = _gbm_day_into(*calibrate_gbm(long_w), seeds[mi], holding, draws)
+            columns = _gbm_day_into(*calibrate_gbm(long_w), shocks, holding)
         else:
             warm = prev_models.get(tag) if config.warm_start else None
             if warm is None:  # only a k-means start reads the fit seed

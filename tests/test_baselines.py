@@ -190,10 +190,33 @@ def test_gbm_portfolio_is_one_closed_form_step():
     xi = eps @ np.linalg.cholesky(corr).T
     expected = np.log(1.0 + mus + sigmas * xi)
     assert got.tobytes() == expected.tobytes()
-    # the kernel the engine calls gives the same bits in arrays it is handed
-    out, eps = np.full((400, 3), np.nan), np.full((400, 3), np.nan)
-    assert _gbm_day_into(mus, sigmas, corr, 12, out, eps) is out
+    # the kernel the engine calls gives the same bits from the shocks it is
+    # handed, written into the array it is handed, and leaves the shocks be
+    shocks, out = eps.copy(), np.full((400, 3), np.nan)
+    assert _gbm_day_into(mus, sigmas, corr, shocks, out) is out
     assert out.tobytes() == expected.tobytes()
+    assert shocks.tobytes() == eps.tobytes()
+
+
+@given(
+    m=st.integers(1, 25000),
+    n=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_gbm_kernel_blocks_give_the_one_shot_product_bits(m, n, seed):
+    # the kernel multiplies the shocks by A' in row blocks that keep BLAS on
+    # one thread; each row must come out as in the one-shot product, for
+    # any path count, asset count and correlation matrix
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n + 2))
+    cov = g @ g.T
+    corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+    mus, sigmas = rng.uniform(-0.002, 0.002, n), rng.uniform(0.001, 0.03, n)
+    eps = rng.standard_normal((m, n))
+    expected = np.log(1 + mus + sigmas * (eps @ np.linalg.cholesky(corr).T))
+    got = _gbm_day_into(mus, sigmas, corr, eps, np.empty((m, n)))
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_gbm_portfolio_validation():

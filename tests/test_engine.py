@@ -5,7 +5,9 @@ import json
 import os
 import pathlib
 import re
+import sys
 import tempfile
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -777,6 +779,93 @@ def test_run_backtest_gbm_mc_dump_is_the_simulation(panel_3assets, tmp_path):
         assert dumped.shape == (cfg.paths, 3)
         assert dumped.tobytes() == expected.tobytes()
     assert len(os.listdir(tmp_path / "scenarios")) == 3
+
+
+def test_gbm_mc_shocks_stay_with_their_day_after_an_invalid_day(tmp_path):
+    # a worker draws gbm_mc's shocks ahead; param fails day 0 before gbm_mc
+    # runs, and every later day must still simulate with its own seed, also
+    # when the two threads trade the interpreter lock as often as they can
+    panel = _panel_with_flat_head(n_flat=99, n_total=121)
+    cfg = RunConfig(**{**SMALL, "models": ("param", "gbm_mc"), "long_len": 99, "eval_days": 21})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        records, _ = run_backtest(panel, cfg, scenario_dir=str(tmp_path))
+    finally:
+        sys.setswitchinterval(interval)
+    assert records[0].error.startswith("DegenerateDataError")
+    assert all(rec.error is None for rec in records[1:])
+    returns = log_returns(panel)
+    for i, rec in enumerate(records[1:], start=1):
+        expected = simulate_gbm_portfolio(*calibrate_gbm(returns[i : i + cfg.long_len]),
+                                          cfg.paths, _derive_seed(cfg.seed, i, 1, 1))
+        assert np.load(tmp_path / f"{rec.date}_gbm_mc.npy").tobytes() == expected.tobytes()
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+def _run_within(seconds, *args):
+    """run_backtest(*args) on a helper thread joined with a timeout, so that
+    a hang fails the test instead of stalling the suite; returns what it
+    returned or raises what it raised."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = run_backtest(*args)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), f"run_backtest still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+@pytest.mark.parametrize(
+    "ending", ["returns", "run_failure", "config_error", "draw_error", "save_error"])
+def test_shock_worker_is_joined_however_the_run_ends(panel_3assets, monkeypatch, tmp_path, ending):
+    # a run with gbm_mc starts one shock worker; it must be gone when the
+    # run returns, fails as a whole, rejects its config before the day loop,
+    # meets an exception in the worker's draw, which reaches the caller as
+    # itself, or stops mid-loop on its own thread (a scenario directory that
+    # is a file) with later days' draws queued
+    cfg = RunConfig(**{**SMALL, "models": ("hs", "gbm_mc"), "eval_days": 8})
+    panel, expected, args = panel_3assets, None, ()
+    if ending == "save_error":
+        (tmp_path / "taken").write_text("")
+        expected, args = FileExistsError, (str(tmp_path / "taken"),)
+    elif ending == "run_failure":
+        panel, expected = _panel_with_flat_head(n_flat=104, n_total=121), RunFailureError
+        cfg = replace(cfg, alphas=(0.05,), long_len=99, eval_days=21)
+    elif ending == "config_error":
+        panel, expected = make_panel(100, ("X",), seed=1), ConfigError
+    elif ending == "draw_error":
+        expected, injected = _DrawFailed, _DrawFailed("draw failed")
+        real, seeds = np.random.default_rng, []
+
+        def default_rng(seed):
+            seeds.append(seed)
+            if len(seeds) == 3:
+                raise injected
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+    before = threading.active_count()
+    if expected is None:
+        records, _ = _run_within(60, panel, cfg)
+        assert len(records) == cfg.eval_days
+    else:
+        with pytest.raises(expected) as caught:
+            _run_within(60, panel, cfg, *args)
+        if ending == "draw_error":
+            assert caught.value is injected
+    assert threading.active_count() == before
 
 
 def test_run_backtest_gmm_rows_and_dumps_match_a_recomputation(panel_3assets, tmp_path):

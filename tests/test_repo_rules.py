@@ -341,6 +341,51 @@ def test_day_loop_faults_no_fresh_pages(args):
     assert per_day <= 50, f"{' '.join(args)}: {per_day:.0f} minor page faults per day"
 
 
+_OTHER_THREADS_CPU = _PANEL + """
+import os
+import threading
+import time
+
+from riskengine import run_backtest
+
+
+def cpu_s():
+    # {thread id: user + system CPU seconds} of each thread of this process
+    ticks, out = os.sysconf("SC_CLK_TCK"), {}
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        out[tid] = (int(fields[11]) + int(fields[12])) / ticks
+    return out
+
+
+panel = one_factor_panel(60)
+config = RunConfig(
+    models=("hs", "param", "gbm_mc"), alphas=(0.01, 0.05), paths=10000, eval_days=60, seed=1,
+    portfolio=PortfolioSpec.equal(panel.tickers),
+)
+time.sleep(0.5)  # BLAS threads spin for about 0.1 s after they start at import
+before, start = cpu_s(), time.perf_counter()
+run_backtest(panel, config)
+wall, after = time.perf_counter() - start, cpu_s()
+# the shock worker is joined by now, so only the main thread and BLAS's remain
+main = str(threading.main_thread().native_id)
+print(sum(t - before.get(tid, 0.0) for tid, t in after.items() if tid != main) / wall)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads per-thread CPU time from /proc")
+def test_day_loop_leaves_blas_threads_idle():
+    # A 60-day hs, param and gbm_mc run at 10000 paths, under the default
+    # BLAS threads, must keep every BLAS call on the calling thread: a call
+    # that wakes OpenBLAS's pool leaves its threads spinning on the CPU the
+    # shock worker draws on. Threads other than the main thread and the
+    # worker may use under 10% of the run's wall time.
+    share = float(_python("-c", _OTHER_THREADS_CPU,
+                          **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"))))
+    assert share < 0.10, f"other threads used {share:.0%} of the run's wall time"
+
+
 _BLAS_RUN = _PANEL + """
 from riskengine import report, report_sweep, run_backtest, sweep_sigma_short
 
