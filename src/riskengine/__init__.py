@@ -31,7 +31,6 @@ from .gmm import (  # noqa: E402
     fit,
     log_likelihood,
     mixture_cdf,
-    mixture_density,
     sample,
 )
 from .risk import (  # noqa: E402
@@ -51,7 +50,6 @@ from .backtest import (  # noqa: E402
     christoffersen,
     hits,
     ks_test,
-    pdf_rmse,
     quadratic_loss,
 )
 from .engine import (  # noqa: E402
@@ -72,15 +70,15 @@ __all__ = [
     # timeseries
     "PricePanel", "load_prices", "log_returns",
     # gmm
-    "GaussianMixtureModel", "FitReport", "mixture_density", "mixture_cdf",
-    "log_likelihood", "fit", "sample",
+    "GaussianMixtureModel", "FitReport", "mixture_cdf", "log_likelihood",
+    "fit", "sample",
     # risk
     "PortfolioSpec", "var_es_columns", "rescale",
     # baselines
     "parametric_columns", "gbm_mc_var", "calibrate_gbm", "simulate_gbm_portfolio",
     # backtest
     "ChristoffersenResult", "BacktestReport", "hits", "christoffersen",
-    "quadratic_loss", "ks_test", "pdf_rmse",
+    "quadratic_loss", "ks_test",
     # engine
     "RunConfig", "DayRecord", "run_backtest", "sweep_sigma_short",
     "report", "report_sweep",

@@ -35,13 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import chi2_sf, kolmogorov_sf
-from .errors import (
-    DegenerateDataError,
-    InsufficientDataError,
-    ShapeError,
-    ValidationError,
-)
-from .risk import _quantiles
+from .errors import InsufficientDataError, ShapeError, ValidationError
 
 VERDICT_REJECTED = "rejected"
 VERDICT_NOT_REJECTED = "not_rejected"
@@ -217,52 +211,6 @@ def ks_test(samples, cdf) -> tuple[float, float]:
     d_minus = float(np.max(f - (i - 1) / n))
     d = max(d_plus, d_minus, 0.0)
     return d, kolmogorov_sf(np.sqrt(n) * d)
-
-
-def _empirical_density(data) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram density estimate evaluated at bin centers.
-
-    The bin width follows the Freedman-Diaconis rule (2 IQR / n^(1/3)) over
-    the data range. Where that asks for more bins than points, as when returns
-    are mostly unchanged and the IQR is zero or float noise, the data get
-    Sturges' ceil(log2 n) + 1 bins instead, numpy's fallback for a zero IQR.
-    """
-    x = np.asarray(data, dtype=float).ravel()
-    if x.size < 8:
-        raise InsufficientDataError(
-            f"density estimate needs at least 8 points, got {x.size}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("data contains non-finite entries")
-    q25, q75 = _quantiles(x.copy(), (0.25, 0.75))[1]  # it sorts in place
-    width = 2.0 * (q75 - q25) / x.size ** (1.0 / 3.0)
-    span = float(x.max() - x.min())
-    if span <= 0.0:
-        raise DegenerateDataError(
-            "data has no spread; histogram bin width is zero"
-        )
-    if span <= x.size * width:  # compared before span / width can overflow
-        nbins = max(int(np.ceil(span / width)), 1)
-    else:
-        nbins = int(np.ceil(np.log2(x.size))) + 1
-    edges = np.linspace(x.min(), x.max(), nbins + 1)
-    density, _ = np.histogram(x, bins=edges, density=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, density
-
-
-def pdf_rmse(model_pdf, data) -> float:
-    """RMSE between a model density and the histogram estimate of the data."""
-    centers, emp = _empirical_density(data)
-    mod = np.asarray(model_pdf(centers), dtype=float)
-    if mod.shape != centers.shape:
-        raise ValidationError(
-            f"model pdf returned shape {mod.shape} for {centers.size} points"
-        )
-    if not np.all(np.isfinite(mod)):
-        raise ValidationError("model pdf returned non-finite values")
-    diff = mod - emp
-    return float(np.sqrt(np.mean(diff * diff)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,10 +16,11 @@ import time
 import numpy as np
 
 from . import __version__
-from .backtest import ks_test, pdf_rmse
+from .backtest import ks_test
 from .engine import (
     RunConfig,
     _commit,
+    _list_items,
     report,
     report_sweep,
     run_backtest,
@@ -32,7 +33,7 @@ from .errors import (
     RunFailureError,
     ValidationError,
 )
-from .gmm import fit, log_likelihood, mixture_cdf, mixture_density
+from .gmm import fit, log_likelihood, mixture_cdf
 from .risk import PortfolioSpec
 from .timeseries import load_prices, log_returns
 
@@ -237,8 +238,7 @@ def _cmd_gof(args) -> int:
         components = [int(c) for c in _split_csv(args.components)]
     except ValueError as exc:
         raise ConfigError(f"bad --components: {exc}") from exc
-    if not components or any(c < 1 for c in components):
-        raise ConfigError("--components needs positive integers")
+    components = _list_items("--components", components, "positive integers", lambda c: c >= 1)
     if args.seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.out and not args.out.endswith(".csv"):
@@ -247,22 +247,18 @@ def _cmd_gof(args) -> int:
     returns = log_returns(panel)  # (n - 1, assets)
 
     rows = []
-    print(f"{'ticker':<12} {'model':<8} {'loglik':>10} {'ks_stat':>9} {'ks_p':>8} {'pdf_rmse':>10}")
+    print(f"{'ticker':<12} {'model':<8} {'loglik':>10} {'ks_stat':>9} {'ks_p':>8}")
     for c, ticker in enumerate(panel.tickers):
         data = returns[:, c]
         for label, n_comp in [("normal", 1)] + [(f"gmm{n}", n) for n in components]:
             model, _ = fit(data, n_comp, seed=args.seed)
             ll = log_likelihood(model, data)
             ks_stat, ks_p = ks_test(data, lambda x, m=model: mixture_cdf(m, x))
-            rmse = pdf_rmse(lambda x, m=model: mixture_density(m, x), data)
-            rows.append([ticker, label, repr(ll), repr(ks_stat), repr(ks_p), repr(rmse)])
-            print(
-                f"{ticker:<12} {label:<8} {ll:>10.4f} {ks_stat:>9.5f} "
-                f"{ks_p:>8.4f} {rmse:>10.5f}"
-            )
+            rows.append([ticker, label, repr(ll), repr(ks_stat), repr(ks_p)])
+            print(f"{ticker:<12} {label:<8} {ll:>10.4f} {ks_stat:>9.5f} {ks_p:>8.4f}")
     if args.out:
         # staged like a run report: the directory is created, the write is all or nothing
-        header = "ticker,model,loglik_per_sample,ks_stat,ks_pvalue,pdf_rmse"
+        header = "ticker,model,loglik_per_sample,ks_stat,ks_pvalue"
         _commit(os.path.dirname(args.out) or ".", [(os.path.basename(args.out), (header, rows))])
         print(f"table written to {args.out}")
     return 0

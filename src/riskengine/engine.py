@@ -158,6 +158,10 @@ class RunConfig:
             if rows < need and set(models) & set(self.models):
                 raise ConfigError(f"alpha {alpha} needs {name} >= ceil(1/alpha) = {need} "
                                   f"for {'/'.join(models)}, got {rows}")
+        # EM fits each count to a window of long_len returns, one row at least per component
+        if "gmm" in self.models and max(self.n_components) > self.long_len:
+            raise ConfigError(f"cannot fit {max(self.n_components)} components to "
+                              f"long_len {self.long_len} returns")
         if self.horizon != 1:
             raise ConfigError(f"backtests score one-day forecasts only; got horizon {self.horizon}")
         if self.eval_days < 1:

@@ -1,4 +1,4 @@
-"""Gaussian mixture models: density evaluation, EM calibration, sampling.
+"""Gaussian mixture models: log-likelihood, EM calibration, sampling.
 
 A mixture is P(x) = sum_j w_j * N(x | mu_j, Sigma_j). All density work goes
 through Cholesky factors Sigma_j = L_j L_j', with an inverse of the
@@ -18,7 +18,7 @@ N = 252, k = 15 and n = 3 that per-call overhead, not arithmetic, is what
 an EM iteration spends most of its time on. The public functions take and
 return samples as (N, k) rows, and transpose once at that boundary. One
 weighted log-density kernel, _log_weighted, serves fit's E-step, the
-M-step's re-seed and the model's density methods.
+M-step's re-seed and log_likelihood.
 
 EM runs in log space. The E-step shifts each sample's column by its max
 before exponentiating, so responsibilities stay finite even when every
@@ -128,24 +128,21 @@ def _log_weighted(Xt, weights, means, prec_chols, logdets) -> np.ndarray:
     return logj
 
 
-def _logsumexp(logj: np.ndarray, context: str | None = None):
+def _logsumexp(logj: np.ndarray, context: str):
     """Log-sum-exp over the components (axis 0) of logj (n, N), in place.
 
     Returns (shift, e, s): shift is each column's max, e = exp(logj - shift)
     overwrites logj, and s is e summed over axis 0. The log-sum-exp is
     shift + log(s) and the responsibilities are e / s, so one exp pass
-    serves both. A column with no finite max raises NumericError naming
-    context; with context None its shift is taken as 0 instead, so a column
-    of -inf gets s = 0.
+    serves both. A column with no finite max, one where every component
+    density underflows, raises NumericError naming context.
     """
     shift = logj.max(axis=0)  # a new array, never a view of logj; NaN propagates
     finite = np.isfinite(shift)
     if not finite.all():
-        if context is not None:
-            raise NumericError(
-                f"{context}: density underflowed for sample {int(np.argmin(finite))}"
-            )
-        shift[~finite] = 0.0
+        raise NumericError(
+            f"{context}: density underflowed for sample {int(np.argmin(finite))}"
+        )
     logj -= shift
     e = np.exp(logj, out=logj)
     return shift, e, e.sum(axis=0)
@@ -202,12 +199,6 @@ class GaussianMixtureModel:
         object.__setattr__(self, "_prec_chols", prec_chols)
         object.__setattr__(self, "_logdets", logdets)
 
-    def _log_weighted_densities(self, X: np.ndarray) -> np.ndarray:
-        """ln w_j + ln N(x_i | mu_j, Sigma_j) for samples X (N, k): (n, N)."""
-        return _log_weighted(
-            X.T, self.weights, self.means, self._prec_chols, self._logdets
-        )
-
     @property
     def n_components(self) -> int:
         return self.weights.shape[0]
@@ -245,26 +236,17 @@ class FitReport:
         return self.loglik_trace[-1]
 
 
-def mixture_density(model: GaussianMixtureModel, x) -> np.ndarray:
-    """Mixture density at each of N points, as an (N,) array.
-
-    x is read as log_likelihood reads its data: an (N, dim) matrix, or an
-    (N,) array of points for a 1-D model.
-    """
-    X = _as_matrix(x)
-    if X.shape[1] != model.dim:
-        raise ShapeError(f"points have dim {X.shape[1]}, model has dim {model.dim}")
-    # a point where every component density is 0 gets shift 0 and s = 0
-    shift, _, s = _logsumexp(model._log_weighted_densities(X))
-    return np.exp(shift) * s
-
-
 def log_likelihood(model: GaussianMixtureModel, data) -> float:
-    """Per-sample mean log-likelihood of the data under the model."""
+    """Per-sample mean log-likelihood of the data under the model.
+
+    data is an (N, dim) matrix, or an (N,) array of points for a 1-D model.
+    NumericError if every component density underflows at some point.
+    """
     X = _as_matrix(data)
     if X.shape[1] != model.dim:
         raise ShapeError(f"data has dim {X.shape[1]}, model has dim {model.dim}")
-    shift, _, s = _logsumexp(model._log_weighted_densities(X), "log_likelihood")
+    logj = _log_weighted(X.T, model.weights, model.means, model._prec_chols, model._logdets)
+    shift, _, s = _logsumexp(logj, "log_likelihood")
     return float(np.mean(shift + np.log(s)))
 
 

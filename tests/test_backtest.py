@@ -1,4 +1,4 @@
-"""Violation counting, coverage/independence statistics, loss and GoF metrics."""
+"""Violation counting, coverage/independence statistics, loss and the KS test."""
 
 import numpy as np
 import pytest
@@ -10,22 +10,15 @@ from riskengine import (
     christoffersen,
     hits,
     ks_test,
-    pdf_rmse,
     quadratic_loss,
 )
 from riskengine.backtest import (
     VERDICT_INSUFFICIENT,
     VERDICT_NOT_REJECTED,
     VERDICT_REJECTED,
-    _empirical_density,
 )
 from riskengine.distributions import normal_cdf
-from riskengine.errors import (
-    DegenerateDataError,
-    InsufficientDataError,
-    ShapeError,
-    ValidationError,
-)
+from riskengine.errors import InsufficientDataError, ShapeError, ValidationError
 
 # violations cluster in this sequence: 6 hits in 20 days, two adjacent pairs
 HAND_HITS = np.array(
@@ -291,82 +284,6 @@ def test_ks_accepts_cdf_within_its_tolerance():
     stat, p = ks_test(np.array([0.0]), lambda x: np.full_like(x, -5e-10))
     assert stat == pytest.approx(1.0, abs=1e-9)
     assert 0.0 <= p <= 1.0
-
-
-def test_empirical_density_integrates_to_one():
-    rng = np.random.default_rng(3)
-    x = rng.normal(0, 1, 5000)
-    centers, density = _empirical_density(x)
-    width = centers[1] - centers[0]
-    assert float(np.sum(density) * width) == pytest.approx(1.0, rel=1e-9)
-    assert len(density) == len(centers)
-
-
-def test_empirical_density_gates():
-    with pytest.raises(InsufficientDataError):
-        _empirical_density(np.arange(7.0))
-    with pytest.raises(DegenerateDataError):
-        _empirical_density(np.full(100, 2.0))
-
-
-def test_pdf_rmse_on_data_with_a_zero_iqr():
-    # 80% zeros: the interquartile range is zero but the data spread, so the
-    # histogram takes Sturges' ceil(log2 n) + 1 bins over the data's span
-    rng = np.random.default_rng(8)
-    x = np.where(rng.random(299) < 0.8, 0.0, rng.normal(0.0, 0.01, 299))
-    centers, density = _empirical_density(x)
-    assert centers.size == 10
-    assert centers[0] > x.min() and centers[-1] < x.max()
-    width = centers[1] - centers[0]
-    assert float(np.sum(density) * width) == pytest.approx(1.0, rel=1e-9)
-    rmse = pdf_rmse(lambda t: np.exp(-t * t / 2e-4) / np.sqrt(2e-4 * np.pi), x)
-    assert np.isfinite(rmse) and rmse > 0.0
-
-
-def test_empirical_density_never_asks_for_more_bins_than_points(monkeypatch):
-    # 80% float noise of about 1e-12, as an adjusted close that repeats up to
-    # rounding leaves, and 20% 1% moves: an IQR of about 2e-12 would ask
-    # Freedman-Diaconis for some 1e11 bins, so the data get Sturges' instead.
-    # The guard fails a larger request before numpy allocates it.
-    rng = np.random.default_rng(8)
-    x = np.where(rng.random(300) < 0.8, rng.normal(0.0, 1e-12, 300),
-                 rng.normal(0.0, 0.01, 300))
-    linspace = np.linspace
-
-    def guarded(start, stop, num, **kwargs):
-        if num > x.size + 1:
-            raise AssertionError(f"linspace asked for {num} points")
-        return linspace(start, stop, num, **kwargs)
-
-    monkeypatch.setattr(np, "linspace", guarded)
-    centers, _ = _empirical_density(x)
-    assert centers.size == 10
-    rmse = pdf_rmse(lambda t: np.exp(-t * t / 2e-4) / np.sqrt(2e-4 * np.pi), x)
-    assert np.isfinite(rmse)
-
-
-def test_pdf_rmse_zero_for_perfect_model():
-    rng = np.random.default_rng(5)
-    x = rng.normal(0, 1, 4000)
-    centers, density = _empirical_density(x)
-
-    def perfect(t):
-        return np.interp(t, centers, density)
-
-    assert pdf_rmse(perfect, x) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_pdf_rmse_orders_models_sensibly():
-    rng = np.random.default_rng(6)
-    x = rng.normal(0, 1, 20000)
-
-    def right(t):
-        return np.exp(-np.asarray(t) ** 2 / 2) / np.sqrt(2 * np.pi)
-
-    def wrong(t):
-        return np.exp(-np.asarray(t) ** 2 / 8) / np.sqrt(8 * np.pi)
-
-    assert pdf_rmse(right, x) < pdf_rmse(wrong, x)
 
 
 def test_backtest_report_csv_row():

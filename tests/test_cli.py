@@ -197,6 +197,21 @@ def test_run_alpha_without_a_tail_exits_2_before_any_fit(prices_csv, tmp_path, c
     assert not out.exists()
 
 
+def test_run_more_components_than_window_returns_exits_2_before_any_fit(
+        prices_csv, tmp_path, capsys, monkeypatch):
+    # no 120-return window can fit 121 components, so every day would fail
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit called for a config that cannot fit")
+
+    monkeypatch.setattr("riskengine.engine.fit", no_fit)
+    out = tmp_path / "o"
+    code = main(["run", "--prices", prices_csv, "--out", str(out), *RUN_FLAGS,
+                 "--components", "121"])
+    assert code == 2
+    assert "cannot fit 121 components to long_len 120" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_multi_day_horizon_exits_2(prices_csv, tmp_path, capsys):
     cfg = tmp_path / "h10.json"
     cfg.write_text(json.dumps({"horizon": 10}))
@@ -352,7 +367,7 @@ def test_gof_table_and_csv(prices_csv, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "normal" in text and "gmm2" in text
     rows = out.read_text().splitlines()
-    assert rows[0] == "ticker,model,loglik_per_sample,ks_stat,ks_pvalue,pdf_rmse"
+    assert rows[0] == "ticker,model,loglik_per_sample,ks_stat,ks_pvalue"
     # 2 tickers x (normal + gmm2 + gmm3)
     assert len(rows) == 1 + 2 * 3
     for row in rows[1:]:
@@ -412,10 +427,19 @@ def test_gof_mixture_beats_normal_on_mixture_data(tmp_path, capsys):
     assert ll["gmm2"] > ll["normal"]
 
 
-def test_gof_on_a_one_bin_histogram(tmp_path, capsys):
-    # prices alternating 100/110 give 8 returns of two values, whose
-    # histogram has a single bin: the model density must still come back as
-    # one value per bin center, not as a bare float
+def _gof_rows(path):
+    """The rows of a gof CSV as dicts, after checking that every score in
+    them is finite."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        assert all(np.isfinite(float(row[k])) for k in ("loglik_per_sample", "ks_stat", "ks_pvalue"))
+    return rows
+
+
+def test_gof_scores_every_row_on_two_distinct_returns(tmp_path, capsys):
+    # prices alternating 100/110 give 8 returns of two values: the two
+    # components of gmm2 each sit on one value, with floored variance
     p = tmp_path / "alternating.csv"
     p.write_text("date,A\n" + "".join(
         f"2020-01-{day:02d},{100.0 if day % 2 else 110.0!r}\n" for day in range(1, 10)
@@ -423,15 +447,12 @@ def test_gof_on_a_one_bin_histogram(tmp_path, capsys):
     out = tmp_path / "gof.csv"
     assert main(["gof", "--prices", str(p), "--components", "2", "--out", str(out)]) == 0
     assert "normal" in capsys.readouterr().out
-    with open(out, newline="") as fh:
-        rows = {row["model"]: row for row in csv.DictReader(fh)}
-    assert np.isfinite(float(rows["normal"]["pdf_rmse"]))
+    assert [row["model"] for row in _gof_rows(out)] == ["normal", "gmm2"]
 
 
-def test_gof_on_mostly_unchanged_closes(tmp_path, capsys):
-    # 80% of B's closes repeat the day before, so the interquartile range of
-    # its returns is zero while the returns still spread: the density RMSE
-    # must come back finite for every model instead of failing the table
+def test_gof_scores_every_row_on_mostly_unchanged_closes(tmp_path, capsys):
+    # 80% of B's closes repeat the day before, so most of its returns are
+    # exactly 0 while the rest still spread
     rng = np.random.default_rng(11)
     n = 300
     steps = rng.normal(0.0, 0.01, (n - 1, 2))
@@ -441,12 +462,39 @@ def test_gof_on_mostly_unchanged_closes(tmp_path, capsys):
     write_rows(p, ("A", "B"), prices)
     out = tmp_path / "gof.csv"
     assert main(["gof", "--prices", str(p), "--components", "2", "--out", str(out)]) == 0
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [(r["ticker"], r["model"]) for r in rows] == [
+    assert [(r["ticker"], r["model"]) for r in _gof_rows(out)] == [
         (t, m) for t in ("A", "B") for m in ("normal", "gmm2")
     ]
-    assert all(np.isfinite(float(r["pdf_rmse"])) for r in rows)
+
+
+def test_gof_on_four_returns_prints_its_table(tmp_path, capsys):
+    # log-likelihood and KS need no minimum sample beyond what fit needs
+    p = tmp_path / "short.csv"
+    write_rows(p, ("A",), np.array([[100.0], [101.0], [99.5], [100.2], [102.0]]))
+    out = tmp_path / "gof.csv"
+    assert main(["gof", "--prices", str(p), "--components", "2", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[0].split() == ["ticker", "model", "loglik", "ks_stat", "ks_p"]
+    assert [row["model"] for row in _gof_rows(out)] == ["normal", "gmm2"]
+
+
+@pytest.mark.parametrize("components, message", [
+    ("2,2", "duplicate entries in --components"),
+    ("0,2", "--components must be a non-empty list of positive integers"),
+    (",", "--components must be a non-empty list of positive integers"),
+])
+def test_gof_components_are_checked_as_run_checks_them(prices_csv, tmp_path, capsys,
+                                                       components, message):
+    # run and sweep reject a repeated component count with exit 2; gof must
+    # too, before it fits, prints or writes anything
+    out = tmp_path / "gof.csv"
+    assert main(["gof", "--prices", prices_csv, "--components", components,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {message}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "gof"])

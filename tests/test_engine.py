@@ -121,6 +121,17 @@ def test_run_config_validation():
     RunConfig(models=("gmm", "param"), alphas=(0.01,), long_len=60, short_len=30)
 
 
+def test_run_config_needs_a_window_return_per_gmm_component():
+    # fit needs at least as many samples as components, so a gmm count above
+    # long_len fails before any fit instead of invalidating every day
+    with pytest.raises(ConfigError, match="cannot fit 300 components to long_len 252"):
+        RunConfig(models=("hs", "gmm"), n_components=(2, 300))
+    with pytest.raises(ConfigError, match="cannot fit 61 components to long_len 60"):
+        RunConfig(models=("gmm",), n_components=(61,), alphas=(0.05,), long_len=60, short_len=30)
+    RunConfig(models=("gmm",), n_components=(60,), alphas=(0.05,), long_len=60, short_len=30)
+    RunConfig(models=("hs", "param"), n_components=(300,))  # the counts serve gmm only
+
+
 def test_run_config_model_keys():
     cfg = RunConfig(models=("gmm", "hs"), n_components=(2, 4))
     assert cfg.model_keys() == ["gmm2", "gmm4", "hs"]

@@ -18,12 +18,12 @@ from riskengine import (
     fit,
     log_likelihood,
     mixture_cdf,
-    mixture_density,
     sample,
 )
 from riskengine.gmm import _floored, _kmeans_init, _stratified_counts
 from riskengine.errors import (
     InsufficientDataError,
+    NumericError,
     ShapeError,
     ValidationError,
 )
@@ -111,14 +111,15 @@ def _one_component(mean, cov):
 
 def test_component_density_1d_standard_normal():
     model = _one_component(np.zeros(1), np.eye(1))
-    assert mixture_density(model, [0.0])[0] == pytest.approx(0.3989422804014327, rel=1e-14)
+    assert log_likelihood(model, [0.0]) == pytest.approx(
+        math.log(0.3989422804014327), rel=1e-14
+    )
 
 
 def test_component_density_2d_reference():
     model = _one_component(np.array([0.5, -0.25]), np.array([[2.0, 0.6], [0.6, 1.0]]))
-    val = mixture_density(model, np.array([[1.0, 0.5]]))
-    assert val.shape == (1,)
-    assert val[0] == pytest.approx(0.0937393348269034, rel=1e-13)
+    val = log_likelihood(model, np.array([[1.0, 0.5]]))
+    assert val == pytest.approx(math.log(0.0937393348269034), rel=1e-13)
 
 
 def test_component_density_matches_scipy():
@@ -131,63 +132,58 @@ def test_component_density_matches_scipy():
         cov = a @ a.T + 0.5 * np.eye(dim)
         mean = rng.normal(size=dim)
         x = rng.normal(size=dim)
-        ref = scipy.stats.multivariate_normal(mean=mean, cov=cov).pdf(x)
-        got = mixture_density(_one_component(mean, cov), x[None, :])
-        assert got[0] == pytest.approx(ref, rel=1e-10)
+        ref = scipy.stats.multivariate_normal(mean=mean, cov=cov).logpdf(x)
+        got = log_likelihood(_one_component(mean, cov), x[None, :])
+        assert got == pytest.approx(ref, rel=1e-10)
+
+
+def _two_comp_1d():
+    return GaussianMixtureModel(
+        weights=np.array([0.3, 0.7]),
+        means=np.array([[-1.0], [2.0]]),
+        covariances=np.array([[[0.25]], [[4.0]]]),
+    )
 
 
 def test_mixture_density_reference():
-    m = GaussianMixtureModel(
-        weights=np.array([0.3, 0.7]),
-        means=np.array([[-1.0], [2.0]]),
-        covariances=np.array([[[0.25]], [[4.0]]]),
-    )
-    batch = mixture_density(m, np.array([0.2, 0.2]))
-    assert batch.shape == (2,)
-    np.testing.assert_allclose(batch, 0.10656655564146993, rtol=1e-13)
+    m = _two_comp_1d()
+    for x in ([0.2], [0.2, 0.2]):
+        assert log_likelihood(m, x) == pytest.approx(math.log(0.10656655564146993), rel=1e-13)
 
 
-def test_mixture_density_is_zero_where_every_component_underflows():
-    # every component log-density is -inf at these points; the density is 0,
-    # with no -inf - (-inf) along the way (RuntimeWarnings are errors here)
-    m = GaussianMixtureModel(
-        weights=np.array([0.3, 0.7]),
-        means=np.array([[-1.0], [2.0]]),
-        covariances=np.array([[[0.25]], [[4.0]]]),
-    )
+def test_log_likelihood_raises_where_every_component_underflows():
+    # every component log-density is -inf at these points, so their log
+    # density has no finite value: a NumericError naming the caller, with
+    # no -inf - (-inf) along the way (RuntimeWarnings are errors here)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch = mixture_density(m, np.array([1e200, 0.2, -1e200]))
-        assert mixture_density(two_comp_2d(), [[1e200, 0.0]])[0] == 0.0
-    assert batch[0] == 0.0 and batch[2] == 0.0
-    assert batch[1] == pytest.approx(0.10656655564146993, rel=1e-13)
+        for model, x in ((_two_comp_1d(), [1e200]), (_two_comp_1d(), [0.2, -1e200]),
+                         (two_comp_2d(), [[1e200, 0.0]])):
+            with pytest.raises(NumericError, match="log_likelihood"):
+                log_likelihood(model, x)
 
 
-def test_mixture_density_reads_points_as_log_likelihood_does():
-    # one point is still a batch: (1,) out, as pdf_rmse needs for a one-bin histogram
+def test_log_likelihood_reads_points_as_an_n_by_dim_matrix():
+    # one point is still a batch of one
     m = _one_component(np.zeros(1), np.eye(1))
-    assert mixture_density(m, [0.0]).shape == (1,)
-    assert mixture_density(m, [[0.0]]).shape == (1,)
+    assert np.isfinite(log_likelihood(m, [0.0]))
+    assert log_likelihood(m, [[0.0]]) == log_likelihood(m, [0.0])
     m2 = two_comp_2d()
-    assert mixture_density(m2, np.zeros((3, 2))).shape == (3,)
+    assert np.isfinite(log_likelihood(m2, np.zeros((3, 2))))
     with pytest.raises(ShapeError):
-        mixture_density(m, 0.0)  # a scalar is not a batch
+        log_likelihood(m, 0.0)  # a scalar is not a batch
     with pytest.raises(ShapeError):
-        mixture_density(m2, [0.0, 0.0])  # a 1-D array is a batch of 1-D points
+        log_likelihood(m2, [0.0, 0.0])  # a 1-D array is a batch of 1-D points
     with pytest.raises(ShapeError):
-        mixture_density(m, np.zeros((2, 2)))
+        log_likelihood(m, np.zeros((2, 2)))
     with pytest.raises(ValidationError):
-        mixture_density(m, [0.0, np.nan])
+        log_likelihood(m, [0.0, np.nan])
     with pytest.raises(InsufficientDataError):
-        mixture_density(m, np.zeros(0))
+        log_likelihood(m, np.zeros(0))
 
 
 def test_mixture_cdf_reference():
-    m = GaussianMixtureModel(
-        weights=np.array([0.3, 0.7]),
-        means=np.array([[-1.0], [2.0]]),
-        covariances=np.array([[[0.25]], [[4.0]]]),
-    )
+    m = _two_comp_1d()
     assert mixture_cdf(m, [0.0]) == pytest.approx([0.40423363816756617], rel=1e-13)
     grid = np.linspace(-6, 10, 50)
     vals = mixture_cdf(m, grid)
@@ -208,10 +204,15 @@ def test_mixture_cdf_takes_batches_only(mix_1d):
 
 
 def test_log_likelihood_is_mean_log_density():
+    import scipy.special
+    import scipy.stats
+
     m = two_comp_2d()
     rng = np.random.default_rng(2)
     x = rng.normal(0, 1.5, (40, 2))
-    direct = float(np.mean(np.log(mixture_density(m, x))))
+    logj = [np.log(w) + scipy.stats.multivariate_normal(mu, cov).logpdf(x)
+            for w, mu, cov in zip(m.weights, m.means, m.covariances)]
+    direct = float(np.mean(scipy.special.logsumexp(logj, axis=0)))
     assert log_likelihood(m, x) == pytest.approx(direct, rel=1e-12)
 
 
@@ -325,7 +326,7 @@ def test_em_path_makes_no_triangular_solve(monkeypatch):
     warm_model, warm = fit(shifted, 3, init=model)
     assert cold.init_mode == "kmeans" and warm.init_mode == "warm_start"
     assert np.isfinite(log_likelihood(warm_model, shifted))
-    assert np.all(mixture_density(model, X[:5]) > 0.0)
+    assert np.isfinite(log_likelihood(model, X[:5]))
     assert sample(warm_model, 3000, np.random.default_rng(2)).shape == (3000, 15)
 
 
@@ -376,7 +377,10 @@ def test_fit_makes_one_density_pass_and_one_factorization_per_step(monkeypatch):
 def _responsibilities(model, X):
     """(N, n) responsibilities e / s from the one _logsumexp pass fit's
     E-step makes over the weighted log-densities of the samples X (N, k)."""
-    _, e, s = gmm_module._logsumexp(model._log_weighted_densities(X), "e-step")
+    logj = gmm_module._log_weighted(
+        X.T, model.weights, model.means, model._prec_chols, model._logdets
+    )
+    _, e, s = gmm_module._logsumexp(logj, "e-step")
     return (e / s).T
 
 

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import functools
+import importlib
 import inspect
 import os
 import pathlib
@@ -218,11 +219,37 @@ def test_public_methods_have_a_caller():
     assert not bad, "\n".join(bad)
 
 
+# names README.md writes as calls in formulas, not as package functions
+_README_FORMULAS = {"ceil"}
+
+
 def test_readme_names_only_existing_modules():
-    # A module retired from the package must leave the README with it.
-    named = set(re.findall(r"\briskengine\.(\w+)", (_REPO / "README.md").read_text()))
+    # A module or function retired from the package must leave the README
+    # with it. Each inline code span that opens with a call, `name(` or
+    # `owner.name(`, must name an attribute of a src/riskengine module; an
+    # owner that is a module or class there is searched alone, and any other
+    # owner (an instance, as in `config.model_keys()`) stands for every
+    # class the package defines.
+    text = (_REPO / "README.md").read_text()
+    named = set(re.findall(r"\briskengine\.(\w+)", text))
     bad = [f"README.md names riskengine.{name}, but src/riskengine/{name}.py does not exist"
            for name in sorted(named) if not (_REPO / "src" / "riskengine" / f"{name}.py").is_file()]
+    modules = {p.stem: importlib.import_module(f"riskengine.{p.stem}")
+               for p in sorted((_REPO / "src" / "riskengine").glob("[!_]*.py"))}
+    classes = {name: value for module in modules.values() for name, value in vars(module).items()
+               if inspect.isclass(value) and value.__module__ == module.__name__}
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    calls = {m.group(1) for span in spans if (m := re.match(r"(?:riskengine\.)?([\w.]+)\(", span))}
+    for call in sorted(calls - _README_FORMULAS):
+        *owner, attr = call.split(".")
+        if not owner:
+            owners = modules.values()
+        elif owner[-1] in modules or owner[-1] in classes:
+            owners = [modules.get(owner[-1]) or classes[owner[-1]]]
+        else:
+            owners = classes.values()
+        if not any(hasattr(o, attr) for o in owners):
+            bad.append(f"README.md calls `{call}(`, which no src/riskengine module defines")
     assert not bad, "\n".join(bad)
 
 
