@@ -13,12 +13,12 @@ import numpy as np
 
 from riskengine import (
     PricePanel,
+    calibrate_gbm,
     fit,
-    gbm_mc_var,
     log_returns,
     parametric_columns,
-    rescale,
     sample,
+    simulate_gbm_portfolio,
     var_es_columns,
 )
 
@@ -43,19 +43,21 @@ def main():
     ratio = np.std(window[-30:]) / np.std(window)
     model, rep = fit(window, 2, seed=3)
     scen = sample(model, 20000, np.random.default_rng(17))
-    scaled = rescale(scen, [ratio])
+    scaled = scen * ratio
 
     print(f"short/long vol ratio: {ratio:.3f}  (fit {rep.iterations} iters)")
     print()
     print(f"{'model':<22} {'VaR 95%':>10} {'ES 95%':>10} {'VaR 99%':>10}")
-    # every estimator returns var and es arrays shaped (column, alpha)
+    # every estimator returns var and es arrays shaped (column, alpha); the
+    # GBM baseline is the empirical estimator over 20000 simulated days
     alphas = (0.05, 0.01)
+    gbm_days = simulate_gbm_portfolio(*calibrate_gbm(window[:, None]), 20000, seed=5)
     estimates = {
         "mixture MC": var_es_columns(scen, alphas),
         "mixture MC, rescaled": var_es_columns(scaled, alphas),
         "historical": var_es_columns(window[:, None], alphas),
         "parametric normal": parametric_columns(window[:, None], alphas),
-        "GBM Monte Carlo": gbm_mc_var(window, alphas, m=20000, seed=5),
+        "GBM Monte Carlo": var_es_columns(gbm_days, alphas),
     }
     for name, (var, es, *_) in estimates.items():
         print(f"{name:<22} {var[0, 0]:>10.5f} {es[0, 0]:>10.5f} {var[0, 1]:>10.5f}")

@@ -35,12 +35,10 @@ from .gmm import (  # noqa: E402
 )
 from .risk import (  # noqa: E402
     PortfolioSpec,
-    rescale,
     var_es_columns,
 )
 from .baselines import (  # noqa: E402
     calibrate_gbm,
-    gbm_mc_var,
     parametric_columns,
     simulate_gbm_portfolio,
 )
@@ -73,9 +71,9 @@ __all__ = [
     "GaussianMixtureModel", "FitReport", "mixture_cdf", "log_likelihood",
     "fit", "sample",
     # risk
-    "PortfolioSpec", "var_es_columns", "rescale",
+    "PortfolioSpec", "var_es_columns",
     # baselines
-    "parametric_columns", "gbm_mc_var", "calibrate_gbm", "simulate_gbm_portfolio",
+    "parametric_columns", "calibrate_gbm", "simulate_gbm_portfolio",
     # backtest
     "ChristoffersenResult", "BacktestReport", "hits", "christoffersen",
     "quadratic_loss", "ks_test",

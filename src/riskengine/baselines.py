@@ -1,11 +1,12 @@
 """Classical one-day VaR baselines: historical, parametric normal, GBM-MC.
 
-Each calibrates on a rolling window of log returns and returns VaR/ES as
-plain (column, alpha) arrays. Historical simulation is risk.var_es_columns
-over the window itself, so there is exactly one quantile implementation in
-the package; parametric_columns is the closed-form normal, a checking
-wrapper over the row kernel _parametric_rows. A portfolio is one more
-series, w . r per window day or path, like its realized return.
+Each calibrates on a rolling window of log returns, and its VaR/ES are
+plain (column, alpha) arrays. Historical simulation and GBM-MC are
+risk.var_es_columns over the window itself and over simulated days, so
+there is exactly one quantile implementation in the package;
+parametric_columns is the closed-form normal, a checking wrapper over the
+row kernel _parametric_rows. A portfolio is one more series, w . r per
+window day or path, like its realized return.
 
 The GBM baseline is calibrate_gbm and the one GBM simulator,
 simulate_gbm_portfolio: the arithmetic Euler step over one day,
@@ -40,7 +41,6 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .risk import var_es_columns
 
 
 def parametric_columns(window, alphas):
@@ -83,16 +83,15 @@ def _parametric_rows(rows, alphas):
 
 
 def calibrate_gbm(window_returns):
-    """Per-asset one-day drift/volatility and shock correlation from a window.
-
-    Drifts are the mean log returns, volatilities the population stds. The
-    correlation matrix comes from the same window; a single asset gets the
-    1x1 identity.
+    """Per-asset one-day drift/volatility and shock correlation from a
+    (rows, assets) window of log returns, which one series enters as
+    series[:, None]: drifts are the column means, volatilities the
+    population stds, and a single asset's correlation is the 1x1 identity.
     """
     X = np.asarray(window_returns, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2 or X.shape[0] < 2:
+    if X.ndim != 2:
+        raise ShapeError(f"calibration window must be (rows, assets), got shape {X.shape}")
+    if X.shape[0] < 2:
         raise InsufficientDataError("calibration window needs >= 2 rows")
     if not np.all(np.isfinite(X)):
         raise ValidationError("window contains non-finite returns")
@@ -169,20 +168,3 @@ def _gbm_day_into(mus, sigmas, corr, eps, out):
     if not np.all(np.isfinite(growth)):
         raise ValidationError("scenario returns contain non-finite entries")
     return growth
-
-
-def gbm_mc_var(series, alphas, m: int, seed: int):
-    """One-day GBM Monte Carlo VaR/ES calibrated on one return series.
-
-    series is a window of log returns, 1-D or one column; a portfolio is
-    the series of its window returns w . r. Simulates m arithmetic-Euler
-    days of one asset and returns var_es_columns of their log returns,
-    arrays shaped (1, len(alphas)). ShapeError for a multi-column window.
-    """
-    x = np.asarray(series, dtype=float)
-    if x.shape[1:] not in ((), (1,)):
-        raise ShapeError(
-            f"gbm_mc_var takes one return series, got shape {x.shape}; "
-            f"aggregate a multi-asset window to its portfolio series w . r first"
-        )
-    return var_es_columns(simulate_gbm_portfolio(*calibrate_gbm(x), m, seed), alphas)

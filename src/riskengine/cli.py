@@ -28,6 +28,7 @@ from .engine import (
 )
 from .errors import (
     ConfigError,
+    InsufficientDataError,
     NumericError,
     ParseError,
     RunFailureError,
@@ -245,6 +246,11 @@ def _cmd_gof(args) -> int:
         raise ConfigError(f"--out must name a .csv file, got {args.out!r}")
     panel = _read_prices(args.prices)
     returns = log_returns(panel)  # (n - 1, assets)
+    # every fit must succeed before the table's first line is printed
+    if max(components) > len(returns):
+        raise InsufficientDataError(
+            f"cannot fit {max(components)} components to {len(returns)} samples"
+        )
 
     rows = []
     print(f"{'ticker':<12} {'model':<8} {'loglik':>10} {'ks_stat':>9} {'ks_p':>8}")

@@ -12,9 +12,7 @@ continuous distribution falls below it with chance (h + 1) / (n + 1) > alpha
 Estimates are plain (column, alpha) arrays from var_es_columns, a checking
 wrapper over _var_es_rows, the row kernel the engine calls once per
 model-day. Both are positively homogeneous, so scaling them by a volatility
-ratio equals re-estimating from the scaled scenarios, which rescale
-computes: it multiplies the asset axis of a scenario array by one positive
-ratio per asset and returns a new array.
+ratio equals re-estimating from the scenarios times that ratio.
 """
 
 from __future__ import annotations
@@ -145,24 +143,3 @@ def _var_es_rows(ordered, alphas):
     # a masked sum adds each row's leading run of n_tail entries alone
     es = head.repeat(len(alphas), axis=1).sum(axis=-1, where=below) / n_tail
     return var, es, n_tail
-
-
-def rescale(returns, ratios) -> np.ndarray:
-    """Multiply the last axis of returns by one volatility ratio per asset.
-
-    returns is any array whose last axis holds the assets, such as a
-    (paths, assets) scenario array. ratios holds one positive, finite float
-    per asset; returns must be finite. Returns a new array and leaves the
-    input untouched.
-    """
-    returns = np.asarray(returns, dtype=float)
-    factors = np.asarray(ratios, dtype=float)
-    if returns.ndim < 1 or factors.shape != returns.shape[-1:]:
-        raise ShapeError(
-            f"{factors.size} ratios for returns shaped {returns.shape}"
-        )
-    if np.any(factors <= 0) or not np.all(np.isfinite(factors)):
-        raise ValidationError("rescale factors must be positive and finite")
-    if not np.all(np.isfinite(returns)):
-        raise ValidationError("scenario returns contain non-finite entries")
-    return returns * factors

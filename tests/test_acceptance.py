@@ -27,7 +27,7 @@ from riskengine import (
     var_es_columns,
 )
 from riskengine.backtest import VERDICT_NOT_REJECTED
-from riskengine.baselines import gbm_mc_var
+from riskengine.baselines import calibrate_gbm
 from riskengine.distributions import normal_pdf, normal_ppf
 from riskengine.engine import report
 
@@ -314,7 +314,8 @@ def test_criterion_10_baselines_agree_on_gaussian_window():
     z = normal_ppf(alpha)
     hs = _reference_var_es(window, alpha)[0]  # the window's full-sort quantile
     pa = float(np.mean(window)) + sig * z  # closed-form normal
-    gb = float(gbm_mc_var(window, (alpha,), m=m, seed=9)[0][0, 0])
+    days = simulate_gbm_portfolio(*calibrate_gbm(window[:, None]), m, seed=9)
+    gb = float(var_es_columns(days, (alpha,))[0][0, 0])
 
     dens = normal_pdf(z) / sig  # density at the alpha-quantile
     se_hs = np.sqrt(alpha * (1 - alpha) / n) / dens

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from riskengine import (
     calibrate_gbm,
-    gbm_mc_var,
     parametric_columns,
     simulate_gbm_portfolio,
     var_es_columns,
@@ -154,6 +153,13 @@ def test_calibrate_gbm_single_asset_corr():
     np.testing.assert_array_equal(corr, [[1.0]])
 
 
+def test_calibrate_gbm_takes_a_series_as_one_column():
+    # one series enters as series[:, None]; a 1-D array is refused with
+    # the (rows, assets) shape the window must have
+    with pytest.raises(ShapeError, match=r"\(rows, assets\), got shape \(10,\)"):
+        calibrate_gbm(np.arange(10.0))
+
+
 def test_gbm_portfolio_shapes_and_independent_case():
     scen = simulate_gbm_portfolio(
         mus=np.array([0.0, 0.0]),
@@ -263,34 +269,3 @@ def test_gbm_portfolio_rejects_overflowing_prices():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValidationError, match="non-finite"):
             simulate_gbm_portfolio([1.7e308], [1e307], np.eye(1), 100, 0)
-
-
-def test_gbm_mc_var_close_to_parametric_on_gaussian_window():
-    rng = np.random.default_rng(10)
-    window = rng.normal(0.0, 0.01, 252)
-    var, es, n_tail = gbm_mc_var(window, (0.05,), m=40000, seed=3)
-    assert var.shape == es.shape == n_tail.shape == (1, 1)
-    assert var[0, 0] == pytest.approx(_reference_parametric(window, 0.05)[0], abs=4e-4)
-    assert n_tail[0, 0] == pytest.approx(0.05 * 40000, rel=0.2)
-
-
-def test_gbm_mc_var_deterministic():
-    rng = np.random.default_rng(1)
-    window = rng.normal(0.0, 0.01, 150)
-    a = gbm_mc_var(window, (0.05, 0.01), m=5000, seed=77)
-    b = gbm_mc_var(window, (0.05, 0.01), m=5000, seed=77)
-    assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
-
-
-def test_gbm_mc_var_multi_asset_requires_portfolio():
-    # gbm_mc_var reads one series: a multi-asset window must first be
-    # aggregated to its portfolio returns w . r, and a one-column window is
-    # the 1-D series
-    rng = np.random.default_rng(5)
-    window = rng.normal(0.0, 0.01, (100, 2))
-    with pytest.raises(ShapeError, match="portfolio series"):
-        gbm_mc_var(window, (0.05,), m=1000, seed=0)
-    series = window @ np.array([0.5, 0.5])
-    a = gbm_mc_var(series, (0.05,), m=1000, seed=0)
-    b = gbm_mc_var(series[:, None], (0.05,), m=1000, seed=0)
-    assert [x.tobytes() for x in a] == [x.tobytes() for x in b]

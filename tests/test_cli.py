@@ -479,6 +479,19 @@ def test_gof_on_four_returns_prints_its_table(tmp_path, capsys):
     assert [row["model"] for row in _gof_rows(out)] == ["normal", "gmm2"]
 
 
+def test_gof_checks_components_against_returns_before_printing(tmp_path, capsys):
+    # 4 returns cannot carry 5 components: gof exits 3 before it prints any
+    # line of its table or writes its CSV, not after the rows it could fit
+    p = tmp_path / "short.csv"
+    write_rows(p, ("A",), np.array([[100.0], [101.0], [99.5], [100.2], [102.0]]))
+    out = tmp_path / "gof.csv"
+    assert main(["gof", "--prices", str(p), "--components", "2,5", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "data error: cannot fit 5 components to 4 samples" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("components, message", [
     ("2,2", "duplicate entries in --components"),
     ("0,2", "--components must be a non-empty list of positive integers"),

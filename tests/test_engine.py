@@ -21,7 +21,6 @@ from riskengine import (
     RunConfig,
     fit,
     log_returns,
-    rescale,
     run_backtest,
     sample,
     simulate_gbm_portfolio,
@@ -268,7 +267,7 @@ def test_run_backtest_hs_estimates_match_direct_computation(small_run):
     assert rec.n_tail[m, :-1].tolist() == n_tail.tolist()
 
 
-def test_run_backtest_gbm_portfolio_matches_gbm_mc_var(panel_3assets):
+def test_run_backtest_gbm_portfolio_matches_simulate_gbm_portfolio(panel_3assets):
     # the engine's gbm_mc portfolio rows are the full-sort reference of the
     # return-space portfolio H @ w of the day's simulated holding H, which
     # simulate_gbm_portfolio recomputes from the same window and seed
@@ -947,7 +946,7 @@ def test_run_backtest_tags_and_days_never_share_scenarios(panel_3assets, tmp_pat
                 unscaled = sample(chains[tag], cfg.paths, np.random.default_rng(seed))
                 var, es, n_tail = var_es_columns(unscaled, cfg.alphas)
                 assets = (var * ratios[:, None], es * ratios[:, None], n_tail)
-                holding = rescale(unscaled, ratios)
+                holding = unscaled * ratios
                 series = unscaled @ (ratios * weights)
             portfolio = var_es_columns(series[:, None], cfg.alphas)
             for got, asset_rows, portfolio_row in zip(

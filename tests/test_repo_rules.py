@@ -488,10 +488,10 @@ def test_readme_quick_start_runs():
 
 @pytest.mark.parametrize("demo", sorted((_REPO / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    # The demos call public functions (fit, sample, the plain-array rescale,
-    # the array estimators var_es_columns, parametric_columns and
-    # gbm_mc_var, run_backtest, report, sweep_sigma_short); any exception,
-    # RuntimeWarning or DeprecationWarning fails the test. Their stdout is
-    # not compared. In a scratch directory, since demo 03 writes its report
+    # The demos call public functions (fit, sample, the array estimators
+    # var_es_columns and parametric_columns, calibrate_gbm,
+    # simulate_gbm_portfolio, run_backtest, report, sweep_sigma_short); any
+    # exception, RuntimeWarning or DeprecationWarning fails the test. Their
+    # stdout is not compared. In a scratch directory, since demo 03 writes its report
     # to ./backtest_out.
     _python(*_STRICT, str(demo), cwd=tmp_path)

@@ -1,4 +1,4 @@
-"""Quantile estimation, VaR/ES extraction, volatility scaling, portfolio specs."""
+"""Quantile estimation, VaR/ES extraction, portfolio specs."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskengine import PortfolioSpec, rescale, var_es_columns
+from riskengine import PortfolioSpec, var_es_columns
 from riskengine.errors import (
     InsufficientDataError,
     ShapeError,
@@ -253,39 +253,6 @@ def test_var_es_columns_validation():
     H[7, 1] = np.nan
     with pytest.raises(ValidationError, match="non-finite"):
         var_es_columns(H, (0.05,))
-
-
-def test_rescale_multiplies_per_asset():
-    # the last axis holds the assets, whatever the leading axes
-    for shape in [(50, 2), (50, 3, 2)]:
-        base = np.random.default_rng(2).normal(0, 0.01, shape)
-        before = base.copy()
-        out = rescale(base, [2.0, 0.5])
-        assert out.shape == shape
-        assert np.array_equal(out[..., 0], base[..., 0] * 2.0)
-        assert np.array_equal(out[..., 1], base[..., 1] * 0.5)
-        # the input is left untouched
-        assert np.array_equal(base, before)
-
-
-def test_rescale_validation():
-    base = np.zeros((4, 1, 2))
-    with pytest.raises(ShapeError):
-        rescale(base, [1.0])  # one factor for two assets
-    with pytest.raises(ShapeError):
-        rescale(np.float64(0.01), 2.0)  # no asset axis
-    with pytest.raises(ValidationError):
-        rescale(base, [1.0, -1.0])
-    with pytest.raises(ValidationError):
-        rescale(base, [1.0, np.inf])
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_rescale_rejects_non_finite_returns(bad):
-    returns = np.zeros((4, 2))
-    returns[3, 1] = bad
-    with pytest.raises(ValidationError, match="non-finite"):
-        rescale(returns, [1.0, 1.0])
 
 
 def test_portfolio_spec_equal_weights():
