@@ -29,7 +29,6 @@ from .gmm import (  # noqa: E402
     FitReport,
     GaussianMixtureModel,
     fit,
-    log_likelihood,
     mixture_cdf,
     sample,
 )
@@ -68,8 +67,7 @@ __all__ = [
     # timeseries
     "PricePanel", "load_prices", "log_returns",
     # gmm
-    "GaussianMixtureModel", "FitReport", "mixture_cdf", "log_likelihood",
-    "fit", "sample",
+    "GaussianMixtureModel", "FitReport", "mixture_cdf", "fit", "sample",
     # risk
     "PortfolioSpec", "var_es_columns",
     # baselines

@@ -187,7 +187,9 @@ def ks_test(samples, cdf) -> tuple[float, float]:
     Returns (ks_stat, ks_pvalue): D_n = max(D+, D-) over the order
     statistics, with the p-value from the asymptotic Kolmogorov distribution
     of sqrt(n) D_n. The callable must be a proper CDF on the sample range:
-    values in [0, 1] within 1e-9, non-decreasing.
+    values in [0, 1] within 1e-9, non-decreasing. The p-value holds for a
+    CDF fixed before the samples were drawn; against one fitted to the same
+    samples it is biased toward 1 (Lilliefors, JASA 62, 1967).
     """
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = x.size

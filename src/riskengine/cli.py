@@ -1,8 +1,8 @@
 """Command line interface.
 
-Subcommands: run (rolling backtest), sweep (short-window grid), gof
-(distribution fit tables per ticker). Exit codes: 0 success, 2 bad
-flags/config, 3 unreadable or invalid input data, 4 run-level failure.
+Subcommands: run (rolling backtest) and sweep (short-window grid). Exit
+codes: 0 success, 2 bad flags/config, 3 unreadable or invalid input data,
+4 run-level failure.
 """
 
 from __future__ import annotations
@@ -16,11 +16,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .backtest import ks_test
 from .engine import (
     RunConfig,
-    _commit,
-    _list_items,
     report,
     report_sweep,
     run_backtest,
@@ -28,15 +25,13 @@ from .engine import (
 )
 from .errors import (
     ConfigError,
-    InsufficientDataError,
     NumericError,
     ParseError,
     RunFailureError,
     ValidationError,
 )
-from .gmm import fit, log_likelihood, mixture_cdf
 from .risk import PortfolioSpec
-from .timeseries import load_prices, log_returns
+from .timeseries import load_prices
 
 
 def _split_csv(text: str) -> list[str]:
@@ -109,12 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_gof = sub.add_parser("gof", help="distribution goodness-of-fit tables")
-    p_gof.add_argument("--prices", required=True)
-    p_gof.add_argument("--components", default="3,4,5,6")
-    p_gof.add_argument("--seed", type=int, default=0)
-    p_gof.add_argument("--out", help="optional CSV output path")
-    p_gof.set_defaults(func=_cmd_gof)
     return parser
 
 
@@ -231,42 +220,6 @@ def _cmd_sweep(args) -> int:
         f"sweep over sigma_short in {sorted(results)} done in {elapsed:.1f}s; "
         f"verdict matrix in {args.out}/sweep_verdicts.csv"
     )
-    return 0
-
-
-def _cmd_gof(args) -> int:
-    try:
-        components = [int(c) for c in _split_csv(args.components)]
-    except ValueError as exc:
-        raise ConfigError(f"bad --components: {exc}") from exc
-    components = _list_items("--components", components, "positive integers", lambda c: c >= 1)
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-    if args.out and not args.out.endswith(".csv"):
-        raise ConfigError(f"--out must name a .csv file, got {args.out!r}")
-    panel = _read_prices(args.prices)
-    returns = log_returns(panel)  # (n - 1, assets)
-    # every fit must succeed before the table's first line is printed
-    if max(components) > len(returns):
-        raise InsufficientDataError(
-            f"cannot fit {max(components)} components to {len(returns)} samples"
-        )
-
-    rows = []
-    print(f"{'ticker':<12} {'model':<8} {'loglik':>10} {'ks_stat':>9} {'ks_p':>8}")
-    for c, ticker in enumerate(panel.tickers):
-        data = returns[:, c]
-        for label, n_comp in [("normal", 1)] + [(f"gmm{n}", n) for n in components]:
-            model, _ = fit(data, n_comp, seed=args.seed)
-            ll = log_likelihood(model, data)
-            ks_stat, ks_p = ks_test(data, lambda x, m=model: mixture_cdf(m, x))
-            rows.append([ticker, label, repr(ll), repr(ks_stat), repr(ks_p)])
-            print(f"{ticker:<12} {label:<8} {ll:>10.4f} {ks_stat:>9.5f} {ks_p:>8.4f}")
-    if args.out:
-        # staged like a run report: the directory is created, the write is all or nothing
-        header = "ticker,model,loglik_per_sample,ks_stat,ks_pvalue"
-        _commit(os.path.dirname(args.out) or ".", [(os.path.basename(args.out), (header, rows))])
-        print(f"table written to {args.out}")
     return 0
 
 

@@ -483,7 +483,7 @@ def _grid_errors(ratios, var, es):
     errors = []
     for g, j in enumerate(np.argmax(above, axis=1)):
         if not scaled[g]:
-            errors.append("ValidationError: rescale factors must be positive and finite")
+            errors.append("ValidationError: volatility ratios must be positive and finite")
         elif not finite[g]:
             errors.append("ValidationError: var/es must be finite")
         elif above[g, j]:

@@ -1,4 +1,4 @@
-"""Gaussian mixture models: log-likelihood, EM calibration, sampling.
+"""Gaussian mixture models: EM calibration, sampling, the 1-D mixture CDF.
 
 A mixture is P(x) = sum_j w_j * N(x | mu_j, Sigma_j). All density work goes
 through Cholesky factors Sigma_j = L_j L_j', with an inverse of the
@@ -17,8 +17,8 @@ whose inner loops run over only the n components or k dimensions; with
 N = 252, k = 15 and n = 3 that per-call overhead, not arithmetic, is what
 an EM iteration spends most of its time on. The public functions take and
 return samples as (N, k) rows, and transpose once at that boundary. One
-weighted log-density kernel, _log_weighted, serves fit's E-step, the
-M-step's re-seed and log_likelihood.
+weighted log-density kernel, _log_weighted, serves fit's E-step and the
+M-step's re-seed.
 
 EM runs in log space. The E-step shifts each sample's column by its max
 before exponentiating, so responsibilities stay finite even when every
@@ -234,20 +234,6 @@ class FitReport:
     @property
     def final_loglik(self) -> float:
         return self.loglik_trace[-1]
-
-
-def log_likelihood(model: GaussianMixtureModel, data) -> float:
-    """Per-sample mean log-likelihood of the data under the model.
-
-    data is an (N, dim) matrix, or an (N,) array of points for a 1-D model.
-    NumericError if every component density underflows at some point.
-    """
-    X = _as_matrix(data)
-    if X.shape[1] != model.dim:
-        raise ShapeError(f"data has dim {X.shape[1]}, model has dim {model.dim}")
-    logj = _log_weighted(X.T, model.weights, model.means, model._prec_chols, model._logdets)
-    shift, _, s = _logsumexp(logj, "log_likelihood")
-    return float(np.mean(shift + np.log(s)))
 
 
 def _m_step(Xt: np.ndarray, r: np.ndarray):

@@ -1,4 +1,4 @@
-"""Command-line entry points: run, sweep, gof; exit codes and file outputs."""
+"""Command-line entry points: run and sweep; exit codes and file outputs."""
 
 import csv
 import datetime as dt
@@ -134,12 +134,12 @@ NOT_UTF8_PRICES = "date,CAF\xc9\n2020-01-01,1.0\n".encode("latin-1")
 NOT_UTF8_CONFIG = '{"models": ["hs"], "seed": 1} \xe9'.encode("latin-1")
 
 
-@pytest.mark.parametrize("command", ["run", "gof"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
 def test_price_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys, command):
     bad = tmp_path / "latin1.csv"
     bad.write_bytes(NOT_UTF8_PRICES)
-    out = ["--out", str(tmp_path / ("o" if command == "run" else "o.csv"))]
-    code = main([command, "--prices", str(bad), *out, *(RUN_FLAGS if command == "run" else [])])
+    grid = ["--grid", "20,40"] if command == "sweep" else []
+    code = main([command, "--prices", str(bad), "--out", str(tmp_path / "o"), *RUN_FLAGS, *grid])
     assert code == 3
     assert f"data error: cannot read price file {bad}" in capsys.readouterr().err
 
@@ -359,158 +359,22 @@ def test_sweep_repeated_grid_value(prices_csv, tmp_path, capsys):
     assert "config error: duplicate entries in grid" in capsys.readouterr().err
     assert not out.exists()
 
-def test_gof_table_and_csv(prices_csv, tmp_path, capsys):
-    out = tmp_path / "gof.csv"
-    code = main(["gof", "--prices", prices_csv, "--components", "2,3",
-                 "--seed", "1", "--out", str(out)])
-    assert code == 0
-    text = capsys.readouterr().out
-    assert "normal" in text and "gmm2" in text
-    rows = out.read_text().splitlines()
-    assert rows[0] == "ticker,model,loglik_per_sample,ks_stat,ks_pvalue"
-    # 2 tickers x (normal + gmm2 + gmm3)
-    assert len(rows) == 1 + 2 * 3
-    for row in rows[1:]:
-        fields = row.split(",")
-        assert float(fields[3]) <= 1.0
-        assert 0.0 <= float(fields[4]) <= 1.0
+
+def test_gof_is_an_unknown_command(prices_csv, capsys, monkeypatch):
+    # the in-sample goodness-of-fit table is retired: backtest.csv scores
+    # every model out of sample. argparse rejects the command before any
+    # price file is read.
+    def no_read(*args, **kwargs):
+        raise AssertionError("a price file was read for an unknown command")
+
+    monkeypatch.setattr("riskengine.cli.load_prices", no_read)
+    with pytest.raises(SystemExit) as exc:
+        main(["gof", "--prices", prices_csv])
+    assert exc.value.code == 2
+    assert "invalid choice: 'gof'" in capsys.readouterr().err
 
 
-def test_gof_out_creates_its_directory(prices_csv, tmp_path, capsys):
-    # like run and sweep, gof stages its --out file through the report
-    # writer: the directory is created and no temporary is left behind
-    out = tmp_path / "missing" / "gof.csv"
-    assert main(["gof", "--prices", prices_csv, "--components", "2", "--out", str(out)]) == 0
-    assert capsys.readouterr().out.endswith(f"table written to {out}\n")
-    assert out.read_text().startswith("ticker,model,loglik_per_sample,")
-    assert [p.name for p in out.parent.iterdir()] == ["gof.csv"]
-
-
-def test_gof_out_must_name_a_csv_file(prices_csv, tmp_path, capsys):
-    out = tmp_path / "gof.txt"
-    assert main(["gof", "--prices", prices_csv, "--components", "2", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert "config error" in captured.err and ".csv" in captured.err
-    assert captured.out == ""
-    assert not out.exists()
-
-
-def test_gof_negative_seed_is_a_config_error(prices_csv, tmp_path, capsys):
-    # run and sweep reject a negative seed with exit 2; gof must too, before
-    # it prints its table or writes anything
-    out = tmp_path / "gof.csv"
-    code = main(["gof", "--prices", prices_csv, "--components", "2",
-                 "--seed", "-1", "--out", str(out)])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "config error" in captured.err and "seed" in captured.err
-    assert captured.out == ""
-    assert not out.exists()
-
-
-def test_gof_mixture_beats_normal_on_mixture_data(tmp_path, capsys):
-    # returns drawn from a two-regime mixture: the 2-component fit should
-    # dominate the single normal in log-likelihood
-    rng = np.random.default_rng(3)
-    n = 500
-    pick = rng.random(n) < 0.75
-    steps = np.where(pick, rng.normal(0.001, 0.006, n), rng.normal(-0.002, 0.03, n))
-    prices = 100 * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
-    p = tmp_path / "mix.csv"
-    write_rows(p, ("MIX",), prices[:, None])
-    out = tmp_path / "gof.csv"
-    assert main(["gof", "--prices", str(p), "--components", "2", "--seed", "0",
-                 "--out", str(out)]) == 0
-    capsys.readouterr()
-    rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
-    ll = {r[1]: float(r[2]) for r in rows}
-    assert ll["gmm2"] > ll["normal"]
-
-
-def _gof_rows(path):
-    """The rows of a gof CSV as dicts, after checking that every score in
-    them is finite."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
-        assert all(np.isfinite(float(row[k])) for k in ("loglik_per_sample", "ks_stat", "ks_pvalue"))
-    return rows
-
-
-def test_gof_scores_every_row_on_two_distinct_returns(tmp_path, capsys):
-    # prices alternating 100/110 give 8 returns of two values: the two
-    # components of gmm2 each sit on one value, with floored variance
-    p = tmp_path / "alternating.csv"
-    p.write_text("date,A\n" + "".join(
-        f"2020-01-{day:02d},{100.0 if day % 2 else 110.0!r}\n" for day in range(1, 10)
-    ))
-    out = tmp_path / "gof.csv"
-    assert main(["gof", "--prices", str(p), "--components", "2", "--out", str(out)]) == 0
-    assert "normal" in capsys.readouterr().out
-    assert [row["model"] for row in _gof_rows(out)] == ["normal", "gmm2"]
-
-
-def test_gof_scores_every_row_on_mostly_unchanged_closes(tmp_path, capsys):
-    # 80% of B's closes repeat the day before, so most of its returns are
-    # exactly 0 while the rest still spread
-    rng = np.random.default_rng(11)
-    n = 300
-    steps = rng.normal(0.0, 0.01, (n - 1, 2))
-    steps[rng.random(n - 1) < 0.8, 1] = 0.0
-    prices = 100.0 * np.exp(np.vstack([np.zeros(2), np.cumsum(steps, axis=0)]))
-    p = tmp_path / "stale.csv"
-    write_rows(p, ("A", "B"), prices)
-    out = tmp_path / "gof.csv"
-    assert main(["gof", "--prices", str(p), "--components", "2", "--out", str(out)]) == 0
-    assert [(r["ticker"], r["model"]) for r in _gof_rows(out)] == [
-        (t, m) for t in ("A", "B") for m in ("normal", "gmm2")
-    ]
-
-
-def test_gof_on_four_returns_prints_its_table(tmp_path, capsys):
-    # log-likelihood and KS need no minimum sample beyond what fit needs
-    p = tmp_path / "short.csv"
-    write_rows(p, ("A",), np.array([[100.0], [101.0], [99.5], [100.2], [102.0]]))
-    out = tmp_path / "gof.csv"
-    assert main(["gof", "--prices", str(p), "--components", "2", "--out", str(out)]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert captured.out.splitlines()[0].split() == ["ticker", "model", "loglik", "ks_stat", "ks_p"]
-    assert [row["model"] for row in _gof_rows(out)] == ["normal", "gmm2"]
-
-
-def test_gof_checks_components_against_returns_before_printing(tmp_path, capsys):
-    # 4 returns cannot carry 5 components: gof exits 3 before it prints any
-    # line of its table or writes its CSV, not after the rows it could fit
-    p = tmp_path / "short.csv"
-    write_rows(p, ("A",), np.array([[100.0], [101.0], [99.5], [100.2], [102.0]]))
-    out = tmp_path / "gof.csv"
-    assert main(["gof", "--prices", str(p), "--components", "2,5", "--out", str(out)]) == 3
-    captured = capsys.readouterr()
-    assert "data error: cannot fit 5 components to 4 samples" in captured.err
-    assert captured.out == ""
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("components, message", [
-    ("2,2", "duplicate entries in --components"),
-    ("0,2", "--components must be a non-empty list of positive integers"),
-    (",", "--components must be a non-empty list of positive integers"),
-])
-def test_gof_components_are_checked_as_run_checks_them(prices_csv, tmp_path, capsys,
-                                                       components, message):
-    # run and sweep reject a repeated component count with exit 2; gof must
-    # too, before it fits, prints or writes anything
-    out = tmp_path / "gof.csv"
-    assert main(["gof", "--prices", prices_csv, "--components", components,
-                 "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert f"config error: {message}" in captured.err
-    assert captured.out == ""
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["run", "sweep", "gof"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
 def test_constant_price_column_exits_3_before_any_fit(tmp_path, capsys, monkeypatch, command):
     # a ticker whose price never changes has no return to model: the panel
     # is rejected with one error naming it, before any EM fit runs
@@ -523,13 +387,11 @@ def test_constant_price_column_exits_3_before_any_fit(tmp_path, capsys, monkeypa
         raise AssertionError("fit ran on a panel with a constant column")
 
     monkeypatch.setattr("riskengine.engine.fit", no_fit)
-    monkeypatch.setattr("riskengine.cli.fit", no_fit)
     flags = {
         "run": ["--out", str(tmp_path / "r"), "--models", "gmm,hs,param", "--window-long", "120",
                 "--window-short", "20", "--paths", "200", "--days", "20"],
         "sweep": ["--out", str(tmp_path / "s"), "--grid", "20,40", "--window-long", "120",
                   "--paths", "200", "--days", "20"],
-        "gof": ["--components", "2"],
     }[command]
     assert main([command, "--prices", str(p), *flags]) == 3
     captured = capsys.readouterr()

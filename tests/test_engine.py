@@ -1020,8 +1020,8 @@ def test_sweep_reproduces_plain_runs_byte_for_byte(tmp_path):
 
 def test_zero_short_vol_invalidates_only_that_grid_point(tmp_path):
     # only the 10-day window of the day anchored at row 132 is flat, so that
-    # day fails at grid point 10 alone, with the rescale message, and a plain
-    # run at short_len 10 writes no scenario dump for it
+    # day fails at grid point 10 alone, with the volatility-ratio message,
+    # and a plain run at short_len 10 writes no scenario dump for it
     panel = _panel_with_flat_stretch()
     cfg = RunConfig(
         models=("gmm",), n_components=(2,), alphas=(0.05,), long_len=120, short_len=10,
@@ -1031,7 +1031,7 @@ def test_zero_short_vol_invalidates_only_that_grid_point(tmp_path):
     results = sweep_sigma_short(panel, cfg, [10, 30])
     errors = {g: {r.date: r.error for r in recs if r.error} for g, (recs, _) in results.items()}
     assert errors == {
-        10: {flat_day: "ValidationError: rescale factors must be positive and finite"}, 30: {}
+        10: {flat_day: "ValidationError: volatility ratios must be positive and finite"}, 30: {}
     }
     run_backtest(panel, cfg, scenario_dir=str(tmp_path))
     dumps = os.listdir(tmp_path)

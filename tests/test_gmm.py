@@ -16,7 +16,7 @@ from riskengine import gmm as gmm_module
 from riskengine import (
     GaussianMixtureModel,
     fit,
-    log_likelihood,
+    ks_test,
     mixture_cdf,
     sample,
 )
@@ -105,20 +105,31 @@ def test_model_json_round_trip():
 # ----------------------------------------------------------------- density
 
 
+def _mean_loglik(model, X):
+    """Per-sample mean log density of the points X under model: an (N, dim)
+    matrix, or an (N,) array for a 1-D model. The density kernel and
+    log-sum-exp of fit's E-step, so it reads the log-likelihood fit reports."""
+    Xt = gmm_module._as_matrix(X).T
+    logj = gmm_module._log_weighted(Xt, model.weights, model.means, model._prec_chols,
+                                    model._logdets)
+    shift, _, s = gmm_module._logsumexp(logj, "mean log density")
+    return float(np.mean(shift + np.log(s)))
+
+
 def _one_component(mean, cov):
     return GaussianMixtureModel(weights=np.ones(1), means=mean[None], covariances=cov[None])
 
 
 def test_component_density_1d_standard_normal():
     model = _one_component(np.zeros(1), np.eye(1))
-    assert log_likelihood(model, [0.0]) == pytest.approx(
+    assert _mean_loglik(model, [0.0]) == pytest.approx(
         math.log(0.3989422804014327), rel=1e-14
     )
 
 
 def test_component_density_2d_reference():
     model = _one_component(np.array([0.5, -0.25]), np.array([[2.0, 0.6], [0.6, 1.0]]))
-    val = log_likelihood(model, np.array([[1.0, 0.5]]))
+    val = _mean_loglik(model, np.array([[1.0, 0.5]]))
     assert val == pytest.approx(math.log(0.0937393348269034), rel=1e-13)
 
 
@@ -133,7 +144,7 @@ def test_component_density_matches_scipy():
         mean = rng.normal(size=dim)
         x = rng.normal(size=dim)
         ref = scipy.stats.multivariate_normal(mean=mean, cov=cov).logpdf(x)
-        got = log_likelihood(_one_component(mean, cov), x[None, :])
+        got = _mean_loglik(_one_component(mean, cov), x[None, :])
         assert got == pytest.approx(ref, rel=1e-10)
 
 
@@ -148,38 +159,22 @@ def _two_comp_1d():
 def test_mixture_density_reference():
     m = _two_comp_1d()
     for x in ([0.2], [0.2, 0.2]):
-        assert log_likelihood(m, x) == pytest.approx(math.log(0.10656655564146993), rel=1e-13)
+        assert _mean_loglik(m, x) == pytest.approx(math.log(0.10656655564146993), rel=1e-13)
 
 
 def test_log_likelihood_raises_where_every_component_underflows():
-    # every component log-density is -inf at these points, so their log
-    # density has no finite value: a NumericError naming the caller, with
-    # no -inf - (-inf) along the way (RuntimeWarnings are errors here)
+    # every component log-density is -inf at one point, so fit's first
+    # log-likelihood has no finite value: a NumericError naming the
+    # iteration and the point, with no -inf - (-inf) along the way
+    # (RuntimeWarnings are errors here)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for model, x in ((_two_comp_1d(), [1e200]), (_two_comp_1d(), [0.2, -1e200]),
-                         (two_comp_2d(), [[1e200, 0.0]])):
-            with pytest.raises(NumericError, match="log_likelihood"):
-                log_likelihood(model, x)
-
-
-def test_log_likelihood_reads_points_as_an_n_by_dim_matrix():
-    # one point is still a batch of one
-    m = _one_component(np.zeros(1), np.eye(1))
-    assert np.isfinite(log_likelihood(m, [0.0]))
-    assert log_likelihood(m, [[0.0]]) == log_likelihood(m, [0.0])
-    m2 = two_comp_2d()
-    assert np.isfinite(log_likelihood(m2, np.zeros((3, 2))))
-    with pytest.raises(ShapeError):
-        log_likelihood(m, 0.0)  # a scalar is not a batch
-    with pytest.raises(ShapeError):
-        log_likelihood(m2, [0.0, 0.0])  # a 1-D array is a batch of 1-D points
-    with pytest.raises(ShapeError):
-        log_likelihood(m, np.zeros((2, 2)))
-    with pytest.raises(ValidationError):
-        log_likelihood(m, [0.0, np.nan])
-    with pytest.raises(InsufficientDataError):
-        log_likelihood(m, np.zeros(0))
+        for model, x, bad in ((_two_comp_1d(), [1e200, 0.0], 0),
+                              (_two_comp_1d(), [0.2, -1e200], 1),
+                              (two_comp_2d(), [[1e200, 0.0], [0.0, 0.0]], 0)):
+            with pytest.raises(NumericError,
+                               match=f"fit iteration 1: density underflowed for sample {bad}$"):
+                fit(np.array(x), 2, init=model)
 
 
 def test_mixture_cdf_reference():
@@ -213,7 +208,7 @@ def test_log_likelihood_is_mean_log_density():
     logj = [np.log(w) + scipy.stats.multivariate_normal(mu, cov).logpdf(x)
             for w, mu, cov in zip(m.weights, m.means, m.covariances)]
     direct = float(np.mean(scipy.special.logsumexp(logj, axis=0)))
-    assert log_likelihood(m, x) == pytest.approx(direct, rel=1e-12)
+    assert _mean_loglik(m, x) == pytest.approx(direct, rel=1e-12)
 
 
 def _reference_log_densities(model, X):
@@ -281,7 +276,7 @@ def test_gemm_kernel_matches_triangular_solves(case):
 
     lse = np.logaddexp.reduce(logj, axis=1)
     own = size[np.arange(len(X)), np.argmax(logj, axis=1)]
-    assert log_likelihood(model, X) == pytest.approx(
+    assert _mean_loglik(model, X) == pytest.approx(
         np.mean(lse), rel=1e-10, abs=1e-10 * np.mean(own)
     )
     # responsibilities lie in [0, 1] and each row sums to 1, the scale here
@@ -325,8 +320,8 @@ def test_em_path_makes_no_triangular_solve(monkeypatch):
     model, cold = fit(X, 3, seed=1)
     warm_model, warm = fit(shifted, 3, init=model)
     assert cold.init_mode == "kmeans" and warm.init_mode == "warm_start"
-    assert np.isfinite(log_likelihood(warm_model, shifted))
-    assert np.isfinite(log_likelihood(model, X[:5]))
+    assert np.isfinite(_mean_loglik(warm_model, shifted))
+    assert np.isfinite(_mean_loglik(model, X[:5]))
     assert sample(warm_model, 3000, np.random.default_rng(2)).shape == (3000, 15)
 
 
@@ -644,7 +639,7 @@ def test_fit_trace_monotone_and_consistent():
     assert np.all(np.diff(trace) >= -1e-9)
     assert report.init_mode == "kmeans"
     # the returned model reproduces the reported final log-likelihood
-    assert log_likelihood(model, x) == pytest.approx(report.final_loglik, abs=1e-9)
+    assert _mean_loglik(model, x) == pytest.approx(report.final_loglik, abs=1e-9)
 
 
 def test_fit_warm_start_converges_immediately():
@@ -677,6 +672,13 @@ def test_fit_argument_validation():
         fit(x, 2, init="mystery")
     with pytest.raises(ValidationError):
         fit(np.array([1.0, np.nan, 2.0]), 1)
+    # samples are an (N, k) matrix, or an (N,) array of 1-D points
+    with pytest.raises(ShapeError):
+        fit(0.5, 1)
+    with pytest.raises(ShapeError):
+        fit(np.zeros((4, 2, 1)), 1)
+    with pytest.raises(InsufficientDataError):
+        fit(np.zeros(0), 1)
 
 
 def test_fit_deterministic_given_seed():
@@ -719,7 +721,7 @@ def test_fit_stopped_by_max_iter_returns_the_iterate_it_scored(monkeypatch):
     monkeypatch.setattr(gmm_module, "MAX_ITER", 3)
     model, report = fit(X, 3, seed=1)
     assert report.iterations == 3 and not report.converged
-    assert report.final_loglik == log_likelihood(model, X)
+    assert report.final_loglik == _mean_loglik(model, X)
 
 
 @given(
@@ -741,7 +743,7 @@ def test_fit_trace_monotone_valid_and_reproducible(seed, dim, n_components, n_sa
     GaussianMixtureModel(model.weights, model.means, model.covariances)
     if report.converged:
         # the returned model is the iterate the last trace entry measured
-        assert log_likelihood(model, x) == pytest.approx(report.final_loglik, rel=1e-12)
+        assert _mean_loglik(model, x) == pytest.approx(report.final_loglik, rel=1e-12)
 
     again, report2 = fit(x, n_components, seed=seed)
     assert report2 == report
@@ -762,6 +764,28 @@ def test_fit_near_degenerate_component_stays_monotone():
     trace = np.asarray(report.loglik_trace)
     assert np.all(np.diff(trace) >= -1e-9)
     assert model.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _mostly_unchanged_closes():
+    # 80% of the returns are exactly 0, as for a rarely traded asset
+    rng = np.random.default_rng(11)
+    x = rng.normal(0.0, 0.01, 299)
+    x[rng.random(299) < 0.8] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("x", [
+    np.diff(np.log([100.0, 110.0] * 4 + [100.0])),  # 8 returns of two values
+    _mostly_unchanged_closes(),
+    np.diff(np.log([100.0, 101.0, 99.5, 100.2, 102.0])),  # 4 returns
+], ids=["two-values", "mostly-zero", "four-returns"])
+def test_fit_scores_tied_and_short_series_finitely(x):
+    # a component sitting on one repeated value keeps a floored variance, so
+    # the fit, its log-likelihood and a KS test against its CDF stay finite
+    for n_components in (1, 2):
+        model, report = fit(x, n_components, seed=0)
+        assert np.isfinite(report.final_loglik) and np.isfinite(_mean_loglik(model, x))
+        assert np.all(np.isfinite(ks_test(x, lambda v, m=model: mixture_cdf(m, v))))
 
 
 # ---------------------------------------------------------------- sampling

@@ -8,12 +8,14 @@ import inspect
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import riskengine
+from riskengine.cli import build_parser
 
 # the directory riskengine was imported from, so a fresh interpreter runs
 # the same code as this one
@@ -253,6 +255,23 @@ def test_readme_names_only_existing_modules():
     assert not bad, "\n".join(bad)
 
 
+def test_readme_commands_parse():
+    # A retired subcommand or flag must leave the README with it: each
+    # `riskengine ...` command in a sh block, its continuation lines joined,
+    # must parse with cli.build_parser().
+    text = (_REPO / "README.md").read_text()
+    commands = [line for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("riskengine ")]
+    bad = []
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            bad.append(f"README.md runs `{command}`, which the riskengine parser rejects")
+    assert commands and not bad, "\n".join(bad)
+
+
 def test_model_tags_parsed_in_one_place():
     # engine._parse_tag turns a model tag into (kind, components); no other
     # code reads a tag's spelling. Fail on a startswith call given a
@@ -317,8 +336,10 @@ report_sweep(sweep_sigma_short(panel, config, [20, 40]), config, out / "sweep")
 with open(out / "prices.csv", "w", newline="") as fh:
     csv.writer(fh).writerows([["date", *panel.tickers], *(
         [d, *map(repr, row)] for d, row in zip(panel.dates, panel.prices.tolist()))])
-assert main(["gof", "--prices", str(out / "prices.csv"), "--components", "2",
-             "--out", str(out / "gof.csv")]) == 0
+assert main(["run", "--prices", str(out / "prices.csv"), "--out", str(out / "cli"),
+             "--models", "gmm,hs,param,gbm_mc", "--components", "2", "--alpha", "0.05",
+             "--window-long", "120", "--window-short", "40", "--paths", "500", "--days", "5",
+             "--seed", "1", "--portfolio", "equal"]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 if loaded:
     sys.exit("\\n".join([f"riskengine {riskengine.__version__}: {len(loaded)} scipy modules loaded",
@@ -328,9 +349,9 @@ if loaded:
 
 def test_import_path_is_numpy_only(tmp_path):
     # scipy is installed for the tests only: importing riskengine, a run
-    # with every model kind and a portfolio, its report, a sweep and the gof
-    # command must load no scipy module. A fresh interpreter, since other
-    # tier-1 tests import scipy.
+    # with every model kind and a portfolio, its report, a sweep and the
+    # same run through the command line must load no scipy module. A fresh
+    # interpreter, since other tier-1 tests import scipy.
     _python("-c", _NUMPY_ONLY, str(tmp_path))
 
 
